@@ -64,8 +64,6 @@ from .world import (
     Template,
     World,
     WorldConfig,
-    apply_backward,
-    apply_forward,
     build_datasets,
     generate_world,
     load_dataset,

@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -67,11 +67,16 @@ def featurize_molecule(m: Molecule, dim: int = DEFAULT_DIM) -> FeatureVector:
     """Hash all subterms of height <= 2 plus the root operator symbol.
 
     Malformed molecules fall back to character 3-grams of their text.
+    Vectors are memoised by ``(text, malformed, dim)``.
     """
+    return _featurize(m.text, m.malformed, dim)
+
+
+@lru_cache(maxsize=1 << 16)
+def _featurize(text: str, malformed: bool, dim: int) -> FeatureVector:
     features: set[str] = set()
-    ast = None if m.malformed else parse_ast(m.text)
+    ast = None if malformed else parse_ast(text)
     if ast is None:
-        text = m.text
         if len(text) < 3:
             features.add("#" + text)
         else:
@@ -195,14 +200,22 @@ def predict_topk(
 
     Inapplicable templates are skipped without renormalizing, so the reported
     probabilities are comparable with filtering thresholds. Ties break by
-    template index order.
+    template index order. A model template missing from the world raises
+    UnknownTemplate when it ranks above the k-th applicable one.
+
+    A backward model ranks and tries only the templates that can fire on the
+    product's root operator (``World.backward_ids_by_op``).
     """
     if k < 1:
         raise InvalidInput("k must be at least 1")
     probs = predict_proba(model, _featurize_input(model, inp))
-    order = sorted(range(model.n_templates), key=lambda i: (-probs[i], i))
+    if model.role == ROLE_FORWARD:
+        rows, missing = np.arange(model.n_templates), []
+    else:
+        rows, missing = _backward_rows(model, inp, world)  # type: ignore[arg-type]
     results: list[Prediction] = []
-    for i in order:
+    last = -1
+    for i in rows[np.argsort(-probs[rows], kind="stable")]:
         if len(results) >= k:
             break
         tid = model.template_index[i]
@@ -220,7 +233,30 @@ def predict_topk(
                 continue
             ordered = tuple(sorted(reactants, key=lambda m: m.text))
             results.append(Prediction(tid, float(probs[i]), ordered))
+        last = i
+    if missing:
+        # A scan of every template in rank order stops at the k-th result;
+        # it meets the best-ranked missing template first if that ranks higher.
+        first = min(missing, key=lambda i: (-probs[i], i))
+        if len(results) < k or (-probs[first], first) < (-probs[last], last):
+            raise UnknownTemplate(model.template_index[first])
     return results
+
+
+def _backward_rows(
+    model: TemplateClassifier, product: Molecule, world: World
+) -> tuple[np.ndarray, list[int]]:
+    """Rows of the model templates whose backward can fire on ``product``
+    (none for a malformed one), and rows of those missing from the world."""
+    ast = None if product.malformed else parse_ast(product.text)
+    fires = frozenset() if ast is None else world.backward_ids_by_op[ast.op]
+    rows, missing = [], []
+    for i, tid in enumerate(model.template_index):
+        if tid in fires:
+            rows.append(i)
+        elif tid not in world.template_by_id:
+            missing.append(i)
+    return np.array(rows, dtype=np.intp), missing
 
 
 def likelihood(model: TemplateClassifier, reaction: Reaction, world: World) -> float:

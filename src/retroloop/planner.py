@@ -7,6 +7,17 @@ route, where a partial route prices open molecules with a cost-to-go
 estimator. With an estimator that never overestimates (the zero estimator in
 particular) the first completed route is also the cheapest one in the tree.
 
+Selection is incremental, in the style of Retro* (Chen et al., ICML 2020): a
+molecule knows its g (the reaction costs from the root down to it) from the
+moment it is created, and every molecule keeps the key ``(g + value, order)``
+of the best open leaf on its own best partial subroute. An expansion changes
+values only on the path from the expanded molecule to the root, and
+``_refresh`` recomputes the key of each molecule on that path from its
+children, so picking the next molecule costs O(1) and an expansion
+O(depth x branching). The keys are the exact quantities a walk of the best
+partial route would compute: g is the same float additions in the same
+order, and the best reaction is the same first minimum.
+
 One plan invocation owns its tree; the model, estimator and world are only
 read, so many plans may run concurrently against shared instances.
 """
@@ -44,7 +55,7 @@ class ZeroEstimator:
         return 0.0
 
 
-@dataclass
+@dataclass(slots=True)
 class ReactionNode:
     template_id: str
     cost: float
@@ -54,7 +65,7 @@ class ReactionNode:
     value: float = INF
 
 
-@dataclass
+@dataclass(slots=True)
 class MolNode:
     molecule: Molecule
     parent: ReactionNode | None
@@ -62,6 +73,11 @@ class MolNode:
     status: str
     value: float
     children: list[ReactionNode] = field(default_factory=list)
+    # Reaction costs from the root down to this molecule.
+    g: float = 0.0
+    # (g + value, order, molecule) of the open molecule to expand next in
+    # this molecule's best partial subroute; None when that has none open.
+    best: "tuple[float, int, MolNode] | None" = None
 
 
 class ExpansionRecord(NamedTuple):
@@ -105,13 +121,13 @@ class SearchTree:
     def _new_mol_node(self, molecule: Molecule, parent: ReactionNode | None) -> MolNode:
         order = self._counter
         self._counter += 1
+        g = 0.0 if parent is None else parent.parent.g + parent.cost
         if self.world.is_building_block(molecule):
-            status, value = SOLVED_LEAF, 0.0
-        else:
-            status, value = OPEN, float(self.estimator.evaluate(molecule))
-        return MolNode(
-            molecule=molecule, parent=parent, order=order, status=status, value=value
-        )
+            return MolNode(molecule, parent, order, SOLVED_LEAF, 0.0, g=g)
+        value = float(self.estimator.evaluate(molecule))
+        node = MolNode(molecule, parent, order, OPEN, value, g=g)
+        node.best = (g + value, order, node)
+        return node
 
     def _path_texts(self, node: MolNode) -> set[str]:
         texts = set()
@@ -154,8 +170,17 @@ class SearchTree:
     def _refresh(self, node: MolNode) -> None:
         if node.status in (SOLVED_LEAF, OPEN):
             return
-        node.value = min((r.value for r in node.children), default=INF)
-        node.status = DEAD if node.value == INF else EXPANDED
+        best: ReactionNode | None = None
+        for r in node.children:  # first strict minimum = insertion order
+            if best is None or r.value < best.value:
+                best = r
+        node.value = INF if best is None else best.value
+        if node.value == INF:
+            node.status, node.best = DEAD, None
+            return
+        node.status = EXPANDED
+        keys = [c.best for c in best.children if c.best is not None]  # type: ignore[union-attr]
+        node.best = min(keys) if keys else None
 
     def _propagate(self, node: MolNode) -> None:
         rnode = node.parent
@@ -166,32 +191,23 @@ class SearchTree:
             rnode = parent.parent
 
     def best_partial_route(self) -> list[tuple[MolNode, float]] | None:
-        """Open molecules on the minimum-value partial route, with their g.
+        """The open molecule to expand next on the minimum-value partial route.
 
-        g is the sum of reaction costs from the root to the molecule along the
-        route. Returns None when the root is dead and [] when the route is
-        complete (all leaves solved).
+        The partial route takes the first minimum-value reaction at every
+        expanded molecule; among its open molecules the one with the least
+        ``(g + value, order)`` is next, where g is the sum of reaction costs
+        from the root to the molecule. Returns None when the root is dead, []
+        when the route is complete (all leaves solved), and otherwise the
+        one-element list ``[(molecule, g)]``.
+
+        O(1): the root holds that molecule's key (see the module docstring).
         """
         if self.root.value == INF:
             return None
-        open_nodes: list[tuple[MolNode, float]] = []
-        stack: list[tuple[MolNode, float]] = [(self.root, 0.0)]
-        while stack:
-            node, g = stack.pop()
-            if node.status == SOLVED_LEAF:
-                continue
-            if node.status == OPEN:
-                open_nodes.append((node, g))
-                continue
-            best: ReactionNode | None = None
-            for r in node.children:  # first strict minimum = insertion order
-                if best is None or r.value < best.value:
-                    best = r
-            if best is None or best.value == INF:
-                return None
-            for child in best.children:
-                stack.append((child, g + best.cost))
-        return open_nodes
+        if self.root.best is None:
+            return []
+        node = self.root.best[2]
+        return [(node, node.g)]
 
 
 def plan(
@@ -227,7 +243,7 @@ def plan(
             return PlanResult(
                 "failure", None, tree.call_count, tuple(records) if trace else None
             )
-        node, g = min(open_nodes, key=lambda item: (item[1] + item[0].value, item[0].order))
+        node, g = open_nodes[0]
         score = g + node.value
         n_applicable = tree.expand(node)
         if trace:

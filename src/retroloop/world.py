@@ -56,49 +56,49 @@ class Node:
     height: int = 0
 
 
-def _scan_term(text: str, i: int) -> tuple[Node, int] | None:
-    """Parse one term starting at ``i``; returns (node, next index) or None."""
-    n = len(text)
-    if i >= n:
-        return None
-    if text[i] == "(":
-        left = _scan_term(text, i + 1)
-        if left is None:
-            return None
-        lnode, j = left
-        if j >= n or text[j] not in OPERATOR_CHARS:
-            return None
-        op = text[j]
-        right = _scan_term(text, j + 1)
-        if right is None:
-            return None
-        rnode, k = right
-        if k >= n or text[k] != ")":
-            return None
-        node = Node(
-            text=text[i : k + 1],
-            op=op,
-            left=lnode,
-            right=rnode,
-            height=1 + max(lnode.height, rnode.height),
-        )
-        return node, k + 1
-    j = i
-    while j < n and text[j] in ATOM_CHARS:
-        j += 1
-    if j == i:
-        return None
-    return Node(text=text[i:j]), j
-
-
 @lru_cache(maxsize=1 << 18)
 def parse_ast(text: str) -> Node | None:
-    """Full parse of ``text``; None if it is not a well-formed term."""
-    result = _scan_term(text, 0)
-    if result is None:
+    """Full parse of ``text``; None if it is not a well-formed term.
+
+    A composite ``(A o B)`` is split at its top-level operator and both
+    operands are parsed through this cached function, so cached trees share
+    their subtrees and parsing a product caches its reactants too.
+    """
+    if not text:
         return None
-    node, end = result
-    return node if end == len(text) else None
+    if text[0] != "(":
+        return Node(text=text) if ATOM_CHARS.issuperset(text) else None
+    if text[-1] != ")":
+        return None
+    # The left operand ends at the paren closing its opening one, or, for an
+    # atom, at the first character that is not an atom character.
+    n = len(text) - 1
+    j = 1
+    if text[1] == "(":
+        depth = 0
+        while j < n:
+            depth += (text[j] == "(") - (text[j] == ")")
+            j += 1
+            if depth == 0:
+                break
+        else:
+            return None
+    else:
+        while j < n and text[j] in ATOM_CHARS:
+            j += 1
+    if j >= n or text[j] not in OPERATOR_CHARS:
+        return None
+    left = parse_ast(text[1:j])
+    right = parse_ast(text[j + 1 : n]) if left is not None else None
+    if right is None:
+        return None
+    return Node(
+        text=text,
+        op=text[j],
+        left=left,
+        right=right,
+        height=1 + max(left.height, right.height),
+    )
 
 
 def parse_molecule(text: str) -> Molecule:
@@ -189,14 +189,6 @@ class Template:
                 return None
             return reactants[0]
         return None
-
-
-def apply_backward(template: Template, product: Molecule) -> tuple[Molecule, ...] | None:
-    return template.backward(product)
-
-
-def apply_forward(template: Template, reactants: Sequence[Molecule]) -> Molecule | None:
-    return template.forward(reactants)
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +320,21 @@ class World:
     @cached_property
     def template_ids(self) -> tuple[str, ...]:
         return tuple(t.id for t in self.templates)
+
+    @cached_property
+    def backward_ids_by_op(self) -> dict[str | None, frozenset[str]]:
+        """Ids of the templates whose ``backward`` can fire on a well-formed
+        molecule, keyed by its root operator (None for an atom).
+
+        Every operator a molecule can parse with is a key. Split and chop
+        templates fire only on their own operator; identity fires on all.
+        """
+        identity = {t.id for t in self.template_by_id.values() if t.kind == KIND_IDENTITY}
+        by_op: dict[str | None, set[str]] = {op: set(identity) for op in (None, *OPERATOR_CHARS)}
+        for t in self.template_by_id.values():
+            if t.kind in (KIND_SPLIT, KIND_CHOP):
+                by_op.setdefault(t.op, set(identity)).add(t.id)
+        return {op: frozenset(ids) for op, ids in by_op.items()}
 
     @cached_property
     def _stock(self) -> frozenset[str]:

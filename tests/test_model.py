@@ -4,9 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from retroloop import (
+    DEFAULT_DIM,
     EmptyDataset,
     InvalidInput,
     InvalidReaction,
+    Molecule,
     Template,
     TrainConfig,
     UnknownTemplate,
@@ -28,6 +30,7 @@ from retroloop.errors import CheckpointError
 from retroloop.model import (
     ROLE_BACKWARD,
     ROLE_FORWARD,
+    _feature_hash,
     mean_nll,
     nll_and_grad,
     predict_proba,
@@ -91,6 +94,16 @@ class TestFeaturization:
         a, b = mol("a"), mol("(b*c)")
         union = set(featurize_molecule(a).indices) | set(featurize_molecule(b).indices)
         assert set(featurize_reactant_set([a, b]).indices) == union
+
+    @pytest.mark.parametrize("text, flagged_first", [("(x+y)", False), ("(y*x)", True)])
+    def test_memo_keeps_malformed_flag_apart(self, text, flagged_first):
+        well, flagged = parse_molecule(text), Molecule(text, malformed=True)
+        first, second = (flagged, well) if flagged_first else (well, flagged)
+        vectors = {m.malformed: featurize_molecule(m) for m in (first, second)}
+        grams = {_feature_hash("#" + text[i : i + 3], DEFAULT_DIM) for i in range(len(text) - 2)}
+        assert vectors[True].indices == tuple(sorted(grams))
+        assert vectors[False] != vectors[True]
+        assert vectors[False] == featurize_molecule(mol(text))
 
     def test_empty_reactant_set_rejected(self):
         with pytest.raises(InvalidInput):
@@ -169,6 +182,119 @@ class TestPrediction:
         preds = predict_topk(clf, (mol("a"), mol("b")), 10, small_world)
         products = {p.outcome.text for p in preds}
         assert products == {"(a+b)", "(a*b)", "a"} or "(a+b)" in products
+
+
+def unfiltered_topk(model, inp, k, world):
+    """Reference top-k: tries every template in probability order, ties by
+    template index, with no index of which templates can fire."""
+    if model.role == ROLE_FORWARD:
+        fv = featurize_reactant_set(inp, model.dim)
+    else:
+        fv = featurize_molecule(inp, model.dim)
+    probs = predict_proba(model, fv)
+    order = sorted(range(model.n_templates), key=lambda i: (-probs[i], i))
+    results = []
+    for i in order:
+        if len(results) >= k:
+            break
+        tid = model.template_index[i]
+        template = world.template_by_id.get(tid)
+        if template is None:
+            raise UnknownTemplate(tid)
+        if model.role == ROLE_FORWARD:
+            outcome = template.forward(inp)
+        else:
+            outcome = template.backward(inp)
+            if outcome is not None:
+                outcome = tuple(sorted(outcome, key=lambda m: m.text))
+        if outcome is not None:
+            results.append((tid, float(probs[i]), outcome))
+    return results
+
+
+def topk_or_error(fn, model, inp, k, world):
+    try:
+        return [tuple(p) for p in fn(model, inp, k, world)]
+    except UnknownTemplate as exc:
+        return ("unknown", exc.args)
+
+
+# Atoms, both world operators (+, *), an operator of the pool the world did
+# not draw (^), one no world draws (/), and malformed molecules.
+TOPK_PRODUCTS = (
+    mol("a"),
+    mol("c"),
+    mol("(a+b)"),
+    mol("(a*a)"),
+    mol("((a+b)*c)"),
+    mol("(a^b)"),
+    mol("((a*b)/c)"),
+    parse_molecule("(a+"),
+    Molecule("(a+b)", malformed=True),
+)
+
+
+def classifier_like(base, weights=None, bias=None, template_index=None):
+    return type(base)(
+        weights=base.weights if weights is None else weights,
+        bias=base.bias if bias is None else bias,
+        template_index=base.template_index if template_index is None else template_index,
+        role=base.role,
+    )
+
+
+class TestTopkAgainstUnfiltered:
+    def _models(self, small_world, small_models):
+        zero = zero_classifier(small_world.template_ids, ROLE_BACKWARD, dim=128)
+        rng = np.random.default_rng(5)
+        noisy = classifier_like(zero, weights=rng.normal(size=zero.weights.shape))
+        return [zero, noisy, small_models[0]]
+
+    def test_backward_matches_reference(self, small_world, small_models):
+        for model in self._models(small_world, small_models):
+            for product in TOPK_PRODUCTS:
+                for k in range(1, model.n_templates + 2):
+                    expected = topk_or_error(unfiltered_topk, model, product, k, small_world)
+                    assert topk_or_error(predict_topk, model, product, k, small_world) == expected
+
+    def test_forward_matches_reference(self, small_world, small_models):
+        forward = small_models[2]
+        for reactants in ((mol("a"), mol("b")), (mol("(a+b)"),), (mol("a"), parse_molecule("(a"))):
+            for k in range(1, forward.n_templates + 2):
+                expected = topk_or_error(unfiltered_topk, forward, reactants, k, small_world)
+                assert topk_or_error(predict_topk, forward, reactants, k, small_world) == expected
+
+    @pytest.mark.parametrize("ghost_at", [0, 3, None])
+    @pytest.mark.parametrize("ghost_bias", [-5.0, 0.0, 5.0])
+    def test_unknown_template_matches_reference(self, small_world, small_models, ghost_at, ghost_bias):
+        base = small_models[0]
+        ids = list(base.template_index)
+        at = len(ids) if ghost_at is None else ghost_at
+        ids.insert(at, "ghost")
+        weights = np.insert(base.weights, at, 0.0, axis=0)
+        bias = np.insert(base.bias, at, ghost_bias)
+        model = classifier_like(base, weights=weights, bias=bias, template_index=tuple(ids))
+        raised = 0
+        for product in TOPK_PRODUCTS:
+            for k in range(1, model.n_templates + 2):
+                expected = topk_or_error(unfiltered_topk, model, product, k, small_world)
+                got = topk_or_error(predict_topk, model, product, k, small_world)
+                assert got == expected
+                raised += got == ("unknown", ("ghost",))
+        assert raised > 0
+
+    def test_unknown_template_raises(self, small_world):
+        ids = small_world.template_ids + ("ghost",)
+        zero = zero_classifier(ids, ROLE_BACKWARD)
+        top = classifier_like(zero, bias=np.array([0.0] * (len(ids) - 1) + [1.0]))
+        with pytest.raises(UnknownTemplate):
+            predict_topk(top, mol("(a+b)"), 1, small_world)
+        # ranked last, the ghost is met only when fewer than k templates fire
+        assert predict_topk(zero, mol("(a+b)"), 1, small_world)
+        with pytest.raises(UnknownTemplate):
+            predict_topk(zero, mol("a"), 2, small_world)
+        with pytest.raises(UnknownTemplate):
+            predict_topk(zero, parse_molecule("(a+"), 1, small_world)
 
 
 class TestLikelihood:

@@ -1,5 +1,8 @@
+import hashlib
+import json
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,6 +33,7 @@ from retroloop import (
 from retroloop.model import ROLE_BACKWARD
 from retroloop.planner import (
     EXPANDED,
+    OPEN,
     SOLVED_LEAF,
     MolNode,
     ReactionNode,
@@ -46,6 +50,31 @@ def single_split_world():
         templates=(Template(id="split:+", kind=KIND_SPLIT, op="+"),),
         building_blocks=(mol("a"), mol("b")),
     )
+
+
+def walk_best_partial_route(tree):
+    """Reference selection: every open molecule on the minimum-value partial
+    route with its g, by a walk from the root (None: dead, []: complete)."""
+    if tree.root.value == math.inf:
+        return None
+    open_nodes = []
+    stack = [(tree.root, 0.0)]
+    while stack:
+        node, g = stack.pop()
+        if node.status == SOLVED_LEAF:
+            continue
+        if node.status == OPEN:
+            open_nodes.append((node, g))
+            continue
+        best = None
+        for r in node.children:  # first strict minimum = insertion order
+            if best is None or r.value < best.value:
+                best = r
+        if best is None or best.value == math.inf:
+            return None
+        for child in best.children:
+            stack.append((child, g + best.cost))
+    return open_nodes
 
 
 class TestPlanBasics:
@@ -230,16 +259,21 @@ class TestSearchProperties:
                 assert big.model_calls == small.model_calls
                 assert big.route == small.route
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_incremental_values_match_recomputation(self, seed):
-        world, data, clf = self._random_setup(seed)
-        target = max(data.targets, key=lambda t: len(t.text))
-        tree = SearchTree(target, clf, ZeroEstimator(), 10, world)
-        for _ in range(25):
-            open_nodes = tree.best_partial_route()
-            if not open_nodes:
+    @staticmethod
+    def _expand_and_check(tree, steps=25):
+        """Expand the selected molecule ``steps`` times, checking selection
+        against a full walk and values against a recomputation each time."""
+        for _ in range(steps):
+            # Selection must be exactly the minimum over a full walk.
+            walked = walk_best_partial_route(tree)
+            selected = tree.best_partial_route()
+            if not walked:
+                assert selected == walked
                 break
-            node, g = min(open_nodes, key=lambda it: (it[1] + it[0].value, it[0].order))
+            node, g = min(walked, key=lambda it: (it[1] + it[0].value, it[0].order))
+            assert len(selected) == 1
+            assert selected[0][0] is node
+            assert selected[0][1] == g
             tree.expand(node)
             fresh = recompute_all_values(tree)
 
@@ -255,6 +289,21 @@ class TestSearchProperties:
                         check(c)
 
             check(tree.root)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_incremental_values_match_recomputation(self, seed):
+        world, data, clf = self._random_setup(seed)
+        target = max(data.targets, key=lambda t: len(t.text))
+        self._expand_and_check(SearchTree(target, clf, ZeroEstimator(), 10, world))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_incremental_selection_with_ties(self, seed):
+        # A uniform model gives every reaction the same cost, so reactions
+        # tie and the first minimum must decide as in the walk.
+        world, data, _ = self._random_setup(seed)
+        clf = zero_classifier(world.template_ids, ROLE_BACKWARD)
+        target = max(data.targets, key=lambda t: len(t.text))
+        self._expand_and_check(SearchTree(target, clf, ZeroEstimator(), 10, world))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_exhaustive_search_matches_oracle(self, seed):
@@ -287,3 +336,64 @@ class TestDeterminism:
             assert a.model_calls == b.model_calls
             assert a.trace == b.trace
             assert a.route == b.route
+
+
+class LengthEstimator:
+    """A non-zero cost-to-go, so that scores add g and value."""
+
+    kind = "length"
+
+    def evaluate(self, molecule):
+        return 0.05 * len(molecule.text)
+
+
+def golden_plan_records():
+    """Traced plans of the longest targets of a seeded world under a model
+    with seeded random weights, with both estimators."""
+    world = generate_world(
+        WorldConfig(n_atoms=6, n_operators=3, n_decoys=5, bb_composites=6, bb_depth=1),
+        seed=11,
+    )
+    data = build_datasets(world, 40, 6, (0.8, 0.1, 0.1), seed=5)
+    rng = random.Random(17)
+    dim = 256
+    clf = zero_classifier(world.template_ids, ROLE_BACKWARD, dim)
+    clf = replace(
+        clf,
+        weights=np.array(
+            [[rng.uniform(-2.0, 2.0) for _ in range(dim)] for _ in world.template_ids]
+        ),
+    )
+    targets = sorted(data.targets, key=lambda t: (-len(t.text), t.text))[:4]
+    records = []
+    for estimator in (ZeroEstimator(), LengthEstimator()):
+        for target in targets:
+            result = plan(target, clf, estimator, 60, 8, world, trace=True)
+            records.append(
+                [
+                    target.text,
+                    result.outcome,
+                    result.model_calls,
+                    [
+                        [e.step, e.molecule, f"{e.g_plus_h:.9g}", e.n_applicable]
+                        for e in result.trace
+                    ],
+                    None
+                    if result.route is None
+                    else sorted(rx.key for rx in result.route.reactions),
+                ]
+            )
+    return records
+
+
+class TestGoldenPlans:
+    # Digest of golden_plan_records() under the walk-based selection, the
+    # unindexed template scan and the unmemoised featurizer that preceded
+    # the incremental versions; any change to an expansion changes it.
+    DIGEST = "a892224b9b7f0867"
+
+    def test_traced_plans_are_unchanged(self):
+        records = golden_plan_records()
+        assert sum(r[2] for r in records) > 200
+        text = json.dumps(records, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == self.DIGEST

@@ -24,7 +24,15 @@ from retroloop import (
     save_world,
     validate_route,
 )
-from retroloop.world import KIND_CHOP, KIND_IDENTITY, KIND_SPLIT, parse_ast
+from retroloop.world import (
+    ATOM_CHARS,
+    KIND_CHOP,
+    KIND_IDENTITY,
+    KIND_SPLIT,
+    OPERATOR_CHARS,
+    Node,
+    parse_ast,
+)
 
 
 def terms(atoms="abc", ops="+*", max_leaves=8):
@@ -36,6 +44,68 @@ def terms(atoms="abc", ops="+*", max_leaves=8):
         ),
         max_leaves=max_leaves,
     )
+
+
+def _scan_term(text, i):
+    """Reference recursive-descent parser: one term from ``i``, or None."""
+    n = len(text)
+    if i >= n:
+        return None
+    if text[i] == "(":
+        left = _scan_term(text, i + 1)
+        if left is None:
+            return None
+        lnode, j = left
+        if j >= n or text[j] not in OPERATOR_CHARS:
+            return None
+        op = text[j]
+        right = _scan_term(text, j + 1)
+        if right is None:
+            return None
+        rnode, k = right
+        if k >= n or text[k] != ")":
+            return None
+        node = Node(
+            text=text[i : k + 1],
+            op=op,
+            left=lnode,
+            right=rnode,
+            height=1 + max(lnode.height, rnode.height),
+        )
+        return node, k + 1
+    j = i
+    while j < n and text[j] in ATOM_CHARS:
+        j += 1
+    if j == i:
+        return None
+    return Node(text=text[i:j]), j
+
+
+def reference_parse(text):
+    result = _scan_term(text, 0)
+    if result is None:
+        return None
+    node, end = result
+    return node if end == len(text) else None
+
+
+# Atoms, world and non-world operators, parens, and a character that is neither.
+PARSE_ALPHABET = "ab1+*/()A"
+
+
+@st.composite
+def mutated_terms(draw):
+    text = draw(terms(atoms="ab1", ops="+*/"))
+    pos = draw(st.integers(0, len(text)))
+    char = draw(st.sampled_from(PARSE_ALPHABET))
+    edit = draw(st.sampled_from(("insert", "delete", "replace", "none")))
+    if edit == "insert":
+        return text[:pos] + char + text[pos:]
+    if edit == "delete":
+        return text[:pos] + text[pos + 1 :]
+    if edit == "replace":
+        return text[:pos] + char + text[pos + 1 :]
+    return text
 
 
 class TestParsing:
@@ -68,6 +138,21 @@ class TestParsing:
     @given(terms())
     def test_prefixed_paren_breaks_parsing(self, text):
         assert parse_molecule("(" + text).malformed
+
+    @given(st.one_of(st.text(PARSE_ALPHABET, max_size=16), terms(ops="+*/"), mutated_terms()))
+    @settings(max_examples=500)
+    def test_agrees_with_reference_parser(self, text):
+        ref = reference_parse(text)
+        ast = parse_ast(text)
+        assert (ast is None) == (ref is None)
+        if ast is not None:
+            assert (ast.text, ast.op, ast.height) == (ref.text, ref.op, ref.height)
+            assert ast == ref
+
+    def test_cached_trees_share_subtrees(self):
+        ast = parse_ast("((a+b)*c)")
+        assert ast.left is parse_ast("(a+b)")
+        assert ast.right is parse_ast("c")
 
 
 class TestTemplates:
