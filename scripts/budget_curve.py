@@ -9,63 +9,41 @@ Usage:
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
-from retroloop import ZeroEstimator, run_self_improvement, success_rate_curve
-from retroloop.cli import load_config
-from retroloop.improve import pretrain_models
-from retroloop.seeding import derive_seed
-from retroloop.world import build_datasets, generate_world
+from retroloop import ZeroEstimator, evaluate_over_budgets, run_self_improvement
+from retroloop.cli import build_pretrained, build_world_data, load_config, seed_loop_config
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--config", default=str(ROOT / "configs" / "reference.json"))
     parser.add_argument(
         "--budgets", type=int, nargs="+", default=[10, 25, 50, 100, 250, 500, 5000]
     )
     parser.add_argument("--seed", type=int, default=1)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     budgets = sorted(args.budgets)
 
     cfg, _doc = load_config(args.config)
-    seed = args.seed
-    world = generate_world(cfg.world, derive_seed(seed, "world"))
-    data = build_datasets(
-        world,
-        n_targets=cfg.dataset.n_targets,
-        max_depth=cfg.dataset.max_depth,
-        split=cfg.dataset.split,
-        seed=derive_seed(seed, "dataset"),
-        leaf_prob=cfg.dataset.leaf_prob,
+    world, data = build_world_data(cfg, args.seed)
+    pretrained = build_pretrained(cfg, args.seed, world, data)
+    improved, _reports = run_self_improvement(
+        seed_loop_config(cfg, args.seed), world, data, pretrained
     )
-    pretrained = pretrain_models(
-        world,
-        data,
-        replace(cfg.pretrain_backward, seed=derive_seed(seed, "pretrain-backward")),
-        replace(cfg.pretrain_forward, seed=derive_seed(seed, "pretrain-forward")),
-        dim=cfg.dim,
-    )
-    loop_cfg = replace(
-        cfg.loop,
-        seed=derive_seed(seed, "loop"),
-        bc=replace(cfg.loop.bc, seed=derive_seed(seed, "bc")),
-    )
-    improved, _reports = run_self_improvement(loop_cfg, world, data, pretrained=pretrained)
 
-    estimator = ZeroEstimator()
-    base_curve = success_rate_curve(
-        pretrained[0], estimator, data.targets, budgets, world, k_expand=cfg.loop.k_expand
-    )
-    ours_curve = success_rate_curve(
-        improved, estimator, data.targets, budgets, world, k_expand=cfg.loop.k_expand
+    base, ours = (
+        evaluate_over_budgets(
+            model, ZeroEstimator(), data.targets, budgets, pretrained[1], data, world,
+            k_expand=cfg.loop.k_expand,
+        )
+        for model in (pretrained[0], improved)
     )
     print(f"{'budget':>8} {'baseline':>10} {'improved':>10}")
-    for (budget, base), (_, ours) in zip(base_curve, ours_curve):
-        print(f"{budget:>8} {base:>10.4f} {ours:>10.4f}")
+    for budget in budgets:
+        print(f"{budget:>8} {base[budget].success_rate:>10.4f} {ours[budget].success_rate:>10.4f}")
     return 0
 
 

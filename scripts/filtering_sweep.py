@@ -13,51 +13,29 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from retroloop import ZeroEstimator, evaluate_planning, run_self_improvement, topk_exact_match
-from retroloop.cli import load_config
-from retroloop.improve import pretrain_models
-from retroloop.seeding import derive_seed
-from retroloop.world import build_datasets, generate_world
+from retroloop import ZeroEstimator, evaluate_over_budgets, run_self_improvement, topk_exact_match
+from retroloop.cli import build_pretrained, build_world_data, load_config, seed_loop_config
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--config", default=str(ROOT / "configs" / "reference.json"))
     parser.add_argument(
         "--thresholds", type=float, nargs="+", default=[0.0, 0.5, 0.6, 0.7, 0.8, 0.9]
     )
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     cfg, _doc = load_config(args.config)
     estimator = ZeroEstimator()
+    budget = cfg.loop.budget
     prepared = []
     for seed in args.seeds:
-        world = generate_world(cfg.world, derive_seed(seed, "world"))
-        data = build_datasets(
-            world,
-            n_targets=cfg.dataset.n_targets,
-            max_depth=cfg.dataset.max_depth,
-            split=cfg.dataset.split,
-            seed=derive_seed(seed, "dataset"),
-            leaf_prob=cfg.dataset.leaf_prob,
-        )
-        pretrained = pretrain_models(
-            world,
-            data,
-            replace(cfg.pretrain_backward, seed=derive_seed(seed, "pretrain-backward")),
-            replace(cfg.pretrain_forward, seed=derive_seed(seed, "pretrain-forward")),
-            dim=cfg.dim,
-        )
-        loop_cfg = replace(
-            cfg.loop,
-            iterations=1,
-            augmentation=False,
-            seed=derive_seed(seed, "loop"),
-            bc=replace(cfg.loop.bc, seed=derive_seed(seed, "bc")),
-        )
+        world, data = build_world_data(cfg, seed)
+        pretrained = build_pretrained(cfg, seed, world, data)
+        loop_cfg = replace(seed_loop_config(cfg, seed), iterations=1, augmentation=False)
         prepared.append((world, data, pretrained, loop_cfg))
 
     print(f"{'eps':>5} {'top1':>16} {'top10':>16} {'succ@N':>16} {'kept':>8}")
@@ -65,21 +43,15 @@ def main() -> int:
         top1s, top10s, succs, kept = [], [], [], []
         for world, data, pretrained, loop_cfg in prepared:
             model, reports = run_self_improvement(
-                replace(loop_cfg, epsilon=eps), world, data, pretrained=pretrained
+                replace(loop_cfg, epsilon=eps), world, data, pretrained
             )
             top1s.append(topk_exact_match(model, data.reactions_test, 1, world))
             top10s.append(topk_exact_match(model, data.reactions_test, 10, world))
-            metrics = evaluate_planning(
-                model,
-                estimator,
-                data.targets,
-                cfg.loop.budget,
-                pretrained[1],
-                data,
-                world,
+            metrics = evaluate_over_budgets(
+                model, estimator, data.targets, [budget], pretrained[1], data, world,
                 k_expand=cfg.loop.k_expand,
             )
-            succs.append(metrics.success_rate)
+            succs.append(metrics[budget].success_rate)
             kept.append(reports[0].kept_after_filter)
 
         def fmt(values):

@@ -19,8 +19,6 @@ from .evaluate import (
     TargetRow,
     brute_force_oracle,
     evaluate_over_budgets,
-    evaluate_planning,
-    success_rate_curve,
 )
 from .improve import (
     IterationReport,

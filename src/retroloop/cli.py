@@ -7,7 +7,7 @@ seeds, there is no global RNG). Exit codes are stable:
   2  invalid or unreadable config
   3  empty train split at pretraining
   4  missing checkpoints
-  5  corrupt checkpoint
+  5  corrupt checkpoint, world or dataset file
   6  missing run manifest
 """
 
@@ -22,8 +22,9 @@ import statistics
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
+from typing import NamedTuple, get_args, get_origin, get_type_hints
 
 from .errors import CheckpointError, EmptyDataset, InvalidConfig
 from .evaluate import OracleEstimator, evaluate_over_budgets
@@ -80,12 +81,20 @@ class ConfigError(Exception):
     pass
 
 
+class CorruptFile(Exception):
+    """A world or dataset file of a run cannot be read back."""
+
+
 @dataclass(frozen=True)
 class DatasetConfig:
     n_targets: int = 500
     max_depth: int = 6
     split: tuple[float, float, float] = (0.8, 0.1, 0.1)
     leaf_prob: float = 0.35
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.leaf_prob < 1.0:
+            raise InvalidConfig("leaf_prob must lie in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -94,122 +103,102 @@ class EvalConfig:
     estimator: str = "retro0"  # retro0 | oracle
     k_expand: int = 10
 
+    def __post_init__(self) -> None:
+        if not self.budgets or list(self.budgets) != sorted(self.budgets) or self.budgets[0] < 1:
+            raise InvalidConfig("budgets must be ascending positive integers")
+        if self.estimator not in ("retro0", "oracle"):
+            raise InvalidConfig("estimator must be 'retro0' or 'oracle'")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    seeds: tuple[int, ...]
-    world: WorldConfig
-    dataset: DatasetConfig
-    pretrain_backward: TrainConfig
-    pretrain_forward: TrainConfig
-    loop: LoopConfig
-    eval: EvalConfig
+    seeds: tuple[int, ...] = (0,)
+    world: WorldConfig = WorldConfig()
+    dataset: DatasetConfig = DatasetConfig()
+    pretrain_backward: TrainConfig = TrainConfig()
+    pretrain_forward: TrainConfig = TrainConfig(learning_rate=0.001, epochs=100)
+    loop: LoopConfig = LoopConfig()
+    eval: EvalConfig = EvalConfig()
     dim: int = DEFAULT_DIM
 
-
-def _section(doc: dict, key: str, where: str) -> dict:
-    value = doc.get(key, {})
-    if not isinstance(value, dict):
-        raise ConfigError(f"{where}.{key}: expected an object")
-    return value
+    def __post_init__(self) -> None:
+        if not self.seeds:
+            raise InvalidConfig("seeds must be a non-empty list")
 
 
-def _train_config(section: dict, where: str) -> TrainConfig:
+# Fields a config file does not set by their own name: each seed derives its
+# loop seed, and the two pretraining configs come from the "pretrain" section.
+_NOT_IN_FILE = {
+    ExperimentConfig: {"pretrain_backward", "pretrain_forward"},
+    LoopConfig: {"seed"},
+}
+
+
+def _typed(hint, value, default, where: str):
+    """The JSON ``value`` as the field type ``hint``; ``default`` is the
+    field's current value, which a nested config section starts from."""
+    if is_dataclass(hint):
+        return _build(default, value, where)
+    if hint is bool:
+        if not isinstance(value, bool):
+            raise ConfigError(f"{where}: expected true or false, got {value!r}")
+        return value
+    if get_origin(hint) is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{where}: expected a list")
+        item = get_args(hint)[0]
+        return tuple(_typed(item, v, None, f"{where}[{i}]") for i, v in enumerate(value))
     try:
-        return TrainConfig(
-            learning_rate=float(section.get("learning_rate", 0.01)),
-            epochs=int(section.get("epochs", 20)),
-            batch_size=int(section.get("batch_size", 1024)),
-            seed=int(section.get("seed", 0)),
-        )
-    except (InvalidConfig, TypeError, ValueError) as exc:
+        return hint(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _build(default, section, where: str):
+    """``default`` with the keys of the JSON object ``section`` replaced.
+
+    Every key must name a field; the dataclass checks the result.
+    """
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where}: expected an object")
+    cls = type(default)
+    hints = get_type_hints(cls)
+    settable = {f.name for f in fields(cls)} - _NOT_IN_FILE.get(cls, set())
+    values = {}
+    for key, value in section.items():
+        if key not in settable:
+            raise ConfigError(f"{where}.{key}: unknown key")
+        values[key] = _typed(hints[key], value, getattr(default, key), f"{where}.{key}")
+    try:
+        return replace(default, **values)
+    except InvalidConfig as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
 def parse_config(doc: dict, where: str = "config") -> ExperimentConfig:
-    if doc.get("version", CONFIG_VERSION) != CONFIG_VERSION:
-        raise ConfigError(f"{where}.version: unsupported version {doc.get('version')!r}")
-    seeds = doc.get("seeds", [0])
-    if not isinstance(seeds, list) or not seeds:
-        raise ConfigError(f"{where}.seeds: must be a non-empty list")
-
-    w = _section(doc, "world", where)
-    world_cfg = WorldConfig(
-        n_atoms=int(w.get("n_atoms", 26)),
-        n_operators=int(w.get("n_operators", 3)),
-        n_decoys=int(w.get("n_decoys", 5)),
-        bb_composites=int(w.get("bb_composites", 40)),
-        bb_depth=int(w.get("bb_depth", 2)),
-    )
-    if world_cfg.n_atoms < 1:
-        raise ConfigError(f"{where}.world.n_atoms: must be at least 1")
-    if world_cfg.n_operators < 1:
-        raise ConfigError(f"{where}.world.n_operators: must be at least 1")
-    if world_cfg.n_decoys < 1:
-        raise ConfigError(f"{where}.world.n_decoys: must be at least 1")
-
-    d = _section(doc, "dataset", where)
-    split = tuple(d.get("split", (0.8, 0.1, 0.1)))
-    if len(split) != 3 or any(f <= 0 for f in split) or abs(sum(split) - 1) > 1e-9:
-        raise ConfigError(f"{where}.dataset.split: three positive fractions summing to 1")
-    dataset_cfg = DatasetConfig(
-        n_targets=int(d.get("n_targets", 500)),
-        max_depth=int(d.get("max_depth", 6)),
-        split=split,  # type: ignore[arg-type]
-        leaf_prob=float(d.get("leaf_prob", 0.35)),
-    )
-    if dataset_cfg.n_targets < 1:
-        raise ConfigError(f"{where}.dataset.n_targets: must be at least 1")
-    if not 0.0 <= dataset_cfg.leaf_prob < 1.0:
-        raise ConfigError(f"{where}.dataset.leaf_prob: must lie in [0, 1)")
-
-    p = _section(doc, "pretrain", where)
-    pre_b = _train_config(_section(p, "backward", f"{where}.pretrain"), f"{where}.pretrain.backward")
-    fwd_defaults = {"learning_rate": 0.001, "epochs": 100, "batch_size": 1024}
-    pre_f = _train_config(
-        {**fwd_defaults, **_section(p, "forward", f"{where}.pretrain")},
-        f"{where}.pretrain.forward",
-    )
-
-    lo = _section(doc, "loop", where)
-    try:
-        loop_cfg = LoopConfig(
-            iterations=int(lo.get("iterations", 3)),
-            targets_per_iteration=int(lo.get("targets_per_iteration", 100)),
-            budget=int(lo.get("budget", 50)),
-            epsilon=float(lo.get("epsilon", 0.8)),
-            epsilon_aug=float(lo.get("epsilon_aug", 0.8)),
-            k_expand=int(lo.get("k_expand", 10)),
-            bc=_train_config(_section(lo, "bc", f"{where}.loop"), f"{where}.loop.bc"),
-            augmentation=bool(lo.get("augmentation", True)),
-            warm_start=bool(lo.get("warm_start", True)),
-            dedupe_collections=bool(lo.get("dedupe_collections", False)),
-            mix_train_reactions=bool(lo.get("mix_train_reactions", False)),
-            eval_targets=int(lo.get("eval_targets", 0)),
-        )
-    except InvalidConfig as exc:
-        raise ConfigError(f"{where}.loop: {exc}") from exc
-
-    e = _section(doc, "eval", where)
-    budgets = tuple(int(b) for b in e.get("budgets", [50]))
-    if not budgets or list(budgets) != sorted(budgets) or budgets[0] < 1:
-        raise ConfigError(f"{where}.eval.budgets: must be ascending positive integers")
-    estimator = str(e.get("estimator", "retro0"))
-    if estimator not in ("retro0", "oracle"):
-        raise ConfigError(f"{where}.eval.estimator: must be 'retro0' or 'oracle'")
-    eval_cfg = EvalConfig(
-        budgets=budgets, estimator=estimator, k_expand=int(e.get("k_expand", 10))
-    )
-
-    return ExperimentConfig(
-        seeds=tuple(int(s) for s in seeds),
-        world=world_cfg,
-        dataset=dataset_cfg,
-        pretrain_backward=pre_b,
-        pretrain_forward=pre_f,
-        loop=loop_cfg,
-        eval=eval_cfg,
-        dim=int(doc.get("dim", DEFAULT_DIM)),
+    """The experiment a config document describes; omitted keys keep the
+    dataclass defaults."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where}: expected an object")
+    doc = dict(doc)
+    version = doc.pop("version", CONFIG_VERSION)
+    if version != CONFIG_VERSION:
+        raise ConfigError(f"{where}.version: unsupported version {version!r}")
+    pretrain = doc.pop("pretrain", {})
+    if not isinstance(pretrain, dict):
+        raise ConfigError(f"{where}.pretrain: expected an object")
+    for key in pretrain:
+        if key not in ("backward", "forward"):
+            raise ConfigError(f"{where}.pretrain.{key}: unknown key")
+    cfg = _build(ExperimentConfig(), doc, where)
+    return replace(
+        cfg,
+        pretrain_backward=_build(
+            cfg.pretrain_backward, pretrain.get("backward", {}), f"{where}.pretrain.backward"
+        ),
+        pretrain_forward=_build(
+            cfg.pretrain_forward, pretrain.get("forward", {}), f"{where}.pretrain.forward"
+        ),
     )
 
 
@@ -239,24 +228,80 @@ def _seed_dir(out: Path, seed: int) -> Path:
     return out / f"seed_{seed}"
 
 
-def ensure_world_data(
-    cfg: ExperimentConfig, seed: int, seed_dir: Path
-) -> tuple[World, Dataset]:
-    """Generate (or reload) the world and dataset artifacts for one seed."""
-    world_path = seed_dir / "world.json"
-    data_dir = seed_dir / "dataset"
-    if world_path.exists() and (data_dir / "targets.jsonl").exists():
-        return load_world(world_path), load_dataset(data_dir)
-    seed_dir.mkdir(parents=True, exist_ok=True)
-    world = generate_world(cfg.world, derive_seed(seed, "world"))
+class ChildSeeds(NamedTuple):
+    world: int
+    dataset: int
+    pretrain_backward: int
+    pretrain_forward: int
+    loop: int
+    bc: int
+
+
+def child_seeds(seed: int) -> ChildSeeds:
+    """The seed-derivation policy: one named child seed per random step of
+    an experiment seed. Every stage, script and test draws from here."""
+    return ChildSeeds(
+        world=derive_seed(seed, "world"),
+        dataset=derive_seed(seed, "dataset"),
+        pretrain_backward=derive_seed(seed, "pretrain-backward"),
+        pretrain_forward=derive_seed(seed, "pretrain-forward"),
+        loop=derive_seed(seed, "loop"),
+        bc=derive_seed(seed, "bc"),
+    )
+
+
+def build_world_data(cfg: ExperimentConfig, seed: int) -> tuple[World, Dataset]:
+    """The world and dataset of one seed, in memory."""
+    seeds = child_seeds(seed)
+    world = generate_world(cfg.world, seeds.world)
     data = build_datasets(
         world,
         n_targets=cfg.dataset.n_targets,
         max_depth=cfg.dataset.max_depth,
         split=cfg.dataset.split,
-        seed=derive_seed(seed, "dataset"),
+        seed=seeds.dataset,
         leaf_prob=cfg.dataset.leaf_prob,
     )
+    return world, data
+
+
+def build_pretrained(
+    cfg: ExperimentConfig, seed: int, world: World, data: Dataset
+) -> tuple[TemplateClassifier, TemplateClassifier, TemplateClassifier]:
+    """The pretrained (backward, reference, forward) models of one seed."""
+    seeds = child_seeds(seed)
+    return pretrain_models(
+        world,
+        data,
+        replace(cfg.pretrain_backward, seed=seeds.pretrain_backward),
+        replace(cfg.pretrain_forward, seed=seeds.pretrain_forward),
+        dim=cfg.dim,
+    )
+
+
+def seed_loop_config(cfg: ExperimentConfig, seed: int) -> LoopConfig:
+    """The self-improvement loop settings of one seed."""
+    seeds = child_seeds(seed)
+    return replace(cfg.loop, seed=seeds.loop, bc=replace(cfg.loop.bc, seed=seeds.bc))
+
+
+def _read(load, path: Path):
+    try:
+        return load(path)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise CorruptFile(f"cannot read {path}: {type(exc).__name__}: {exc}") from exc
+
+
+def ensure_world_data(
+    cfg: ExperimentConfig, seed: int, seed_dir: Path
+) -> tuple[World, Dataset]:
+    """Reload the world and dataset files of one seed, or build and save them."""
+    world_path = seed_dir / "world.json"
+    data_dir = seed_dir / "dataset"
+    if world_path.exists() and (data_dir / "targets.jsonl").exists():
+        return _read(load_world, world_path), _read(load_dataset, data_dir)
+    world, data = build_world_data(cfg, seed)
+    seed_dir.mkdir(parents=True, exist_ok=True)
     save_world(world, world_path)
     save_dataset(data, data_dir)
     return world, data
@@ -275,13 +320,7 @@ def _checkpoint_paths(seed_dir: Path) -> dict[str, Path]:
 def run_pretrain(
     cfg: ExperimentConfig, seed: int, seed_dir: Path, world: World, data: Dataset
 ) -> tuple[TemplateClassifier, TemplateClassifier, TemplateClassifier]:
-    backward, reference, forward = pretrain_models(
-        world,
-        data,
-        replace(cfg.pretrain_backward, seed=derive_seed(seed, "pretrain-backward")),
-        replace(cfg.pretrain_forward, seed=derive_seed(seed, "pretrain-forward")),
-        dim=cfg.dim,
-    )
+    backward, reference, forward = build_pretrained(cfg, seed, world, data)
     paths = _checkpoint_paths(seed_dir)
     paths["backward"].parent.mkdir(parents=True, exist_ok=True)
     save_checkpoint(backward, paths["backward"])
@@ -315,11 +354,6 @@ def run_improve(
     data: Dataset,
     pretrained,
 ):
-    loop_cfg = replace(
-        cfg.loop,
-        seed=derive_seed(seed, "loop"),
-        bc=replace(cfg.loop.bc, seed=derive_seed(seed, "bc")),
-    )
     reports_dir = seed_dir / "reports"
     reports_dir.mkdir(parents=True, exist_ok=True)
     ck_dir = seed_dir / "checkpoints"
@@ -332,7 +366,7 @@ def run_improve(
         )
 
     final, reports = run_self_improvement(
-        loop_cfg, world, data, pretrained=pretrained, on_iteration=persist
+        seed_loop_config(cfg, seed), world, data, pretrained, on_iteration=persist
     )
     save_checkpoint(final, _checkpoint_paths(seed_dir)["final"])
     return final, reports
@@ -553,31 +587,28 @@ def _seeds_for(args, cfg: ExperimentConfig) -> tuple[int, ...]:
     return (args.seed,) if getattr(args, "seed", None) is not None else cfg.seeds
 
 
-def cmd_gen_world(args) -> int:
+def _seed_worlds(args):
+    """(cfg, seed, seed_dir, world, data) for each seed a command covers."""
     cfg, _doc = load_config(args.config)
-    out = Path(args.out)
     for seed in _seeds_for(args, cfg):
-        ensure_world_data(cfg, seed, _seed_dir(out, seed))
-        print(f"gen-world seed={seed} out={_seed_dir(out, seed)}")
+        seed_dir = _seed_dir(Path(args.out), seed)
+        yield (cfg, seed, seed_dir, *ensure_world_data(cfg, seed, seed_dir))
+
+
+def cmd_gen_world(args) -> int:
+    for _cfg, seed, seed_dir, _world, _data in _seed_worlds(args):
+        print(f"gen-world seed={seed} out={seed_dir}")
     return 0
 
 
 def cmd_pretrain(args) -> int:
-    cfg, _doc = load_config(args.config)
-    out = Path(args.out)
-    for seed in _seeds_for(args, cfg):
-        seed_dir = _seed_dir(out, seed)
-        world, data = ensure_world_data(cfg, seed, seed_dir)
+    for cfg, seed, seed_dir, world, data in _seed_worlds(args):
         run_pretrain(cfg, seed, seed_dir, world, data)
     return 0
 
 
 def cmd_self_improve(args) -> int:
-    cfg, _doc = load_config(args.config)
-    out = Path(args.out)
-    for seed in _seeds_for(args, cfg):
-        seed_dir = _seed_dir(out, seed)
-        world, data = ensure_world_data(cfg, seed, seed_dir)
+    for cfg, seed, seed_dir, world, data in _seed_worlds(args):
         pretrained = _load_pretrained(seed_dir)
         _final, reports = run_improve(cfg, seed, seed_dir, world, data, pretrained)
         for report in reports:
@@ -591,12 +622,8 @@ def cmd_self_improve(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    cfg, _doc = load_config(args.config)
-    out = Path(args.out)
     budgets = tuple(sorted(args.budget)) if args.budget else None
-    for seed in _seeds_for(args, cfg):
-        seed_dir = _seed_dir(out, seed)
-        world, data = ensure_world_data(cfg, seed, seed_dir)
+    for cfg, seed, seed_dir, world, data in _seed_worlds(args):
         ref_path = _checkpoint_paths(seed_dir)["reference"]
         if not ref_path.exists():
             raise FileNotFoundError(f"missing checkpoint {ref_path}")
@@ -792,7 +819,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING_CHECKPOINT
-    except CheckpointError as exc:
+    except (CheckpointError, CorruptFile) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CORRUPT_CHECKPOINT
 

@@ -51,30 +51,6 @@ def penalty_constants(
     return max_len, max_cost
 
 
-def _plan_outcomes(
-    model: TemplateClassifier,
-    estimator: ValueEstimator,
-    targets: "tuple[Molecule, ...] | list[Molecule]",
-    budget: int,
-    world: World,
-    k_expand: int,
-) -> list[tuple[Molecule, int | None, Route | None]]:
-    """(target, calls at success or None, route) per target at one budget.
-
-    Because the search is deterministic and budget only truncates the loop, a
-    run at budget N is a prefix of a run at any larger budget; callers may
-    therefore read off outcomes for smaller budgets from one large-budget run.
-    """
-    outcomes = []
-    for target in targets:
-        result = plan(target, model, estimator, budget, k_expand, world)
-        if result.success:
-            outcomes.append((target, result.model_calls, result.route))
-        else:
-            outcomes.append((target, None, None))
-    return outcomes
-
-
 def _metrics_at_budget(
     outcomes: list[tuple[Molecule, int | None, Route | None]],
     budget: int,
@@ -117,24 +93,6 @@ def _metrics_at_budget(
     )
 
 
-def evaluate_planning(
-    model: TemplateClassifier,
-    estimator: ValueEstimator,
-    targets: "tuple[Molecule, ...] | list[Molecule]",
-    budget: int,
-    ref: TemplateClassifier,
-    data: Dataset,
-    world: World,
-    k_expand: int = 10,
-) -> PlanningMetrics:
-    """Plan every target once and aggregate success/length/time/cost."""
-    if not targets:
-        raise EmptyDataset("no targets to evaluate")
-    max_len, max_cost = penalty_constants(data, ref, world)
-    outcomes = _plan_outcomes(model, estimator, targets, budget, world, k_expand)
-    return _metrics_at_budget(outcomes, budget, ref, world, max_len, max_cost)
-
-
 def evaluate_over_budgets(
     model: TemplateClassifier,
     estimator: ValueEstimator,
@@ -145,38 +103,28 @@ def evaluate_over_budgets(
     world: World,
     k_expand: int = 10,
 ) -> dict[int, PlanningMetrics]:
-    """Metrics for several budgets from a single maximum-budget sweep."""
+    """Metrics per budget, from one run per target at the largest budget.
+
+    The search is deterministic and a budget only truncates it, so a run at
+    budget N is a prefix of the run at any larger budget: smaller budgets are
+    read off the same runs, and success rates are non-decreasing in budget.
+    """
     if not targets:
         raise EmptyDataset("no targets to evaluate")
     if not budgets or sorted(budgets) != list(budgets):
         raise InvalidInput("budgets must be non-empty and ascending")
     max_len, max_cost = penalty_constants(data, ref, world)
-    outcomes = _plan_outcomes(model, estimator, targets, budgets[-1], world, k_expand)
+    outcomes = []  # (target, calls at success or None, route)
+    for target in targets:
+        result = plan(target, model, estimator, budgets[-1], k_expand, world)
+        if result.success:
+            outcomes.append((target, result.model_calls, result.route))
+        else:
+            outcomes.append((target, None, None))
     return {
         budget: _metrics_at_budget(outcomes, budget, ref, world, max_len, max_cost)
         for budget in budgets
     }
-
-
-def success_rate_curve(
-    model: TemplateClassifier,
-    estimator: ValueEstimator,
-    targets: "tuple[Molecule, ...] | list[Molecule]",
-    budgets: "list[int]",
-    world: World,
-    k_expand: int = 10,
-) -> list[tuple[int, float]]:
-    """Success rate per budget; non-decreasing because runs share one prefix."""
-    if not targets:
-        raise EmptyDataset("no targets to evaluate")
-    if not budgets or sorted(budgets) != list(budgets):
-        raise InvalidInput("budgets must be non-empty and ascending")
-    outcomes = _plan_outcomes(model, estimator, targets, budgets[-1], world, k_expand)
-    curve = []
-    for budget in budgets:
-        hits = sum(1 for _, calls, _ in outcomes if calls is not None and calls <= budget)
-        curve.append((budget, hits / len(outcomes)))
-    return curve
 
 
 # ---------------------------------------------------------------------------

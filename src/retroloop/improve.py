@@ -162,15 +162,11 @@ class LoopConfig:
     epsilon: float = 0.8
     epsilon_aug: float = 0.8
     k_expand: int = 10
-    bc: TrainConfig = TrainConfig(learning_rate=1e-4, epochs=20, batch_size=1024)
+    bc: TrainConfig = TrainConfig()
     seed: int = 0
     augmentation: bool = True
     warm_start: bool = True
     dedupe_collections: bool = False
-    mix_train_reactions: bool = False
-    eval_targets: int = 0  # per-iteration planning snapshot size; 0 disables
-    pretrain_backward: TrainConfig = TrainConfig()
-    pretrain_forward: TrainConfig = TrainConfig(learning_rate=0.001, epochs=100)
 
     def __post_init__(self) -> None:
         if self.iterations < 1:
@@ -196,8 +192,6 @@ class IterationReport:
     duplicates_retained: int
     top1: float
     top10: float
-    snapshot_success_rate: float | None = None
-    snapshot_budget: int | None = None
     # In-memory provenance for re-checking; not serialized.
     routes: tuple[Route, ...] = field(default=(), repr=False)
     collected: ReactionCollection = field(default=ReactionCollection(), repr=False)
@@ -214,8 +208,6 @@ class IterationReport:
             "duplicates_retained": self.duplicates_retained,
             "top1": self.top1,
             "top10": self.top10,
-            "snapshot_success_rate": self.snapshot_success_rate,
-            "snapshot_budget": self.snapshot_budget,
         }
 
 
@@ -259,25 +251,21 @@ def run_self_improvement(
     cfg: LoopConfig,
     world: World,
     data: Dataset,
-    pretrained: "tuple[TemplateClassifier, TemplateClassifier, TemplateClassifier] | None" = None,
+    pretrained: tuple[TemplateClassifier, TemplateClassifier, TemplateClassifier],
     on_iteration=None,
 ) -> tuple[TemplateClassifier, list[IterationReport]]:
-    """Run the full loop; returns the final backward model and one report per iteration.
+    """Run the full loop from the pretrained (backward, reference, forward) models.
 
+    Returns the final backward model and one report per iteration.
     ``on_iteration(model, report)`` is invoked after each iteration, e.g. to
     persist intermediate checkpoints.
     """
     if not data.reactions_train:
         raise EmptyDataset("self-improvement needs a non-empty train split")
-    if pretrained is None:
-        backward, reference, forward = pretrain_models(
-            world, data, cfg.pretrain_backward, cfg.pretrain_forward
-        )
-    else:
-        backward, reference, forward = pretrained
-        backward = with_role(backward, ROLE_BACKWARD)
-        reference = with_role(reference, ROLE_REFERENCE)
-        forward = with_role(forward, ROLE_FORWARD)
+    backward, reference, forward = pretrained
+    backward = with_role(backward, ROLE_BACKWARD)
+    reference = with_role(reference, ROLE_REFERENCE)
+    forward = with_role(forward, ROLE_FORWARD)
 
     estimator = ZeroEstimator()
     targets = list(data.targets)
@@ -318,11 +306,6 @@ def run_self_improvement(
                 kept_entries.append(rx)
                 kept_prov.append(src)
             union = ReactionCollection(tuple(kept_entries), tuple(kept_prov))
-        if cfg.mix_train_reactions:
-            union = ReactionCollection(
-                entries=union.entries + data.reactions_train,
-                provenance=union.provenance + ("dataset",) * len(data.reactions_train),
-            )
 
         if union.entries:
             base = (
@@ -338,19 +321,6 @@ def run_self_improvement(
             top1 = topk_exact_match(backward, data.reactions_test, 1, world)
             top10 = topk_exact_match(backward, data.reactions_test, 10, world)
 
-        snapshot_rate: float | None = None
-        snapshot_budget: int | None = None
-        if cfg.eval_targets > 0:
-            srng = random.Random(derive_seed(cfg.seed, f"snapshot-{i}"))
-            sample = srng.sample(targets, min(cfg.eval_targets, len(targets)))
-            wins = sum(
-                1
-                for t in sample
-                if plan(t, backward, estimator, cfg.budget, cfg.k_expand, world).success
-            )
-            snapshot_rate = wins / len(sample)
-            snapshot_budget = cfg.budget
-
         report = IterationReport(
             iteration=i,
             routes_attempted=len(sampled),
@@ -361,8 +331,6 @@ def run_self_improvement(
             duplicates_retained=duplicates,
             top1=top1,
             top10=top10,
-            snapshot_success_rate=snapshot_rate,
-            snapshot_budget=snapshot_budget,
             routes=tuple(routes),
             collected=collected,
             augmented=augmented,

@@ -302,6 +302,18 @@ class WorldConfig:
     bb_composites: int = 40
     bb_depth: int = 2
 
+    def __post_init__(self) -> None:
+        if self.n_atoms < 1:
+            raise InvalidConfig("n_atoms must be at least 1")
+        if self.n_operators < 1:
+            raise InvalidConfig("n_operators must be at least 1")
+        if self.n_operators > len(OPERATOR_POOL):
+            raise InvalidConfig(f"n_operators must be at most {len(OPERATOR_POOL)}")
+        if self.n_decoys < 1:
+            raise InvalidConfig("n_decoys must be at least 1")
+        if self.bb_depth < 0 or self.bb_composites < 0:
+            raise InvalidConfig("bb_depth and bb_composites must be non-negative")
+
 
 @dataclass(frozen=True)
 class World:
@@ -370,17 +382,6 @@ def _random_term(
 
 def generate_world(config: WorldConfig, seed: int) -> World:
     """Deterministically build a World from (config, seed)."""
-    if config.n_atoms < 1:
-        raise InvalidConfig("n_atoms must be at least 1")
-    if config.n_operators < 1:
-        raise InvalidConfig("n_operators must be at least 1")
-    if config.n_operators > len(OPERATOR_POOL):
-        raise InvalidConfig(f"at most {len(OPERATOR_POOL)} operators supported")
-    if config.n_decoys < 1:
-        raise InvalidConfig("worlds need at least one decoy template")
-    if config.bb_depth < 0 or config.bb_composites < 0:
-        raise InvalidConfig("building-block expansion settings must be non-negative")
-
     atoms = tuple(_atom_names(config.n_atoms))
     operators = tuple(OPERATOR_POOL[: config.n_operators])
 

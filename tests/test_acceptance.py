@@ -23,7 +23,7 @@ from retroloop import (
     ZeroEstimator,
     brute_force_oracle,
     build_datasets,
-    evaluate_planning,
+    evaluate_over_budgets,
     featurize_molecule,
     generate_world,
     mol,
@@ -31,16 +31,20 @@ from retroloop import (
     plan,
     route_cost_under,
     run_self_improvement,
-    success_rate_curve,
     topk_exact_match,
     train,
     unfolded_route_cost,
     zero_classifier,
 )
-from retroloop.cli import load_config, main
+from retroloop.cli import (
+    build_pretrained,
+    build_world_data,
+    load_config,
+    main,
+    seed_loop_config,
+)
 from retroloop.improve import pretrain_models
 from retroloop.model import ROLE_BACKWARD, nll_and_grad
-from retroloop.seeding import derive_seed
 from retroloop.world import KIND_SPLIT, Template, parse_ast
 
 REFERENCE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "reference.json"
@@ -63,38 +67,21 @@ def reference_runs():
     estimator = ZeroEstimator()
     runs = []
     started = time.time()
+    budget = cfg.loop.budget
     for seed in cfg.seeds:
-        world = generate_world(cfg.world, derive_seed(seed, "world"))
-        data = build_datasets(
-            world,
-            n_targets=cfg.dataset.n_targets,
-            max_depth=cfg.dataset.max_depth,
-            split=cfg.dataset.split,
-            seed=derive_seed(seed, "dataset"),
-            leaf_prob=cfg.dataset.leaf_prob,
-        )
-        pretrained = pretrain_models(
-            world,
-            data,
-            replace(cfg.pretrain_backward, seed=derive_seed(seed, "pretrain-backward")),
-            replace(cfg.pretrain_forward, seed=derive_seed(seed, "pretrain-forward")),
-            dim=cfg.dim,
-        )
+        world, data = build_world_data(cfg, seed)
+        pretrained = build_pretrained(cfg, seed, world, data)
         backward, reference, forward = pretrained
-        loop_cfg = replace(
-            cfg.loop,
-            seed=derive_seed(seed, "loop"),
-            bc=replace(cfg.loop.bc, seed=derive_seed(seed, "bc")),
-        )
-        base = evaluate_planning(
-            backward, estimator, data.targets, cfg.loop.budget, reference, data, world,
+        loop_cfg = seed_loop_config(cfg, seed)
+        base = evaluate_over_budgets(
+            backward, estimator, data.targets, [budget], reference, data, world,
             k_expand=cfg.loop.k_expand,
-        )
+        )[budget]
         final, reports = run_self_improvement(loop_cfg, world, data, pretrained=pretrained)
-        post = evaluate_planning(
-            final, estimator, data.targets, cfg.loop.budget, reference, data, world,
+        post = evaluate_over_budgets(
+            final, estimator, data.targets, [budget], reference, data, world,
             k_expand=cfg.loop.k_expand,
-        )
+        )[budget]
         runs.append(
             {
                 "seed": seed,
@@ -306,16 +293,16 @@ class TestAugmentationAblation:
                     model, _ = run_self_improvement(
                         ablated, run["world"], run["data"], pretrained=run["pretrained"]
                     )
-                    metrics = evaluate_planning(
+                    metrics = evaluate_over_budgets(
                         model,
                         estimator,
                         run["data"].targets,
-                        cfg.loop.budget,
+                        [cfg.loop.budget],
                         run["pretrained"][1],
                         run["data"],
                         run["world"],
                         k_expand=cfg.loop.k_expand,
-                    )
+                    )[cfg.loop.budget]
                     rates[aug].append(metrics.success_rate)
             with_aug = float(np.mean(rates[True]))
             without = float(np.mean(rates[False]))
@@ -346,15 +333,15 @@ class TestFailureAccounting:
             )
             budget = 37
             unsynthesizable = [mol("(a?b)"), parse_molecule("(a+"), mol("((a?b)?c)")]
-            metrics = evaluate_planning(
+            metrics = evaluate_over_budgets(
                 backward,
                 ZeroEstimator(),
                 unsynthesizable,
-                budget,
+                [budget],
                 reference,
                 data,
                 world,
-            )
+            )[budget]
             assert metrics.success_rate == 0.0
             for row in metrics.rows:
                 assert row.outcome == "failure"
@@ -398,11 +385,11 @@ class TestBudgetHonestyAndMonotonicity:
                     result = plan(target, model, ZeroEstimator(), budget, 10, world)
                     assert result.model_calls <= budget
                     checked_plans += 1
-                curve = success_rate_curve(
-                    model, ZeroEstimator(), data.targets, [0, 5, 15, 40, 100], world
+                curve = evaluate_over_budgets(
+                    model, ZeroEstimator(), data.targets, [0, 5, 15, 40, 100], model, data, world
                 )
-                rates = [rate for _, rate in curve]
-                assert rates == sorted(rates), curve
+                rates = [metrics.success_rate for metrics in curve.values()]
+                assert rates == sorted(rates), rates
             print(f"  [budget-honesty: {checked_plans} plans within budget, curves monotone]")
 
 

@@ -1,10 +1,22 @@
 import csv
 import json
+import runpy
 from pathlib import Path
 
 import pytest
 
-from retroloop.cli import main
+from retroloop import run_self_improvement, save_checkpoint
+from retroloop.cli import (
+    ExperimentConfig,
+    build_pretrained,
+    build_world_data,
+    load_config,
+    main,
+    parse_config,
+    seed_loop_config,
+)
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 TINY = {
     "version": 1,
@@ -81,6 +93,60 @@ class TestGenWorld:
         path = tmp_path / "broken.json"
         path.write_text("{nope")
         assert main(["gen-world", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+
+
+class TestConfig:
+    def test_defaults_live_on_the_dataclasses(self):
+        assert parse_config({}) == ExperimentConfig()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("epsilom", 0.5), ("augmentation", "false"), ("mix_train_reactions", False)],
+        ids=["typo", "string-boolean", "removed-knob"],
+    )
+    def test_bad_loop_key_exits_2(self, tmp_path, capsys, key, value):
+        doc = json.loads(json.dumps(TINY))
+        doc["loop"][key] = value
+        path = write_config(tmp_path, doc)
+        assert main(["gen-world", "--config", path, "--out", str(tmp_path / "x")]) == 2
+        assert f"config.json.loop.{key}:" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+
+class TestDamagedFiles:
+    def gen_world(self, config_path, out):
+        assert main(["gen-world", "--config", config_path, "--out", str(out), "--seed", "1"]) == 0
+        return out / "seed_1"
+
+    def assert_exits_5(self, config_path, out, path, capsys):
+        capsys.readouterr()
+        assert main(["pretrain", "--config", config_path, "--out", str(out), "--seed", "1"]) == 5
+        assert str(path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name, shown", [("world.json", "world.json"), ("dataset/targets.jsonl", "dataset")]
+    )
+    def test_truncated_file_exits_5(self, config_path, tmp_path, capsys, name, shown):
+        out = tmp_path / "run"
+        seed_dir = self.gen_world(config_path, out)
+        text = (seed_dir / name).read_text()
+        (seed_dir / name).write_text(text[: len(text) // 2])
+        self.assert_exits_5(config_path, out, seed_dir / shown, capsys)
+
+    def test_world_missing_key_exits_5(self, config_path, tmp_path, capsys):
+        out = tmp_path / "run"
+        path = self.gen_world(config_path, out) / "world.json"
+        doc = json.loads(path.read_text())
+        del doc["atoms"]
+        path.write_text(json.dumps(doc))
+        self.assert_exits_5(config_path, out, path, capsys)
+
+    def test_dataset_missing_key_exits_5(self, config_path, tmp_path, capsys):
+        out = tmp_path / "run"
+        path = self.gen_world(config_path, out) / "dataset"
+        lines = (path / "routes.jsonl").read_text().splitlines()
+        (path / "routes.jsonl").write_text("\n".join(["{}"] + lines[1:]) + "\n")
+        self.assert_exits_5(config_path, out, path, capsys)
 
 
 class TestPretrain:
@@ -330,3 +396,59 @@ class TestReportAndRunAll:
         csv_a = {n: d for n, d in tree_bytes(a).items() if n.endswith(".csv")}
         csv_b = {n: d for n, d in tree_bytes(b).items() if n.endswith(".csv")}
         assert csv_a == csv_b
+
+
+class TestBuilders:
+    def test_models_match_the_cli_checkpoints(self, config_path, tmp_path):
+        out = tmp_path / "run"
+        for command in ("pretrain", "self-improve"):
+            assert main([command, "--config", config_path, "--out", str(out), "--seed", "1"]) == 0
+        cfg, _doc = load_config(config_path)
+        world, data = build_world_data(cfg, 1)
+        pretrained = build_pretrained(cfg, 1, world, data)
+        final, _reports = run_self_improvement(seed_loop_config(cfg, 1), world, data, pretrained)
+        ck = out / "seed_1" / "checkpoints"
+        for model, name in ((pretrained[0], "backward.json"), (final, "backward_final.json")):
+            save_checkpoint(model, tmp_path / name)
+            assert (tmp_path / name).read_bytes() == (ck / name).read_bytes()
+
+
+class TestScripts:
+    def summary_rates(self, config_path, tmp_path) -> dict:
+        """(iteration, budget) -> success rate as ``retroloop run-all`` reports it for seed 1."""
+        out = tmp_path / "run"
+        assert main(["run-all", "--config", config_path, "--out", str(out), "--seed", "1"]) == 0
+        with (out / "seed_1" / "metrics" / "summary.csv").open() as fh:
+            return {
+                (int(r["iteration"]), int(r["budget"])): float(r["success_rate"])
+                for r in csv.DictReader(fh)
+            }
+
+    def test_budget_curve_table(self, config_path, tmp_path, capsys):
+        main_fn = runpy.run_path(str(SCRIPTS / "budget_curve.py"))["main"]
+        assert main_fn(["--config", config_path, "--seed", "1", "--budgets", "25", "10"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[0].split() == ["budget", "baseline", "improved"]
+        rows = [line.split() for line in lines[1:]]
+        assert [int(r[0]) for r in rows] == [10, 25]
+        # The script plans with loop.k_expand, which equals eval.k_expand in
+        # TINY, so at the evaluation budgets it prints the CLI's success rates.
+        rates = self.summary_rates(config_path, tmp_path)
+        iterations = TINY["loop"]["iterations"]
+        for budget, base, ours in rows:
+            assert base == f"{rates[(0, int(budget))]:.4f}"
+            assert ours == f"{rates[(iterations, int(budget))]:.4f}"
+
+    def test_filtering_sweep_table(self, config_path, capsys):
+        main_fn = runpy.run_path(str(SCRIPTS / "filtering_sweep.py"))["main"]
+        assert main_fn(["--config", config_path, "--seeds", "1", "--thresholds", "0", "0.5"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[0].split() == ["eps", "top1", "top10", "succ@N", "kept"]
+        rows = [line.split() for line in lines[1:]]
+        assert [r[0] for r in rows] == ["0.00", "0.50"]
+        for row in rows:
+            for cell in row[1:4]:
+                mean, std = cell.split("+-")
+                assert 0.0 <= float(mean) <= 1.0 and std == "0.0000"
+        # Both thresholds plan the same routes; the stricter one keeps fewer.
+        assert float(rows[0][4]) >= float(rows[1][4])

@@ -14,14 +14,12 @@ from retroloop import (
     brute_force_oracle,
     build_datasets,
     evaluate_over_budgets,
-    evaluate_planning,
     featurize_molecule,
     generate_world,
     mol,
     parse_molecule,
     plan,
     predict_topk,
-    success_rate_curve,
     train,
     validate_route,
     zero_classifier,
@@ -71,9 +69,9 @@ class TestEvaluatePlanning:
     def test_stock_targets_are_free(self, small_world, small_models, small_data):
         backward, reference, _ = small_models
         targets = [mol(a) for a in small_world.atoms]
-        metrics = evaluate_planning(
-            backward, ZeroEstimator(), targets, 50, reference, small_data, small_world
-        )
+        metrics = evaluate_over_budgets(
+            backward, ZeroEstimator(), targets, [50], reference, small_data, small_world
+        )[50]
         assert metrics.success_rate == 1.0
         assert metrics.avg_length == 0.0
         assert metrics.avg_time == 0.0
@@ -87,9 +85,9 @@ class TestEvaluatePlanning:
         # every reaction costs exactly ln 2 under the uniform two-template model
         max_cost = max_len * math.log(2.0)
         unsynth = [mol("(a*b)"), parse_molecule("(a+")]
-        metrics = evaluate_planning(
-            clf, ZeroEstimator(), unsynth, 50, clf, data, world
-        )
+        metrics = evaluate_over_budgets(
+            clf, ZeroEstimator(), unsynth, [50], clf, data, world
+        )[50]
         assert metrics.success_rate == 0.0
         for row in metrics.rows:
             assert row.outcome == "failure"
@@ -100,9 +98,9 @@ class TestEvaluatePlanning:
     def test_mixed_targets_accounting(self, small_world, small_models, small_data):
         backward, reference, _ = small_models
         targets = list(small_data.targets[:10]) + [mol("(a?b)")]
-        metrics = evaluate_planning(
-            backward, ZeroEstimator(), targets, 40, reference, small_data, small_world
-        )
+        metrics = evaluate_over_budgets(
+            backward, ZeroEstimator(), targets, [40], reference, small_data, small_world
+        )[40]
         assert len(metrics.rows) == len(targets)
         wins = sum(1 for r in metrics.rows if r.outcome == "success")
         fails = sum(1 for r in metrics.rows if r.outcome == "failure")
@@ -113,19 +111,19 @@ class TestEvaluatePlanning:
 
     def test_deterministic(self, small_world, small_models, small_data):
         backward, reference, _ = small_models
-        a = evaluate_planning(
-            backward, ZeroEstimator(), small_data.targets[:15], 30, reference, small_data, small_world
+        a = evaluate_over_budgets(
+            backward, ZeroEstimator(), small_data.targets[:15], [30], reference, small_data, small_world
         )
-        b = evaluate_planning(
-            backward, ZeroEstimator(), small_data.targets[:15], 30, reference, small_data, small_world
+        b = evaluate_over_budgets(
+            backward, ZeroEstimator(), small_data.targets[:15], [30], reference, small_data, small_world
         )
         assert a == b
 
     def test_empty_targets_rejected(self, small_world, small_models, small_data):
         backward, reference, _ = small_models
         with pytest.raises(EmptyDataset):
-            evaluate_planning(
-                backward, ZeroEstimator(), [], 10, reference, small_data, small_world
+            evaluate_over_budgets(
+                backward, ZeroEstimator(), [], [10], reference, small_data, small_world
             )
 
     def test_multi_budget_consistency(self, small_world, small_models, small_data):
@@ -135,10 +133,10 @@ class TestEvaluatePlanning:
             backward, ZeroEstimator(), targets, [10, 40], reference, small_data, small_world
         )
         for budget in (10, 40):
-            single = evaluate_planning(
-                backward, ZeroEstimator(), targets, budget, reference, small_data, small_world
+            single = evaluate_over_budgets(
+                backward, ZeroEstimator(), targets, [budget], reference, small_data, small_world
             )
-            assert multi[budget] == single
+            assert multi[budget] == single[budget]
 
 
 class TestOracle:
@@ -216,30 +214,37 @@ class TestOracleEstimator:
 
 class TestSuccessCurve:
     def test_zero_budget_point(self, small_world, small_models, small_data):
-        backward, _, _ = small_models
+        backward, reference, _ = small_models
         targets = [t for t in small_data.targets if not small_world.is_building_block(t)]
-        curve = success_rate_curve(backward, ZeroEstimator(), targets[:5], [0], small_world)
-        assert curve == [(0, 0.0)]
+        curve = evaluate_over_budgets(
+            backward, ZeroEstimator(), targets[:5], [0], reference, small_data, small_world
+        )
+        assert list(curve) == [0]
+        assert curve[0].success_rate == 0.0
 
     def test_non_decreasing(self, small_world, small_models, small_data):
-        backward, _, _ = small_models
-        curve = success_rate_curve(
-            backward, ZeroEstimator(), small_data.targets[:20], [0, 5, 10, 25, 50], small_world
+        backward, reference, _ = small_models
+        curve = evaluate_over_budgets(
+            backward, ZeroEstimator(), small_data.targets[:20], [0, 5, 10, 25, 50],
+            reference, small_data, small_world,
         )
-        rates = [r for _, r in curve]
+        rates = [m.success_rate for m in curve.values()]
         assert rates == sorted(rates)
 
     def test_budget_pair_format(self, small_world, small_models, small_data):
-        backward, _, _ = small_models
-        curve = success_rate_curve(
-            backward, ZeroEstimator(), small_data.targets[:5], [50, 500], small_world
+        backward, reference, _ = small_models
+        curve = evaluate_over_budgets(
+            backward, ZeroEstimator(), small_data.targets[:5], [50, 500],
+            reference, small_data, small_world,
         )
-        assert [n for n, _ in curve] == [50, 500]
-        assert all(0.0 <= r <= 1.0 for _, r in curve)
+        assert list(curve) == [50, 500]
+        assert [m.budget for m in curve.values()] == [50, 500]
+        assert all(0.0 <= m.success_rate <= 1.0 for m in curve.values())
 
     def test_unsorted_budgets_rejected(self, small_world, small_models, small_data):
-        backward, _, _ = small_models
+        backward, reference, _ = small_models
         with pytest.raises(InvalidInput):
-            success_rate_curve(
-                backward, ZeroEstimator(), small_data.targets[:3], [50, 10], small_world
+            evaluate_over_budgets(
+                backward, ZeroEstimator(), small_data.targets[:3], [50, 10],
+                reference, small_data, small_world,
             )

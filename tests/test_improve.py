@@ -330,20 +330,7 @@ class TestLoop:
         )
         assert reports[0].kept_after_filter >= len(reports[0].collected.counts())
 
-    def test_pretraining_inside_loop(self, small_world, small_data):
-        cfg = LoopConfig(
-            iterations=1,
-            targets_per_iteration=10,
-            budget=30,
-            pretrain_backward=TrainConfig(learning_rate=0.2, epochs=8, batch_size=64, seed=1),
-            pretrain_forward=TrainConfig(learning_rate=0.2, epochs=8, batch_size=64, seed=2),
-            bc=TrainConfig(learning_rate=0.05, epochs=2, seed=3),
-            seed=4,
-        )
-        final, reports = run_self_improvement(cfg, small_world, small_data)
-        assert len(reports) == 1
-
-    def test_empty_train_split_rejected(self, small_world):
+    def test_empty_train_split_rejected(self, small_world, small_models):
         from retroloop import Dataset, EmptyDataset
 
         empty = Dataset(
@@ -354,7 +341,7 @@ class TestLoop:
             ground_truth_routes={"a": Route(target=mol("a"))},
         )
         with pytest.raises(EmptyDataset):
-            run_self_improvement(LoopConfig(), small_world, empty)
+            run_self_improvement(LoopConfig(), small_world, empty, pretrained=small_models)
 
 
 class TestPretrainModels:

@@ -253,10 +253,10 @@ class TestGenerateWorld:
         ids = [t.id for t in w.templates]
         assert len(ids) == len(set(ids))
 
-    @pytest.mark.parametrize("cfg", [WorldConfig(n_atoms=0), WorldConfig(n_operators=0)])
+    @pytest.mark.parametrize("cfg", [{"n_atoms": 0}, {"n_operators": 0}])
     def test_zero_counts_rejected(self, cfg):
         with pytest.raises(InvalidConfig):
-            generate_world(cfg, 0)
+            generate_world(WorldConfig(**cfg), 0)
 
     def test_dead_end_soundness(self, small_world):
         rng = random.Random(0)
