@@ -37,7 +37,7 @@ def main(argv=None) -> int:
     base, ours = (
         evaluate_over_budgets(
             model, ZeroEstimator(), data.targets, budgets, pretrained[1], data, world,
-            k_expand=cfg.loop.k_expand,
+            k_expand=cfg.eval.k_expand,
         )
         for model in (pretrained[0], improved)
     )

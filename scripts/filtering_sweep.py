@@ -49,7 +49,7 @@ def main(argv=None) -> int:
             top10s.append(topk_exact_match(model, data.reactions_test, 10, world))
             metrics = evaluate_over_budgets(
                 model, estimator, data.targets, [budget], pretrained[1], data, world,
-                k_expand=cfg.loop.k_expand,
+                k_expand=cfg.eval.k_expand,
             )
             succs.append(metrics[budget].success_rate)
             kept.append(reports[0].kept_after_filter)

@@ -64,17 +64,9 @@ EXIT_MISSING_CHECKPOINT = 4
 EXIT_CORRUPT_CHECKPOINT = 5
 EXIT_MISSING_MANIFEST = 6
 
-SUMMARY_COLUMNS = (
-    "seed",
-    "iteration",
-    "budget",
-    "success_rate",
-    "avg_length",
-    "avg_time",
-    "avg_cost",
-    "top1",
-    "top10",
-)
+# The planning metrics of one (model, budget), as attributes of PlanningMetrics.
+PLAN_METRICS = ("success_rate", "avg_length", "avg_time", "avg_cost")
+SUMMARY_COLUMNS = ("seed", "iteration", "budget", *PLAN_METRICS, "top1", "top10")
 
 
 class ConfigError(Exception):
@@ -111,12 +103,17 @@ class EvalConfig:
 
 
 @dataclass(frozen=True)
+class PretrainConfig:
+    backward: TrainConfig = TrainConfig()
+    forward: TrainConfig = TrainConfig(learning_rate=0.001, epochs=100)
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
     seeds: tuple[int, ...] = (0,)
     world: WorldConfig = WorldConfig()
     dataset: DatasetConfig = DatasetConfig()
-    pretrain_backward: TrainConfig = TrainConfig()
-    pretrain_forward: TrainConfig = TrainConfig(learning_rate=0.001, epochs=100)
+    pretrain: PretrainConfig = PretrainConfig()
     loop: LoopConfig = LoopConfig()
     eval: EvalConfig = EvalConfig()
     dim: int = DEFAULT_DIM
@@ -124,14 +121,6 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not self.seeds:
             raise InvalidConfig("seeds must be a non-empty list")
-
-
-# Fields a config file does not set by their own name: each seed derives its
-# loop seed, and the two pretraining configs come from the "pretrain" section.
-_NOT_IN_FILE = {
-    ExperimentConfig: {"pretrain_backward", "pretrain_forward"},
-    LoopConfig: {"seed"},
-}
 
 
 def _typed(hint, value, default, where: str):
@@ -157,16 +146,19 @@ def _typed(hint, value, default, where: str):
 def _build(default, section, where: str):
     """``default`` with the keys of the JSON object ``section`` replaced.
 
-    Every key must name a field; the dataclass checks the result.
+    Every key must name a field other than ``seed``: every seed is derived
+    from the experiment seed by ``child_seeds``. The dataclass checks the
+    result.
     """
     if not isinstance(section, dict):
         raise ConfigError(f"{where}: expected an object")
-    cls = type(default)
-    hints = get_type_hints(cls)
-    settable = {f.name for f in fields(cls)} - _NOT_IN_FILE.get(cls, set())
+    hints = get_type_hints(type(default))
+    names = {f.name for f in fields(default)}
     values = {}
     for key, value in section.items():
-        if key not in settable:
+        if key == "seed":
+            raise ConfigError(f"{where}.seed: derived from the experiment seed, not settable")
+        if key not in names:
             raise ConfigError(f"{where}.{key}: unknown key")
         values[key] = _typed(hints[key], value, getattr(default, key), f"{where}.{key}")
     try:
@@ -180,26 +172,10 @@ def parse_config(doc: dict, where: str = "config") -> ExperimentConfig:
     dataclass defaults."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{where}: expected an object")
-    doc = dict(doc)
-    version = doc.pop("version", CONFIG_VERSION)
+    version = doc.get("version", CONFIG_VERSION)
     if version != CONFIG_VERSION:
         raise ConfigError(f"{where}.version: unsupported version {version!r}")
-    pretrain = doc.pop("pretrain", {})
-    if not isinstance(pretrain, dict):
-        raise ConfigError(f"{where}.pretrain: expected an object")
-    for key in pretrain:
-        if key not in ("backward", "forward"):
-            raise ConfigError(f"{where}.pretrain.{key}: unknown key")
-    cfg = _build(ExperimentConfig(), doc, where)
-    return replace(
-        cfg,
-        pretrain_backward=_build(
-            cfg.pretrain_backward, pretrain.get("backward", {}), f"{where}.pretrain.backward"
-        ),
-        pretrain_forward=_build(
-            cfg.pretrain_forward, pretrain.get("forward", {}), f"{where}.pretrain.forward"
-        ),
-    )
+    return _build(ExperimentConfig(), {k: v for k, v in doc.items() if k != "version"}, where)
 
 
 def load_config(path: str | Path) -> tuple[ExperimentConfig, dict]:
@@ -273,8 +249,8 @@ def build_pretrained(
     return pretrain_models(
         world,
         data,
-        replace(cfg.pretrain_backward, seed=seeds.pretrain_backward),
-        replace(cfg.pretrain_forward, seed=seeds.pretrain_forward),
+        replace(cfg.pretrain.backward, seed=seeds.pretrain_backward),
+        replace(cfg.pretrain.forward, seed=seeds.pretrain_forward),
         dim=cfg.dim,
     )
 
@@ -335,15 +311,12 @@ def run_pretrain(
     return backward, reference, forward
 
 
-def _load_pretrained(seed_dir: Path):
-    paths = _checkpoint_paths(seed_dir)
-    for name in ("backward", "reference", "forward"):
-        if not paths[name].exists():
-            raise FileNotFoundError(f"missing checkpoint {paths[name]}")
-    backward = load_checkpoint(paths["backward"])
-    reference = with_role(load_checkpoint(paths["reference"]), ROLE_REFERENCE)
-    forward = load_checkpoint(paths["forward"])
-    return backward, reference, forward
+def _load_checkpoints(*paths) -> list[TemplateClassifier]:
+    """The checkpoints at ``paths``, read only once all of them exist."""
+    for path in paths:
+        if not Path(path).exists():
+            raise FileNotFoundError(f"missing checkpoint {path}")
+    return [load_checkpoint(path) for path in paths]
 
 
 def run_improve(
@@ -376,21 +349,17 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _write_target_rows(path: Path, metrics) -> None:
+def _write_csv(path: Path, header, rows) -> None:
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["target", "outcome", "length", "time", "cost"])
-        for row in metrics.rows:
-            writer.writerow([row.target, row.outcome, _fmt(row.length), row.time, _fmt(row.cost)])
-        writer.writerow(
-            [
-                "__summary__",
-                _fmt(metrics.success_rate),
-                _fmt(metrics.avg_length),
-                _fmt(metrics.avg_time),
-                _fmt(metrics.avg_cost),
-            ]
-        )
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _write_target_rows(path: Path, metrics) -> None:
+    rows = [[r.target, r.outcome, _fmt(r.length), r.time, _fmt(r.cost)] for r in metrics.rows]
+    rows.append(["__summary__", *(_fmt(getattr(metrics, m)) for m in PLAN_METRICS)])
+    _write_csv(path, ["target", "outcome", "length", "time", "cost"], rows)
 
 
 def run_evaluate(
@@ -436,43 +405,36 @@ def run_evaluate(
             )
             per_budget.setdefault(budget, {})[iteration] = metrics
             summary_rows.append(
-                {
-                    "seed": seed,
-                    "iteration": iteration,
-                    "budget": budget,
-                    "success_rate": metrics.success_rate,
-                    "avg_length": metrics.avg_length,
-                    "avg_time": metrics.avg_time,
-                    "avg_cost": metrics.avg_cost,
-                    "top1": top1,
-                    "top10": top10,
-                }
+                {"seed": seed, "iteration": iteration, "budget": budget}
+                | {m: getattr(metrics, m) for m in PLAN_METRICS}
+                | {"top1": top1, "top10": top10}
             )
 
-    with (metrics_dir / "summary.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SUMMARY_COLUMNS)
-        for row in summary_rows:
-            writer.writerow(
-                [row["seed"], row["iteration"], row["budget"]]
-                + [_fmt(row[c]) for c in SUMMARY_COLUMNS[3:]]
-            )
+    _write_csv(
+        metrics_dir / "summary.csv",
+        SUMMARY_COLUMNS,
+        (
+            [row["seed"], row["iteration"], row["budget"]]
+            + [_fmt(row[c]) for c in SUMMARY_COLUMNS[3:]]
+            for row in summary_rows
+        ),
+    )
 
     # Relative gains of the last iteration over iteration 0, per budget.
     iterations = sorted(models_by_iteration)
     if len(iterations) >= 2:
-        base_iter, ours_iter = iterations[0], iterations[-1]
-        with (metrics_dir / "gains.csv").open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["budget", "metric", "base", "ours", "relative_gain"])
-            for budget in budgets:
-                base = per_budget[budget][base_iter]
-                ours = per_budget[budget][ours_iter]
-                for metric in ("success_rate", "avg_length", "avg_time", "avg_cost"):
-                    b = getattr(base, metric)
-                    o = getattr(ours, metric)
-                    gain = _fmt((o - b) / b) if b else ""
-                    writer.writerow([budget, metric, _fmt(b), _fmt(o), gain])
+        gains = []
+        for budget in budgets:
+            base = per_budget[budget][iterations[0]]
+            ours = per_budget[budget][iterations[-1]]
+            for metric in PLAN_METRICS:
+                b = getattr(base, metric)
+                o = getattr(ours, metric)
+                gain = _fmt((o - b) / b) if b else ""
+                gains.append([budget, metric, _fmt(b), _fmt(o), gain])
+        _write_csv(
+            metrics_dir / "gains.csv", ["budget", "metric", "base", "ours", "relative_gain"], gains
+        )
     return summary_rows
 
 
@@ -505,11 +467,6 @@ def run_seed(cfg: ExperimentConfig, seed: int, out: Path) -> dict:
     }
 
 
-def _run_seed_job(doc_json: str, seed: int, out: str) -> tuple[int, dict]:
-    cfg = parse_config(json.loads(doc_json))
-    return seed, run_seed(cfg, seed, Path(out))
-
-
 # ---------------------------------------------------------------------------
 # aggregation
 
@@ -526,23 +483,22 @@ def aggregate_report(out: Path) -> Path:
         key = (int(rec["iteration"]), int(rec["budget"]))
         grouped.setdefault(key, []).append(rec)
 
-    aggregated = out / "aggregated.csv"
-    metrics = ("success_rate", "avg_length", "avg_time", "avg_cost", "top1", "top10")
-    with aggregated.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["iteration", "budget", "n_seeds"]
+    metrics = SUMMARY_COLUMNS[3:]
+    header = ["iteration", "budget", "n_seeds"]
+    table = []
+    for m in metrics:
+        header += [f"{m}_mean", f"{m}_std"]
+    for (iteration, budget), recs in sorted(grouped.items()):
+        row = [iteration, budget, len(recs)]
         for m in metrics:
-            header += [f"{m}_mean", f"{m}_std"]
-        writer.writerow(header)
-        for (iteration, budget), recs in sorted(grouped.items()):
-            row = [iteration, budget, len(recs)]
-            for m in metrics:
-                values = [float(r[m]) for r in recs]
-                if any(math.isnan(v) for v in values):
-                    row += ["nan", "nan"]
-                else:
-                    row += [_fmt(statistics.fmean(values)), _fmt(statistics.pstdev(values))]
-            writer.writerow(row)
+            values = [float(r[m]) for r in recs]
+            if any(math.isnan(v) for v in values):
+                row += ["nan", "nan"]
+            else:
+                row += [_fmt(statistics.fmean(values)), _fmt(statistics.pstdev(values))]
+        table.append(row)
+    aggregated = out / "aggregated.csv"
+    _write_csv(aggregated, header, table)
     return aggregated
 
 
@@ -609,7 +565,11 @@ def cmd_pretrain(args) -> int:
 
 def cmd_self_improve(args) -> int:
     for cfg, seed, seed_dir, world, data in _seed_worlds(args):
-        pretrained = _load_pretrained(seed_dir)
+        paths = _checkpoint_paths(seed_dir)
+        backward, reference, forward = _load_checkpoints(
+            paths["backward"], paths["reference"], paths["forward"]
+        )
+        pretrained = (backward, with_role(reference, ROLE_REFERENCE), forward)
         _final, reports = run_improve(cfg, seed, seed_dir, world, data, pretrained)
         for report in reports:
             print(
@@ -624,26 +584,21 @@ def cmd_self_improve(args) -> int:
 def cmd_evaluate(args) -> int:
     budgets = tuple(sorted(args.budget)) if args.budget else None
     for cfg, seed, seed_dir, world, data in _seed_worlds(args):
-        ref_path = _checkpoint_paths(seed_dir)["reference"]
-        if not ref_path.exists():
-            raise FileNotFoundError(f"missing checkpoint {ref_path}")
-        reference = with_role(load_checkpoint(ref_path), ROLE_REFERENCE)
-        models: dict[int, TemplateClassifier] = {}
-        checkpoint = args.checkpoint or str(_checkpoint_paths(seed_dir)["final"])
-        if not Path(checkpoint).exists():
-            raise FileNotFoundError(f"missing checkpoint {checkpoint}")
-        if args.baseline:
-            models[0] = load_checkpoint(args.baseline)
-            models[cfg.loop.iterations] = load_checkpoint(checkpoint)
+        paths = _checkpoint_paths(seed_dir)
+        checkpoint = args.checkpoint or paths["final"]
+        extra = [args.baseline] if args.baseline else []
+        reference, model, *baseline = _load_checkpoints(paths["reference"], checkpoint, *extra)
+        if baseline:
+            models = {0: baseline[0], cfg.loop.iterations: model}
         else:
-            models[args.iteration] = load_checkpoint(checkpoint)
+            models = {args.iteration: model}
         rows = run_evaluate(
             cfg,
             seed,
             seed_dir,
             world,
             data,
-            reference,
+            with_role(reference, ROLE_REFERENCE),
             models,
             budgets=budgets,
             estimator_kind=args.estimator,
@@ -658,18 +613,15 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    cfg, _doc = load_config(args.config)
-    seed = args.seed if args.seed is not None else cfg.seeds[0]
-    seed_dir = _seed_dir(Path(args.out), seed)
-    world, _data = ensure_world_data(cfg, seed, seed_dir)
-    checkpoint = args.checkpoint or str(_checkpoint_paths(seed_dir)["final"])
-    if not Path(checkpoint).exists():
-        raise FileNotFoundError(f"missing checkpoint {checkpoint}")
-    model = load_checkpoint(checkpoint)
+    # The given seed, or the config's first.
+    cfg, _seed, seed_dir, world, _data = next(_seed_worlds(args))
+    paths = _checkpoint_paths(seed_dir)
+    checkpoint = args.checkpoint or paths["final"]
     if args.estimator == "oracle":
-        ref = with_role(load_checkpoint(_checkpoint_paths(seed_dir)["reference"]), ROLE_REFERENCE)
-        estimator = OracleEstimator(world, ref)
+        model, reference = _load_checkpoints(checkpoint, paths["reference"])
+        estimator = OracleEstimator(world, with_role(reference, ROLE_REFERENCE))
     else:
+        (model,) = _load_checkpoints(checkpoint)
         estimator = ZeroEstimator()
     target = parse_molecule(args.target)
     result = plan(
@@ -734,19 +686,13 @@ def cmd_run_all(args) -> int:
     (out / "config.json").write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     started = time.time()
     seeds = _seeds_for(args, cfg)
-    artifacts: dict[int, dict] = {}
     if args.workers > 1 and len(seeds) > 1:
-        doc_json = json.dumps(doc)
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            for seed, art in pool.map(
-                _run_seed_job, [doc_json] * len(seeds), seeds, [str(out)] * len(seeds)
-            ):
-                artifacts[seed] = art
+            results = list(pool.map(run_seed, [cfg] * len(seeds), seeds, [out] * len(seeds)))
     else:
-        for seed in seeds:
-            artifacts[seed] = run_seed(cfg, seed, out)
+        results = [run_seed(cfg, seed, out) for seed in seeds]
     aggregate_report(out)
-    write_manifest(out, doc, artifacts, started)
+    write_manifest(out, doc, dict(zip(seeds, results)), started)
     print_report(out)
     return 0
 

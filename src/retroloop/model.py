@@ -328,6 +328,23 @@ def _as_arrays(
     return x, np.asarray(ys, dtype=np.int64), np.asarray(ws, dtype=np.float64)
 
 
+def _nll_grad(
+    weights: np.ndarray, bias: np.ndarray, x: np.ndarray, y: np.ndarray, w: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-sample log-probabilities of the labels, and the gradient of the
+    total weighted negative log-likelihood over (weights, bias)."""
+    logits = x @ weights.T + bias
+    logits -= logits.max(axis=1, keepdims=True)
+    e = np.exp(logits)
+    z = e.sum(axis=1, keepdims=True)
+    rows = np.arange(len(y))
+    logp = logits[rows, y] - np.log(z[:, 0])
+    resid = e / z
+    resid[rows, y] -= 1.0
+    resid *= w[:, None]
+    return logp, resid.T @ x, resid.sum(axis=0)
+
+
 def nll_and_grad(
     model: TemplateClassifier, data: Iterable
 ) -> tuple[float, np.ndarray, np.ndarray]:
@@ -337,16 +354,7 @@ def nll_and_grad(
     gradient contribution exactly.
     """
     x, y, w = _as_arrays(model, data)
-    logits = x @ model.weights.T + model.bias
-    logits -= logits.max(axis=1, keepdims=True)
-    logz = np.log(np.exp(logits).sum(axis=1))
-    logp = logits[np.arange(len(y)), y] - logz
-    p = np.exp(logits - logz[:, None])
-    resid = p
-    resid[np.arange(len(y)), y] -= 1.0
-    resid *= w[:, None]
-    grad_w = resid.T @ x
-    grad_b = resid.sum(axis=0)
+    logp, grad_w, grad_b = _nll_grad(model.weights, model.bias, x, y, w)
     return float(-(w * logp).sum()), grad_w, grad_b
 
 
@@ -370,20 +378,14 @@ def train(
     weights = model.weights.copy()
     bias = model.bias.copy()
     rng = np.random.default_rng(cfg.seed)
-    eye = np.eye(model.n_templates, dtype=np.float64)
     for _ in range(cfg.epochs):
         perm = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             idx = perm[start : start + cfg.batch_size]
-            xb, yb, wb = x[idx], y[idx], w[idx]
-            logits = xb @ weights.T + bias
-            logits -= logits.max(axis=1, keepdims=True)
-            e = np.exp(logits)
-            p = e / e.sum(axis=1, keepdims=True)
-            resid = (p - eye[yb]) * wb[:, None]
+            _logp, grad_w, grad_b = _nll_grad(weights, bias, x[idx], y[idx], w[idx])
             scale = cfg.learning_rate / len(idx)
-            weights -= scale * (resid.T @ xb)
-            bias -= scale * resid.sum(axis=0)
+            weights -= scale * grad_w
+            bias -= scale * grad_b
     return replace(model, weights=weights, bias=bias)
 
 

@@ -254,54 +254,39 @@ def plan(
 
 def extract_route(tree: SearchTree) -> Route:
     """The minimum-cost fully solved subtree of the tree, as a Route."""
-    memo: dict[int, float | None] = {}
+    # id(molecule node) -> (cost, first cheapest reaction) of its cheapest
+    # solved subtree: (0.0, None) for a building block, None if it has none.
+    memo: dict[int, tuple[float, ReactionNode | None] | None] = {}
 
-    def solved_value(node: MolNode) -> float | None:
+    def solved(node: MolNode) -> tuple[float, ReactionNode | None] | None:
         if id(node) in memo:
             return memo[id(node)]
+        result: tuple[float, ReactionNode | None] | None = None
         if node.status == SOLVED_LEAF:
-            result: float | None = 0.0
-        elif node.status != EXPANDED:
-            result = None
-        else:
-            result = None
+            result = (0.0, None)
+        elif node.status == EXPANDED:
             for r in node.children:
-                total: float | None = r.cost
+                total = r.cost
                 for child in r.children:
-                    sub = solved_value(child)
+                    sub = solved(child)
                     if sub is None:
-                        total = None
                         break
-                    total += sub
-                if total is not None and (result is None or total < result):
-                    result = total
+                    total += sub[0]
+                else:
+                    if result is None or total < result[0]:
+                        result = (total, r)
         memo[id(node)] = result
         return result
 
-    def best_solved_child(node: MolNode) -> ReactionNode | None:
-        best_r, best_total = None, None
-        for r in node.children:
-            total: float | None = r.cost
-            for child in r.children:
-                sub = solved_value(child)
-                if sub is None:
-                    total = None
-                    break
-                total += sub
-            if total is not None and (best_total is None or total < best_total):
-                best_r, best_total = r, total
-        return best_r
-
-    if solved_value(tree.root) is None:
+    if solved(tree.root) is None:
         raise NotSolved(f"no solved route for {tree.root.molecule.text}")
 
     reactions: dict[tuple, Reaction] = {}
 
     def collect(node: MolNode) -> None:
-        if node.status == SOLVED_LEAF:
+        best_r = memo[id(node)][1]
+        if best_r is None:
             return
-        best_r = best_solved_child(node)
-        assert best_r is not None
         rx = make_reaction(node.molecule, best_r.reactants, best_r.template_id)
         reactions.setdefault(rx.key, rx)
         for child in best_r.children:

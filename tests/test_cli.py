@@ -2,6 +2,7 @@ import csv
 import json
 import runpy
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -110,6 +111,23 @@ class TestConfig:
         path = write_config(tmp_path, doc)
         assert main(["gen-world", "--config", path, "--out", str(tmp_path / "x")]) == 2
         assert f"config.json.loop.{key}:" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize(
+        "section",
+        [("pretrain", "backward"), ("pretrain", "forward"), ("loop", "bc"), ("loop",)],
+        ids=lambda section: ".".join(section),
+    )
+    def test_seed_key_exits_2(self, tmp_path, capsys, section):
+        # Every seed derives from the experiment seed; a config cannot set one.
+        doc = json.loads(json.dumps(TINY))
+        target = doc
+        for key in section:
+            target = target[key]
+        target["seed"] = 12345
+        path = write_config(tmp_path, doc)
+        assert main(["gen-world", "--config", path, "--out", str(tmp_path / "x")]) == 2
+        assert f"config.json.{'.'.join(section)}.seed:" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
 
@@ -263,6 +281,31 @@ class TestEvaluate:
             == 5
         )
 
+    def test_missing_baseline_exits_4_before_any_read(self, config_path, tmp_path, capsys):
+        out = tmp_path / "run"
+        main(["pretrain", "--config", config_path, "--out", str(out), "--seed", "1"])
+        ck = out / "seed_1" / "checkpoints"
+        (ck / "backward_final.json").write_text("{]")
+        missing = ck / "absent.json"
+        capsys.readouterr()
+        code = main(
+            [
+                "evaluate",
+                "--config",
+                config_path,
+                "--out",
+                str(out),
+                "--seed",
+                "1",
+                "--checkpoint",
+                str(ck / "backward_final.json"),
+                "--baseline",
+                str(missing),
+            ]
+        )
+        assert code == 4
+        assert f"missing checkpoint {missing}" in capsys.readouterr().err
+
 
 class TestPlan:
     def test_prints_route_in_dependency_order(self, config_path, tmp_path, capsys):
@@ -335,6 +378,34 @@ class TestPlan:
         records = [json.loads(l) for l in trace_path.read_text().splitlines()]
         assert len(records) == calls
         assert all({"step", "molecule", "g_plus_h", "applicable"} <= set(r) for r in records)
+
+
+    def test_oracle_without_reference_exits_4(self, config_path, tmp_path, capsys):
+        out = tmp_path / "run"
+        main(["pretrain", "--config", config_path, "--out", str(out), "--seed", "1"])
+        ck = out / "seed_1" / "checkpoints"
+        (ck / "reference_backward.json").unlink()
+        atom = json.loads((out / "seed_1" / "world.json").read_text())["atoms"][0]
+        capsys.readouterr()
+        code = main(
+            [
+                "plan",
+                "--config",
+                config_path,
+                "--out",
+                str(out),
+                "--seed",
+                "1",
+                "--target",
+                atom,
+                "--checkpoint",
+                str(ck / "backward.json"),
+                "--estimator",
+                "oracle",
+            ]
+        )
+        assert code == 4
+        assert f"missing checkpoint {ck / 'reference_backward.json'}" in capsys.readouterr().err
 
 
 class TestReportAndRunAll:
@@ -431,8 +502,8 @@ class TestScripts:
         assert lines[0].split() == ["budget", "baseline", "improved"]
         rows = [line.split() for line in lines[1:]]
         assert [int(r[0]) for r in rows] == [10, 25]
-        # The script plans with loop.k_expand, which equals eval.k_expand in
-        # TINY, so at the evaluation budgets it prints the CLI's success rates.
+        # The script evaluates with eval.k_expand, as run-all does, so at the
+        # evaluation budgets it prints the CLI's success rates.
         rates = self.summary_rates(config_path, tmp_path)
         iterations = TINY["loop"]["iterations"]
         for budget, base, ours in rows:
@@ -452,3 +523,25 @@ class TestScripts:
                 assert 0.0 <= float(mean) <= 1.0 and std == "0.0000"
         # Both thresholds plan the same routes; the stricter one keeps fewer.
         assert float(rows[0][4]) >= float(rows[1][4])
+
+    @pytest.mark.parametrize(
+        "script, args",
+        [
+            ("budget_curve.py", ["--seed", "1", "--budgets", "10"]),
+            ("filtering_sweep.py", ["--seeds", "1", "--thresholds", "0"]),
+        ],
+    )
+    def test_scripts_evaluate_with_eval_k_expand(self, tmp_path, capsys, script, args):
+        doc = json.loads(json.dumps(TINY))
+        doc["loop"]["k_expand"], doc["eval"]["k_expand"] = 5, 7
+        path = write_config(tmp_path, doc)
+        main_fn = runpy.run_path(str(SCRIPTS / script))["main"]
+        seen = []
+
+        def record(model, estimator, targets, budgets, *rest, k_expand):
+            seen.append(k_expand)
+            return {b: SimpleNamespace(success_rate=0.0) for b in budgets}
+
+        main_fn.__globals__["evaluate_over_budgets"] = record
+        assert main_fn(["--config", path, *args]) == 0
+        assert seen and set(seen) == {7}

@@ -379,6 +379,27 @@ class TestTraining:
                 denom = max(abs(fd), abs(analytic), 1e-8)
                 assert abs(fd - analytic) / denom < 1e-5
 
+    def test_full_batch_epoch_steps_along_nll_gradient(self, small_world, small_data):
+        # train and nll_and_grad share one gradient, so the finite-difference
+        # check above covers the gradient that training follows.
+        rng = np.random.default_rng(1)
+        clf = zero_classifier(small_world.template_ids, ROLE_BACKWARD, dim=256)
+        clf = type(clf)(
+            weights=rng.normal(size=clf.weights.shape) * 0.5,
+            bias=rng.normal(size=clf.bias.shape) * 0.5,
+            template_index=clf.template_index,
+            role=clf.role,
+        )
+        samples = [
+            (featurize_molecule(rx.product, 256), rx.template_id, float(rng.integers(1, 4)))
+            for rx in small_data.reactions_train
+        ]
+        n, lr = len(samples), 0.05
+        stepped = train(clf, samples, TrainConfig(learning_rate=lr, epochs=1, batch_size=n))
+        _, grad_w, grad_b = nll_and_grad(clf, samples)
+        np.testing.assert_allclose(stepped.weights, clf.weights - lr / n * grad_w, rtol=1e-12)
+        np.testing.assert_allclose(stepped.bias, clf.bias - lr / n * grad_b, rtol=1e-12)
+
     def test_empty_data_rejected(self, small_world):
         clf = zero_classifier(small_world.template_ids, ROLE_BACKWARD)
         with pytest.raises(EmptyDataset):

@@ -159,11 +159,12 @@ class TestExtractRoute:
         with pytest.raises(NotSolved):
             extract_route(tree)
 
-    def test_min_cost_reaction_wins(self, small_world):
-        # Hand-built tree: two solved alternatives under the root at costs
-        # 0.3 and 0.7; extraction must take the 0.3 reaction.
+    @staticmethod
+    def _alternatives(costs):
+        """Hand-built tree: one solved reaction under the root per
+        (cost, template id), in that order."""
         root = MolNode(mol("(a+b)"), None, 0, EXPANDED, 0.0)
-        for i, (cost, tid) in enumerate([(0.7, "split:+"), (0.3, "identity")]):
+        for i, (cost, tid) in enumerate(costs):
             r = ReactionNode(tid, cost, (mol("a"), mol("b")), root)
             r.children = [
                 MolNode(mol("a"), r, 2 * i + 1, SOLVED_LEAF, 0.0),
@@ -171,12 +172,23 @@ class TestExtractRoute:
             ]
             r.value = cost
             root.children.append(r)
-        root.value = 0.3
+        root.value = min(cost for cost, _tid in costs)
         tree = SearchTree.__new__(SearchTree)
         tree.root = root
-        route = extract_route(tree)
+        return tree
+
+    def test_min_cost_reaction_wins(self, small_world):
+        # Two solved alternatives under the root at costs 0.3 and 0.7;
+        # extraction must take the 0.3 reaction.
+        route = extract_route(self._alternatives([(0.7, "split:+"), (0.3, "identity")]))
         assert len(route.reactions) == 1
         assert route.reactions[0].template_id == "identity"
+
+    @pytest.mark.parametrize("first", ["split:+", "identity"])
+    def test_first_of_equal_cost_reactions_wins(self, first):
+        second = "identity" if first == "split:+" else "split:+"
+        route = extract_route(self._alternatives([(0.5, first), (0.5, second)]))
+        assert [rx.template_id for rx in route.reactions] == [first]
 
 
 class TestRouteCost:
