@@ -7,7 +7,8 @@ seeds, there is no global RNG). Exit codes are stable:
   2  invalid or unreadable config
   3  empty train split at pretraining
   4  missing checkpoints
-  5  corrupt checkpoint, world or dataset file
+  5  corrupt checkpoint, world or dataset file, or a checkpoint of another
+     world or feature dim
   6  missing run manifest
 """
 
@@ -23,6 +24,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, is_dataclass, replace
+from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple, get_args, get_origin, get_type_hints
 
@@ -311,12 +313,17 @@ def run_pretrain(
     return backward, reference, forward
 
 
-def _load_checkpoints(*paths) -> list[TemplateClassifier]:
-    """The checkpoints at ``paths``, read only once all of them exist."""
+def _load_checkpoints(paths, world: World, dim: int) -> list[TemplateClassifier]:
+    """The checkpoints at ``paths``, each made for ``world`` and ``dim``."""
+    models = []
     for path in paths:
-        if not Path(path).exists():
-            raise FileNotFoundError(f"missing checkpoint {path}")
-    return [load_checkpoint(path) for path in paths]
+        model = load_checkpoint(path)
+        if model.dim != dim:
+            raise CheckpointError(f"checkpoint {path} has dim {model.dim}, the config {dim}")
+        if model.template_index != world.template_ids:
+            raise CheckpointError(f"checkpoint {path} was not trained on this world's templates")
+        models.append(model)
+    return models
 
 
 def run_improve(
@@ -543,32 +550,39 @@ def _seeds_for(args, cfg: ExperimentConfig) -> tuple[int, ...]:
     return (args.seed,) if getattr(args, "seed", None) is not None else cfg.seeds
 
 
-def _seed_worlds(args):
-    """(cfg, seed, seed_dir, world, data) for each seed a command covers."""
+def _seed_worlds(args, needs=lambda paths: ()):
+    """(cfg, seed, seed_dir, world, data, checkpoints) for each seed a command
+    covers. ``needs`` picks, from a seed's checkpoint paths, the checkpoints
+    the command reads: all of them must exist before the seed's world is
+    built or read."""
     cfg, _doc = load_config(args.config)
     for seed in _seeds_for(args, cfg):
         seed_dir = _seed_dir(Path(args.out), seed)
-        yield (cfg, seed, seed_dir, *ensure_world_data(cfg, seed, seed_dir))
+        paths = needs(_checkpoint_paths(seed_dir))
+        for path in paths:
+            if not Path(path).exists():
+                raise FileNotFoundError(f"missing checkpoint {path}")
+        world, data = ensure_world_data(cfg, seed, seed_dir)
+        yield cfg, seed, seed_dir, world, data, _load_checkpoints(paths, world, cfg.dim)
 
 
 def cmd_gen_world(args) -> int:
-    for _cfg, seed, seed_dir, _world, _data in _seed_worlds(args):
+    for _cfg, seed, seed_dir, _world, _data, _ in _seed_worlds(args):
         print(f"gen-world seed={seed} out={seed_dir}")
     return 0
 
 
 def cmd_pretrain(args) -> int:
-    for cfg, seed, seed_dir, world, data in _seed_worlds(args):
+    for cfg, seed, seed_dir, world, data, _ in _seed_worlds(args):
         run_pretrain(cfg, seed, seed_dir, world, data)
     return 0
 
 
 def cmd_self_improve(args) -> int:
-    for cfg, seed, seed_dir, world, data in _seed_worlds(args):
-        paths = _checkpoint_paths(seed_dir)
-        backward, reference, forward = _load_checkpoints(
-            paths["backward"], paths["reference"], paths["forward"]
-        )
+    needs = itemgetter("backward", "reference", "forward")
+    for cfg, seed, seed_dir, world, data, (backward, reference, forward) in _seed_worlds(
+        args, needs
+    ):
         pretrained = (backward, with_role(reference, ROLE_REFERENCE), forward)
         _final, reports = run_improve(cfg, seed, seed_dir, world, data, pretrained)
         for report in reports:
@@ -583,11 +597,14 @@ def cmd_self_improve(args) -> int:
 
 def cmd_evaluate(args) -> int:
     budgets = tuple(sorted(args.budget)) if args.budget else None
-    for cfg, seed, seed_dir, world, data in _seed_worlds(args):
-        paths = _checkpoint_paths(seed_dir)
-        checkpoint = args.checkpoint or paths["final"]
-        extra = [args.baseline] if args.baseline else []
-        reference, model, *baseline = _load_checkpoints(paths["reference"], checkpoint, *extra)
+    extra = (args.baseline,) if args.baseline else ()
+
+    def needs(paths):
+        return (paths["reference"], args.checkpoint or paths["final"], *extra)
+
+    for cfg, seed, seed_dir, world, data, (reference, model, *baseline) in _seed_worlds(
+        args, needs
+    ):
         if baseline:
             models = {0: baseline[0], cfg.loop.iterations: model}
         else:
@@ -613,15 +630,16 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_plan(args) -> int:
+    oracle = args.estimator == "oracle"
+
+    def needs(paths):
+        return (args.checkpoint or paths["final"], *((paths["reference"],) if oracle else ()))
+
     # The given seed, or the config's first.
-    cfg, _seed, seed_dir, world, _data = next(_seed_worlds(args))
-    paths = _checkpoint_paths(seed_dir)
-    checkpoint = args.checkpoint or paths["final"]
-    if args.estimator == "oracle":
-        model, reference = _load_checkpoints(checkpoint, paths["reference"])
-        estimator = OracleEstimator(world, with_role(reference, ROLE_REFERENCE))
+    cfg, _seed, _seed_dir, world, _data, (model, *reference) = next(_seed_worlds(args, needs))
+    if oracle:
+        estimator = OracleEstimator(world, with_role(reference[0], ROLE_REFERENCE))
     else:
-        (model,) = _load_checkpoints(checkpoint)
         estimator = ZeroEstimator()
     target = parse_molecule(args.target)
     result = plan(

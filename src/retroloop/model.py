@@ -306,33 +306,60 @@ class TrainConfig:
 Sample = "tuple[FeatureVector, str] | tuple[FeatureVector, str, float]"
 
 
-def _as_arrays(
-    model: TemplateClassifier, data: Iterable
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    xs, ys, ws = [], [], []
+class _Rows(NamedTuple):
+    """Training samples as CSR feature rows: the on-bits of sample ``i`` are
+    ``indices[indptr[i]:indptr[i + 1]]``."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    y: np.ndarray
+    w: np.ndarray
+
+
+def _as_rows(model: TemplateClassifier, data: Iterable) -> _Rows:
+    indptr, indices, ys, ws = [0], [], [], []
     for sample in data:
         fv, tid = sample[0], sample[1]
-        weight = float(sample[2]) if len(sample) > 2 else 1.0
+        if fv.dim != model.dim:
+            raise InvalidInput(f"feature dim {fv.dim} != model dim {model.dim}")
         row = model._row_of.get(tid)
         if row is None:
             raise UnknownTemplate(tid)
-        xs.append(fv)
+        indices.extend(fv.indices)
+        indptr.append(len(indices))
         ys.append(row)
-        ws.append(weight)
-    if not xs:
+        ws.append(float(sample[2]) if len(sample) > 2 else 1.0)
+    if not ys:
         raise EmptyDataset("training data is empty")
-    x = np.zeros((len(xs), model.dim), dtype=np.float64)
-    for i, fv in enumerate(xs):
-        if fv.indices:
-            x[i, list(fv.indices)] = 1.0
-    return x, np.asarray(ys, dtype=np.int64), np.asarray(ws, dtype=np.float64)
+    return _Rows(
+        np.asarray(indptr, dtype=np.intp),
+        np.asarray(indices, dtype=np.intp),
+        np.asarray(ys, dtype=np.int64),
+        np.asarray(ws, dtype=np.float64),
+    )
+
+
+def _batch(rows: _Rows, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted columns ``U`` active in the samples ``idx``, and their 0/1
+    matrix over ``U``; every other column of those samples is zero."""
+    starts = rows.indptr[idx]
+    lengths = rows.indptr[idx + 1] - starts
+    owner = np.repeat(np.arange(len(idx)), lengths)
+    # The k-th gathered bit sits at its sample's start plus its rank there.
+    rank = np.arange(len(owner)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    cols, col_of = np.unique(rows.indices[starts[owner] + rank], return_inverse=True)
+    xs = np.zeros((len(idx), len(cols)), dtype=np.float64)
+    xs[owner, col_of] = 1.0
+    return cols, xs
 
 
 def _nll_grad(
     weights: np.ndarray, bias: np.ndarray, x: np.ndarray, y: np.ndarray, w: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-sample log-probabilities of the labels, and the gradient of the
-    total weighted negative log-likelihood over (weights, bias)."""
+    total weighted negative log-likelihood over (weights, bias). ``x`` and
+    ``weights`` may hold just the columns some sample activates: the others
+    add nothing to the logits and get a zero gradient."""
     logits = x @ weights.T + bias
     logits -= logits.max(axis=1, keepdims=True)
     e = np.exp(logits)
@@ -353,9 +380,12 @@ def nll_and_grad(
     The objective is a weighted sum, so doubling a sample's weight doubles its
     gradient contribution exactly.
     """
-    x, y, w = _as_arrays(model, data)
-    logp, grad_w, grad_b = _nll_grad(model.weights, model.bias, x, y, w)
-    return float(-(w * logp).sum()), grad_w, grad_b
+    rows = _as_rows(model, data)
+    cols, xs = _batch(rows, np.arange(len(rows.y)))
+    logp, grad_u, grad_b = _nll_grad(model.weights[:, cols], model.bias, xs, rows.y, rows.w)
+    grad_w = np.zeros_like(model.weights)
+    grad_w[:, cols] = grad_u
+    return float(-(rows.w * logp).sum()), grad_w, grad_b
 
 
 def mean_nll(model: TemplateClassifier, data: Iterable) -> float:
@@ -370,11 +400,12 @@ def train(
 ) -> TemplateClassifier:
     """Seeded mini-batch gradient ascent on the weighted log-likelihood.
 
-    Returns a new classifier; the input model is untouched. Identical
-    (model, data, cfg) produce bit-identical weights.
+    Each step touches only the weight columns its batch activates; the rest
+    have a zero gradient. Returns a new classifier; the input model is
+    untouched. Identical (model, data, cfg) produce bit-identical weights.
     """
-    x, y, w = _as_arrays(model, data)
-    n = len(y)
+    rows = _as_rows(model, data)
+    n = len(rows.y)
     weights = model.weights.copy()
     bias = model.bias.copy()
     rng = np.random.default_rng(cfg.seed)
@@ -382,9 +413,11 @@ def train(
         perm = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             idx = perm[start : start + cfg.batch_size]
-            _logp, grad_w, grad_b = _nll_grad(weights, bias, x[idx], y[idx], w[idx])
+            cols, xs = _batch(rows, idx)
+            active = weights[:, cols]
+            _logp, grad_w, grad_b = _nll_grad(active, bias, xs, rows.y[idx], rows.w[idx])
             scale = cfg.learning_rate / len(idx)
-            weights -= scale * grad_w
+            weights[:, cols] = active - scale * grad_w
             bias -= scale * grad_b
     return replace(model, weights=weights, bias=bias)
 

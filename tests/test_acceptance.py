@@ -75,12 +75,12 @@ def reference_runs():
         loop_cfg = seed_loop_config(cfg, seed)
         base = evaluate_over_budgets(
             backward, estimator, data.targets, [budget], reference, data, world,
-            k_expand=cfg.loop.k_expand,
+            k_expand=cfg.eval.k_expand,
         )[budget]
         final, reports = run_self_improvement(loop_cfg, world, data, pretrained=pretrained)
         post = evaluate_over_budgets(
             final, estimator, data.targets, [budget], reference, data, world,
-            k_expand=cfg.loop.k_expand,
+            k_expand=cfg.eval.k_expand,
         )[budget]
         runs.append(
             {
@@ -301,7 +301,7 @@ class TestAugmentationAblation:
                         run["pretrained"][1],
                         run["data"],
                         run["world"],
-                        k_expand=cfg.loop.k_expand,
+                        k_expand=cfg.eval.k_expand,
                     )[cfg.loop.budget]
                     rates[aug].append(metrics.success_rate)
             with_aug = float(np.mean(rates[True]))

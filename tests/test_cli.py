@@ -408,6 +408,62 @@ class TestPlan:
         assert f"missing checkpoint {ck / 'reference_backward.json'}" in capsys.readouterr().err
 
 
+class TestCheckpointChecks:
+    @pytest.mark.parametrize(
+        "command", [["self-improve"], ["evaluate"], ["plan", "--target", "a"]]
+    )
+    def test_missing_checkpoints_leave_out_empty(self, config_path, tmp_path, capsys, command):
+        out = tmp_path / "run"
+        out.mkdir()
+        code = main([*command, "--config", config_path, "--out", str(out), "--seed", "1"])
+        assert code == 4
+        assert "missing checkpoint" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_checkpoint_from_another_world_exits_5(self, config_path, tmp_path, capsys):
+        doc = json.loads(json.dumps(TINY))
+        doc["world"]["n_operators"] = 3
+        other_config = write_config(tmp_path, doc, "other.json")
+        ours, theirs = tmp_path / "ours", tmp_path / "theirs"
+        main(["pretrain", "--config", config_path, "--out", str(theirs), "--seed", "1"])
+        main(["pretrain", "--config", other_config, "--out", str(ours), "--seed", "1"])
+        foreign = theirs / "seed_1" / "checkpoints" / "backward.json"
+        capsys.readouterr()
+        code = main(
+            [
+                "evaluate",
+                "--config",
+                other_config,
+                "--out",
+                str(ours),
+                "--seed",
+                "1",
+                "--checkpoint",
+                str(foreign),
+            ]
+        )
+        assert code == 5
+        assert f"checkpoint {foreign} was not trained on this world's templates" in (
+            capsys.readouterr().err
+        )
+        assert not (ours / "seed_1" / "metrics").exists()
+
+    def test_checkpoint_of_another_dim_exits_5(self, config_path, tmp_path, capsys):
+        out = tmp_path / "run"
+        main(["pretrain", "--config", config_path, "--out", str(out), "--seed", "1"])
+        doc = json.loads(json.dumps(TINY))
+        doc["dim"] = 256
+        capsys.readouterr()
+        code = main(
+            ["self-improve", "--config", write_config(tmp_path, doc, "dim256.json"),
+             "--out", str(out), "--seed", "1"]
+        )
+        assert code == 5
+        backward = out / "seed_1" / "checkpoints" / "backward.json"
+        assert f"checkpoint {backward} has dim 512, the config 256" in capsys.readouterr().err
+        assert not (out / "seed_1" / "reports").exists()
+
+
 class TestReportAndRunAll:
     def test_report_without_manifest_exits_6(self, tmp_path):
         assert main(["report", "--run", str(tmp_path / "empty")]) == 6

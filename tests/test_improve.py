@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,7 @@ from retroloop.model import (
     featurize_reactant_set,
     predict_topk,
 )
+from retroloop.seeding import derive_seed
 from retroloop.world import KIND_CHOP, KIND_SPLIT
 
 
@@ -313,6 +316,39 @@ class TestLoop:
         )
         assert np.array_equal(a.weights, b.weights)
         assert [r.to_json() for r in reports_a] == [r.to_json() for r in reports_b]
+
+    def test_cold_start_clones_from_zero_each_iteration(
+        self, small_world, small_data, small_models
+    ):
+        cfg = LoopConfig(
+            iterations=2,
+            targets_per_iteration=15,
+            budget=40,
+            epsilon=0.3,
+            warm_start=False,
+            bc=TrainConfig(learning_rate=0.05, epochs=3, seed=1),
+            seed=13,
+        )
+        models = []
+        _, reports = run_self_improvement(
+            cfg,
+            small_world,
+            small_data,
+            pretrained=small_models,
+            on_iteration=lambda model, report: models.append(model),
+        )
+        zero = zero_classifier(small_world.template_ids, ROLE_BACKWARD)
+        previous = small_models[0]
+        for model, report in zip(models, reports):
+            union = ReactionCollection(
+                entries=report.collected.entries + report.augmented.entries
+            )
+            assert union.entries
+            bc_cfg = replace(cfg.bc, seed=derive_seed(cfg.bc.seed, f"bc-{report.iteration}"))
+            assert np.array_equal(model.weights, behavioral_clone(zero, union, bc_cfg).weights)
+            warm = behavioral_clone(previous, union, bc_cfg)
+            assert not np.array_equal(model.weights, warm.weights)
+            previous = model
 
     def test_dedupe_mode_removes_multiplicity(self, small_world, small_data, small_models):
         cfg = LoopConfig(

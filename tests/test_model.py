@@ -30,6 +30,7 @@ from retroloop.errors import CheckpointError
 from retroloop.model import (
     ROLE_BACKWARD,
     ROLE_FORWARD,
+    FeatureVector,
     _feature_hash,
     mean_nll,
     nll_and_grad,
@@ -338,6 +339,61 @@ class TestLikelihood:
         assert np.array_equal(backward.weights, before_w)
 
 
+def random_model_and_samples(world, data, dim=256):
+    """A classifier with random weights, and weighted samples of the train
+    reactions plus one sample without any feature."""
+    rng = np.random.default_rng(5)
+    clf = classifier_like(
+        zero_classifier(world.template_ids, ROLE_BACKWARD, dim),
+        weights=rng.normal(size=(len(world.template_ids), dim)) * 0.5,
+        bias=rng.normal(size=len(world.template_ids)) * 0.5,
+    )
+    samples = [
+        (featurize_molecule(rx.product, dim), rx.template_id, float(rng.integers(1, 4)))
+        for rx in data.reactions_train
+    ]
+    samples.append((FeatureVector(dim=dim, indices=()), data.reactions_train[0].template_id))
+    return clf, samples
+
+
+# The dense training path the sparse one replaced: every sample is a full
+# 0/1 row of length dim.
+
+
+def dense_arrays(model, samples):
+    x = np.array([fv.toarray() for fv, *_ in samples], dtype=np.float64)
+    y = np.array([model.template_index.index(s[1]) for s in samples])
+    w = np.array([s[2] if len(s) > 2 else 1.0 for s in samples], dtype=np.float64)
+    return x, y, w
+
+
+def dense_nll_grad(weights, bias, x, y, w):
+    logits = x @ weights.T + bias
+    logits -= logits.max(axis=1, keepdims=True)
+    e = np.exp(logits)
+    z = e.sum(axis=1, keepdims=True)
+    rows = np.arange(len(y))
+    logp = logits[rows, y] - np.log(z[:, 0])
+    resid = e / z
+    resid[rows, y] -= 1.0
+    resid *= w[:, None]
+    return logp, resid.T @ x, resid.sum(axis=0)
+
+
+def dense_train(model, samples, cfg):
+    x, y, w = dense_arrays(model, samples)
+    weights, bias = model.weights.copy(), model.bias.copy()
+    rng = np.random.default_rng(cfg.seed)
+    for _ in range(cfg.epochs):
+        perm = rng.permutation(len(y))
+        for start in range(0, len(y), cfg.batch_size):
+            idx = perm[start : start + cfg.batch_size]
+            _, grad_w, grad_b = dense_nll_grad(weights, bias, x[idx], y[idx], w[idx])
+            weights -= cfg.learning_rate / len(idx) * grad_w
+            bias -= cfg.learning_rate / len(idx) * grad_b
+    return weights, bias
+
+
 class TestTraining:
     def _samples(self, world, data):
         return [
@@ -399,6 +455,50 @@ class TestTraining:
         _, grad_w, grad_b = nll_and_grad(clf, samples)
         np.testing.assert_allclose(stepped.weights, clf.weights - lr / n * grad_w, rtol=1e-12)
         np.testing.assert_allclose(stepped.bias, clf.bias - lr / n * grad_b, rtol=1e-12)
+
+    @pytest.mark.parametrize("batch_size", [7, 1000], ids=["partial-last-batch", "batch-over-n"])
+    def test_sparse_training_matches_dense_reference(self, small_world, small_data, batch_size):
+        clf, samples = random_model_and_samples(small_world, small_data)
+        assert len(samples) % 7 and len(samples) < 1000
+        cfg = TrainConfig(learning_rate=0.05, epochs=3, batch_size=batch_size, seed=4)
+        trained = train(clf, samples, cfg)
+        weights, bias = dense_train(clf, samples, cfg)
+        np.testing.assert_allclose(trained.weights, weights, rtol=1e-12)
+        np.testing.assert_allclose(trained.bias, bias, rtol=1e-12)
+
+    def test_nll_and_grad_match_dense_reference(self, small_world, small_data):
+        clf, samples = random_model_and_samples(small_world, small_data)
+        x, y, w = dense_arrays(clf, samples)
+        logp, grad_w, grad_b = dense_nll_grad(clf.weights, clf.bias, x, y, w)
+        total, sparse_w, sparse_b = nll_and_grad(clf, samples)
+        np.testing.assert_allclose(total, -(w * logp).sum(), rtol=1e-12)
+        np.testing.assert_allclose(sparse_w, grad_w, rtol=1e-12)
+        np.testing.assert_allclose(sparse_b, grad_b, rtol=1e-12)
+
+    def test_sample_without_features_trains(self, small_world):
+        clf = zero_classifier(small_world.template_ids, ROLE_BACKWARD, dim=64)
+        empty = FeatureVector(dim=64, indices=())
+        trained = train(clf, [(empty, "split:+")], TrainConfig(learning_rate=0.5, epochs=2))
+        assert not trained.weights.any()
+        assert np.argmax(trained.bias) == clf._row_of["split:+"]
+
+    def test_inactive_columns_keep_their_weights(self, small_world, small_data):
+        clf, samples = random_model_and_samples(small_world, small_data)
+        active = sorted({i for fv, *_ in samples for i in fv.indices})
+        inactive = np.setdiff1d(np.arange(clf.dim), active)
+        assert len(inactive)
+        trained = train(clf, samples, TrainConfig(learning_rate=0.05, epochs=3, batch_size=16))
+        assert np.array_equal(trained.weights[:, inactive], clf.weights[:, inactive])
+        assert not np.array_equal(trained.weights[:, active], clf.weights[:, active])
+
+    @pytest.mark.parametrize("fv_dim", [128, 512])
+    def test_feature_dim_must_match_model(self, small_world, fv_dim):
+        clf = zero_classifier(small_world.template_ids, ROLE_BACKWARD, dim=256)
+        sample = (featurize_molecule(mol("((a+b)*c)"), fv_dim), "split:+")
+        with pytest.raises(InvalidInput):
+            train(clf, [sample], TrainConfig())
+        with pytest.raises(InvalidInput):
+            nll_and_grad(clf, [sample])
 
     def test_empty_data_rejected(self, small_world):
         clf = zero_classifier(small_world.template_ids, ROLE_BACKWARD)
