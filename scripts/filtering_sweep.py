@@ -45,8 +45,9 @@ def main(argv=None) -> int:
             model, reports = run_self_improvement(
                 replace(loop_cfg, epsilon=eps), world, data, pretrained
             )
-            top1s.append(topk_exact_match(model, data.reactions_test, 1, world))
-            top10s.append(topk_exact_match(model, data.reactions_test, 10, world))
+            top1, top10 = topk_exact_match(model, data.reactions_test, (1, 10), world)
+            top1s.append(top1)
+            top10s.append(top10)
             metrics = evaluate_over_budgets(
                 model, estimator, data.targets, [budget], pretrained[1], data, world,
                 k_expand=cfg.eval.k_expand,

@@ -4,11 +4,11 @@ One JSON config drives a full experiment; every stage is deterministic given
 the config (all randomness flows from the config's seeds through named child
 seeds, there is no global RNG). Exit codes are stable:
 
-  2  invalid or unreadable config
+  2  invalid or unreadable config, or an invalid command-line argument
   3  empty train split at pretraining
   4  missing checkpoints
   5  corrupt checkpoint, world or dataset file, or a checkpoint of another
-     world or feature dim
+     world, feature dim or direction
   6  missing run manifest
 """
 
@@ -24,7 +24,6 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, is_dataclass, replace
-from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple, get_args, get_origin, get_type_hints
 
@@ -34,13 +33,12 @@ from .improve import LoopConfig, pretrain_models, run_self_improvement
 from .model import (
     DEFAULT_DIM,
     ROLE_BACKWARD,
-    ROLE_REFERENCE,
+    ROLE_FORWARD,
     TemplateClassifier,
     TrainConfig,
     load_checkpoint,
     save_checkpoint,
     topk_exact_match,
-    with_role,
 )
 from .planner import ZeroEstimator, plan, route_cost_under
 from .seeding import derive_seed
@@ -98,8 +96,9 @@ class EvalConfig:
     k_expand: int = 10
 
     def __post_init__(self) -> None:
-        if not self.budgets or list(self.budgets) != sorted(self.budgets) or self.budgets[0] < 1:
-            raise InvalidConfig("budgets must be ascending positive integers")
+        ascending = all(a < b for a, b in zip(self.budgets, self.budgets[1:]))
+        if not self.budgets or not ascending or self.budgets[0] < 1:
+            raise InvalidConfig("budgets must be strictly ascending positive integers")
         if self.estimator not in ("retro0", "oracle"):
             raise InvalidConfig("estimator must be 'retro0' or 'oracle'")
 
@@ -289,7 +288,6 @@ def _checkpoint_paths(seed_dir: Path) -> dict[str, Path]:
     ck = seed_dir / "checkpoints"
     return {
         "backward": ck / "backward.json",
-        "reference": ck / "reference_backward.json",
         "forward": ck / "forward.json",
         "final": ck / "backward_final.json",
     }
@@ -301,23 +299,23 @@ def run_pretrain(
     backward, reference, forward = build_pretrained(cfg, seed, world, data)
     paths = _checkpoint_paths(seed_dir)
     paths["backward"].parent.mkdir(parents=True, exist_ok=True)
+    # The reference is the pretrained backward model: both read backward.json.
     save_checkpoint(backward, paths["backward"])
-    # The reference file stores the direction role so the two checkpoints are
-    # byte-identical; loaders assign the reference duty.
-    save_checkpoint(with_role(reference, ROLE_BACKWARD), paths["reference"])
     save_checkpoint(forward, paths["forward"])
     if data.reactions_test:
-        top1 = topk_exact_match(backward, data.reactions_test, 1, world)
-        top10 = topk_exact_match(backward, data.reactions_test, 10, world)
+        top1, top10 = topk_exact_match(backward, data.reactions_test, (1, 10), world)
         print(f"pretrain seed={seed} top1={top1:.6f} top10={top10:.6f}")
     return backward, reference, forward
 
 
-def _load_checkpoints(paths, world: World, dim: int) -> list[TemplateClassifier]:
-    """The checkpoints at ``paths``, each made for ``world`` and ``dim``."""
+def _load_checkpoints(needed, world: World, dim: int) -> list[TemplateClassifier]:
+    """The checkpoints of the (path, role) pairs ``needed``, each of that
+    role (direction) and made for ``world`` and ``dim``."""
     models = []
-    for path in paths:
+    for path, role in needed:
         model = load_checkpoint(path)
+        if model.role != role:
+            raise CheckpointError(f"checkpoint {path} holds a {model.role} model, not a {role} one")
         if model.dim != dim:
             raise CheckpointError(f"checkpoint {path} has dim {model.dim}, the config {dim}")
         if model.template_index != world.template_ids:
@@ -377,15 +375,10 @@ def run_evaluate(
     data: Dataset,
     reference: TemplateClassifier,
     models_by_iteration: dict[int, TemplateClassifier],
-    budgets: tuple[int, ...] | None = None,
-    estimator_kind: str | None = None,
 ) -> list[dict]:
-    budgets = budgets or cfg.eval.budgets
-    estimator_kind = estimator_kind or cfg.eval.estimator
+    budgets = cfg.eval.budgets
     estimator = (
-        OracleEstimator(world, reference)
-        if estimator_kind == "oracle"
-        else ZeroEstimator()
+        OracleEstimator(world, reference) if cfg.eval.estimator == "oracle" else ZeroEstimator()
     )
     metrics_dir = seed_dir / "metrics"
     metrics_dir.mkdir(parents=True, exist_ok=True)
@@ -404,8 +397,7 @@ def run_evaluate(
         )
         top1 = top10 = float("nan")
         if data.reactions_test:
-            top1 = topk_exact_match(model, data.reactions_test, 1, world)
-            top10 = topk_exact_match(model, data.reactions_test, 10, world)
+            top1, top10 = topk_exact_match(model, data.reactions_test, (1, 10), world)
         for budget, metrics in by_budget.items():
             _write_target_rows(
                 metrics_dir / f"targets_budget{budget}_iter{iteration}.csv", metrics
@@ -550,20 +542,21 @@ def _seeds_for(args, cfg: ExperimentConfig) -> tuple[int, ...]:
     return (args.seed,) if getattr(args, "seed", None) is not None else cfg.seeds
 
 
-def _seed_worlds(args, needs=lambda paths: ()):
+def _seed_worlds(args, needs=lambda paths: (), cfg=None):
     """(cfg, seed, seed_dir, world, data, checkpoints) for each seed a command
-    covers. ``needs`` picks, from a seed's checkpoint paths, the checkpoints
-    the command reads: all of them must exist before the seed's world is
-    built or read."""
-    cfg, _doc = load_config(args.config)
+    covers. ``needs`` picks, from a seed's checkpoint paths, the (path, role)
+    of each checkpoint the command reads: all of them must exist before the
+    seed's world is built or read. ``cfg`` defaults to the ``--config`` file."""
+    if cfg is None:
+        cfg, _doc = load_config(args.config)
     for seed in _seeds_for(args, cfg):
         seed_dir = _seed_dir(Path(args.out), seed)
-        paths = needs(_checkpoint_paths(seed_dir))
-        for path in paths:
+        needed = needs(_checkpoint_paths(seed_dir))
+        for path, _role in needed:
             if not Path(path).exists():
                 raise FileNotFoundError(f"missing checkpoint {path}")
         world, data = ensure_world_data(cfg, seed, seed_dir)
-        yield cfg, seed, seed_dir, world, data, _load_checkpoints(paths, world, cfg.dim)
+        yield cfg, seed, seed_dir, world, data, _load_checkpoints(needed, world, cfg.dim)
 
 
 def cmd_gen_world(args) -> int:
@@ -579,11 +572,12 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_self_improve(args) -> int:
-    needs = itemgetter("backward", "reference", "forward")
-    for cfg, seed, seed_dir, world, data, (backward, reference, forward) in _seed_worlds(
-        args, needs
-    ):
-        pretrained = (backward, with_role(reference, ROLE_REFERENCE), forward)
+    def needs(paths):
+        return ((paths["backward"], ROLE_BACKWARD), (paths["forward"], ROLE_FORWARD))
+
+    for cfg, seed, seed_dir, world, data, (backward, forward) in _seed_worlds(args, needs):
+        # The pretrained backward model is also the frozen reference.
+        pretrained = (backward, backward, forward)
         _final, reports = run_improve(cfg, seed, seed_dir, world, data, pretrained)
         for report in reports:
             print(
@@ -596,30 +590,29 @@ def cmd_self_improve(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    budgets = tuple(sorted(args.budget)) if args.budget else None
+    cfg, _doc = load_config(args.config)
+    try:
+        eval_cfg = replace(
+            cfg.eval,
+            budgets=tuple(sorted(args.budget or cfg.eval.budgets)),
+            estimator=args.estimator or cfg.eval.estimator,
+        )
+    except InvalidConfig as exc:
+        raise ConfigError(f"--budget: {exc}") from exc
     extra = (args.baseline,) if args.baseline else ()
 
     def needs(paths):
-        return (paths["reference"], args.checkpoint or paths["final"], *extra)
+        chosen = (paths["backward"], args.checkpoint or paths["final"], *extra)
+        return [(path, ROLE_BACKWARD) for path in chosen]
 
     for cfg, seed, seed_dir, world, data, (reference, model, *baseline) in _seed_worlds(
-        args, needs
+        args, needs, replace(cfg, eval=eval_cfg)
     ):
         if baseline:
             models = {0: baseline[0], cfg.loop.iterations: model}
         else:
             models = {args.iteration: model}
-        rows = run_evaluate(
-            cfg,
-            seed,
-            seed_dir,
-            world,
-            data,
-            with_role(reference, ROLE_REFERENCE),
-            models,
-            budgets=budgets,
-            estimator_kind=args.estimator,
-        )
+        rows = run_evaluate(cfg, seed, seed_dir, world, data, reference, models)
         for row in rows:
             print(
                 f"evaluate seed={seed} iteration={row['iteration']} budget={row['budget']} "
@@ -630,17 +623,19 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_plan(args) -> int:
+    if not args.target:
+        raise ConfigError("--target: must be a non-empty molecule")
+    if args.budget < 0:
+        raise ConfigError(f"--budget: must be non-negative, got {args.budget}")
     oracle = args.estimator == "oracle"
 
     def needs(paths):
-        return (args.checkpoint or paths["final"], *((paths["reference"],) if oracle else ()))
+        chosen = (args.checkpoint or paths["final"], *((paths["backward"],) if oracle else ()))
+        return [(path, ROLE_BACKWARD) for path in chosen]
 
     # The given seed, or the config's first.
     cfg, _seed, _seed_dir, world, _data, (model, *reference) = next(_seed_worlds(args, needs))
-    if oracle:
-        estimator = OracleEstimator(world, with_role(reference[0], ROLE_REFERENCE))
-    else:
-        estimator = ZeroEstimator()
+    estimator = OracleEstimator(world, reference[0]) if oracle else ZeroEstimator()
     target = parse_molecule(args.target)
     result = plan(
         target, model, estimator, args.budget, cfg.eval.k_expand, world,
@@ -728,7 +723,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_gen_world)
 
-    p = sub.add_parser("pretrain", help="supervised pretraining of the three models")
+    p = sub.add_parser("pretrain", help="supervised pretraining of the backward and forward models")
     common(p)
     p.set_defaults(func=cmd_pretrain)
 

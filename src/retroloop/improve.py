@@ -11,11 +11,9 @@ once and never change.
 
 from __future__ import annotations
 
-import json
 import random
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from typing import Sequence
 
 from .errors import EmptyCollection, EmptyDataset, InvalidConfig
@@ -23,7 +21,6 @@ from .model import (
     DEFAULT_DIM,
     ROLE_BACKWARD,
     ROLE_FORWARD,
-    ROLE_REFERENCE,
     TemplateClassifier,
     TrainConfig,
     featurize_molecule,
@@ -32,7 +29,6 @@ from .model import (
     predict_topk,
     topk_exact_match,
     train,
-    with_role,
     zero_classifier,
 )
 from .planner import ZeroEstimator, plan
@@ -127,29 +123,6 @@ def behavioral_clone(
     return train(model, [tuple(s) for s in weighted.values()], cfg)
 
 
-def dump_collection(collection: ReactionCollection, path: str | Path) -> None:
-    """One record per distinct reaction with its multiset weight."""
-    counts = collection.counts()
-    seen = set()
-    with Path(path).open("w") as fh:
-        for rx in collection.entries:
-            if rx.key in seen:
-                continue
-            seen.add(rx.key)
-            fh.write(
-                json.dumps(
-                    {
-                        "product": rx.product.text,
-                        "reactants": [r.text for r in rx.reactants],
-                        "template": rx.template_id,
-                        "weight": counts[rx.key],
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
-
-
 # ---------------------------------------------------------------------------
 # the loop
 
@@ -166,7 +139,6 @@ class LoopConfig:
     seed: int = 0
     augmentation: bool = True
     warm_start: bool = True
-    dedupe_collections: bool = False
 
     def __post_init__(self) -> None:
         if self.iterations < 1:
@@ -220,8 +192,8 @@ def pretrain_models(
 ) -> tuple[TemplateClassifier, TemplateClassifier, TemplateClassifier]:
     """Supervised pretraining on the reaction dataset.
 
-    Returns (backward, reference, forward); the backward model starts as an
-    exact copy of the reference model.
+    Returns (backward, reference, forward). The reference is the pretrained
+    backward model itself, so the loop's backward model starts from it.
     """
     if not data.reactions_train:
         raise EmptyDataset("pretraining needs a non-empty train split")
@@ -233,18 +205,17 @@ def pretrain_models(
         (featurize_reactant_set(rx.reactants, dim), rx.template_id)
         for rx in data.reactions_train
     ]
-    reference = train(
-        zero_classifier(world.template_ids, ROLE_REFERENCE, dim),
+    backward = train(
+        zero_classifier(world.template_ids, ROLE_BACKWARD, dim),
         backward_samples,
         backward_cfg,
     )
-    backward = with_role(reference, ROLE_BACKWARD)
     forward = train(
         zero_classifier(world.template_ids, ROLE_FORWARD, dim),
         forward_samples,
         forward_cfg,
     )
-    return backward, reference, forward
+    return backward, backward, forward
 
 
 def run_self_improvement(
@@ -263,9 +234,6 @@ def run_self_improvement(
     if not data.reactions_train:
         raise EmptyDataset("self-improvement needs a non-empty train split")
     backward, reference, forward = pretrained
-    backward = with_role(backward, ROLE_BACKWARD)
-    reference = with_role(reference, ROLE_REFERENCE)
-    forward = with_role(forward, ROLE_FORWARD)
 
     estimator = ZeroEstimator()
     targets = list(data.targets)
@@ -296,17 +264,6 @@ def run_self_improvement(
             entries=collected.entries + augmented.entries,
             provenance=collected.provenance + augmented.provenance,
         )
-        if cfg.dedupe_collections:
-            seen: set[tuple] = set()
-            kept_entries, kept_prov = [], []
-            for rx, src in zip(union.entries, union.provenance):
-                if rx.key in seen:
-                    continue
-                seen.add(rx.key)
-                kept_entries.append(rx)
-                kept_prov.append(src)
-            union = ReactionCollection(tuple(kept_entries), tuple(kept_prov))
-
         if union.entries:
             base = (
                 backward
@@ -318,8 +275,7 @@ def run_self_improvement(
 
         top1 = top10 = float("nan")
         if data.reactions_test:
-            top1 = topk_exact_match(backward, data.reactions_test, 1, world)
-            top10 = topk_exact_match(backward, data.reactions_test, 10, world)
+            top1, top10 = topk_exact_match(backward, data.reactions_test, (1, 10), world)
 
         report = IterationReport(
             iteration=i,

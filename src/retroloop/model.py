@@ -1,9 +1,10 @@
 """Feature hashing and the probabilistic template classifier.
 
-One classifier family serves three roles: the backward model (product ->
-template distribution), the frozen reference backward model used as a realism
-judge and cost scorer, and the forward model (reactant set -> template
-distribution, where a template stands for the product it joins into).
+One classifier family serves two directions, its ``role``: the backward model
+(product -> template distribution) and the forward model (reactant set ->
+template distribution, where a template stands for the product it joins into).
+The frozen reference that judges realism and scores costs is the pretrained
+backward model itself.
 
 The model is multinomial logistic regression over hashed structural features.
 Weights start at zero, so an untrained model predicts the exact uniform
@@ -36,9 +37,8 @@ DEFAULT_DIM = 2048
 CHECKPOINT_VERSION = 1
 
 ROLE_BACKWARD = "backward"
-ROLE_REFERENCE = "reference_backward"
 ROLE_FORWARD = "forward"
-ROLES = (ROLE_BACKWARD, ROLE_REFERENCE, ROLE_FORWARD)
+ROLES = (ROLE_BACKWARD, ROLE_FORWARD)
 
 # Feature subterms are capped at height 2, the term analogue of a
 # radius-2 fingerprint.
@@ -144,12 +144,6 @@ def zero_classifier(
         template_index=tuple(template_ids),
         role=role,
     )
-
-
-def with_role(model: TemplateClassifier, role: str) -> TemplateClassifier:
-    if role not in ROLES:
-        raise InvalidInput(f"unknown role {role!r}")
-    return replace(model, role=role)
 
 
 def _scores(model: TemplateClassifier, fv: FeatureVector) -> np.ndarray:
@@ -423,21 +417,25 @@ def train(
 
 
 def topk_exact_match(
-    model: TemplateClassifier, test: Sequence[Reaction], k: int, world: World
-) -> float:
-    """Fraction of reactions whose true reactant set appears in the top-k."""
+    model: TemplateClassifier, test: Sequence[Reaction], ks: Sequence[int], world: World
+) -> tuple[float, ...]:
+    """For each k in ``ks``, the fraction of reactions whose true reactant set
+    appears in the top-k. Each reaction is ranked once, to the largest k: a
+    top-k list is a prefix of every longer one."""
     if not test:
         raise EmptyDataset("test set is empty")
     if model.role == ROLE_FORWARD:
         raise InvalidInput("exact match accuracy is defined for backward models")
-    hits = 0
+    hits = [0] * len(ks)
     for rx in test:
         truth = tuple(r.text for r in rx.reactants)
-        for pred in predict_topk(model, rx.product, k, world):
-            if tuple(m.text for m in pred.outcome) == truth:  # type: ignore[union-attr]
-                hits += 1
-                break
-    return hits / len(test)
+        outcomes = [
+            tuple(m.text for m in pred.outcome)  # type: ignore[union-attr]
+            for pred in predict_topk(model, rx.product, max(ks), world)
+        ]
+        for j, k in enumerate(ks):
+            hits[j] += truth in outcomes[:k]
+    return tuple(h / len(test) for h in hits)
 
 
 # ---------------------------------------------------------------------------

@@ -270,11 +270,10 @@ class TestFilteringAblation:
                     model, _ = run_self_improvement(
                         ablated, run["world"], run["data"], pretrained=run["pretrained"]
                     )
-                    acc[eps].append(
-                        topk_exact_match(
-                            model, run["data"].reactions_test, 1, run["world"]
-                        )
+                    (top1,) = topk_exact_match(
+                        model, run["data"].reactions_test, (1,), run["world"]
                     )
+                    acc[eps].append(top1)
             mean0 = float(np.mean(acc[0.0]))
             mean08 = float(np.mean(acc[0.8]))
             assert mean0 <= mean08 + 1e-12, (mean0, mean08)

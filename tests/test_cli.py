@@ -102,8 +102,13 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("epsilom", 0.5), ("augmentation", "false"), ("mix_train_reactions", False)],
-        ids=["typo", "string-boolean", "removed-knob"],
+        [
+            ("epsilom", 0.5),
+            ("augmentation", "false"),
+            ("mix_train_reactions", False),
+            ("dedupe_collections", False),
+        ],
+        ids=["typo", "string-boolean", "removed-knob", "removed-dedupe"],
     )
     def test_bad_loop_key_exits_2(self, tmp_path, capsys, key, value):
         doc = json.loads(json.dumps(TINY))
@@ -169,10 +174,11 @@ class TestDamagedFiles:
 
 class TestPretrain:
     def test_backward_equals_reference_checkpoint(self, config_path, tmp_path, capsys):
+        # The reference is the pretrained backward model: one file holds both.
         out = tmp_path / "run"
         assert main(["pretrain", "--config", config_path, "--out", str(out), "--seed", "1"]) == 0
         ck = out / "seed_1" / "checkpoints"
-        assert (ck / "backward.json").read_bytes() == (ck / "reference_backward.json").read_bytes()
+        assert sorted(p.name for p in ck.iterdir()) == ["backward.json", "forward.json"]
         assert "top1=" in capsys.readouterr().out
 
     def test_rerun_is_identical(self, config_path, tmp_path):
@@ -384,7 +390,8 @@ class TestPlan:
         out = tmp_path / "run"
         main(["pretrain", "--config", config_path, "--out", str(out), "--seed", "1"])
         ck = out / "seed_1" / "checkpoints"
-        (ck / "reference_backward.json").unlink()
+        model = tmp_path / "model.json"
+        (ck / "backward.json").rename(model)
         atom = json.loads((out / "seed_1" / "world.json").read_text())["atoms"][0]
         capsys.readouterr()
         code = main(
@@ -399,13 +406,13 @@ class TestPlan:
                 "--target",
                 atom,
                 "--checkpoint",
-                str(ck / "backward.json"),
+                str(model),
                 "--estimator",
                 "oracle",
             ]
         )
         assert code == 4
-        assert f"missing checkpoint {ck / 'reference_backward.json'}" in capsys.readouterr().err
+        assert f"missing checkpoint {ck / 'backward.json'}" in capsys.readouterr().err
 
 
 class TestCheckpointChecks:
@@ -419,6 +426,33 @@ class TestCheckpointChecks:
         assert code == 4
         assert "missing checkpoint" in capsys.readouterr().err
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "command, role",
+        [
+            (["evaluate", "--checkpoint", "forward.json"], "forward"),
+            (["evaluate", "--checkpoint", "backward.json", "--baseline", "forward.json"], "forward"),
+            (["plan", "--target", "a", "--checkpoint", "forward.json"], "forward"),
+            (["self-improve"], "backward"),
+        ],
+        ids=["evaluate-checkpoint", "evaluate-baseline", "plan-checkpoint", "self-improve"],
+    )
+    def test_checkpoint_of_another_direction_exits_5(
+        self, config_path, tmp_path, capsys, command, role
+    ):
+        out = tmp_path / "run"
+        main(["pretrain", "--config", config_path, "--out", str(out), "--seed", "1"])
+        ck = out / "seed_1" / "checkpoints"
+        forward = ck / "forward.json"
+        if role == "backward":  # self-improve reads forward.json as the forward model
+            forward.write_bytes((ck / "backward.json").read_bytes())
+        argv = [str(ck / a) if a.endswith(".json") else a for a in command]
+        capsys.readouterr()
+        code = main([*argv, "--config", config_path, "--out", str(out), "--seed", "1"])
+        assert code == 5
+        assert f"checkpoint {forward} holds a {role} model" in capsys.readouterr().err
+        assert not (out / "seed_1" / "metrics").exists()
+        assert not (out / "seed_1" / "reports").exists()
 
     def test_checkpoint_from_another_world_exits_5(self, config_path, tmp_path, capsys):
         doc = json.loads(json.dumps(TINY))
@@ -462,6 +496,30 @@ class TestCheckpointChecks:
         backward = out / "seed_1" / "checkpoints" / "backward.json"
         assert f"checkpoint {backward} has dim 512, the config 256" in capsys.readouterr().err
         assert not (out / "seed_1" / "reports").exists()
+
+
+class TestArguments:
+    @pytest.mark.parametrize(
+        "command, option",
+        [
+            (["evaluate", "--budget", "-5"], "--budget"),
+            (["evaluate", "--budget", "0"], "--budget"),
+            (["evaluate", "--budget", "20", "--budget", "20"], "--budget"),
+            (["plan", "--target", "a", "--budget", "-1"], "--budget"),
+            (["plan", "--target", ""], "--target"),
+        ],
+        ids=["evaluate-negative", "evaluate-zero", "evaluate-repeated", "plan-negative", "plan-empty-target"],
+    )
+    def test_invalid_argument_exits_2_before_any_read(
+        self, config_path, tmp_path, capsys, command, option
+    ):
+        out = tmp_path / "run"
+        out.mkdir()
+        code = main([*command, "--config", config_path, "--out", str(out), "--seed", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {option}: ") and err.count("\n") == 1
+        assert list(out.iterdir()) == []
 
 
 class TestReportAndRunAll:

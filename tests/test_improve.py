@@ -28,7 +28,6 @@ from retroloop.improve import pretrain_models
 from retroloop.model import (
     ROLE_BACKWARD,
     ROLE_FORWARD,
-    ROLE_REFERENCE,
     featurize_molecule,
     featurize_reactant_set,
     predict_topk,
@@ -102,7 +101,7 @@ class TestAugment:
         ]
         cfg = TrainConfig(learning_rate=0.5, epochs=50, seed=0)
         reference = train(
-            zero_classifier(world.template_ids, ROLE_REFERENCE), samples_b, cfg
+            zero_classifier(world.template_ids, ROLE_BACKWARD), samples_b, cfg
         )
         forward = train(
             zero_classifier(world.template_ids, ROLE_FORWARD), samples_f, cfg
@@ -130,7 +129,7 @@ class TestAugment:
         forward = zero_classifier(world.template_ids, ROLE_FORWARD)
         # the uniform forward model proposes the + join at probability 1/2
 
-        rigged = zero_classifier(world.template_ids, ROLE_REFERENCE)
+        rigged = zero_classifier(world.template_ids, ROLE_BACKWARD)
         favour_chop = type(rigged)(
             weights=rigged.weights,
             bias=np.array([0.0, 5.0]),
@@ -197,28 +196,6 @@ class TestBehavioralClone:
         model = zero_classifier(small_world.template_ids, ROLE_BACKWARD)
         with pytest.raises(EmptyCollection):
             behavioral_clone(model, ReactionCollection(), TrainConfig())
-
-
-class TestDumpCollection:
-    def test_records_carry_multiset_weights(self, tmp_path):
-        import json
-
-        from retroloop.improve import dump_collection
-
-        rx1 = make_reaction(mol("(a+b)"), (mol("a"), mol("b")), "split:+")
-        rx2 = make_reaction(mol("(b+c)"), (mol("b"), mol("c")), "split:+")
-        collection = ReactionCollection(
-            entries=(rx1, rx2, rx1), provenance=("t1", "t2", "t3")
-        )
-        path = tmp_path / "collection.jsonl"
-        dump_collection(collection, path)
-        records = [json.loads(l) for l in path.read_text().splitlines()]
-        assert len(records) == 2
-        by_product = {r["product"]: r for r in records}
-        assert by_product["(a+b)"]["weight"] == 2
-        assert by_product["(a+b)"]["reactants"] == ["a", "b"]
-        assert by_product["(a+b)"]["template"] == "split:+"
-        assert by_product["(b+c)"]["weight"] == 1
 
 
 class TestLoop:
@@ -350,22 +327,6 @@ class TestLoop:
             assert not np.array_equal(model.weights, warm.weights)
             previous = model
 
-    def test_dedupe_mode_removes_multiplicity(self, small_world, small_data, small_models):
-        cfg = LoopConfig(
-            iterations=1,
-            targets_per_iteration=20,
-            budget=40,
-            epsilon=0.0,
-            dedupe_collections=True,
-            bc=TrainConfig(learning_rate=0.05, epochs=2, seed=1),
-            seed=2,
-        )
-        # dedupe only affects training input; the reported collection keeps weights
-        final, reports = run_self_improvement(
-            cfg, small_world, small_data, pretrained=small_models
-        )
-        assert reports[0].kept_after_filter >= len(reports[0].collected.counts())
-
     def test_empty_train_split_rejected(self, small_world, small_models):
         from retroloop import Dataset, EmptyDataset
 
@@ -391,5 +352,5 @@ class TestPretrainModels:
         assert np.array_equal(backward.weights, reference.weights)
         assert np.array_equal(backward.bias, reference.bias)
         assert backward.role == ROLE_BACKWARD
-        assert reference.role == ROLE_REFERENCE
+        assert reference.role == ROLE_BACKWARD
         assert forward.role == ROLE_FORWARD

@@ -554,8 +554,7 @@ class TestTraining:
 class TestExactMatch:
     def test_monotone_in_k(self, small_models, small_data, small_world):
         backward, _, _ = small_models
-        acc1 = topk_exact_match(backward, small_data.reactions_test, 1, small_world)
-        acc10 = topk_exact_match(backward, small_data.reactions_test, 10, small_world)
+        acc1, acc10 = topk_exact_match(backward, small_data.reactions_test, (1, 10), small_world)
         assert acc1 <= acc10
 
     def test_perfect_model_hits_everything(self, small_world, small_data):
@@ -566,7 +565,7 @@ class TestExactMatch:
         ]
         trained = train(clf, samples, TrainConfig(learning_rate=0.3, epochs=40, seed=1))
         k = len(small_world.templates)
-        assert topk_exact_match(trained, small_data.reactions_train, k, small_world) == 1.0
+        assert topk_exact_match(trained, small_data.reactions_train, (k,), small_world) == (1.0,)
 
     def test_zero_model_tie_break_decides_top1(self):
         # With zero weights every template is equally likely, so the template
@@ -577,17 +576,16 @@ class TestExactMatch:
         ]
         decoy_first = two_template_world(decoy_first=True)
         clf = zero_classifier(decoy_first.template_ids, ROLE_BACKWARD)
-        assert topk_exact_match(clf, reactions, 1, decoy_first) == 0.0
-        assert topk_exact_match(clf, reactions, 2, decoy_first) == 1.0
+        assert topk_exact_match(clf, reactions, (1, 2), decoy_first) == (0.0, 1.0)
 
         split_first = two_template_world(decoy_first=False)
         clf = zero_classifier(split_first.template_ids, ROLE_BACKWARD)
-        assert topk_exact_match(clf, reactions, 1, split_first) == 1.0
+        assert topk_exact_match(clf, reactions, (1,), split_first) == (1.0,)
 
     def test_empty_test_set_rejected(self, small_models, small_world):
         backward, _, _ = small_models
         with pytest.raises(EmptyDataset):
-            topk_exact_match(backward, [], 1, small_world)
+            topk_exact_match(backward, [], (1,), small_world)
 
 
 class TestCheckpoints:
