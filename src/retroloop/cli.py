@@ -101,6 +101,8 @@ class EvalConfig:
             raise InvalidConfig("budgets must be strictly ascending positive integers")
         if self.estimator not in ("retro0", "oracle"):
             raise InvalidConfig("estimator must be 'retro0' or 'oracle'")
+        if self.k_expand < 1:
+            raise InvalidConfig("k_expand must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -165,7 +167,8 @@ def _build(default, section, where: str):
     try:
         return replace(default, **values)
     except InvalidConfig as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+        # Each check's message opens with its field, so this names the key.
+        raise ConfigError(f"{where}.{exc}") from exc
 
 
 def parse_config(doc: dict, where: str = "config") -> ExperimentConfig:

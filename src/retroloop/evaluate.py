@@ -8,14 +8,25 @@ calls, never wall clock.
 
 from __future__ import annotations
 
+import heapq
 import math
-from collections import deque
+from collections import ChainMap, deque
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .errors import CapExceeded, EmptyDataset, InvalidInput, UnknownTemplate
 from .model import TemplateClassifier, featurize_molecule, predict_proba
 from .planner import ValueEstimator, plan, route_cost_under
-from .world import Dataset, Molecule, Reaction, Route, World, make_reaction
+from .world import (
+    Dataset,
+    Molecule,
+    Reaction,
+    Route,
+    Template,
+    World,
+    make_reaction,
+    parse_ast,
+)
 
 INF = math.inf
 
@@ -130,10 +141,16 @@ def evaluate_over_budgets(
 # ---------------------------------------------------------------------------
 # exhaustive oracle
 
+# (template id, cost under the reference model, reactants sorted by text,
+# distinct reactant texts sorted)
+Application = tuple[str, float, tuple[Molecule, ...], tuple[str, ...]]
+
 
 @dataclass
 class OracleTable:
-    """Minimal additive route cost and a witness route per explored molecule."""
+    """What one oracle call settled: the minimal additive route cost of each
+    molecule it newly explored (INF when unsynthesizable), and a witness
+    route for each root of finite cost."""
 
     costs: dict[str, float]
     witnesses: dict[str, Route]
@@ -141,114 +158,173 @@ class OracleTable:
     cap: int
 
 
+def _templates_by_op(world: World) -> dict[str | None, tuple[Template, ...]]:
+    """``World.backward_ids_by_op`` as templates in ``world.templates`` order,
+    the order that breaks ties between equally cheap applications."""
+    return {
+        op: tuple(t for t in world.templates if t.id in ids)
+        for op, ids in world.backward_ids_by_op.items()
+    }
+
+
+def _applications(
+    m: Molecule,
+    ref: TemplateClassifier,
+    row_of: dict[str, int],
+    by_op: dict[str | None, tuple[Template, ...]],
+) -> list[Application]:
+    """The non-cyclic template applications to ``m`` in template order, each
+    priced at its negative log probability under ``ref``. The model is asked
+    only when some template applies."""
+    ast = None if m.malformed else parse_ast(m.text)
+    if ast is None:
+        return []
+    fired = []
+    for template in by_op[ast.op]:
+        reactants = template.backward(m)
+        if reactants is None:
+            continue
+        texts = tuple(sorted({r.text for r in reactants}))
+        if m.text in texts:
+            continue  # cyclic application
+        row = row_of.get(template.id)
+        if row is None:
+            raise UnknownTemplate(template.id)
+        fired.append((template.id, row, reactants, texts))
+    if not fired:
+        return []
+    probs = predict_proba(ref, featurize_molecule(m, ref.dim))
+    apps = []
+    for tid, row, reactants, texts in fired:
+        p = float(probs[row])
+        cost = INF if p <= 0.0 else -math.log(p)
+        apps.append((tid, cost, tuple(sorted(reactants, key=lambda r: r.text)), texts))
+    return apps
+
+
 def brute_force_oracle(
     world: World,
     ref: TemplateClassifier,
     roots: "list[Molecule] | tuple[Molecule, ...]",
     cap: int,
+    known: "Mapping[str, float] | None" = None,
 ) -> OracleTable:
     """Exhaustive minimum-cost computation over everything reachable from roots.
 
     value(m) = 0 for building blocks, otherwise the cheapest applicable
     template application: its negative log probability under the reference
-    model plus the values of the distinct reactants. Computed by fixed-point
-    iteration from above; molecules that never become finite are
-    unsynthesizable. Self-reproducing applications are skipped as cyclic.
+    model plus the values of the distinct reactants. Self-reproducing
+    applications are skipped as cyclic.
+
+    ``known`` holds costs settled by earlier calls. They are final, because
+    a call settles everything reachable from what it explores, so they are
+    leaves here, and ``known`` must hold everything reachable from its
+    molecules, as the union of earlier calls' costs does. The call explores,
+    scores and settles only the molecules not in ``known``; ``cap`` bounds
+    how many of those it may explore (``CapExceeded``), and ``explored``
+    counts them. Building blocks are leaves as well. The settling is
+    Knuth's generalised Dijkstra (Knuth 1977, Inf. Proc. Letters 6(1)):
+    costs are non-negative and additive, so an application is priced once
+    its last reactant is settled, and the cheapest priced molecule is
+    settled next. Molecules never settled are unsynthesizable (INF).
+
+    A witness route is built for each root of finite cost, top-down from the
+    final costs: each route molecule takes the first application, in
+    ``world.templates`` order, of strictly least cost.
     """
+    known = {} if known is None else known
+    by_op = _templates_by_op(world)
+    row_of = {tid: i for i, tid in enumerate(ref.template_index)}
+
     molecules: dict[str, Molecule] = {}
     queue = deque()
     for m in roots:
-        if m.text not in molecules:
+        if m.text not in known and m.text not in molecules:
             molecules[m.text] = m
             queue.append(m)
-
-    apps: dict[str, list[tuple[str, float, tuple[Molecule, ...], tuple[str, ...]]]] = {}
-    row_of = {tid: i for i, tid in enumerate(ref.template_index)}
+    apps: dict[str, list[Application]] = {}
     while queue:
         m = queue.popleft()
-        entry = []
-        probs = predict_proba(ref, featurize_molecule(m, ref.dim))
-        for template in world.templates:
-            reactants = template.backward(m)
-            if reactants is None:
-                continue
-            texts = tuple(sorted({r.text for r in reactants}))
-            if m.text in texts:
-                continue  # cyclic application
-            row = row_of.get(template.id)
-            if row is None:
-                raise UnknownTemplate(template.id)
-            p = float(probs[row])
-            cost = INF if p <= 0.0 else -math.log(p)
-            ordered = tuple(sorted(reactants, key=lambda r: r.text))
-            entry.append((template.id, cost, ordered, texts))
+        if world.is_building_block(m):
+            continue
+        apps[m.text] = _applications(m, ref, row_of, by_op)
+        for _, _, ordered, _ in apps[m.text]:
             for r in ordered:
-                if r.text not in molecules:
+                if r.text not in known and r.text not in molecules:
                     if len(molecules) >= cap:
                         raise CapExceeded(
                             f"oracle exploration exceeded cap of {cap} molecules"
                         )
                     molecules[r.text] = r
                     queue.append(r)
-        apps[m.text] = entry
 
-    values = {
-        text: 0.0 if world.is_building_block(m) else INF
-        for text, m in molecules.items()
-    }
-    changed = True
-    while changed:
-        changed = False
-        for text, m in molecules.items():
-            if world.is_building_block(m):
-                continue
-            best = INF
-            for _, cost, _, child_texts in apps[text]:
-                total = cost + sum(values[t] for t in child_texts)
-                if total < best:
-                    best = total
-            if best < values[text] - 1e-12:
-                values[text] = best
-                changed = True
-
-    def argmin_app(text: str):
-        best = None
-        for app in apps[text]:
-            total = app[1] + sum(values[t] for t in app[3])
-            if best is None or total < best[0]:
-                best = (total, app)
-        return best[1] if best is not None else None
-
-    witnesses: dict[str, Route] = {}
-    for text, m in molecules.items():
-        if values[text] == INF:
+    # values holds the known costs this call reads, then each settled one.
+    values: dict[str, float] = {}
+    heap = [(0.0, text) for text, m in molecules.items() if world.is_building_block(m)]
+    waiting: dict[str, list[list]] = {}  # unsettled text -> its applications
+    for text, entry in apps.items():
+        for _, cost, _, texts in entry:
+            app = [0, text, cost, texts]  # [unsettled reactants, product, ...]
+            for t in texts:
+                if t in known:
+                    values[t] = known[t]
+                else:
+                    app[0] += 1
+                    waiting.setdefault(t, []).append(app)
+            if not app[0]:
+                heap.append((cost + sum(values[t] for t in texts), text))
+    heapq.heapify(heap)
+    while heap:
+        value, text = heapq.heappop(heap)
+        if text in values:
             continue
-        if world.is_building_block(m):
-            witnesses[text] = Route(target=m, reactions=())
+        values[text] = value
+        for app in waiting.pop(text, ()):
+            app[0] -= 1
+            if app[0] == 0 and app[1] not in values:
+                _, parent, cost, texts = app
+                heapq.heappush(heap, (cost + sum(values[t] for t in texts), parent))
+    costs = {text: values.get(text, INF) for text in molecules}
+
+    final = ChainMap(costs, known)
+    witnesses: dict[str, Route] = {}
+    for root in roots:
+        if root.text in witnesses or final[root.text] == INF:
             continue
         reactions: dict[tuple, Reaction] = {}
-        pending = [text]
+        pending = [root]
         seen = set()
         while pending:
-            cur = pending.pop()
-            if cur in seen or world.is_building_block(molecules[cur]):
+            m = pending.pop()
+            if m.text in seen or world.is_building_block(m):
                 continue
-            seen.add(cur)
-            app = argmin_app(cur)
-            assert app is not None
-            tid, _, ordered, child_texts = app
-            rx = make_reaction(molecules[cur], ordered, tid)
+            seen.add(m.text)
+            if m.text in apps:
+                entry = apps[m.text]
+            else:
+                entry = _applications(m, ref, row_of, by_op)
+            best = None
+            for app in entry:
+                total = app[1] + sum(final[t] for t in app[3])
+                if best is None or total < best[0]:
+                    best = (total, app)
+            assert best is not None
+            tid, _, ordered, _ = best[1]
+            rx = make_reaction(m, ordered, tid)
             reactions.setdefault(rx.key, rx)
-            pending.extend(child_texts)
-        witnesses[text] = Route(target=m, reactions=tuple(reactions.values()))
+            pending.extend(ordered)
+        witnesses[root.text] = Route(target=root, reactions=tuple(reactions.values()))
 
-    return OracleTable(
-        costs=values, witnesses=witnesses, explored=len(molecules), cap=cap
-    )
+    return OracleTable(costs=costs, witnesses=witnesses, explored=len(molecules), cap=cap)
 
 
 class OracleEstimator:
-    """Cost-to-go estimator backed by the exhaustive oracle, lazily extended."""
+    """Cost-to-go estimator backed by the exhaustive oracle, lazily extended.
+
+    It keeps only the costs its oracle calls settled, not their graphs, and
+    passes them to each call as ``known``, so every molecule is explored
+    and costed once over the estimator's life.
+    """
 
     kind = "oracle"
 
@@ -260,6 +336,8 @@ class OracleEstimator:
 
     def evaluate(self, molecule: Molecule) -> float:
         if molecule.text not in self._costs:
-            table = brute_force_oracle(self.world, self.ref, [molecule], self.cap)
+            table = brute_force_oracle(
+                self.world, self.ref, [molecule], self.cap, known=self._costs
+            )
             self._costs.update(table.costs)
         return self._costs[molecule.text]

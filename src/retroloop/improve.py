@@ -151,6 +151,8 @@ class LoopConfig:
             raise InvalidConfig("targets_per_iteration must be at least 1")
         if self.budget < 0:
             raise InvalidConfig("budget must be non-negative")
+        if self.k_expand < 1:
+            raise InvalidConfig("k_expand must be at least 1")
 
 
 @dataclass(frozen=True)

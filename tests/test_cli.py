@@ -135,6 +135,18 @@ class TestConfig:
         assert f"config.json.{'.'.join(section)}.seed:" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("section", ["loop", "eval"])
+    def test_zero_k_expand_exits_2_before_any_write(self, tmp_path, capsys, section):
+        # Caught with the config, not in the first plan after pretraining.
+        doc = json.loads(json.dumps(TINY))
+        doc[section]["k_expand"] = 0
+        path = write_config(tmp_path, doc)
+        out = tmp_path / "x"
+        out.mkdir()
+        assert main(["run-all", "--config", path, "--out", str(out), "--seed", "1"]) == 2
+        assert f"config.json.{section}.k_expand must be at least 1" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
 
 class TestDamagedFiles:
     def gen_world(self, config_path, out):

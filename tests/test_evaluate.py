@@ -1,7 +1,9 @@
 import math
+import random
 
 import pytest
 
+import retroloop.evaluate as evaluate_module
 from retroloop import (
     CapExceeded,
     Dataset,
@@ -9,6 +11,7 @@ from retroloop import (
     OracleEstimator,
     Template,
     TrainConfig,
+    UnknownTemplate,
     World,
     ZeroEstimator,
     brute_force_oracle,
@@ -26,7 +29,7 @@ from retroloop import (
 )
 from retroloop.errors import InvalidInput
 from retroloop.model import ROLE_BACKWARD, predict_proba
-from retroloop.world import KIND_IDENTITY, KIND_SPLIT, WorldConfig
+from retroloop.world import KIND_IDENTITY, KIND_SPLIT, WorldConfig, parse_ast, subterm_nodes
 
 
 def plus_identity_world():
@@ -192,6 +195,47 @@ class TestOracle:
         assert math.isinf(table.costs["(a?b)"])
         assert "(a?b)" not in table.witnesses
 
+    def test_model_without_an_applicable_template_is_rejected(self):
+        world = plus_identity_world()
+        clf = zero_classifier(("identity",), ROLE_BACKWARD)
+        with pytest.raises(UnknownTemplate):
+            brute_force_oracle(world, clf, [mol("(a+b)")], cap=100)
+
+    def test_cap_counts_only_molecules_not_yet_costed(self):
+        world = plus_identity_world()
+        clf = zero_classifier(world.template_ids, ROLE_BACKWARD)
+        with pytest.raises(CapExceeded):
+            brute_force_oracle(world, clf, [mol("((a+b)+a)")], cap=1)
+        known = {"(a+b)": math.log(2.0), "a": 0.0, "b": 0.0}
+        table = brute_force_oracle(world, clf, [mol("((a+b)+a)")], cap=1, known=known)
+        assert table.explored == 1
+        assert table.costs == {"((a+b)+a)": 2 * math.log(2.0)}
+
+    def test_witness_ties_take_the_first_template(self):
+        # Two split templates on one operator give every product two
+        # applications of equal cost; the first in template order wins,
+        # also below a molecule whose cost an earlier call settled.
+        splits = (
+            Template(id="split:+:x", kind=KIND_SPLIT, op="+"),
+            Template(id="split:+:y", kind=KIND_SPLIT, op="+"),
+        )
+        for order in (splits, splits[::-1]):
+            world = World(
+                atoms=("a", "b"),
+                operators=("+",),
+                templates=(Template(id="identity", kind=KIND_IDENTITY), *order),
+                building_blocks=(mol("a"), mol("b")),
+            )
+            clf = zero_classifier(world.template_ids, ROLE_BACKWARD)
+            root = mol("((a+b)+a)")
+            inner = brute_force_oracle(world, clf, [mol("(a+b)")], cap=100)
+            for known in (None, inner.costs):
+                table = brute_force_oracle(world, clf, [root], cap=100, known=known)
+                witness = table.witnesses[root.text]
+                assert validate_route(world, witness) == []
+                assert {rx.product.text for rx in witness.reactions} == {root.text, "(a+b)"}
+                assert {rx.template_id for rx in witness.reactions} == {order[0].id}
+
 
 class TestOracleEstimator:
     def test_never_needs_more_calls_than_zero(self, small_world, small_models, small_data):
@@ -204,6 +248,40 @@ class TestOracleEstimator:
             if z.success:
                 assert o.success
                 assert o.model_calls <= z.model_calls
+
+    @pytest.mark.parametrize("order", ["forward", "reverse", "shuffled"])
+    def test_each_molecule_is_costed_once_and_exactly(
+        self, small_world, small_models, small_data, monkeypatch, order
+    ):
+        _, reference, _ = small_models
+        molecules = list(
+            {
+                node.text: mol(node.text)
+                for target in small_data.targets
+                for node in subterm_nodes(parse_ast(target.text))
+            }.values()
+        )
+        if order == "reverse":
+            molecules.reverse()
+        elif order == "shuffled":
+            random.Random(0).shuffle(molecules)
+        from_scratch = brute_force_oracle
+        tables = []
+
+        def recording(*args, **kwargs):
+            tables.append(from_scratch(*args, **kwargs))
+            return tables[-1]
+
+        monkeypatch.setattr(evaluate_module, "brute_force_oracle", recording)
+        est = OracleEstimator(small_world, reference, cap=50_000)
+        estimates = [est.evaluate(m) for m in molecules]
+        monkeypatch.undo()
+        for m, estimate in zip(molecules, estimates):
+            alone = from_scratch(small_world, reference, [m], cap=50_000)
+            assert estimate == alone.costs[m.text], m.text
+        costed = set().union(*(table.costs for table in tables))
+        assert len(tables) < len(molecules)
+        assert sum(table.explored for table in tables) == len(costed)
 
     def test_estimates_match_table(self, small_world, small_models):
         _, reference, _ = small_models
