@@ -155,16 +155,6 @@ class OracleTable:
     costs: dict[str, float]
     witnesses: dict[str, Route]
     explored: int
-    cap: int
-
-
-def _templates_by_op(world: World) -> dict[str | None, tuple[Template, ...]]:
-    """``World.backward_ids_by_op`` as templates in ``world.templates`` order,
-    the order that breaks ties between equally cheap applications."""
-    return {
-        op: tuple(t for t in world.templates if t.id in ids)
-        for op, ids in world.backward_ids_by_op.items()
-    }
 
 
 def _applications(
@@ -233,7 +223,7 @@ def brute_force_oracle(
     ``world.templates`` order, of strictly least cost.
     """
     known = {} if known is None else known
-    by_op = _templates_by_op(world)
+    by_op = world.backward_templates_by_op
     row_of = {tid: i for i, tid in enumerate(ref.template_index)}
 
     molecules: dict[str, Molecule] = {}
@@ -315,7 +305,7 @@ def brute_force_oracle(
             pending.extend(ordered)
         witnesses[root.text] = Route(target=root, reactions=tuple(reactions.values()))
 
-    return OracleTable(costs=costs, witnesses=witnesses, explored=len(molecules), cap=cap)
+    return OracleTable(costs=costs, witnesses=witnesses, explored=len(molecules))
 
 
 class OracleEstimator:

@@ -31,7 +31,7 @@ from .errors import (
     InvalidReaction,
     UnknownTemplate,
 )
-from .world import Molecule, Reaction, World, parse_ast, subterm_nodes
+from .world import Molecule, Node, Reaction, World, parse_ast
 
 DEFAULT_DIM = 2048
 CHECKPOINT_VERSION = 1
@@ -67,29 +67,42 @@ def featurize_molecule(m: Molecule, dim: int = DEFAULT_DIM) -> FeatureVector:
     """Hash all subterms of height <= 2 plus the root operator symbol.
 
     Malformed molecules fall back to character 3-grams of their text.
-    Vectors are memoised by ``(text, malformed, dim)``.
+    Vectors are memoised by ``(text, malformed, dim)``, and the bits of each
+    subterm by ``(text, dim)``, so a subterm shared by many molecules is
+    hashed once.
     """
     return _featurize(m.text, m.malformed, dim)
 
 
 @lru_cache(maxsize=1 << 16)
 def _featurize(text: str, malformed: bool, dim: int) -> FeatureVector:
-    features: set[str] = set()
     ast = None if malformed else parse_ast(text)
     if ast is None:
         if len(text) < 3:
-            features.add("#" + text)
+            features = {"#" + text}
         else:
-            for i in range(len(text) - 2):
-                features.add("#" + text[i : i + 3])
+            features = {"#" + text[i : i + 3] for i in range(len(text) - 2)}
+        bits = {_feature_hash(f, dim) for f in features}
     else:
-        for node in subterm_nodes(ast):
-            if node.height <= _FEATURE_HEIGHT:
-                features.add(node.text)
+        bits = set(_subterm_bits(text, dim))
         if ast.op is not None:
-            features.add("op:" + ast.op)
-    bits = sorted({_feature_hash(f, dim) for f in features})
-    return FeatureVector(dim=dim, indices=tuple(bits))
+            bits.add(_feature_hash("op:" + ast.op, dim))
+    return FeatureVector(dim=dim, indices=tuple(sorted(bits)))
+
+
+@lru_cache(maxsize=1 << 18)
+def _subterm_bits(text: str, dim: int) -> tuple[int, ...]:
+    """Hashes of the subterms of height <= 2 of the well-formed term ``text``:
+    the union of its operands' bits, plus its own hash at height <= 2.
+    Int tuples keep the memo compact and untracked by the garbage collector."""
+    node: Node = parse_ast(text)  # type: ignore[assignment]
+    if node.op is None:
+        return (_feature_hash(text, dim),)
+    bits = set(_subterm_bits(node.left.text, dim))  # type: ignore[union-attr]
+    bits.update(_subterm_bits(node.right.text, dim))  # type: ignore[union-attr]
+    if node.height <= _FEATURE_HEIGHT:
+        bits.add(_feature_hash(text, dim))
+    return tuple(bits)
 
 
 def featurize_reactant_set(

@@ -18,6 +18,13 @@ O(depth x branching). The keys are the exact quantities a walk of the best
 partial route would compute: g is the same float additions in the same
 order, and the best reaction is the same first minimum.
 
+A tree keeps its nodes in two lists, ``mols`` and ``rxns``, and every parent
+link is an index into the other list, so links point only downwards and a
+tree has no reference cycles: reference counting frees it as soon as
+``plan`` returns, and the cyclic garbage collector never has to trace a
+finished tree. A molecule's ``order`` is its index in ``mols``; as children
+are created after their parents, every child has a larger index.
+
 One plan invocation owns its tree; the model, estimator and world are only
 read, so many plans may run concurrently against shared instances.
 """
@@ -60,7 +67,8 @@ class ReactionNode:
     template_id: str
     cost: float
     reactants: tuple[Molecule, ...]
-    parent: "MolNode"
+    # Index of the expanded molecule in SearchTree.mols.
+    parent: int
     children: "list[MolNode]" = field(default_factory=list)
     value: float = INF
 
@@ -68,16 +76,19 @@ class ReactionNode:
 @dataclass(slots=True)
 class MolNode:
     molecule: Molecule
-    parent: ReactionNode | None
+    # Index of the producing reaction in SearchTree.rxns; None at the root.
+    parent: int | None
+    # Index in SearchTree.mols.
     order: int
     status: str
     value: float
-    children: list[ReactionNode] = field(default_factory=list)
+    # Shared empty tuple until the molecule is expanded: most never are.
+    children: "list[ReactionNode] | tuple[()]" = ()
     # Reaction costs from the root down to this molecule.
     g: float = 0.0
-    # (g + value, order, molecule) of the open molecule to expand next in
-    # this molecule's best partial subroute; None when that has none open.
-    best: "tuple[float, int, MolNode] | None" = None
+    # (g + value, order) of the open molecule to expand next in this
+    # molecule's best partial subroute; None when that has none open.
+    best: tuple[float, int] | None = None
 
 
 class ExpansionRecord(NamedTuple):
@@ -115,26 +126,25 @@ class SearchTree:
         self.estimator = estimator
         self.k_expand = k_expand
         self.call_count = 0
-        self._counter = 0
-        self.root = self._new_mol_node(target, None)
+        self.mols: list[MolNode] = []
+        self.rxns: list[ReactionNode] = []
+        self.root = self._new_mol_node(target, None, 0.0)
 
-    def _new_mol_node(self, molecule: Molecule, parent: ReactionNode | None) -> MolNode:
-        order = self._counter
-        self._counter += 1
-        g = 0.0 if parent is None else parent.parent.g + parent.cost
+    def _new_mol_node(self, molecule: Molecule, parent: int | None, g: float) -> MolNode:
+        order = len(self.mols)
         if self.world.is_building_block(molecule):
-            return MolNode(molecule, parent, order, SOLVED_LEAF, 0.0, g=g)
-        value = float(self.estimator.evaluate(molecule))
-        node = MolNode(molecule, parent, order, OPEN, value, g=g)
-        node.best = (g + value, order, node)
+            node = MolNode(molecule, parent, order, SOLVED_LEAF, 0.0, g=g)
+        else:
+            value = float(self.estimator.evaluate(molecule))
+            node = MolNode(molecule, parent, order, OPEN, value, g=g, best=(g + value, order))
+        self.mols.append(node)
         return node
 
     def _path_texts(self, node: MolNode) -> set[str]:
-        texts = set()
-        cur: MolNode | None = node
-        while cur is not None:
-            texts.add(cur.molecule.text)
-            cur = cur.parent.parent if cur.parent is not None else None
+        texts = {node.molecule.text}
+        while node.parent is not None:
+            node = self.mols[self.rxns[node.parent].parent]
+            texts.add(node.molecule.text)
         return texts
 
     def expand(self, node: MolNode) -> int:
@@ -144,6 +154,7 @@ class SearchTree:
         self.call_count += 1
         preds = predict_topk(self.model, node.molecule, self.k_expand, self.world)
         path = self._path_texts(node)
+        node.children = []
         for pred in preds:
             reactants = pred.outcome  # sorted tuple of molecules
             # A reactant equal to any molecule on the root path would cycle.
@@ -153,13 +164,16 @@ class SearchTree:
                 template_id=pred.template_id,
                 cost=INF if pred.probability <= 0.0 else -math.log(pred.probability),
                 reactants=reactants,  # type: ignore[arg-type]
-                parent=node,
+                parent=node.order,
             )
+            index = len(self.rxns)
+            self.rxns.append(rnode)
+            g = node.g + rnode.cost
             seen: set[str] = set()
             for r in reactants:
                 if r.text not in seen:
                     seen.add(r.text)
-                    rnode.children.append(self._new_mol_node(r, rnode))
+                    rnode.children.append(self._new_mol_node(r, index, g))
             rnode.value = rnode.cost + sum(c.value for c in rnode.children)
             node.children.append(rnode)
         node.status = EXPANDED if node.children else DEAD
@@ -183,12 +197,11 @@ class SearchTree:
         node.best = min(keys) if keys else None
 
     def _propagate(self, node: MolNode) -> None:
-        rnode = node.parent
-        while rnode is not None:
+        while node.parent is not None:
+            rnode = self.rxns[node.parent]
             rnode.value = rnode.cost + sum(c.value for c in rnode.children)
-            parent = rnode.parent
-            self._refresh(parent)
-            rnode = parent.parent
+            node = self.mols[rnode.parent]
+            self._refresh(node)
 
     def best_partial_route(self) -> list[tuple[MolNode, float]] | None:
         """The open molecule to expand next on the minimum-value partial route.
@@ -206,7 +219,7 @@ class SearchTree:
             return None
         if self.root.best is None:
             return []
-        node = self.root.best[2]
+        node = self.mols[self.root.best[1]]
         return [(node, node.g)]
 
 
@@ -254,45 +267,41 @@ def plan(
 
 def extract_route(tree: SearchTree) -> Route:
     """The minimum-cost fully solved subtree of the tree, as a Route."""
-    # id(molecule node) -> (cost, first cheapest reaction) of its cheapest
-    # solved subtree: (0.0, None) for a building block, None if it has none.
-    memo: dict[int, tuple[float, ReactionNode | None] | None] = {}
-
-    def solved(node: MolNode) -> tuple[float, ReactionNode | None] | None:
-        if id(node) in memo:
-            return memo[id(node)]
-        result: tuple[float, ReactionNode | None] | None = None
+    # By molecule order: (cost, first cheapest reaction) of the molecule's
+    # cheapest solved subtree, (0.0, None) for a building block, None if it
+    # has none. Children come after their parents in ``tree.mols``, so a
+    # backwards pass settles every child before its parent.
+    solved: list[tuple[float, ReactionNode | None] | None] = [None] * len(tree.mols)
+    for node in reversed(tree.mols):
         if node.status == SOLVED_LEAF:
-            result = (0.0, None)
+            solved[node.order] = (0.0, None)
         elif node.status == EXPANDED:
+            result: tuple[float, ReactionNode | None] | None = None
             for r in node.children:
                 total = r.cost
                 for child in r.children:
-                    sub = solved(child)
+                    sub = solved[child.order]
                     if sub is None:
                         break
                     total += sub[0]
                 else:
                     if result is None or total < result[0]:
                         result = (total, r)
-        memo[id(node)] = result
-        return result
+            solved[node.order] = result
 
-    if solved(tree.root) is None:
+    if solved[tree.root.order] is None:
         raise NotSolved(f"no solved route for {tree.root.molecule.text}")
 
     reactions: dict[tuple, Reaction] = {}
-
-    def collect(node: MolNode) -> None:
-        best_r = memo[id(node)][1]
+    stack = [tree.root]
+    while stack:  # pre-order, children left to right
+        node = stack.pop()
+        best_r = solved[node.order][1]  # type: ignore[index]
         if best_r is None:
-            return
+            continue
         rx = make_reaction(node.molecule, best_r.reactants, best_r.template_id)
         reactions.setdefault(rx.key, rx)
-        for child in best_r.children:
-            collect(child)
-
-    collect(tree.root)
+        stack.extend(reversed(best_r.children))
     return Route(target=tree.root.molecule, reactions=tuple(reactions.values()))
 
 
@@ -330,25 +339,3 @@ def unfolded_route_cost(
         return total
 
     return cost(route.target.text)
-
-
-def recompute_all_values(tree: SearchTree) -> dict[int, float]:
-    """Fresh bottom-up values for every node, keyed by id(); for verification."""
-    values: dict[int, float] = {}
-
-    def walk(node: MolNode) -> float:
-        if node.status == SOLVED_LEAF:
-            v = 0.0
-        elif node.status == OPEN:
-            v = float(tree.estimator.evaluate(node.molecule))
-        else:
-            v = INF
-            for r in node.children:
-                total = r.cost + sum(walk(c) for c in r.children)
-                values[id(r)] = total
-                v = min(v, total)
-        values[id(node)] = v
-        return v
-
-    walk(tree.root)
-    return values

@@ -349,6 +349,15 @@ class World:
         return {op: frozenset(ids) for op, ids in by_op.items()}
 
     @cached_property
+    def backward_templates_by_op(self) -> dict[str | None, tuple[Template, ...]]:
+        """``backward_ids_by_op`` as templates in ``templates`` order, the
+        order that breaks ties between equally cheap applications."""
+        return {
+            op: tuple(t for t in self.templates if t.id in ids)
+            for op, ids in self.backward_ids_by_op.items()
+        }
+
+    @cached_property
     def _stock(self) -> frozenset[str]:
         return frozenset(m.text for m in self.building_blocks)
 

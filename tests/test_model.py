@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,7 +38,7 @@ from retroloop.model import (
     nll_and_grad,
     predict_proba,
 )
-from retroloop.world import KIND_CHOP, KIND_SPLIT
+from retroloop.world import KIND_CHOP, KIND_SPLIT, parse_ast, subterm_nodes
 
 
 def two_template_world(decoy_first=False):
@@ -53,7 +55,49 @@ def two_template_world(decoy_first=False):
     )
 
 
+def direct_features(m, dim):
+    """Reference featurizer: hash every subterm of height <= 2 and the root
+    operator, or the character 3-grams of a malformed text."""
+    ast = None if m.malformed else parse_ast(m.text)
+    if ast is None:
+        text = m.text
+        if len(text) < 3:
+            features = {"#" + text}
+        else:
+            features = {"#" + text[i : i + 3] for i in range(len(text) - 2)}
+    else:
+        features = {node.text for node in subterm_nodes(ast) if node.height <= 2}
+        if ast.op is not None:
+            features.add("op:" + ast.op)
+    digests = (hashlib.blake2b(f.encode(), digest_size=8).digest() for f in features)
+    return tuple(sorted({int.from_bytes(d, "little") % dim for d in digests}))
+
+
+def well_formed_terms(max_leaves=40):
+    return st.recursive(
+        st.sampled_from(["a", "b", "c1", "z"]),
+        lambda kids: st.builds(
+            lambda l, o, r: f"({l}{o}{r})", kids, st.sampled_from(["+", "*", "^"]), kids
+        ),
+        max_leaves=max_leaves,
+    )
+
+
 class TestFeaturization:
+    @pytest.mark.parametrize("dim", [64, DEFAULT_DIM])
+    @given(
+        text=st.one_of(
+            well_formed_terms(),
+            st.text(alphabet="ab1+*()", min_size=1, max_size=16),
+            st.text(alphabet="ab+()", min_size=1, max_size=2),
+        ),
+        flagged=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_composed_features_equal_direct_definition(self, dim, text, flagged):
+        m = Molecule(text, malformed=True) if flagged else parse_molecule(text)
+        assert featurize_molecule(m, dim) == FeatureVector(dim, direct_features(m, dim))
+
     def test_atom_sets_a_bit(self):
         assert len(featurize_molecule(mol("a")).indices) >= 1
 

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import math
@@ -38,7 +39,6 @@ from retroloop.planner import (
     MolNode,
     ReactionNode,
     SearchTree,
-    recompute_all_values,
 )
 from retroloop.world import KIND_IDENTITY, KIND_SPLIT
 
@@ -50,6 +50,28 @@ def single_split_world():
         templates=(Template(id="split:+", kind=KIND_SPLIT, op="+"),),
         building_blocks=(mol("a"), mol("b")),
     )
+
+
+def recompute_all_values(tree):
+    """Fresh bottom-up values for every node, keyed by id()."""
+    values = {}
+
+    def walk(node):
+        if node.status == SOLVED_LEAF:
+            v = 0.0
+        elif node.status == OPEN:
+            v = float(tree.estimator.evaluate(node.molecule))
+        else:
+            v = math.inf
+            for r in node.children:
+                total = r.cost + sum(walk(c) for c in r.children)
+                values[id(r)] = total
+                v = min(v, total)
+        values[id(node)] = v
+        return v
+
+    walk(tree.root)
+    return values
 
 
 def walk_best_partial_route(tree):
@@ -163,18 +185,19 @@ class TestExtractRoute:
     def _alternatives(costs):
         """Hand-built tree: one solved reaction under the root per
         (cost, template id), in that order."""
-        root = MolNode(mol("(a+b)"), None, 0, EXPANDED, 0.0)
+        root = MolNode(mol("(a+b)"), None, 0, EXPANDED, 0.0, children=[])
+        tree = SearchTree.__new__(SearchTree)
+        tree.root, tree.mols, tree.rxns = root, [root], []
         for i, (cost, tid) in enumerate(costs):
-            r = ReactionNode(tid, cost, (mol("a"), mol("b")), root)
-            r.children = [
-                MolNode(mol("a"), r, 2 * i + 1, SOLVED_LEAF, 0.0),
-                MolNode(mol("b"), r, 2 * i + 2, SOLVED_LEAF, 0.0),
-            ]
+            r = ReactionNode(tid, cost, (mol("a"), mol("b")), root.order)
+            tree.rxns.append(r)
+            for m in r.reactants:
+                child = MolNode(m, i, len(tree.mols), SOLVED_LEAF, 0.0)
+                tree.mols.append(child)
+                r.children.append(child)
             r.value = cost
             root.children.append(r)
         root.value = min(cost for cost, _tid in costs)
-        tree = SearchTree.__new__(SearchTree)
-        tree.root = root
         return tree
 
     def test_min_cost_reaction_wins(self, small_world):
@@ -189,6 +212,30 @@ class TestExtractRoute:
         second = "identity" if first == "split:+" else "split:+"
         route = extract_route(self._alternatives([(0.5, first), (0.5, second)]))
         assert [rx.template_id for rx in route.reactions] == [first]
+
+
+class TestTreeLifetime:
+    def test_plans_leave_no_cyclic_garbage(self, small_world, small_models, small_data):
+        # A finished tree must be freed by reference counting alone, so a
+        # collection after solved, unsolved and traced plans finds nothing.
+        backward, _, _ = small_models
+        targets = sorted(small_data.targets, key=lambda t: (-len(t.text), t.text))
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            results = [
+                plan(targets[0], backward, ZeroEstimator(), 40, 10, small_world),
+                plan(targets[0], backward, ZeroEstimator(), 2, 10, small_world),
+                plan(targets[1], backward, ZeroEstimator(), 40, 10, small_world, trace=True),
+            ]
+            found = gc.collect()
+        finally:
+            if enabled:
+                gc.enable()
+        assert [r.outcome for r in results] == ["success", "failure", "success"]
+        assert results[1].model_calls == 2
+        assert found == 0
 
 
 class TestRouteCost:
