@@ -12,21 +12,14 @@ import heapq
 import math
 from collections import ChainMap, deque
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property, partial
+from typing import Callable
 
 from .errors import CapExceeded, EmptyDataset, InvalidInput, UnknownTemplate
 from .model import TemplateClassifier, featurize_molecule, predict_proba
 from .planner import ValueEstimator, plan, route_cost_under
-from .world import (
-    Dataset,
-    Molecule,
-    Reaction,
-    Route,
-    Template,
-    World,
-    make_reaction,
-    parse_ast,
-)
+from .world import Dataset, Molecule, Reaction, Route, World, make_reaction
 
 INF = math.inf
 
@@ -150,82 +143,56 @@ Application = tuple[str, float, tuple[Molecule, ...], tuple[str, ...]]
 class OracleTable:
     """What one oracle call settled: the minimal additive route cost of each
     molecule it newly explored (INF when unsynthesizable), and a witness
-    route for each root of finite cost."""
+    route for each root of finite cost.
+
+    The witnesses are built when ``witnesses`` is first read, so a caller
+    that wants only the costs, as ``OracleEstimator`` does, builds none.
+    """
 
     costs: dict[str, float]
-    witnesses: dict[str, Route]
     explored: int
+    _build_witnesses: Callable[[], dict[str, Route]] = field(repr=False)
+
+    @cached_property
+    def witnesses(self) -> dict[str, Route]:
+        return self._build_witnesses()
 
 
 def _applications(
-    m: Molecule,
-    ref: TemplateClassifier,
-    row_of: dict[str, int],
-    by_op: dict[str | None, tuple[Template, ...]],
+    m: Molecule, world: World, ref: TemplateClassifier, row_of: dict[str, int]
 ) -> list[Application]:
     """The non-cyclic template applications to ``m`` in template order, each
     priced at its negative log probability under ``ref``. The model is asked
     only when some template applies."""
-    ast = None if m.malformed else parse_ast(m.text)
-    if ast is None:
-        return []
     fired = []
-    for template in by_op[ast.op]:
-        reactants = template.backward(m)
-        if reactants is None:
-            continue
+    for tid, reactants in world.applications(m):
         texts = tuple(sorted({r.text for r in reactants}))
         if m.text in texts:
             continue  # cyclic application
-        row = row_of.get(template.id)
+        row = row_of.get(tid)
         if row is None:
-            raise UnknownTemplate(template.id)
-        fired.append((template.id, row, reactants, texts))
+            raise UnknownTemplate(tid)
+        fired.append((tid, row, reactants, texts))
     if not fired:
         return []
     probs = predict_proba(ref, featurize_molecule(m, ref.dim))
     apps = []
     for tid, row, reactants, texts in fired:
         p = float(probs[row])
-        cost = INF if p <= 0.0 else -math.log(p)
-        apps.append((tid, cost, tuple(sorted(reactants, key=lambda r: r.text)), texts))
+        apps.append((tid, INF if p <= 0.0 else -math.log(p), reactants, texts))
     return apps
 
 
-def brute_force_oracle(
+def _settle(
     world: World,
     ref: TemplateClassifier,
     roots: "list[Molecule] | tuple[Molecule, ...]",
     cap: int,
-    known: "Mapping[str, float] | None" = None,
-) -> OracleTable:
-    """Exhaustive minimum-cost computation over everything reachable from roots.
-
-    value(m) = 0 for building blocks, otherwise the cheapest applicable
-    template application: its negative log probability under the reference
-    model plus the values of the distinct reactants. Self-reproducing
-    applications are skipped as cyclic.
-
-    ``known`` holds costs settled by earlier calls. They are final, because
-    a call settles everything reachable from what it explores, so they are
-    leaves here, and ``known`` must hold everything reachable from its
-    molecules, as the union of earlier calls' costs does. The call explores,
-    scores and settles only the molecules not in ``known``; ``cap`` bounds
-    how many of those it may explore (``CapExceeded``), and ``explored``
-    counts them. Building blocks are leaves as well. The settling is
-    Knuth's generalised Dijkstra (Knuth 1977, Inf. Proc. Letters 6(1)):
-    costs are non-negative and additive, so an application is priced once
-    its last reactant is settled, and the cheapest priced molecule is
-    settled next. Molecules never settled are unsynthesizable (INF).
-
-    A witness route is built for each root of finite cost, top-down from the
-    final costs: each route molecule takes the first application, in
-    ``world.templates`` order, of strictly least cost.
-    """
-    known = {} if known is None else known
-    by_op = world.backward_templates_by_op
-    row_of = {tid: i for i, tid in enumerate(ref.template_index)}
-
+    known: Mapping[str, float],
+    row_of: dict[str, int],
+) -> tuple[dict[str, float], dict[str, list[Application]]]:
+    """The costs of every molecule reachable from ``roots`` and not in
+    ``known``, and the applications of those that are not building blocks."""
     molecules: dict[str, Molecule] = {}
     queue = deque()
     for m in roots:
@@ -237,7 +204,7 @@ def brute_force_oracle(
         m = queue.popleft()
         if world.is_building_block(m):
             continue
-        apps[m.text] = _applications(m, ref, row_of, by_op)
+        apps[m.text] = _applications(m, world, ref, row_of)
         for _, _, ordered, _ in apps[m.text]:
             for r in ordered:
                 if r.text not in known and r.text not in molecules:
@@ -274,9 +241,21 @@ def brute_force_oracle(
             if app[0] == 0 and app[1] not in values:
                 _, parent, cost, texts = app
                 heapq.heappush(heap, (cost + sum(values[t] for t in texts), parent))
-    costs = {text: values.get(text, INF) for text in molecules}
+    return {text: values.get(text, INF) for text in molecules}, apps
 
-    final = ChainMap(costs, known)
+
+def _witnesses(
+    world: World,
+    ref: TemplateClassifier,
+    roots: "list[Molecule] | tuple[Molecule, ...]",
+    row_of: dict[str, int],
+    apps: dict[str, list[Application]],
+    final: Mapping[str, float],
+) -> dict[str, Route]:
+    """A witness route for each root of finite ``final`` cost, built
+    top-down: each route molecule takes the first application, in
+    ``world.templates`` order, of strictly least cost. Applications not in
+    ``apps`` (of molecules costed by earlier calls) are derived again."""
     witnesses: dict[str, Route] = {}
     for root in roots:
         if root.text in witnesses or final[root.text] == INF:
@@ -292,7 +271,7 @@ def brute_force_oracle(
             if m.text in apps:
                 entry = apps[m.text]
             else:
-                entry = _applications(m, ref, row_of, by_op)
+                entry = _applications(m, world, ref, row_of)
             best = None
             for app in entry:
                 total = app[1] + sum(final[t] for t in app[3])
@@ -304,8 +283,49 @@ def brute_force_oracle(
             reactions.setdefault(rx.key, rx)
             pending.extend(ordered)
         witnesses[root.text] = Route(target=root, reactions=tuple(reactions.values()))
+    return witnesses
 
-    return OracleTable(costs=costs, witnesses=witnesses, explored=len(molecules))
+
+def brute_force_oracle(
+    world: World,
+    ref: TemplateClassifier,
+    roots: "list[Molecule] | tuple[Molecule, ...]",
+    cap: int,
+    known: "Mapping[str, float] | None" = None,
+) -> OracleTable:
+    """Exhaustive minimum-cost computation over everything reachable from roots.
+
+    value(m) = 0 for building blocks, otherwise the cheapest applicable
+    template application: its negative log probability under the reference
+    model plus the values of the distinct reactants. Self-reproducing
+    applications are skipped as cyclic.
+
+    ``known`` holds costs settled by earlier calls. They are final, because
+    a call settles everything reachable from what it explores, so they are
+    leaves here, and ``known`` must hold everything reachable from its
+    molecules, as the union of earlier calls' costs does. The call explores,
+    scores and settles only the molecules not in ``known``; ``cap`` bounds
+    how many of those it may explore (``CapExceeded``), and ``explored``
+    counts them. Building blocks are leaves as well. The settling is
+    Knuth's generalised Dijkstra (Knuth 1977, Inf. Proc. Letters 6(1)):
+    costs are non-negative and additive, so an application is priced once
+    its last reactant is settled, and the cheapest priced molecule is
+    settled next. Molecules never settled are unsynthesizable (INF).
+
+    A witness route is built for each root of finite cost, top-down from the
+    final costs, when ``witnesses`` is first read. It reads ``known`` as it
+    is then; costs added to it in between change no witness.
+    """
+    known = {} if known is None else known
+    row_of = {tid: i for i, tid in enumerate(ref.template_index)}
+    costs, apps = _settle(world, ref, roots, cap, known, row_of)
+    return OracleTable(
+        costs=costs,
+        explored=len(costs),
+        _build_witnesses=partial(
+            _witnesses, world, ref, tuple(roots), row_of, apps, ChainMap(costs, known)
+        ),
+    )
 
 
 class OracleEstimator:

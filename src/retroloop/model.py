@@ -185,18 +185,6 @@ class Prediction(NamedTuple):
     outcome: "tuple[Molecule, ...] | Molecule"
 
 
-def _featurize_input(
-    model: TemplateClassifier, inp: "Molecule | Sequence[Molecule]"
-) -> FeatureVector:
-    if model.role == ROLE_FORWARD:
-        if isinstance(inp, Molecule):
-            raise InvalidInput("forward models take a reactant sequence")
-        return featurize_reactant_set(inp, model.dim)
-    if not isinstance(inp, Molecule):
-        raise InvalidInput("backward models take a single product molecule")
-    return featurize_molecule(inp, model.dim)
-
-
 def predict_topk(
     model: TemplateClassifier,
     inp: "Molecule | Sequence[Molecule]",
@@ -210,18 +198,32 @@ def predict_topk(
     template index order. A model template missing from the world raises
     UnknownTemplate when it ranks above the k-th applicable one.
 
-    A backward model ranks and tries only the templates that can fire on the
-    product's root operator (``World.backward_ids_by_op``).
+    A backward model ranks only the product's applications
+    (``World.applications``). It scores the product only when one of them is
+    a model template, or when a model template missing from the world might
+    outrank them; otherwise the product is a dead end and the result empty.
     """
     if k < 1:
         raise InvalidInput("k must be at least 1")
-    probs = predict_proba(model, _featurize_input(model, inp))
     if model.role == ROLE_FORWARD:
-        rows, missing = np.arange(model.n_templates), []
+        if isinstance(inp, Molecule):
+            raise InvalidInput("forward models take a reactant sequence")
+        probs = predict_proba(model, featurize_reactant_set(inp, model.dim))
+        rows = np.arange(model.n_templates)
     else:
-        rows, missing = _backward_rows(model, inp, world)  # type: ignore[arg-type]
+        if not isinstance(inp, Molecule):
+            raise InvalidInput("backward models take a single product molecule")
+        row_of = model._row_of
+        outcomes = {row_of[tid]: rs for tid, rs in world.applications(inp) if tid in row_of}
+        templates = world.template_by_id
+        missing = []
+        if not templates.keys() >= row_of.keys():
+            missing = [i for i, tid in enumerate(model.template_index) if tid not in templates]
+        if not outcomes and not missing:
+            return []
+        probs = predict_proba(model, featurize_molecule(inp, model.dim))
+        rows = np.array(sorted([*outcomes, *missing]), dtype=np.intp)
     results: list[Prediction] = []
-    last = -1
     for i in rows[np.argsort(-probs[rows], kind="stable")]:
         if len(results) >= k:
             break
@@ -230,40 +232,12 @@ def predict_topk(
         if template is None:
             raise UnknownTemplate(tid)
         if model.role == ROLE_FORWARD:
-            product = template.forward(inp)  # type: ignore[arg-type]
-            if product is None:
-                continue
-            results.append(Prediction(tid, float(probs[i]), product))
+            outcome = template.forward(inp)  # type: ignore[arg-type]
         else:
-            reactants = template.backward(inp)  # type: ignore[arg-type]
-            if reactants is None:
-                continue
-            ordered = tuple(sorted(reactants, key=lambda m: m.text))
-            results.append(Prediction(tid, float(probs[i]), ordered))
-        last = i
-    if missing:
-        # A scan of every template in rank order stops at the k-th result;
-        # it meets the best-ranked missing template first if that ranks higher.
-        first = min(missing, key=lambda i: (-probs[i], i))
-        if len(results) < k or (-probs[first], first) < (-probs[last], last):
-            raise UnknownTemplate(model.template_index[first])
+            outcome = outcomes[i]
+        if outcome is not None:
+            results.append(Prediction(tid, float(probs[i]), outcome))
     return results
-
-
-def _backward_rows(
-    model: TemplateClassifier, product: Molecule, world: World
-) -> tuple[np.ndarray, list[int]]:
-    """Rows of the model templates whose backward can fire on ``product``
-    (none for a malformed one), and rows of those missing from the world."""
-    ast = None if product.malformed else parse_ast(product.text)
-    fires = frozenset() if ast is None else world.backward_ids_by_op[ast.op]
-    rows, missing = [], []
-    for i, tid in enumerate(model.template_index):
-        if tid in fires:
-            rows.append(i)
-        elif tid not in world.template_by_id:
-            missing.append(i)
-    return np.array(rows, dtype=np.intp), missing
 
 
 def likelihood(model: TemplateClassifier, reaction: Reaction, world: World) -> float:

@@ -162,17 +162,19 @@ class Template:
             return (product,)
         if ast.op != self.op:
             return None
+        # The operands are subtrees of the product's parse, so they are
+        # well-formed without a parse of their own.
         left, right = ast.left.text, ast.right.text  # type: ignore[union-attr]
         if self.kind == KIND_SPLIT:
-            return (parse_molecule(left), parse_molecule(right))
+            return (Molecule(left), Molecule(right))
         if self.kind == KIND_CHOP:
             # Prepending "(" to a balanced term always unbalances it, so the
             # mangled fragment is malformed and a guaranteed dead end.
             if self.variant == "left":
-                return (parse_molecule("(" + left), parse_molecule(right))
+                return (Molecule("(" + left, malformed=True), Molecule(right))
             if self.variant == "right":
-                return (parse_molecule(left), parse_molecule("(" + right))
-            return (parse_molecule("(" + product.text),)
+                return (Molecule(left), Molecule("(" + right, malformed=True))
+            return (Molecule("(" + product.text, malformed=True),)
         return None
 
     def forward(self, reactants: Sequence[Molecule]) -> Molecule | None:
@@ -334,28 +336,34 @@ class World:
         return tuple(t.id for t in self.templates)
 
     @cached_property
-    def backward_ids_by_op(self) -> dict[str | None, frozenset[str]]:
-        """Ids of the templates whose ``backward`` can fire on a well-formed
-        molecule, keyed by its root operator (None for an atom).
+    def backward_templates_by_op(self) -> dict[str | None, tuple[Template, ...]]:
+        """The templates whose ``backward`` can fire on a well-formed molecule,
+        keyed by its root operator (None for an atom), in ``templates`` order.
 
         Every operator a molecule can parse with is a key. Split and chop
         templates fire only on their own operator; identity fires on all.
         """
-        identity = {t.id for t in self.template_by_id.values() if t.kind == KIND_IDENTITY}
-        by_op: dict[str | None, set[str]] = {op: set(identity) for op in (None, *OPERATOR_CHARS)}
-        for t in self.template_by_id.values():
-            if t.kind in (KIND_SPLIT, KIND_CHOP):
-                by_op.setdefault(t.op, set(identity)).add(t.id)
-        return {op: frozenset(ids) for op, ids in by_op.items()}
-
-    @cached_property
-    def backward_templates_by_op(self) -> dict[str | None, tuple[Template, ...]]:
-        """``backward_ids_by_op`` as templates in ``templates`` order, the
-        order that breaks ties between equally cheap applications."""
         return {
-            op: tuple(t for t in self.templates if t.id in ids)
-            for op, ids in self.backward_ids_by_op.items()
+            op: tuple(
+                t
+                for t in self.templates
+                if t.kind == KIND_IDENTITY or (t.kind in (KIND_SPLIT, KIND_CHOP) and t.op == op)
+            )
+            for op in (None, *OPERATOR_CHARS)
         }
+
+    def applications(self, product: Molecule) -> list[tuple[str, tuple[Molecule, ...]]]:
+        """``(template id, reactants sorted by text)`` for every template that
+        fires on ``product``, in ``templates`` order; none for a malformed one."""
+        ast = None if product.malformed else parse_ast(product.text)
+        if ast is None:
+            return []
+        apps = []
+        for template in self.backward_templates_by_op[ast.op]:
+            reactants = template.backward(product)
+            if reactants is not None:
+                apps.append((template.id, tuple(sorted(reactants, key=lambda m: m.text))))
+        return apps
 
     @cached_property
     def _stock(self) -> frozenset[str]:

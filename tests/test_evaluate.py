@@ -283,6 +283,17 @@ class TestOracleEstimator:
         assert len(tables) < len(molecules)
         assert sum(table.explored for table in tables) == len(costed)
 
+    def test_estimator_builds_no_witness(self, small_world, small_models, small_data, monkeypatch):
+        _, reference, _ = small_models
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the estimator built a witness reaction")
+
+        monkeypatch.setattr(evaluate_module, "make_reaction", refuse)
+        est = OracleEstimator(small_world, reference, cap=50_000)
+        costs = [est.evaluate(target) for target in small_data.targets]
+        assert any(math.isfinite(c) and c > 0 for c in costs)
+
     def test_estimates_match_table(self, small_world, small_models):
         _, reference, _ = small_models
         est = OracleEstimator(small_world, reference, cap=50_000)

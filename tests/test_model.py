@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import retroloop.model as model_module
 from retroloop import (
     DEFAULT_DIM,
     EmptyDataset,
@@ -340,6 +341,26 @@ class TestTopkAgainstUnfiltered:
             predict_topk(zero, mol("a"), 2, small_world)
         with pytest.raises(UnknownTemplate):
             predict_topk(zero, parse_molecule("(a+"), 1, small_world)
+
+
+class TestDeadEndsAreNotScored:
+    def test_no_application_means_no_featurization(self, monkeypatch):
+        world = two_template_world()  # split:+ and chop:+:whole, no identity
+        model = zero_classifier(world.template_ids, ROLE_BACKWARD)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a product no template fires on was featurized")
+
+        monkeypatch.setattr(model_module, "featurize_molecule", refuse)
+        for product in (parse_molecule("(a+"), Molecule("(a+b)", malformed=True), mol("(a*b)")):
+            assert predict_topk(model, product, 3, world) == []
+
+    def test_missing_template_still_raises(self):
+        world = two_template_world()
+        ghost = zero_classifier(world.template_ids + ("ghost",), ROLE_BACKWARD)
+        for product in (parse_molecule("(a+"), mol("(a*b)")):
+            with pytest.raises(UnknownTemplate):
+                predict_topk(ghost, product, 1, world)
 
 
 class TestLikelihood:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from retroloop import (
     InvalidConfig,
     InvalidInput,
+    Molecule,
     Route,
     Template,
     World,
@@ -216,6 +217,84 @@ class TestTemplates:
     def test_chop_forward_never_applicable(self):
         t = Template(id="chop", kind=KIND_CHOP, op="+", variant="left")
         assert t.forward((mol("a"), mol("b"))) is None
+
+
+def reparsed_backward(template, product):
+    """Reference backward: every reactant, chop fragments included, is built
+    by parsing its text afresh."""
+    ast = None if product.malformed else parse_ast(product.text)
+    if ast is None:
+        return None
+    if template.kind == KIND_IDENTITY:
+        return (product,)
+    if ast.op != template.op:
+        return None
+    left, right = ast.left.text, ast.right.text
+    if template.kind == KIND_SPLIT:
+        return (parse_molecule(left), parse_molecule(right))
+    if template.variant == "left":
+        return (parse_molecule("(" + left), parse_molecule(right))
+    if template.variant == "right":
+        return (parse_molecule(left), parse_molecule("(" + right))
+    return (parse_molecule("(" + product.text),)
+
+
+# Identity first and the splits last, so template order differs from kind order.
+BACKWARD_WORLD = World(
+    atoms=("a", "b", "1"),
+    operators=("+", "*"),
+    templates=(
+        Template(id="identity", kind=KIND_IDENTITY),
+        Template(id="chop:+:left", kind=KIND_CHOP, op="+", variant="left"),
+        Template(id="chop:*:right", kind=KIND_CHOP, op="*", variant="right"),
+        Template(id="chop:+:whole", kind=KIND_CHOP, op="+", variant="whole"),
+        Template(id="split:*", kind=KIND_SPLIT, op="*"),
+        Template(id="split:+", kind=KIND_SPLIT, op="+"),
+    ),
+    building_blocks=(mol("a"), mol("b"), mol("1")),
+)
+
+# Well-formed terms over world and non-world operators, atoms, mutated
+# strings (mostly malformed), and well-formed texts flagged malformed.
+backward_products = st.one_of(
+    terms(atoms="ab1", ops="+*/", max_leaves=10).map(parse_molecule),
+    st.sampled_from("ab1").map(parse_molecule),
+    mutated_terms().filter(bool).map(parse_molecule),
+    terms(atoms="ab1", ops="+*").map(lambda t: Molecule(t, malformed=True)),
+)
+
+
+class TestBackwardFromParseTree:
+    @given(backward_products)
+    @settings(max_examples=400)
+    def test_reactants_equal_their_parse(self, product):
+        for template in BACKWARD_WORLD.templates:
+            out = template.backward(product)
+            assert out == reparsed_backward(template, product)
+            if out is not None:
+                # Molecule equality compares the malformed flag too.
+                assert out == tuple(parse_molecule(m.text) for m in out)
+
+    @given(backward_products)
+    @settings(max_examples=400)
+    def test_applications_match_every_template_in_order(self, product):
+        expected = []
+        for template in BACKWARD_WORLD.templates:
+            reactants = reparsed_backward(template, product)
+            if reactants is not None:
+                expected.append((template.id, tuple(sorted(reactants, key=lambda m: m.text))))
+        assert BACKWARD_WORLD.applications(product) == expected
+
+    @given(terms(atoms="ab1", ops="+*", max_leaves=10))
+    def test_chop_fragments_stay_out_of_the_parse_cache(self, text):
+        product = mol(text)  # parses the product and caches its subtrees
+        before = parse_ast.cache_info()
+        for template in BACKWARD_WORLD.templates:
+            if template.kind == KIND_CHOP:
+                template.backward(product)
+        after = parse_ast.cache_info()
+        # Misses count a fragment parse even when the cache is full.
+        assert (after.currsize, after.misses) == (before.currsize, before.misses)
 
 
 class TestGenerateWorld:
