@@ -11,7 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from retroloop import ZeroEstimator, evaluate_over_budgets, run_self_improvement
+from retroloop import ZeroEstimator, evaluate_over_budgets, penalty_constants, run_self_improvement
 from retroloop.cli import build_pretrained, build_world_data, load_config, seed_loop_config
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -34,9 +34,10 @@ def main(argv=None) -> int:
         seed_loop_config(cfg, args.seed), world, data, pretrained
     )
 
+    penalties = penalty_constants(data, pretrained[1], world)
     base, ours = (
         evaluate_over_budgets(
-            model, ZeroEstimator(), data.targets, budgets, pretrained[1], data, world,
+            model, ZeroEstimator(), data.targets, budgets, pretrained[1], penalties, world,
             k_expand=cfg.eval.k_expand,
         )
         for model in (pretrained[0], improved)

@@ -13,7 +13,13 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from retroloop import ZeroEstimator, evaluate_over_budgets, run_self_improvement, topk_exact_match
+from retroloop import (
+    ZeroEstimator,
+    evaluate_over_budgets,
+    penalty_constants,
+    run_self_improvement,
+    topk_exact_match,
+)
 from retroloop.cli import build_pretrained, build_world_data, load_config, seed_loop_config
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -36,12 +42,13 @@ def main(argv=None) -> int:
         world, data = build_world_data(cfg, seed)
         pretrained = build_pretrained(cfg, seed, world, data)
         loop_cfg = replace(seed_loop_config(cfg, seed), iterations=1, augmentation=False)
-        prepared.append((world, data, pretrained, loop_cfg))
+        penalties = penalty_constants(data, pretrained[1], world)
+        prepared.append((world, data, pretrained, loop_cfg, penalties))
 
     print(f"{'eps':>5} {'top1':>16} {'top10':>16} {'succ@N':>16} {'kept':>8}")
     for eps in args.thresholds:
         top1s, top10s, succs, kept = [], [], [], []
-        for world, data, pretrained, loop_cfg in prepared:
+        for world, data, pretrained, loop_cfg, penalties in prepared:
             model, reports = run_self_improvement(
                 replace(loop_cfg, epsilon=eps), world, data, pretrained
             )
@@ -49,7 +56,7 @@ def main(argv=None) -> int:
             top1s.append(top1)
             top10s.append(top10)
             metrics = evaluate_over_budgets(
-                model, estimator, data.targets, [budget], pretrained[1], data, world,
+                model, estimator, data.targets, [budget], pretrained[1], penalties, world,
                 k_expand=cfg.eval.k_expand,
             )
             succs.append(metrics[budget].success_rate)

@@ -19,6 +19,7 @@ from .evaluate import (
     TargetRow,
     brute_force_oracle,
     evaluate_over_budgets,
+    penalty_constants,
 )
 from .improve import (
     IterationReport,

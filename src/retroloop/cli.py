@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import NamedTuple, get_args, get_origin, get_type_hints
 
 from .errors import CheckpointError, EmptyDataset, InvalidConfig
-from .evaluate import OracleEstimator, evaluate_over_budgets
+from .evaluate import OracleEstimator, evaluate_over_budgets, penalty_constants
 from .improve import LoopConfig, pretrain_models, run_self_improvement
 from .model import (
     DEFAULT_DIM,
@@ -387,6 +387,7 @@ def run_evaluate(
     metrics_dir.mkdir(parents=True, exist_ok=True)
     summary_rows: list[dict] = []
     per_budget: dict[int, dict[int, object]] = {}
+    penalties = penalty_constants(data, reference, world)
     for iteration, model in sorted(models_by_iteration.items()):
         by_budget = evaluate_over_budgets(
             model,
@@ -394,7 +395,7 @@ def run_evaluate(
             data.targets,
             list(budgets),
             reference,
-            data,
+            penalties,
             world,
             k_expand=cfg.eval.k_expand,
         )

@@ -103,7 +103,7 @@ def evaluate_over_budgets(
     targets: "tuple[Molecule, ...] | list[Molecule]",
     budgets: "list[int]",
     ref: TemplateClassifier,
-    data: Dataset,
+    penalties: tuple[int, float],
     world: World,
     k_expand: int = 10,
 ) -> dict[int, PlanningMetrics]:
@@ -112,12 +112,14 @@ def evaluate_over_budgets(
     The search is deterministic and a budget only truncates it, so a run at
     budget N is a prefix of the run at any larger budget: smaller budgets are
     read off the same runs, and success rates are non-decreasing in budget.
+    ``penalties`` is ``penalty_constants`` of the dataset, which callers
+    compute once for every model they evaluate on it.
     """
     if not targets:
         raise EmptyDataset("no targets to evaluate")
     if not budgets or sorted(budgets) != list(budgets):
         raise InvalidInput("budgets must be non-empty and ascending")
-    max_len, max_cost = penalty_constants(data, ref, world)
+    max_len, max_cost = penalties
     outcomes = []  # (target, calls at success or None, route)
     for target in targets:
         result = plan(target, model, estimator, budgets[-1], k_expand, world)

@@ -162,16 +162,19 @@ def zero_classifier(
 def _scores(model: TemplateClassifier, fv: FeatureVector) -> np.ndarray:
     if fv.dim != model.dim:
         raise InvalidInput(f"feature dim {fv.dim} != model dim {model.dim}")
-    if fv.indices:
-        s = model.weights[:, list(fv.indices)].sum(axis=1) + model.bias
-    else:
-        s = model.bias.copy()
+    if not fv.indices:
+        return model.bias.copy()
+    s = model.weights[:, list(fv.indices)].sum(axis=1)
+    s += model.bias
     return s
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    e = np.exp(z - z.max())
-    return e / e.sum()
+    """Softmax of ``z``, computed in place: ``z`` must be a fresh array."""
+    z -= z.max()
+    np.exp(z, out=z)
+    z /= z.sum()
+    return z
 
 
 def predict_proba(model: TemplateClassifier, fv: FeatureVector) -> np.ndarray:
@@ -202,6 +205,10 @@ def predict_topk(
     (``World.applications``). It scores the product only when one of them is
     a model template, or when a model template missing from the world might
     outrank them; otherwise the product is a dead end and the result empty.
+
+    Ranking is in plain Python floats: the candidate rows, ascending, go
+    through one stable sort by descending probability, which is the order a
+    stable argsort gives, and each probability is reported as that float.
     """
     if k < 1:
         raise InvalidInput("k must be at least 1")
@@ -209,7 +216,7 @@ def predict_topk(
         if isinstance(inp, Molecule):
             raise InvalidInput("forward models take a reactant sequence")
         probs = predict_proba(model, featurize_reactant_set(inp, model.dim))
-        rows = np.arange(model.n_templates)
+        rows: Iterable[int] = range(model.n_templates)
     else:
         if not isinstance(inp, Molecule):
             raise InvalidInput("backward models take a single product molecule")
@@ -222,9 +229,10 @@ def predict_topk(
         if not outcomes and not missing:
             return []
         probs = predict_proba(model, featurize_molecule(inp, model.dim))
-        rows = np.array(sorted([*outcomes, *missing]), dtype=np.intp)
+        rows = sorted([*outcomes, *missing])
+    p = probs.tolist()
     results: list[Prediction] = []
-    for i in rows[np.argsort(-probs[rows], kind="stable")]:
+    for i in sorted(rows, key=lambda r: -p[r]):
         if len(results) >= k:
             break
         tid = model.template_index[i]
@@ -236,7 +244,7 @@ def predict_topk(
         else:
             outcome = outcomes[i]
         if outcome is not None:
-            results.append(Prediction(tid, float(probs[i]), outcome))
+            results.append(Prediction(tid, p[i], outcome))
     return results
 
 

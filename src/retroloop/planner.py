@@ -9,7 +9,7 @@ particular) the first completed route is also the cheapest one in the tree.
 
 Selection is incremental, in the style of Retro* (Chen et al., ICML 2020): a
 molecule knows its g (the reaction costs from the root down to it) from the
-moment it is created, and every molecule keeps the key ``(g + value, order)``
+moment it is created, and every molecule keeps the key ``(g + value, row)``
 of the best open leaf on its own best partial subroute. An expansion changes
 values only on the path from the expanded molecule to the root, and
 ``_refresh`` recomputes the key of each molecule on that path from its
@@ -18,12 +18,20 @@ O(depth x branching). The keys are the exact quantities a walk of the best
 partial route would compute: g is the same float additions in the same
 order, and the best reaction is the same first minimum.
 
-A tree keeps its nodes in two lists, ``mols`` and ``rxns``, and every parent
-link is an index into the other list, so links point only downwards and a
-tree has no reference cycles: reference counting frees it as soon as
-``plan`` returns, and the cyclic garbage collector never has to trace a
-finished tree. A molecule's ``order`` is its index in ``mols``; as children
-are created after their parents, every child has a larger index.
+A tree is stored as columns: parallel lists with one entry per molecule row
+(``mol_*``) and per reaction row (``rxn_*``). Every link is a row number, so
+a tree holds no node objects and no reference cycles: reference counting
+frees it as soon as ``plan`` returns, and the garbage collector has few
+objects to trace while it lives. One ``expand`` appends all the reactions of
+a molecule, and each reaction's children right after it, so the children of
+a row are the contiguous rows ``[first, end)``; a child's row is always
+larger than its parent's. The molecule column holds the very ``Molecule``
+objects of the reactant tuples, which routes then share.
+
+``MolNode`` and ``ReactionNode`` are read-only ``(tree, row)`` views with the
+attribute names of a node, built only when read: ``tree.root``,
+``best_partial_route()`` and ``.children`` return views, and ``expand``
+takes one.
 
 One plan invocation owns its tree; the model, estimator and world are only
 read, so many plans may run concurrently against shared instances.
@@ -32,7 +40,7 @@ read, so many plans may run concurrently against shared instances.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Protocol
 
 from .errors import InvalidInput, NotSolved
@@ -62,33 +70,56 @@ class ZeroEstimator:
         return 0.0
 
 
-@dataclass(slots=True)
-class ReactionNode:
-    template_id: str
-    cost: float
-    reactants: tuple[Molecule, ...]
-    # Index of the expanded molecule in SearchTree.mols.
-    parent: int
-    children: "list[MolNode]" = field(default_factory=list)
-    value: float = INF
+def _column(name: str, doc: str | None = None) -> property:
+    """A view attribute: the view's row of the tree column ``name``."""
+    return property(lambda view: getattr(view.tree, name)[view.row], doc=doc)
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class MolNode:
-    molecule: Molecule
-    # Index of the producing reaction in SearchTree.rxns; None at the root.
-    parent: int | None
-    # Index in SearchTree.mols.
-    order: int
-    status: str
-    value: float
-    # Shared empty tuple until the molecule is expanded: most never are.
-    children: "list[ReactionNode] | tuple[()]" = ()
-    # Reaction costs from the root down to this molecule.
-    g: float = 0.0
-    # (g + value, order) of the open molecule to expand next in this
-    # molecule's best partial subroute; None when that has none open.
-    best: tuple[float, int] | None = None
+    """Molecule row ``row`` of ``tree``, read through its columns."""
+
+    tree: "SearchTree"
+    row: int
+
+    molecule = _column("mol_molecule")
+    parent = _column("mol_parent", "Row of the producing reaction; None at the root.")
+    status = _column("mol_status")
+    value = _column("mol_value")
+    g = _column("mol_g", "Reaction costs from the root down to this molecule.")
+    best = _column(
+        "mol_best",
+        "``(g + value, row)`` of the open molecule to expand next in this "
+        "molecule's best partial subroute; None when that has none open.",
+    )
+
+    @property
+    def children(self) -> list[ReactionNode]:
+        first = self.tree.mol_first[self.row]
+        return [
+            ReactionNode(self.tree, r) for r in range(first, first + self.tree.mol_nrxn[self.row])
+        ]
+
+
+@dataclass(frozen=True, slots=True)
+class ReactionNode:
+    """Reaction row ``row`` of ``tree``, read through its columns."""
+
+    tree: "SearchTree"
+    row: int
+
+    template_id = _column("rxn_template")
+    cost = _column("rxn_cost")
+    reactants = _column("rxn_reactants")
+    parent = _column("rxn_parent", "Row of the expanded molecule.")
+    value = _column("rxn_value")
+
+    @property
+    def children(self) -> list[MolNode]:
+        return [
+            MolNode(self.tree, c)
+            for c in range(self.tree.rxn_first[self.row], self.tree.rxn_end[self.row])
+        ]
 
 
 class ExpansionRecord(NamedTuple):
@@ -111,7 +142,7 @@ class PlanResult:
 
 
 class SearchTree:
-    """AND-OR tree with incrementally maintained node values."""
+    """AND-OR tree in columns, with incrementally maintained values."""
 
     def __init__(
         self,
@@ -126,101 +157,155 @@ class SearchTree:
         self.estimator = estimator
         self.k_expand = k_expand
         self.call_count = 0
-        self.mols: list[MolNode] = []
-        self.rxns: list[ReactionNode] = []
-        self.root = self._new_mol_node(target, None, 0.0)
-
-    def _new_mol_node(self, molecule: Molecule, parent: int | None, g: float) -> MolNode:
-        order = len(self.mols)
-        if self.world.is_building_block(molecule):
-            node = MolNode(molecule, parent, order, SOLVED_LEAF, 0.0, g=g)
+        # Molecule columns, row 0 the target. A molecule's reactions are the
+        # rows [mol_first, mol_first + mol_nrxn); (0, 0) until it is expanded.
+        self.mol_molecule: list[Molecule] = [target]
+        self.mol_parent: list[int | None] = [None]
+        self.mol_g: list[float] = [0.0]
+        self.mol_first: list[int] = [0]
+        self.mol_nrxn: list[int] = [0]
+        self.mol_status: list[str]
+        self.mol_value: list[float]
+        self.mol_best: list[tuple[float, int] | None]
+        if world.is_building_block(target):
+            self.mol_status, self.mol_value, self.mol_best = [SOLVED_LEAF], [0.0], [None]
         else:
-            value = float(self.estimator.evaluate(molecule))
-            node = MolNode(molecule, parent, order, OPEN, value, g=g, best=(g + value, order))
-        self.mols.append(node)
-        return node
+            value = float(estimator.evaluate(target))
+            self.mol_status, self.mol_value, self.mol_best = [OPEN], [value], [(value, 0)]
+        # Reaction columns. A reaction's children are the molecule rows
+        # [rxn_first, rxn_end), one per distinct reactant.
+        self.rxn_template: list[str] = []
+        self.rxn_cost: list[float] = []
+        self.rxn_reactants: list[tuple[Molecule, ...]] = []
+        self.rxn_parent: list[int] = []
+        self.rxn_first: list[int] = []
+        self.rxn_end: list[int] = []
+        self.rxn_value: list[float] = []
 
-    def _path_texts(self, node: MolNode) -> set[str]:
-        texts = {node.molecule.text}
-        while node.parent is not None:
-            node = self.mols[self.rxns[node.parent].parent]
-            texts.add(node.molecule.text)
+    @property
+    def root(self) -> MolNode:
+        return MolNode(self, 0)
+
+    def _path_texts(self, row: int) -> set[str]:
+        texts = {self.mol_molecule[row].text}
+        parent = self.mol_parent[row]
+        while parent is not None:
+            row = self.rxn_parent[parent]
+            texts.add(self.mol_molecule[row].text)
+            parent = self.mol_parent[row]
         return texts
 
     def expand(self, node: MolNode) -> int:
         """One backward-model call; returns the number of applicable templates."""
-        if node.status != OPEN:
+        row = node.row
+        if self.mol_status[row] != OPEN:
             raise InvalidInput("only open molecules can be expanded")
         self.call_count += 1
-        preds = predict_topk(self.model, node.molecule, self.k_expand, self.world)
-        path = self._path_texts(node)
-        node.children = []
+        preds = predict_topk(self.model, self.mol_molecule[row], self.k_expand, self.world)
+        path = self._path_texts(row)
+        stock = self.world.stock
+        evaluate = self.estimator.evaluate
+        molecules, parents, statuses = self.mol_molecule, self.mol_parent, self.mol_status
+        values, gs, bests = self.mol_value, self.mol_g, self.mol_best
+        firsts, counts = self.mol_first, self.mol_nrxn
+        g_row = gs[row]
+        first = len(self.rxn_cost)
         for pred in preds:
             reactants = pred.outcome  # sorted tuple of molecules
             # A reactant equal to any molecule on the root path would cycle.
             if any(r.text in path for r in reactants):
                 continue
-            rnode = ReactionNode(
-                template_id=pred.template_id,
-                cost=INF if pred.probability <= 0.0 else -math.log(pred.probability),
-                reactants=reactants,  # type: ignore[arg-type]
-                parent=node.order,
-            )
-            index = len(self.rxns)
-            self.rxns.append(rnode)
-            g = node.g + rnode.cost
-            seen: set[str] = set()
+            cost = INF if pred.probability <= 0.0 else -math.log(pred.probability)
+            g = g_row + cost
+            rxn = len(self.rxn_cost)
+            start = len(molecules)
+            previous = None
             for r in reactants:
-                if r.text not in seen:
-                    seen.add(r.text)
-                    rnode.children.append(self._new_mol_node(r, index, g))
-            rnode.value = rnode.cost + sum(c.value for c in rnode.children)
-            node.children.append(rnode)
-        node.status = EXPANDED if node.children else DEAD
-        self._refresh(node)
-        self._propagate(node)
+                text = r.text
+                if text == previous:  # sorted, so a repeated reactant is adjacent
+                    continue
+                previous = text
+                child = len(molecules)
+                molecules.append(r)
+                parents.append(rxn)
+                gs.append(g)
+                firsts.append(0)
+                counts.append(0)
+                if not r.malformed and text in stock:
+                    statuses.append(SOLVED_LEAF)
+                    values.append(0.0)
+                    bests.append(None)
+                else:
+                    value = float(evaluate(r))
+                    statuses.append(OPEN)
+                    values.append(value)
+                    bests.append((g + value, child))
+            end = len(molecules)
+            self.rxn_template.append(pred.template_id)
+            self.rxn_cost.append(cost)
+            self.rxn_reactants.append(reactants)  # type: ignore[arg-type]
+            self.rxn_parent.append(row)
+            self.rxn_first.append(start)
+            self.rxn_end.append(end)
+            self.rxn_value.append(cost + sum(values[start:end]))
+        n_rxn = len(self.rxn_cost) - first
+        firsts[row], counts[row] = first, n_rxn
+        statuses[row] = EXPANDED if n_rxn else DEAD
+        self._refresh(row)
+        self._propagate(row)
         return len(preds)
 
-    def _refresh(self, node: MolNode) -> None:
-        if node.status in (SOLVED_LEAF, OPEN):
+    def _refresh(self, row: int) -> None:
+        if self.mol_status[row] in (SOLVED_LEAF, OPEN):
             return
-        best: ReactionNode | None = None
-        for r in node.children:  # first strict minimum = insertion order
-            if best is None or r.value < best.value:
-                best = r
-        node.value = INF if best is None else best.value
-        if node.value == INF:
-            node.status, node.best = DEAD, None
+        first = self.mol_first[row]
+        # The first strict minimum: ties go to the earlier reaction.
+        best = min(
+            range(first, first + self.mol_nrxn[row]), key=self.rxn_value.__getitem__, default=None
+        )
+        value = INF if best is None else self.rxn_value[best]
+        self.mol_value[row] = value
+        if value == INF:
+            self.mol_status[row], self.mol_best[row] = DEAD, None
             return
-        node.status = EXPANDED
-        keys = [c.best for c in best.children if c.best is not None]  # type: ignore[union-attr]
-        node.best = min(keys) if keys else None
+        self.mol_status[row] = EXPANDED
+        key = None
+        bests = self.mol_best
+        for c in range(self.rxn_first[best], self.rxn_end[best]):
+            k = bests[c]
+            if k is not None and (key is None or k < key):
+                key = k
+        bests[row] = key
 
-    def _propagate(self, node: MolNode) -> None:
-        while node.parent is not None:
-            rnode = self.rxns[node.parent]
-            rnode.value = rnode.cost + sum(c.value for c in rnode.children)
-            node = self.mols[rnode.parent]
-            self._refresh(node)
+    def _propagate(self, row: int) -> None:
+        parent = self.mol_parent[row]
+        while parent is not None:
+            self.rxn_value[parent] = self.rxn_cost[parent] + sum(
+                self.mol_value[self.rxn_first[parent] : self.rxn_end[parent]]
+            )
+            row = self.rxn_parent[parent]
+            self._refresh(row)
+            parent = self.mol_parent[row]
 
     def best_partial_route(self) -> list[tuple[MolNode, float]] | None:
         """The open molecule to expand next on the minimum-value partial route.
 
         The partial route takes the first minimum-value reaction at every
         expanded molecule; among its open molecules the one with the least
-        ``(g + value, order)`` is next, where g is the sum of reaction costs
+        ``(g + value, row)`` is next, where g is the sum of reaction costs
         from the root to the molecule. Returns None when the root is dead, []
         when the route is complete (all leaves solved), and otherwise the
         one-element list ``[(molecule, g)]``.
 
         O(1): the root holds that molecule's key (see the module docstring).
         """
-        if self.root.value == INF:
+        if self.mol_value[0] == INF:
             return None
-        if self.root.best is None:
+        key = self.mol_best[0]
+        if key is None:
             return []
-        node = self.mols[self.root.best[1]]
-        return [(node, node.g)]
+        row = key[1]
+        return [(MolNode(self, row), self.mol_g[row])]
 
 
 def plan(
@@ -267,42 +352,46 @@ def plan(
 
 def extract_route(tree: SearchTree) -> Route:
     """The minimum-cost fully solved subtree of the tree, as a Route."""
-    # By molecule order: (cost, first cheapest reaction) of the molecule's
+    # By molecule row: (cost, first cheapest reaction row) of the molecule's
     # cheapest solved subtree, (0.0, None) for a building block, None if it
-    # has none. Children come after their parents in ``tree.mols``, so a
-    # backwards pass settles every child before its parent.
-    solved: list[tuple[float, ReactionNode | None] | None] = [None] * len(tree.mols)
-    for node in reversed(tree.mols):
-        if node.status == SOLVED_LEAF:
-            solved[node.order] = (0.0, None)
-        elif node.status == EXPANDED:
-            result: tuple[float, ReactionNode | None] | None = None
-            for r in node.children:
-                total = r.cost
-                for child in r.children:
-                    sub = solved[child.order]
+    # has none. Children come after their parents, so a backwards pass
+    # settles every child before its parent.
+    statuses, firsts, counts = tree.mol_status, tree.mol_first, tree.mol_nrxn
+    costs, child_first, child_end = tree.rxn_cost, tree.rxn_first, tree.rxn_end
+    solved: list[tuple[float, int | None] | None] = [None] * len(statuses)
+    for row in range(len(statuses) - 1, -1, -1):
+        status = statuses[row]
+        if status == SOLVED_LEAF:
+            solved[row] = (0.0, None)
+        elif status == EXPANDED:
+            result: tuple[float, int | None] | None = None
+            for r in range(firsts[row], firsts[row] + counts[row]):
+                total = costs[r]
+                for child in range(child_first[r], child_end[r]):
+                    sub = solved[child]
                     if sub is None:
                         break
                     total += sub[0]
                 else:
                     if result is None or total < result[0]:
                         result = (total, r)
-            solved[node.order] = result
+            solved[row] = result
 
-    if solved[tree.root.order] is None:
-        raise NotSolved(f"no solved route for {tree.root.molecule.text}")
+    target = tree.mol_molecule[0]
+    if solved[0] is None:
+        raise NotSolved(f"no solved route for {target.text}")
 
     reactions: dict[tuple, Reaction] = {}
-    stack = [tree.root]
+    stack = [0]
     while stack:  # pre-order, children left to right
-        node = stack.pop()
-        best_r = solved[node.order][1]  # type: ignore[index]
-        if best_r is None:
+        row = stack.pop()
+        r = solved[row][1]  # type: ignore[index]
+        if r is None:
             continue
-        rx = make_reaction(node.molecule, best_r.reactants, best_r.template_id)
+        rx = make_reaction(tree.mol_molecule[row], tree.rxn_reactants[r], tree.rxn_template[r])
         reactions.setdefault(rx.key, rx)
-        stack.extend(reversed(best_r.children))
-    return Route(target=tree.root.molecule, reactions=tuple(reactions.values()))
+        stack.extend(range(child_end[r] - 1, child_first[r] - 1, -1))
+    return Route(target=target, reactions=tuple(reactions.values()))
 
 
 def route_cost_under(

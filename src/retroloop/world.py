@@ -362,15 +362,20 @@ class World:
         for template in self.backward_templates_by_op[ast.op]:
             reactants = template.backward(product)
             if reactants is not None:
-                apps.append((template.id, tuple(sorted(reactants, key=lambda m: m.text))))
+                # At most two reactants: one comparison sorts them, and a
+                # tie keeps their order, as a stable sort would.
+                if len(reactants) == 2 and reactants[1].text < reactants[0].text:
+                    reactants = (reactants[1], reactants[0])
+                apps.append((template.id, reactants))
         return apps
 
     @cached_property
-    def _stock(self) -> frozenset[str]:
+    def stock(self) -> frozenset[str]:
+        """Texts of the building blocks."""
         return frozenset(m.text for m in self.building_blocks)
 
     def is_building_block(self, m: Molecule) -> bool:
-        return not m.malformed and m.text in self._stock
+        return not m.malformed and m.text in self.stock
 
 
 def _atom_names(n: int) -> list[str]:

@@ -1,6 +1,6 @@
 import pytest
 
-from retroloop import TrainConfig, WorldConfig, build_datasets, generate_world
+from retroloop import TrainConfig, WorldConfig, build_datasets, generate_world, penalty_constants
 from retroloop.improve import pretrain_models
 
 
@@ -26,3 +26,9 @@ def small_models(small_world, small_data):
         TrainConfig(learning_rate=0.2, epochs=12, batch_size=64, seed=1),
         TrainConfig(learning_rate=0.2, epochs=12, batch_size=64, seed=2),
     )
+
+
+@pytest.fixture(scope="session")
+def small_penalties(small_world, small_data, small_models):
+    """Failure penalties of ``small_data`` under the reference model."""
+    return penalty_constants(small_data, small_models[1], small_world)

@@ -28,6 +28,7 @@ from retroloop import (
     generate_world,
     mol,
     parse_molecule,
+    penalty_constants,
     plan,
     route_cost_under,
     run_self_improvement,
@@ -73,13 +74,14 @@ def reference_runs():
         pretrained = build_pretrained(cfg, seed, world, data)
         backward, reference, forward = pretrained
         loop_cfg = seed_loop_config(cfg, seed)
+        penalties = penalty_constants(data, reference, world)
         base = evaluate_over_budgets(
-            backward, estimator, data.targets, [budget], reference, data, world,
+            backward, estimator, data.targets, [budget], reference, penalties, world,
             k_expand=cfg.eval.k_expand,
         )[budget]
         final, reports = run_self_improvement(loop_cfg, world, data, pretrained=pretrained)
         post = evaluate_over_budgets(
-            final, estimator, data.targets, [budget], reference, data, world,
+            final, estimator, data.targets, [budget], reference, penalties, world,
             k_expand=cfg.eval.k_expand,
         )[budget]
         runs.append(
@@ -88,6 +90,7 @@ def reference_runs():
                 "world": world,
                 "data": data,
                 "pretrained": pretrained,
+                "penalties": penalties,
                 "loop_cfg": loop_cfg,
                 "base": base,
                 "post": post,
@@ -298,7 +301,7 @@ class TestAugmentationAblation:
                         run["data"].targets,
                         [cfg.loop.budget],
                         run["pretrained"][1],
-                        run["data"],
+                        run["penalties"],
                         run["world"],
                         k_expand=cfg.eval.k_expand,
                     )[cfg.loop.budget]
@@ -338,7 +341,7 @@ class TestFailureAccounting:
                 unsynthesizable,
                 [budget],
                 reference,
-                data,
+                penalty_constants(data, reference, world),
                 world,
             )[budget]
             assert metrics.success_rate == 0.0
@@ -385,7 +388,8 @@ class TestBudgetHonestyAndMonotonicity:
                     assert result.model_calls <= budget
                     checked_plans += 1
                 curve = evaluate_over_budgets(
-                    model, ZeroEstimator(), data.targets, [0, 5, 15, 40, 100], model, data, world
+                    model, ZeroEstimator(), data.targets, [0, 5, 15, 40, 100], model,
+                    penalty_constants(data, model, world), world,
                 )
                 rates = [metrics.success_rate for metrics in curve.values()]
                 assert rates == sorted(rates), rates

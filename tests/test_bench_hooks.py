@@ -30,3 +30,20 @@ def test_tracer_binds_every_layer_source():
     # parse_ast is read through its cache_info(), not through a wrapper.
     sources = {row[2] for row in layers.PER_LAYER.values()} - {None, "world.parse_ast"}
     assert sources <= bound, sorted(sources - bound)
+
+
+def test_tracer_walks_the_search_tree(small_world, small_models, small_data):
+    # ``--trace 1`` wraps SearchTree.expand and best_partial_route on the
+    # class and sizes the last tree from ``tree.root`` down ``.children``.
+    from retroloop.planner import SearchTree, ZeroEstimator
+
+    tracer = load("tracer")
+    assert {"expand", "best_partial_route"} <= vars(SearchTree).keys()
+    backward, _, _ = small_models
+    target = max(small_data.targets, key=lambda t: (len(t.text), t.text))
+    tree = SearchTree(target, backward, ZeroEstimator(), 10, small_world)
+    while step := tree.best_partial_route():
+        tree.expand(step[0][0])
+    assert step == []  # solved
+    assert len(tree.rxn_cost) > 1 and tree.call_count > 1  # multi-step
+    assert tracer._tree_size(tree) == len(tree.mol_molecule) + len(tree.rxn_cost)

@@ -21,6 +21,7 @@ from retroloop import (
     generate_world,
     mol,
     parse_molecule,
+    penalty_constants,
     plan,
     predict_topk,
     train,
@@ -69,11 +70,11 @@ def naive_min_cost(world, clf, molecule, visited=frozenset()):
 
 
 class TestEvaluatePlanning:
-    def test_stock_targets_are_free(self, small_world, small_models, small_data):
+    def test_stock_targets_are_free(self, small_world, small_models, small_penalties):
         backward, reference, _ = small_models
         targets = [mol(a) for a in small_world.atoms]
         metrics = evaluate_over_budgets(
-            backward, ZeroEstimator(), targets, [50], reference, small_data, small_world
+            backward, ZeroEstimator(), targets, [50], reference, small_penalties, small_world
         )[50]
         assert metrics.success_rate == 1.0
         assert metrics.avg_length == 0.0
@@ -89,7 +90,7 @@ class TestEvaluatePlanning:
         max_cost = max_len * math.log(2.0)
         unsynth = [mol("(a*b)"), parse_molecule("(a+")]
         metrics = evaluate_over_budgets(
-            clf, ZeroEstimator(), unsynth, [50], clf, data, world
+            clf, ZeroEstimator(), unsynth, [50], clf, penalty_constants(data, clf, world), world
         )[50]
         assert metrics.success_rate == 0.0
         for row in metrics.rows:
@@ -98,11 +99,11 @@ class TestEvaluatePlanning:
             assert row.time == 50
             assert row.cost == pytest.approx(2 * max_cost, abs=1e-9)
 
-    def test_mixed_targets_accounting(self, small_world, small_models, small_data):
+    def test_mixed_targets_accounting(self, small_world, small_models, small_data, small_penalties):
         backward, reference, _ = small_models
         targets = list(small_data.targets[:10]) + [mol("(a?b)")]
         metrics = evaluate_over_budgets(
-            backward, ZeroEstimator(), targets, [40], reference, small_data, small_world
+            backward, ZeroEstimator(), targets, [40], reference, small_penalties, small_world
         )[40]
         assert len(metrics.rows) == len(targets)
         wins = sum(1 for r in metrics.rows if r.outcome == "success")
@@ -112,32 +113,34 @@ class TestEvaluatePlanning:
         assert all(r.cost >= 0 for r in metrics.rows)
         assert metrics.avg_time <= 40
 
-    def test_deterministic(self, small_world, small_models, small_data):
+    def test_deterministic(self, small_world, small_models, small_data, small_penalties):
         backward, reference, _ = small_models
         a = evaluate_over_budgets(
-            backward, ZeroEstimator(), small_data.targets[:15], [30], reference, small_data, small_world
+            backward, ZeroEstimator(), small_data.targets[:15], [30], reference, small_penalties,
+            small_world,
         )
         b = evaluate_over_budgets(
-            backward, ZeroEstimator(), small_data.targets[:15], [30], reference, small_data, small_world
+            backward, ZeroEstimator(), small_data.targets[:15], [30], reference, small_penalties,
+            small_world,
         )
         assert a == b
 
-    def test_empty_targets_rejected(self, small_world, small_models, small_data):
+    def test_empty_targets_rejected(self, small_world, small_models, small_penalties):
         backward, reference, _ = small_models
         with pytest.raises(EmptyDataset):
             evaluate_over_budgets(
-                backward, ZeroEstimator(), [], [10], reference, small_data, small_world
+                backward, ZeroEstimator(), [], [10], reference, small_penalties, small_world
             )
 
-    def test_multi_budget_consistency(self, small_world, small_models, small_data):
+    def test_multi_budget_consistency(self, small_world, small_models, small_data, small_penalties):
         backward, reference, _ = small_models
         targets = small_data.targets[:15]
         multi = evaluate_over_budgets(
-            backward, ZeroEstimator(), targets, [10, 40], reference, small_data, small_world
+            backward, ZeroEstimator(), targets, [10, 40], reference, small_penalties, small_world
         )
         for budget in (10, 40):
             single = evaluate_over_budgets(
-                backward, ZeroEstimator(), targets, [budget], reference, small_data, small_world
+                backward, ZeroEstimator(), targets, [budget], reference, small_penalties, small_world
             )
             assert multi[budget] == single[budget]
 
@@ -302,38 +305,38 @@ class TestOracleEstimator:
 
 
 class TestSuccessCurve:
-    def test_zero_budget_point(self, small_world, small_models, small_data):
+    def test_zero_budget_point(self, small_world, small_models, small_data, small_penalties):
         backward, reference, _ = small_models
         targets = [t for t in small_data.targets if not small_world.is_building_block(t)]
         curve = evaluate_over_budgets(
-            backward, ZeroEstimator(), targets[:5], [0], reference, small_data, small_world
+            backward, ZeroEstimator(), targets[:5], [0], reference, small_penalties, small_world
         )
         assert list(curve) == [0]
         assert curve[0].success_rate == 0.0
 
-    def test_non_decreasing(self, small_world, small_models, small_data):
+    def test_non_decreasing(self, small_world, small_models, small_data, small_penalties):
         backward, reference, _ = small_models
         curve = evaluate_over_budgets(
             backward, ZeroEstimator(), small_data.targets[:20], [0, 5, 10, 25, 50],
-            reference, small_data, small_world,
+            reference, small_penalties, small_world,
         )
         rates = [m.success_rate for m in curve.values()]
         assert rates == sorted(rates)
 
-    def test_budget_pair_format(self, small_world, small_models, small_data):
+    def test_budget_pair_format(self, small_world, small_models, small_data, small_penalties):
         backward, reference, _ = small_models
         curve = evaluate_over_budgets(
             backward, ZeroEstimator(), small_data.targets[:5], [50, 500],
-            reference, small_data, small_world,
+            reference, small_penalties, small_world,
         )
         assert list(curve) == [50, 500]
         assert [m.budget for m in curve.values()] == [50, 500]
         assert all(0.0 <= m.success_rate <= 1.0 for m in curve.values())
 
-    def test_unsorted_budgets_rejected(self, small_world, small_models, small_data):
+    def test_unsorted_budgets_rejected(self, small_world, small_models, small_data, small_penalties):
         backward, reference, _ = small_models
         with pytest.raises(InvalidInput):
             evaluate_over_budgets(
                 backward, ZeroEstimator(), small_data.targets[:3], [50, 10],
-                reference, small_data, small_world,
+                reference, small_penalties, small_world,
             )

@@ -53,7 +53,7 @@ def single_split_world():
 
 
 def recompute_all_values(tree):
-    """Fresh bottom-up values for every node, keyed by id()."""
+    """Fresh bottom-up values for every row, keyed by ("mol" | "rxn", row)."""
     values = {}
 
     def walk(node):
@@ -65,13 +65,56 @@ def recompute_all_values(tree):
             v = math.inf
             for r in node.children:
                 total = r.cost + sum(walk(c) for c in r.children)
-                values[id(r)] = total
+                values[("rxn", r.row)] = total
                 v = min(v, total)
-        values[id(node)] = v
+        values[("mol", node.row)] = v
         return v
 
     walk(tree.root)
     return values
+
+
+def check_columns(tree):
+    """Row links point both ways, child ranges tile the rows without
+    overlapping, and no column holds a list or a node object."""
+    n_mol, n_rxn = len(tree.mol_molecule), len(tree.rxn_cost)
+    columns = {name: col for name, col in vars(tree).items() if name.startswith(("mol_", "rxn_"))}
+    assert len(columns) == 15
+    for name, col in columns.items():
+        assert len(col) == (n_mol if name.startswith("mol_") else n_rxn), name
+        for cell in col:
+            assert not isinstance(cell, (list, MolNode, ReactionNode)), name
+    assert tree.mol_parent[0] is None
+    # Molecule rows 1.. are the children of reactions 0.., in row order.
+    child_end = 1
+    for r in range(n_rxn):
+        first, end = tree.rxn_first[r], tree.rxn_end[r]
+        assert first == child_end and first < end
+        child_end = end
+        texts = [m.text for m in tree.rxn_reactants[r]]
+        for c in range(first, end):
+            assert tree.mol_parent[c] == r
+            # The molecule column holds the reactant tuple's own objects.
+            assert any(m is tree.mol_molecule[c] for m in tree.rxn_reactants[r])
+        assert [tree.mol_molecule[c].text for c in range(first, end)] == list(dict.fromkeys(texts))
+    assert child_end == n_mol
+    # Reaction rows are the reactions of expanded molecules, one range each.
+    ranges = sorted(
+        (tree.mol_first[m], tree.mol_nrxn[m], m) for m in range(n_mol) if tree.mol_nrxn[m]
+    )
+    rxn_end = 0
+    for first, count, m in ranges:
+        assert first == rxn_end and tree.mol_status[m] != OPEN
+        rxn_end = first + count
+        for r in range(first, first + count):
+            assert tree.rxn_parent[r] == m
+    assert rxn_end == n_rxn
+
+
+def append_row(tree, prefix, **cells):
+    """Append one row to the ``prefix`` columns of a hand-built tree."""
+    for name, cell in cells.items():
+        getattr(tree, f"{prefix}_{name}").append(cell)
 
 
 def walk_best_partial_route(tree):
@@ -185,19 +228,25 @@ class TestExtractRoute:
     def _alternatives(costs):
         """Hand-built tree: one solved reaction under the root per
         (cost, template id), in that order."""
-        root = MolNode(mol("(a+b)"), None, 0, EXPANDED, 0.0, children=[])
-        tree = SearchTree.__new__(SearchTree)
-        tree.root, tree.mols, tree.rxns = root, [root], []
+        world = single_split_world()
+        clf = zero_classifier(world.template_ids, ROLE_BACKWARD)
+        tree = SearchTree(mol("(a+b)"), clf, ZeroEstimator(), 5, world)
+        tree.mol_status[0], tree.mol_best[0] = EXPANDED, None
+        tree.mol_first[0], tree.mol_nrxn[0] = 0, len(costs)
         for i, (cost, tid) in enumerate(costs):
-            r = ReactionNode(tid, cost, (mol("a"), mol("b")), root.order)
-            tree.rxns.append(r)
-            for m in r.reactants:
-                child = MolNode(m, i, len(tree.mols), SOLVED_LEAF, 0.0)
-                tree.mols.append(child)
-                r.children.append(child)
-            r.value = cost
-            root.children.append(r)
-        root.value = min(cost for cost, _tid in costs)
+            reactants = (mol("a"), mol("b"))
+            start = len(tree.mol_molecule)
+            for m in reactants:
+                append_row(
+                    tree, "mol", molecule=m, parent=i, status=SOLVED_LEAF, value=0.0,
+                    g=0.0, best=None, first=0, nrxn=0,
+                )
+            append_row(
+                tree, "rxn", template=tid, cost=cost, reactants=reactants, parent=0,
+                first=start, end=len(tree.mol_molecule), value=cost,
+            )
+        tree.mol_value[0] = min(cost for cost, _tid in costs)
+        check_columns(tree)
         return tree
 
     def test_min_cost_reaction_wins(self, small_world):
@@ -329,20 +378,21 @@ class TestSearchProperties:
             if not walked:
                 assert selected == walked
                 break
-            node, g = min(walked, key=lambda it: (it[1] + it[0].value, it[0].order))
+            node, g = min(walked, key=lambda it: (it[1] + it[0].value, it[0].row))
             assert len(selected) == 1
-            assert selected[0][0] is node
+            assert selected[0][0].row == node.row
             assert selected[0][1] == g
             tree.expand(node)
+            check_columns(tree)
             fresh = recompute_all_values(tree)
 
             def check(m):
-                assert abs(fresh[id(m)] - m.value) < 1e-9 or (
-                    math.isinf(fresh[id(m)]) and math.isinf(m.value)
+                assert abs(fresh[("mol", m.row)] - m.value) < 1e-9 or (
+                    math.isinf(fresh[("mol", m.row)]) and math.isinf(m.value)
                 )
                 for r in m.children:
-                    assert abs(fresh[id(r)] - r.value) < 1e-9 or (
-                        math.isinf(fresh[id(r)]) and math.isinf(r.value)
+                    assert abs(fresh[("rxn", r.row)] - r.value) < 1e-9 or (
+                        math.isinf(fresh[("rxn", r.row)]) and math.isinf(r.value)
                     )
                     for c in r.children:
                         check(c)
