@@ -24,7 +24,6 @@ from .evaluate import (
 from .improve import (
     IterationReport,
     LoopConfig,
-    ReactionCollection,
     augment,
     behavioral_clone,
     collect_reactions,

@@ -23,7 +23,7 @@ import statistics
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 from pathlib import Path
 from typing import NamedTuple, get_args, get_origin, get_type_hints
 
@@ -47,6 +47,7 @@ from .world import (
     World,
     WorldConfig,
     build_datasets,
+    check_dataset_settings,
     generate_world,
     load_dataset,
     load_world,
@@ -85,8 +86,7 @@ class DatasetConfig:
     leaf_prob: float = 0.35
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.leaf_prob < 1.0:
-            raise InvalidConfig("leaf_prob must lie in [0, 1)")
+        check_dataset_settings(self.n_targets, self.max_depth, self.split, self.leaf_prob)
 
 
 @dataclass(frozen=True)
@@ -124,6 +124,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not self.seeds:
             raise InvalidConfig("seeds must be a non-empty list")
+        if self.dim < 1:
+            raise InvalidConfig("dim must be at least 1")
 
 
 def _typed(hint, value, default, where: str):
@@ -343,7 +345,7 @@ def run_improve(
     def persist(model, report):
         save_checkpoint(model, ck_dir / f"backward_iter_{report.iteration}.json")
         (reports_dir / f"iteration_{report.iteration}.json").write_text(
-            json.dumps(report.to_json(), sort_keys=True) + "\n"
+            json.dumps(asdict(report), sort_keys=True) + "\n"
         )
 
     final, reports = run_self_improvement(
@@ -385,6 +387,10 @@ def run_evaluate(
     )
     metrics_dir = seed_dir / "metrics"
     metrics_dir.mkdir(parents=True, exist_ok=True)
+    # A new evaluation replaces every metrics file of an earlier one.
+    for pattern in ("targets_budget*_iter*.csv", "summary.csv", "gains.csv"):
+        for stale in metrics_dir.glob(pattern):
+            stale.unlink()
     summary_rows: list[dict] = []
     per_budget: dict[int, dict[int, object]] = {}
     penalties = penalty_constants(data, reference, world)
@@ -612,10 +618,9 @@ def cmd_evaluate(args) -> int:
     for cfg, seed, seed_dir, world, data, (reference, model, *baseline) in _seed_worlds(
         args, needs, replace(cfg, eval=eval_cfg)
     ):
+        models = {cfg.loop.iterations: model}
         if baseline:
-            models = {0: baseline[0], cfg.loop.iterations: model}
-        else:
-            models = {args.iteration: model}
+            models[0] = baseline[0]
         rows = run_evaluate(cfg, seed, seed_dir, world, data, reference, models)
         for row in rows:
             print(
@@ -739,7 +744,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--baseline", default=None)
-    p.add_argument("--iteration", type=int, default=0)
     p.add_argument("--budget", type=int, action="append", default=None)
     p.add_argument("--estimator", choices=("retro0", "oracle"), default=None)
     p.set_defaults(func=cmd_evaluate)

@@ -12,8 +12,7 @@ once and never change.
 from __future__ import annotations
 
 import random
-from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .errors import EmptyCollection, EmptyDataset, InvalidConfig
@@ -36,48 +35,29 @@ from .seeding import derive_seed
 from .world import Dataset, Reaction, Route, World, validate_route
 
 
-@dataclass(frozen=True)
-class ReactionCollection:
-    """Multiset of reactions; duplicates carry weight.
-
-    ``provenance`` is parallel to ``entries`` and names the target whose
-    success route (or augmentation thereof) produced each entry.
-    """
-
-    entries: tuple[Reaction, ...] = ()
-    provenance: tuple[str, ...] = ()
-
-    def counts(self) -> Counter:
-        return Counter(rx.key for rx in self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
 def collect_reactions(
     routes: Sequence[Route],
     ref: TemplateClassifier,
     epsilon: float,
     world: World,
-) -> ReactionCollection:
-    """Reactions of all routes whose reference likelihood strictly exceeds epsilon."""
-    entries: list[Reaction] = []
-    provenance: list[str] = []
-    for route in routes:
-        for rx in route.reactions:
-            if likelihood(ref, rx, world) > epsilon:
-                entries.append(rx)
-                provenance.append(route.target.text)
-    return ReactionCollection(entries=tuple(entries), provenance=tuple(provenance))
+) -> tuple[Reaction, ...]:
+    """Reactions of all routes whose reference likelihood strictly exceeds
+    epsilon; a reaction on several routes is kept once per route."""
+    return tuple(
+        rx
+        for route in routes
+        for rx in route.reactions
+        if likelihood(ref, rx, world) > epsilon
+    )
 
 
 def augment(
-    collection: ReactionCollection,
+    reactions: Sequence[Reaction],
     fwd: TemplateClassifier,
     ref: TemplateClassifier,
     epsilon_aug: float,
     world: World,
-) -> ReactionCollection:
+) -> tuple[Reaction, ...]:
     """Replace each product with the forward model's proposal, doubly checked.
 
     An augmented reaction (m', R) is kept only when the forward model is
@@ -85,9 +65,8 @@ def augment(
     top applicable template on m' is the same template and reproduces R.
     Proposals identical to the original product are retained on purpose.
     """
-    entries: list[Reaction] = []
-    provenance: list[str] = []
-    for rx, source in zip(collection.entries, collection.provenance):
+    accepted: list[Reaction] = []
+    for rx in reactions:
         proposals = predict_topk(fwd, rx.reactants, 1, world)
         if not proposals:
             continue
@@ -100,21 +79,20 @@ def augment(
         reproduced = tuple(m.text for m in backs[0].outcome)  # type: ignore[union-attr]
         if reproduced != tuple(r.text for r in rx.reactants):
             continue
-        entries.append(Reaction(product=product, reactants=rx.reactants, template_id=tid))  # type: ignore[arg-type]
-        provenance.append(source)
-    return ReactionCollection(entries=tuple(entries), provenance=tuple(provenance))
+        accepted.append(Reaction(product=product, reactants=rx.reactants, template_id=tid))  # type: ignore[arg-type]
+    return tuple(accepted)
 
 
 def behavioral_clone(
     model: TemplateClassifier,
-    collection: ReactionCollection,
+    reactions: Sequence[Reaction],
     cfg: TrainConfig,
 ) -> TemplateClassifier:
-    """Maximum-likelihood imitation of the collection, weights per multiplicity."""
-    if not collection.entries:
+    """Maximum-likelihood imitation of the multiset, weights per multiplicity."""
+    if not reactions:
         raise EmptyCollection("nothing to clone from")
     weighted: dict[tuple[str, str], list] = {}
-    for rx in collection.entries:
+    for rx in reactions:
         key = (rx.product.text, rx.template_id)
         if key in weighted:
             weighted[key][2] += 1.0
@@ -157,6 +135,8 @@ class LoopConfig:
 
 @dataclass(frozen=True)
 class IterationReport:
+    """The counts of one iteration, as written to its report file."""
+
     iteration: int
     routes_attempted: int
     routes_succeeded: int
@@ -166,23 +146,6 @@ class IterationReport:
     duplicates_retained: int
     top1: float
     top10: float
-    # In-memory provenance for re-checking; not serialized.
-    routes: tuple[Route, ...] = field(default=(), repr=False)
-    collected: ReactionCollection = field(default=ReactionCollection(), repr=False)
-    augmented: ReactionCollection = field(default=ReactionCollection(), repr=False)
-
-    def to_json(self) -> dict:
-        return {
-            "iteration": self.iteration,
-            "routes_attempted": self.routes_attempted,
-            "routes_succeeded": self.routes_succeeded,
-            "reactions_harvested": self.reactions_harvested,
-            "kept_after_filter": self.kept_after_filter,
-            "augmented_accepted": self.augmented_accepted,
-            "duplicates_retained": self.duplicates_retained,
-            "top1": self.top1,
-            "top10": self.top10,
-        }
 
 
 def pretrain_models(
@@ -255,18 +218,14 @@ def run_self_improvement(
 
         harvested = sum(len(r.reactions) for r in routes)
         collected = collect_reactions(routes, reference, cfg.epsilon, world)
+        augmented: tuple[Reaction, ...] = ()
         if cfg.augmentation:
             augmented = augment(collected, forward, reference, cfg.epsilon_aug, world)
-        else:
-            augmented = ReactionCollection()
-        collected_keys = collected.counts()
-        duplicates = sum(1 for rx in augmented.entries if rx.key in collected_keys)
+        collected_keys = {rx.key for rx in collected}
+        duplicates = sum(1 for rx in augmented if rx.key in collected_keys)
 
-        union = ReactionCollection(
-            entries=collected.entries + augmented.entries,
-            provenance=collected.provenance + augmented.provenance,
-        )
-        if union.entries:
+        union = collected + augmented
+        if union:
             base = (
                 backward
                 if cfg.warm_start
@@ -289,9 +248,6 @@ def run_self_improvement(
             duplicates_retained=duplicates,
             top1=top1,
             top10=top10,
-            routes=tuple(routes),
-            collected=collected,
-            augmented=augmented,
         )
         reports.append(report)
         if on_iteration is not None:

@@ -127,7 +127,6 @@ class TemplateClassifier:
     bias: np.ndarray  # (T,)
     template_index: tuple[str, ...]
     role: str
-    version: int = 1
 
     @property
     def n_templates(self) -> int:
@@ -469,5 +468,4 @@ def load_checkpoint(path: str | Path) -> TemplateClassifier:
         bias=np.asarray(doc["bias"], dtype=np.float64),
         template_index=tuple(doc["template_index"]),
         role=doc["role"],
-        version=doc["version"],
     )

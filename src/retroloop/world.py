@@ -457,8 +457,6 @@ def sample_ground_truth_route(
     different lengths to the same target possible. ``leaf_prob`` shapes the
     depth distribution: lower values grow bushier targets.
     """
-    if max_depth < 0:
-        raise InvalidConfig("max_depth must be non-negative")
     rng = random.Random(seed)
     stock_texts = [m.text for m in world.building_blocks]
     if max_depth == 0:
@@ -487,6 +485,22 @@ def sample_ground_truth_route(
     return target, Route(target=target, reactions=tuple(reactions.values()))
 
 
+def check_dataset_settings(
+    n_targets: int, max_depth: int, split: tuple[float, ...], leaf_prob: float
+) -> None:
+    """The rules a dataset's settings obey; each message opens with its key."""
+    if n_targets < 1:
+        raise InvalidConfig("n_targets must be at least 1")
+    if max_depth < 0:
+        raise InvalidConfig("max_depth must be non-negative")
+    if len(split) != 3 or any(f <= 0 for f in split):
+        raise InvalidConfig("split must be three positive fractions")
+    if abs(sum(split) - 1.0) > 1e-9:
+        raise InvalidConfig("split fractions must sum to 1")
+    if not 0.0 <= leaf_prob < 1.0:
+        raise InvalidConfig("leaf_prob must lie in [0, 1)")
+
+
 @dataclass(frozen=True)
 class Dataset:
     targets: tuple[Molecule, ...]
@@ -505,13 +519,8 @@ def build_datasets(
     leaf_prob: float = _LEAF_PROB,
 ) -> Dataset:
     """Sample targets with ground-truth routes and split the pooled reactions."""
-    if n_targets < 1:
-        raise InvalidConfig("n_targets must be at least 1")
     fractions = tuple(split)
-    if len(fractions) != 3 or any(f <= 0 for f in fractions):
-        raise InvalidConfig("split must be three positive fractions")
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise InvalidConfig("split fractions must sum to 1")
+    check_dataset_settings(n_targets, max_depth, fractions, leaf_prob)
 
     rng = random.Random(seed)
     targets: list[Molecule] = []

@@ -1,12 +1,13 @@
 import csv
 import json
 import runpy
+from dataclasses import fields
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-from retroloop import run_self_improvement, save_checkpoint
+from retroloop import IterationReport, run_self_improvement, save_checkpoint
 from retroloop.cli import (
     ExperimentConfig,
     build_pretrained,
@@ -147,6 +148,34 @@ class TestConfig:
         assert f"config.json.{section}.k_expand must be at least 1" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("dim",), 0),
+            (("dim",), -4),
+            (("dataset", "n_targets"), 0),
+            (("dataset", "max_depth"), -1),
+            (("dataset", "split"), [0.9, 0.1]),
+            (("dataset", "split"), [0.8, 0.1, 0.2]),
+            (("dataset", "leaf_prob"), 1.0),
+        ],
+        ids=["dim-zero", "dim-negative", "n_targets", "max_depth", "split-short", "split-sum",
+             "leaf_prob"],
+    )
+    def test_bad_value_exits_2_before_any_write(self, tmp_path, capsys, path, value):
+        # Checked with the config, not once the world or the models are built.
+        doc = json.loads(json.dumps(TINY))
+        section = doc
+        for key in path[:-1]:
+            section = section[key]
+        section[path[-1]] = value
+        config = write_config(tmp_path, doc)
+        out = tmp_path / "x"
+        assert main(["run-all", "--config", config, "--out", str(out), "--seed", "1"]) == 2
+        err = capsys.readouterr().err
+        assert f"config.json.{'.'.join(path)} " in err and err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestDamagedFiles:
     def gen_world(self, config_path, out):
@@ -223,6 +252,11 @@ class TestSelfImprove:
         assert (seed_dir / "checkpoints" / "backward_final.json").exists()
         report = json.loads((seed_dir / "reports" / "iteration_1.json").read_text())
         assert report["routes_attempted"] == 10
+        # A report file holds the nine counts of IterationReport and nothing else.
+        assert set(report) == {f.name for f in fields(IterationReport)} == {
+            "iteration", "routes_attempted", "routes_succeeded", "reactions_harvested",
+            "kept_after_filter", "augmented_accepted", "duplicates_retained", "top1", "top10",
+        }
 
     def test_rerun_reproduces_iteration_checkpoints(self, config_path, tmp_path):
         out = tmp_path / "run"
@@ -276,6 +310,27 @@ class TestEvaluate:
         base, ours = float(row["base"]), float(row["ours"])
         if base:
             assert float(row["relative_gain"]) == pytest.approx((ours - base) / base)
+
+    def test_replaces_every_earlier_metrics_file(self, config_path, tmp_path, capsys):
+        # The final checkpoint is labelled with the last loop iteration, and
+        # run-all's baseline files and gains do not outlive a new evaluation.
+        out = tmp_path / "run"
+        assert main(["run-all", "--config", config_path, "--out", str(out), "--seed", "1"]) == 0
+        capsys.readouterr()
+        code = main(
+            ["evaluate", "--config", config_path, "--out", str(out), "--seed", "1",
+             "--estimator", "oracle"]
+        )
+        assert code == 0
+        metrics = out / "seed_1" / "metrics"
+        assert sorted(p.name for p in metrics.iterdir()) == [
+            "summary.csv", "targets_budget10_iter2.csv", "targets_budget25_iter2.csv"
+        ]
+        with (metrics / "summary.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["iteration"], r["budget"]) for r in rows] == [("2", "10"), ("2", "25")]
+        printed = capsys.readouterr().out.splitlines()
+        assert len(printed) == 2 and all(" iteration=2 " in line for line in printed)
 
     def test_corrupt_checkpoint_exits_5(self, config_path, tmp_path):
         out = tmp_path / "run"

@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +7,6 @@ import pytest
 from retroloop import (
     EmptyCollection,
     LoopConfig,
-    ReactionCollection,
     Route,
     Template,
     TrainConfig,
@@ -24,6 +24,7 @@ from retroloop import (
     validate_route,
     zero_classifier,
 )
+from retroloop import improve
 from retroloop.improve import pretrain_models
 from retroloop.model import (
     ROLE_BACKWARD,
@@ -70,8 +71,8 @@ class TestCollect:
 
     def test_monotone_in_threshold(self, harvest, small_models, small_world):
         _, reference, _ = small_models
-        loose = collect_reactions(harvest, reference, 0.2, small_world).counts()
-        tight = collect_reactions(harvest, reference, 0.6, small_world).counts()
+        loose = Counter(rx.key for rx in collect_reactions(harvest, reference, 0.2, small_world))
+        tight = Counter(rx.key for rx in collect_reactions(harvest, reference, 0.6, small_world))
         for key, count in tight.items():
             assert loose[key] >= count
 
@@ -80,7 +81,7 @@ class TestCollect:
         rx = make_reaction(mol("(a+b)"), (mol("a"), mol("b")), "split:+")
         route = Route(target=mol("(a+b)"), reactions=(rx,))
         collected = collect_reactions([route, route], reference, 0.0, small_world)
-        assert collected.counts()[rx.key] == 2
+        assert Counter(r.key for r in collected)[rx.key] == 2
 
 
 class TestAugment:
@@ -106,12 +107,9 @@ class TestAugment:
         forward = train(
             zero_classifier(world.template_ids, ROLE_FORWARD), samples_f, cfg
         )
-        collection = ReactionCollection(
-            entries=tuple(table), provenance=tuple(rx.product.text for rx in table)
-        )
-        augmented = augment(collection, forward, reference, 0.8, world)
-        assert len(augmented) == len(collection)
-        for original, new in zip(collection.entries, augmented.entries):
+        augmented = augment(table, forward, reference, 0.8, world)
+        assert len(augmented) == len(table)
+        for original, new in zip(table, augmented):
             assert new.product == original.product
             assert new.reactants == original.reactants
 
@@ -125,7 +123,7 @@ class TestAugment:
             building_blocks=(mol("a"), mol("b"), mol("c")),
         )
         rx = make_reaction(mol("(a+b)"), (mol("a"), mol("b")), "split:+")
-        collection = ReactionCollection(entries=(rx,), provenance=("(a+b)",))
+        collection = (rx,)
         forward = zero_classifier(world.template_ids, ROLE_FORWARD)
         # the uniform forward model proposes the + join at probability 1/2
 
@@ -152,7 +150,7 @@ class TestAugment:
         _, reference, forward = small_models
         collected = collect_reactions(harvest, reference, 0.0, small_world)
         augmented = augment(collected, forward, reference, 0.2, small_world)
-        for rx in augmented.entries:
+        for rx in augmented:
             proposals = predict_topk(forward, rx.reactants, 1, small_world)
             assert proposals[0].template_id == rx.template_id
             assert proposals[0].probability > 0.2
@@ -165,10 +163,9 @@ class TestAugment:
 class TestBehavioralClone:
     def test_single_reaction_to_confidence(self, small_world):
         rx = make_reaction(mol("(a+b)"), (mol("a"), mol("b")), "split:+")
-        collection = ReactionCollection(entries=(rx,), provenance=("t",))
         model = zero_classifier(small_world.template_ids, ROLE_BACKWARD)
         cloned = behavioral_clone(
-            model, collection, TrainConfig(learning_rate=0.1, epochs=500, seed=0)
+            model, (rx,), TrainConfig(learning_rate=0.1, epochs=500, seed=0)
         )
         assert likelihood(cloned, rx, small_world) > 0.99
 
@@ -177,11 +174,7 @@ class TestBehavioralClone:
         rx2 = make_reaction(mol("(c*d)"), (mol("c"), mol("d")), "split:*")
         model = zero_classifier(small_world.template_ids, ROLE_BACKWARD)
         cfg = TrainConfig(learning_rate=0.05, epochs=3, batch_size=16, seed=4)
-        doubled = behavioral_clone(
-            model,
-            ReactionCollection(entries=(rx1, rx1, rx2), provenance=("x",) * 3),
-            cfg,
-        )
+        doubled = behavioral_clone(model, (rx1, rx1, rx2), cfg)
         weighted = train(
             model,
             [
@@ -195,7 +188,7 @@ class TestBehavioralClone:
     def test_empty_collection_rejected(self, small_world):
         model = zero_classifier(small_world.template_ids, ROLE_BACKWARD)
         with pytest.raises(EmptyCollection):
-            behavioral_clone(model, ReactionCollection(), TrainConfig())
+            behavioral_clone(model, (), TrainConfig())
 
 
 class TestLoop:
@@ -252,28 +245,39 @@ class TestLoop:
             assert report.augmented_accepted <= report.kept_after_filter
             assert report.duplicates_retained <= report.augmented_accepted
 
-    def test_provenance_is_recheckable(self, small_world, small_data, small_models):
+    def test_kept_reactions_come_from_valid_harvested_routes(
+        self, small_world, small_data, small_models, monkeypatch
+    ):
         _, reference, _ = small_models
+        harvests = []
+
+        def recording(routes, ref, epsilon, world):
+            kept = collect_reactions(routes, ref, epsilon, world)
+            harvests.append((tuple(routes), kept))
+            return kept
+
+        monkeypatch.setattr(improve, "collect_reactions", recording)
         cfg = LoopConfig(
             iterations=1,
             targets_per_iteration=20,
             budget=40,
-            epsilon=0.3,
+            epsilon=0.8,  # high enough that the filter drops some reactions
             bc=TrainConfig(learning_rate=0.05, epochs=3, seed=1),
             seed=8,
         )
         _, reports = run_self_improvement(
             cfg, small_world, small_data, pretrained=small_models
         )
-        report = reports[0]
-        by_target = {route.target.text: route for route in report.routes}
-        assert len(report.collected.entries) == len(report.collected.provenance)
-        for rx, target_text in zip(
-            report.collected.entries, report.collected.provenance
-        ):
-            route = by_target[target_text]
+        [report] = reports
+        [(routes, kept)] = harvests
+        assert 0 < len(kept) < report.reactions_harvested
+        assert len(routes) == report.routes_succeeded
+        assert sum(len(route.reactions) for route in routes) == report.reactions_harvested
+        assert len(kept) == report.kept_after_filter
+        for route in routes:
             assert not validate_route(small_world, route)
-            assert rx.key in {r.key for r in route.reactions}
+        for rx in kept:
+            assert any(rx.key in {r.key for r in route.reactions} for route in routes)
             assert likelihood(reference, rx, small_world) > cfg.epsilon
 
     def test_deterministic(self, small_world, small_data, small_models):
@@ -292,10 +296,10 @@ class TestLoop:
             cfg, small_world, small_data, pretrained=small_models
         )
         assert np.array_equal(a.weights, b.weights)
-        assert [r.to_json() for r in reports_a] == [r.to_json() for r in reports_b]
+        assert reports_a == reports_b
 
     def test_cold_start_clones_from_zero_each_iteration(
-        self, small_world, small_data, small_models
+        self, small_world, small_data, small_models, monkeypatch
     ):
         cfg = LoopConfig(
             iterations=2,
@@ -306,6 +310,13 @@ class TestLoop:
             bc=TrainConfig(learning_rate=0.05, epochs=3, seed=1),
             seed=13,
         )
+        clones = []
+
+        def recording(base, union, bc_cfg):
+            clones.append((base, union, bc_cfg))
+            return behavioral_clone(base, union, bc_cfg)
+
+        monkeypatch.setattr(improve, "behavioral_clone", recording)
         models = []
         _, reports = run_self_improvement(
             cfg,
@@ -316,12 +327,14 @@ class TestLoop:
         )
         zero = zero_classifier(small_world.template_ids, ROLE_BACKWARD)
         previous = small_models[0]
-        for model, report in zip(models, reports):
-            union = ReactionCollection(
-                entries=report.collected.entries + report.augmented.entries
-            )
-            assert union.entries
+        assert len(clones) == len(models) == len(reports)
+        for model, report, (base, union, used_cfg) in zip(models, reports, clones):
+            assert union
+            assert len(union) == report.kept_after_filter + report.augmented_accepted
+            assert np.array_equal(base.weights, zero.weights)
+            assert np.array_equal(base.bias, zero.bias)
             bc_cfg = replace(cfg.bc, seed=derive_seed(cfg.bc.seed, f"bc-{report.iteration}"))
+            assert used_cfg == bc_cfg
             assert np.array_equal(model.weights, behavioral_clone(zero, union, bc_cfg).weights)
             warm = behavioral_clone(previous, union, bc_cfg)
             assert not np.array_equal(model.weights, warm.weights)
