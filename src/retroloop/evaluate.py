@@ -17,7 +17,7 @@ from functools import cached_property, partial
 from typing import Callable
 
 from .errors import CapExceeded, EmptyDataset, InvalidInput, UnknownTemplate
-from .model import TemplateClassifier, featurize_molecule, predict_proba
+from .model import TemplateClassifier, product_proba
 from .planner import ValueEstimator, plan, route_cost_under
 from .world import Dataset, Molecule, Reaction, Route, World, make_reaction
 
@@ -165,7 +165,8 @@ def _applications(
 ) -> list[Application]:
     """The non-cyclic template applications to ``m`` in template order, each
     priced at its negative log probability under ``ref``. The model is asked
-    only when some template applies."""
+    only when some template applies, through its memo (``product_proba``),
+    so a product the planner or the filter scored is not scored again."""
     fired = []
     for tid, reactants in world.applications(m):
         texts = tuple(sorted({r.text for r in reactants}))
@@ -177,7 +178,7 @@ def _applications(
         fired.append((tid, row, reactants, texts))
     if not fired:
         return []
-    probs = predict_proba(ref, featurize_molecule(m, ref.dim))
+    probs = product_proba(ref, m)
     apps = []
     for tid, row, reactants, texts in fired:
         p = float(probs[row])

@@ -50,7 +50,7 @@ def _feature_hash(feature: str, dim: int) -> int:
     return int.from_bytes(digest, "little") % dim
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FeatureVector:
     """Fixed-length binary vector stored as its sorted on-bit indices."""
 
@@ -123,6 +123,9 @@ def featurize_reactant_set(
 
 @dataclass(frozen=True, eq=False)
 class TemplateClassifier:
+    """Weights and bias are never changed in place: ``train`` returns a new
+    classifier, so what a model has memoised stays true of it."""
+
     weights: np.ndarray  # (T, D)
     bias: np.ndarray  # (T,)
     template_index: tuple[str, ...]
@@ -139,6 +142,19 @@ class TemplateClassifier:
     @cached_property
     def _row_of(self) -> dict[str, int]:
         return {tid: i for i, tid in enumerate(self.template_index)}
+
+    @cached_property
+    def _proba_memo(self) -> dict[str, np.ndarray]:
+        """Read-only ``predict_proba`` rows of well-formed products, by text
+        (see ``product_proba``). A new instance, from ``train``,
+        ``dataclasses.replace`` or ``load_checkpoint``, starts empty."""
+        return {}
+
+    @cached_property
+    def _missing_rows(self) -> dict[int, tuple[World, list[int]]]:
+        """By ``id(world)``: the world, kept alive so its id stays its own,
+        and the rows of this model's templates that it lacks."""
+        return {}
 
 
 def zero_classifier(
@@ -163,22 +179,54 @@ def _scores(model: TemplateClassifier, fv: FeatureVector) -> np.ndarray:
         raise InvalidInput(f"feature dim {fv.dim} != model dim {model.dim}")
     if not fv.indices:
         return model.bias.copy()
-    s = model.weights[:, list(fv.indices)].sum(axis=1)
+    s = np.add.reduce(model.weights[:, fv.indices], axis=1)
     s += model.bias
     return s
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
     """Softmax of ``z``, computed in place: ``z`` must be a fresh array."""
-    z -= z.max()
+    z -= np.maximum.reduce(z)
     np.exp(z, out=z)
-    z /= z.sum()
+    z /= np.add.reduce(z)
     return z
 
 
 def predict_proba(model: TemplateClassifier, fv: FeatureVector) -> np.ndarray:
     """Probability over the full template list; sums to 1."""
     return _softmax(_scores(model, fv))
+
+
+def product_proba(model: TemplateClassifier, product: Molecule) -> np.ndarray:
+    """``predict_proba`` of ``product``'s features, memoised per model.
+
+    A backward model keeps the row of each well-formed product it scores,
+    read-only, in its memo, so planning, filtering, augmentation, route
+    costs and the oracle score a product once per model. A malformed
+    product, whose features differ from those of the well-formed molecule
+    of the same text, and every product under a forward model, are scored
+    afresh. Writing the memo is one dict entry of an equal value per
+    product, so concurrent callers may share a model.
+    """
+    if product.malformed or model.role != ROLE_BACKWARD:
+        return predict_proba(model, featurize_molecule(product, model.dim))
+    memo = model._proba_memo
+    probs = memo.get(product.text)
+    if probs is None:
+        probs = predict_proba(model, featurize_molecule(product, model.dim))
+        probs.flags.writeable = False
+        memo[product.text] = probs
+    return probs
+
+
+def _missing(model: TemplateClassifier, world: World) -> list[int]:
+    """Rows of the model's templates that ``world`` lacks, ascending."""
+    entry = model._missing_rows.get(id(world))
+    if entry is None:
+        templates = world.template_by_id
+        rows = [i for i, tid in enumerate(model.template_index) if tid not in templates]
+        entry = model._missing_rows[id(world)] = (world, rows)
+    return entry[1]
 
 
 class Prediction(NamedTuple):
@@ -204,6 +252,7 @@ def predict_topk(
     (``World.applications``). It scores the product only when one of them is
     a model template, or when a model template missing from the world might
     outrank them; otherwise the product is a dead end and the result empty.
+    The score is read through the model's memo (``product_proba``).
 
     Ranking is in plain Python floats: the candidate rows, ascending, go
     through one stable sort by descending probability, which is the order a
@@ -221,17 +270,14 @@ def predict_topk(
             raise InvalidInput("backward models take a single product molecule")
         row_of = model._row_of
         outcomes = {row_of[tid]: rs for tid, rs in world.applications(inp) if tid in row_of}
-        templates = world.template_by_id
-        missing = []
-        if not templates.keys() >= row_of.keys():
-            missing = [i for i, tid in enumerate(model.template_index) if tid not in templates]
+        missing = _missing(model, world)
         if not outcomes and not missing:
             return []
-        probs = predict_proba(model, featurize_molecule(inp, model.dim))
+        probs = product_proba(model, inp)
         rows = sorted([*outcomes, *missing])
     p = probs.tolist()
     results: list[Prediction] = []
-    for i in sorted(rows, key=lambda r: -p[r]):
+    for i in sorted(rows, key=p.__getitem__, reverse=True):
         if len(results) >= k:
             break
         tid = model.template_index[i]
@@ -248,26 +294,28 @@ def predict_topk(
 
 
 def likelihood(model: TemplateClassifier, reaction: Reaction, world: World) -> float:
-    """Probability of the reaction's template given its featurized input."""
+    """Probability of the reaction's template given its featurized input.
+
+    A backward model reads the product's score through its memo
+    (``product_proba``)."""
     row = model._row_of.get(reaction.template_id)
     if row is None:
         raise UnknownTemplate(reaction.template_id)
     if model.role == ROLE_FORWARD:
         fv = featurize_reactant_set(reaction.reactants, model.dim)
-    else:
-        template = world.template_by_id.get(reaction.template_id)
-        if template is None:
-            raise UnknownTemplate(reaction.template_id)
-        produced = template.backward(reaction.product)
-        if produced is None or tuple(sorted(m.text for m in produced)) != tuple(
-            r.text for r in reaction.reactants
-        ):
-            raise InvalidReaction(
-                f"template {reaction.template_id} does not yield the stated "
-                f"reactants for {reaction.product.text}"
-            )
-        fv = featurize_molecule(reaction.product, model.dim)
-    return float(predict_proba(model, fv)[row])
+        return float(predict_proba(model, fv)[row])
+    template = world.template_by_id.get(reaction.template_id)
+    if template is None:
+        raise UnknownTemplate(reaction.template_id)
+    produced = template.backward(reaction.product)
+    if produced is None or tuple(sorted(m.text for m in produced)) != tuple(
+        r.text for r in reaction.reactants
+    ):
+        raise InvalidReaction(
+            f"template {reaction.template_id} does not yield the stated "
+            f"reactants for {reaction.product.text}"
+        )
+    return float(product_proba(model, reaction.product)[row])
 
 
 # ---------------------------------------------------------------------------
@@ -437,15 +485,31 @@ def topk_exact_match(
 
 
 def save_checkpoint(model: TemplateClassifier, path: str | Path) -> None:
-    doc = {
-        "version": CHECKPOINT_VERSION,
-        "role": model.role,
-        "dim": model.dim,
-        "template_index": list(model.template_index),
-        "weights": model.weights.reshape(-1).tolist(),
-        "bias": model.bias.tolist(),
-    }
-    Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n")
+    """Write the bytes of ``json.dumps(doc, sort_keys=True)`` plus a newline,
+    where ``doc["weights"]`` is the row-major list of all weights.
+
+    ``"weights"`` sorts last, so the file is the other keys' JSON, then the
+    weights written one matrix row at a time: no list or string of the whole
+    matrix is ever built.
+    """
+    head = json.dumps(
+        {
+            "version": CHECKPOINT_VERSION,
+            "role": model.role,
+            "dim": model.dim,
+            "template_index": list(model.template_index),
+            "bias": model.bias.tolist(),
+        },
+        sort_keys=True,
+    )
+    with Path(path).open("w") as fh:
+        fh.write(head[:-1] + ', "weights": [')
+        sep = ""
+        for row in model.weights:
+            if row.size:
+                fh.write(sep + json.dumps(row.tolist())[1:-1])
+                sep = ", "
+        fh.write("]}\n")
 
 
 def load_checkpoint(path: str | Path) -> TemplateClassifier:

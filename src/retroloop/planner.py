@@ -33,8 +33,10 @@ attribute names of a node, built only when read: ``tree.root``,
 ``best_partial_route()`` and ``.children`` return views, and ``expand``
 takes one.
 
-One plan invocation owns its tree; the model, estimator and world are only
-read, so many plans may run concurrently against shared instances.
+One plan invocation owns its tree and only reads the world. It writes the
+model's memo of product scores (``model.product_proba``), but only one dict
+entry of an equal value per product, so many plans may still run
+concurrently against shared instances.
 """
 
 from __future__ import annotations
@@ -205,52 +207,59 @@ class SearchTree:
         path = self._path_texts(row)
         stock = self.world.stock
         evaluate = self.estimator.evaluate
-        molecules, parents, statuses = self.mol_molecule, self.mol_parent, self.mol_status
-        values, gs, bests = self.mol_value, self.mol_g, self.mol_best
-        firsts, counts = self.mol_first, self.mol_nrxn
-        g_row = gs[row]
-        first = len(self.rxn_cost)
+        molecules, values, costs = self.mol_molecule, self.mol_value, self.rxn_cost
+        add_molecule, add_parent, add_g = molecules.append, self.mol_parent.append, self.mol_g.append
+        add_first, add_nrxn = self.mol_first.append, self.mol_nrxn.append
+        add_status, add_value, add_best = self.mol_status.append, values.append, self.mol_best.append
+        add_template, add_cost = self.rxn_template.append, costs.append
+        add_reactants, add_rxn_parent = self.rxn_reactants.append, self.rxn_parent.append
+        add_rxn_first, add_rxn_end = self.rxn_first.append, self.rxn_end.append
+        add_rxn_value = self.rxn_value.append
+        g_row = self.mol_g[row]
+        first = len(costs)
         for pred in preds:
             reactants = pred.outcome  # sorted tuple of molecules
             # A reactant equal to any molecule on the root path would cycle.
-            if any(r.text in path for r in reactants):
-                continue
-            cost = INF if pred.probability <= 0.0 else -math.log(pred.probability)
-            g = g_row + cost
-            rxn = len(self.rxn_cost)
-            start = len(molecules)
-            previous = None
             for r in reactants:
-                text = r.text
-                if text == previous:  # sorted, so a repeated reactant is adjacent
-                    continue
-                previous = text
-                child = len(molecules)
-                molecules.append(r)
-                parents.append(rxn)
-                gs.append(g)
-                firsts.append(0)
-                counts.append(0)
-                if not r.malformed and text in stock:
-                    statuses.append(SOLVED_LEAF)
-                    values.append(0.0)
-                    bests.append(None)
-                else:
-                    value = float(evaluate(r))
-                    statuses.append(OPEN)
-                    values.append(value)
-                    bests.append((g + value, child))
-            end = len(molecules)
-            self.rxn_template.append(pred.template_id)
-            self.rxn_cost.append(cost)
-            self.rxn_reactants.append(reactants)  # type: ignore[arg-type]
-            self.rxn_parent.append(row)
-            self.rxn_first.append(start)
-            self.rxn_end.append(end)
-            self.rxn_value.append(cost + sum(values[start:end]))
-        n_rxn = len(self.rxn_cost) - first
-        firsts[row], counts[row] = first, n_rxn
-        statuses[row] = EXPANDED if n_rxn else DEAD
+                if r.text in path:
+                    break
+            else:
+                cost = INF if pred.probability <= 0.0 else -math.log(pred.probability)
+                g = g_row + cost
+                rxn = len(costs)
+                start = len(molecules)
+                previous = None
+                for r in reactants:
+                    text = r.text
+                    if text == previous:  # sorted, so a repeated reactant is adjacent
+                        continue
+                    previous = text
+                    child = len(molecules)
+                    add_molecule(r)
+                    add_parent(rxn)
+                    add_g(g)
+                    add_first(0)
+                    add_nrxn(0)
+                    if not r.malformed and text in stock:
+                        add_status(SOLVED_LEAF)
+                        add_value(0.0)
+                        add_best(None)
+                    else:
+                        value = float(evaluate(r))
+                        add_status(OPEN)
+                        add_value(value)
+                        add_best((g + value, child))
+                end = len(molecules)
+                add_template(pred.template_id)
+                add_cost(cost)
+                add_reactants(reactants)
+                add_rxn_parent(row)
+                add_rxn_first(start)
+                add_rxn_end(end)
+                add_rxn_value(cost + sum(values[start:end]))
+        n_rxn = len(costs) - first
+        self.mol_first[row], self.mol_nrxn[row] = first, n_rxn
+        self.mol_status[row] = EXPANDED if n_rxn else DEAD
         self._refresh(row)
         self._propagate(row)
         return len(preds)

@@ -37,7 +37,7 @@ _LEAF_PROB = 0.35
 # molecules and parsing
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Molecule:
     """A term string; ``malformed`` marks strings that do not parse."""
 
@@ -45,15 +45,33 @@ class Molecule:
     malformed: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Node:
-    """Parse-tree node. ``op is None`` for atoms."""
+    """Parse-tree node. ``op is None`` for atoms.
+
+    A node owns the well-formed ``Molecule`` of its text, built with the
+    node, and the malformed fragment ``"(" + text`` that chop templates
+    produce, built on first use by ``fragment``. Backward applications
+    hand out these shared objects instead of building new ones.
+    """
 
     text: str
     op: str | None = None
     left: "Node | None" = None
     right: "Node | None" = None
     height: int = 0
+    molecule: Molecule = field(init=False, repr=False, compare=False)
+    _fragment: Molecule | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "molecule", Molecule(self.text))
+
+    def fragment(self) -> Molecule:
+        """The malformed ``"(" + text``: prepending "(" to a balanced term
+        always unbalances it, so the fragment is a guaranteed dead end."""
+        if self._fragment is None:
+            object.__setattr__(self, "_fragment", Molecule("(" + self.text, malformed=True))
+        return self._fragment  # type: ignore[return-value]
 
 
 @lru_cache(maxsize=1 << 18)
@@ -162,19 +180,17 @@ class Template:
             return (product,)
         if ast.op != self.op:
             return None
-        # The operands are subtrees of the product's parse, so they are
-        # well-formed without a parse of their own.
-        left, right = ast.left.text, ast.right.text  # type: ignore[union-attr]
+        # The operands are subtrees of the product's parse: their molecules
+        # and fragments are the ones those nodes own.
+        left, right = ast.left, ast.right
         if self.kind == KIND_SPLIT:
-            return (Molecule(left), Molecule(right))
+            return (left.molecule, right.molecule)  # type: ignore[union-attr]
         if self.kind == KIND_CHOP:
-            # Prepending "(" to a balanced term always unbalances it, so the
-            # mangled fragment is malformed and a guaranteed dead end.
             if self.variant == "left":
-                return (Molecule("(" + left, malformed=True), Molecule(right))
+                return (left.fragment(), right.molecule)  # type: ignore[union-attr]
             if self.variant == "right":
-                return (Molecule(left), Molecule("(" + right, malformed=True))
-            return (Molecule("(" + product.text, malformed=True),)
+                return (left.molecule, right.fragment())  # type: ignore[union-attr]
+            return (ast.fragment(),)
         return None
 
     def forward(self, reactants: Sequence[Molecule]) -> Molecule | None:
@@ -197,7 +213,7 @@ class Template:
 # reactions and routes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Reaction:
     """(product, reactant tuple, template id); reactants sorted by text.
 

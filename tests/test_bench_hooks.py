@@ -47,3 +47,36 @@ def test_tracer_walks_the_search_tree(small_world, small_models, small_data):
     assert step == []  # solved
     assert len(tree.rxn_cost) > 1 and tree.call_count > 1  # multi-step
     assert tracer._tree_size(tree) == len(tree.mol_molecule) + len(tree.rxn_cost)
+
+
+def test_traced_counters_see_backward_and_featurize(small_world, small_models):
+    # ``world.template_backward.*`` counts Template.backward through a class
+    # wrapper, and ``model.featurize_molecule.*`` spans featurize_molecule
+    # by module binding. World.applications must call backward once per
+    # firing template, and a memo miss must still featurize through
+    # ``model.featurize_molecule``, or ``--trace 1`` reads zero there.
+    from dataclasses import replace
+
+    from retroloop.model import likelihood, predict_topk
+    from retroloop.world import make_reaction, mol
+
+    tracer = load("tracer")
+    products = [mol("((a+b)*c)"), mol("(a*b)"), mol("a")]
+    t = tracer.Tracer()
+    t.install()
+    try:
+        for product in products:
+            before = t.counts["backward.calls"]
+            apps = small_world.applications(product)
+            assert apps and t.counts["backward.calls"] - before == len(apps)
+        model = replace(small_models[0])
+        for _ in range(2):
+            for product in products:
+                predict_topk(model, product, 10, small_world)
+                for tid, reactants in small_world.applications(product):
+                    likelihood(model, make_reaction(product, reactants, tid), small_world)
+    finally:
+        t.uninstall()
+    featurized = [span for span in t.spans if span[0] == "model.featurize_molecule"]
+    assert len(featurized) == len(products)  # each product once, on its first miss
+    assert t.featurized == {p.text for p in products}

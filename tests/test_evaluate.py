@@ -1,7 +1,10 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import retroloop.evaluate as evaluate_module
 from retroloop import (
@@ -238,6 +241,30 @@ class TestOracle:
                 assert validate_route(world, witness) == []
                 assert {rx.product.text for rx in witness.reactions} == {root.text, "(a+b)"}
                 assert {rx.template_id for rx in witness.reactions} == {order[0].id}
+
+
+# Well-formed products over the small world's operators and one it lacks.
+oracle_products = st.recursive(
+    st.sampled_from("abcz"),
+    lambda kids: st.builds(lambda l, o, r: f"({l}{o}{r})", kids, st.sampled_from("+*^"), kids),
+    max_leaves=6,
+).map(mol)
+
+
+class TestOracleMemo:
+    @given(st.lists(oracle_products, min_size=1, max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_warm_memo_prices_as_a_cold_model(self, small_world, small_models, products):
+        reference = small_models[1]
+        warm = replace(reference)
+        for product in products:
+            predict_topk(warm, product, 10, small_world)
+        estimator = OracleEstimator(small_world, warm, cap=50_000)
+        for product in products:
+            cold = replace(reference)
+            costs = brute_force_oracle(small_world, cold, [product], cap=50_000).costs
+            assert brute_force_oracle(small_world, warm, [product], cap=50_000).costs == costs
+            assert estimator.evaluate(product) == costs[product.text]
 
 
 class TestOracleEstimator:

@@ -1,4 +1,6 @@
 import hashlib
+import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -404,6 +406,77 @@ class TestLikelihood:
         assert np.array_equal(backward.weights, before_w)
 
 
+# Well-formed products over the small world's operators and one it lacks,
+# malformed strings, and well-formed texts flagged malformed.
+memo_products = st.one_of(
+    well_formed_terms(max_leaves=8).map(parse_molecule),
+    st.text(alphabet="ab+*()", min_size=1, max_size=8).map(parse_molecule),
+    well_formed_terms(max_leaves=4).map(lambda t: Molecule(t, malformed=True)),
+)
+
+
+class TestProbabilityMemo:
+    @given(st.lists(memo_products, min_size=1, max_size=8))
+    @settings(max_examples=100, deadline=None)
+    def test_warm_memo_answers_as_a_cold_model(self, small_world, small_models, products):
+        warm = classifier_like(small_models[0])
+        for product in products:
+            predict_topk(warm, product, 3, small_world)
+        for product in products:
+            for k in (1, warm.n_templates):
+                cold = classifier_like(small_models[0])
+                assert predict_topk(warm, product, k, small_world) == predict_topk(
+                    cold, product, k, small_world
+                )
+            for tid, reactants in small_world.applications(product):
+                rx = make_reaction(product, reactants, tid)
+                cold = classifier_like(small_models[0])
+                assert likelihood(warm, rx, small_world) == likelihood(cold, rx, small_world)
+
+    def test_new_models_start_with_an_empty_memo(self, small_world, tmp_path):
+        model = zero_classifier(small_world.template_ids, ROLE_BACKWARD)
+        product = mol("((a+b)*c)")
+        predict_topk(model, product, 3, small_world)
+        assert list(model._proba_memo) == [product.text]
+        sample = [(featurize_molecule(product), "split:*")]
+        save_checkpoint(model, tmp_path / "model.json")
+        others = (
+            train(model, sample, TrainConfig(learning_rate=0.5, epochs=5, seed=0)),
+            replace(model, bias=model.bias + np.arange(model.n_templates)),
+            load_checkpoint(tmp_path / "model.json"),
+        )
+        for other in others:
+            assert other._proba_memo == {}
+            expected = predict_proba(other, featurize_molecule(product))
+            assert np.array_equal(model_module.product_proba(other, product), expected)
+
+    def test_memo_rows_are_read_only(self, small_world, small_models):
+        model = classifier_like(small_models[0])
+        product = mol("((a+b)*c)")
+        predict_topk(model, product, 3, small_world)
+        row = model._proba_memo[product.text]
+        assert model_module.product_proba(model, product) is row
+        with pytest.raises(ValueError):
+            row[0] = 1.0
+
+    def test_flagged_text_is_not_served_the_well_formed_row(self, small_models):
+        model = classifier_like(small_models[0])
+        well, flagged = mol("((a+b)*c)"), Molecule("((a+b)*c)", malformed=True)
+        for first, second in ((well, flagged), (flagged, well)):
+            for m in (first, second):
+                expected = predict_proba(model, featurize_molecule(m))
+                assert np.array_equal(model_module.product_proba(model, m), expected)
+        assert not np.array_equal(
+            model_module.product_proba(model, well), model_module.product_proba(model, flagged)
+        )
+        assert list(model._proba_memo) == [well.text]
+
+    def test_forward_models_keep_no_memo(self, small_models):
+        forward = classifier_like(small_models[2])
+        model_module.product_proba(forward, mol("(a+b)"))
+        assert forward._proba_memo == {}
+
+
 def random_model_and_samples(world, data, dim=256):
     """A classifier with random weights, and weighted samples of the train
     reactions plus one sample without any feature."""
@@ -671,6 +744,24 @@ class TestCheckpoints:
         save_checkpoint(load_checkpoint(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize("dim", [0, 1, 64])
+    def test_bytes_equal_one_json_document(self, tmp_path, dim):
+        model = zero_classifier(("split:+", "identity", "chop:+:left"), ROLE_BACKWARD, dim=dim)
+        weights = np.random.default_rng(3).normal(size=model.weights.shape)
+        weights.flat[: min(3, weights.size)] = [np.nan, np.inf, -np.inf][: weights.size]
+        model = replace(model, weights=weights, bias=np.array([0.5, -np.inf, 1e-300]))
+        path = tmp_path / "model.json"
+        save_checkpoint(model, path)
+        doc = {
+            "version": 1,
+            "role": model.role,
+            "dim": dim,
+            "template_index": list(model.template_index),
+            "weights": weights.reshape(-1).tolist(),
+            "bias": model.bias.tolist(),
+        }
+        assert path.read_text() == json.dumps(doc, sort_keys=True) + "\n"
+
     def test_unreadable_checkpoint(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -678,8 +769,6 @@ class TestCheckpoints:
             load_checkpoint(path)
 
     def test_dimension_mismatch(self, small_models, tmp_path):
-        import json
-
         backward, _, _ = small_models
         path = tmp_path / "model.json"
         save_checkpoint(backward, path)

@@ -14,6 +14,7 @@ from retroloop import (
     World,
     WorldConfig,
     build_datasets,
+    featurize_molecule,
     generate_world,
     load_dataset,
     load_world,
@@ -295,6 +296,50 @@ class TestBackwardFromParseTree:
         after = parse_ast.cache_info()
         # Misses count a fragment parse even when the cache is full.
         assert (after.currsize, after.misses) == (before.currsize, before.misses)
+
+
+class TestSharedOperands:
+    @given(terms(atoms="ab1", ops="+*", max_leaves=10).filter(lambda t: t[0] == "("))
+    def test_split_and_chop_outputs_are_the_parse_tree_molecules(self, text):
+        product = mol(text)
+        ast = parse_ast(text)
+        left, right = ast.left, ast.right
+        expected = {
+            "split": (left.molecule, right.molecule),
+            "left": (left.fragment(), right.molecule),
+            "right": (left.molecule, right.fragment()),
+            "whole": (ast.fragment(),),
+        }
+        for template in BACKWARD_WORLD.templates:
+            if template.kind == KIND_IDENTITY or template.op != ast.op:
+                continue
+            out = template.backward(product)
+            shared = expected[template.variant or template.kind]
+            assert len(out) == len(shared)
+            assert all(a is b for a, b in zip(out, shared))
+
+    def test_each_node_builds_its_fragment_once(self):
+        # Atoms no other test uses, so no earlier test built the fragment.
+        chop = Template(id="chop:+:left", kind=KIND_CHOP, op="+", variant="left")
+        left = parse_ast("((q7*r7)+s7)").left
+        assert left._fragment is None  # built on first use
+        first = chop.backward(mol("((q7*r7)+s7)"))[0]
+        assert first == Molecule("((q7*r7)", malformed=True)
+        assert left._fragment is first
+        # Another product with the same left operand reuses the fragment.
+        assert chop.backward(mol("((q7*r7)+q7)"))[0] is first
+        assert left.fragment() is first
+
+    def test_value_objects_have_no_instance_dict(self):
+        node = parse_ast("((a+b)*c)")
+        objects = (
+            node,
+            node.molecule,
+            make_reaction(node.molecule, (node.left.molecule, node.right.molecule), "split:*"),
+            featurize_molecule(node.molecule),
+        )
+        for obj in objects:
+            assert not hasattr(obj, "__dict__"), type(obj).__name__
 
 
 class TestGenerateWorld:
