@@ -19,6 +19,7 @@ import csv
 import hashlib
 import json
 import math
+import shutil
 import statistics
 import sys
 import time
@@ -351,7 +352,9 @@ def run_improve(
     final, reports = run_self_improvement(
         seed_loop_config(cfg, seed), world, data, pretrained, on_iteration=persist
     )
-    save_checkpoint(final, _checkpoint_paths(seed_dir)["final"])
+    # The final model is the last iteration's, whose file is already written.
+    last = ck_dir / f"backward_iter_{reports[-1].iteration}.json"
+    shutil.copyfile(last, _checkpoint_paths(seed_dir)["final"])
     return final, reports
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from pathlib import Path
@@ -330,8 +331,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0:
-            raise InvalidConfig("learning_rate must be positive")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise InvalidConfig("learning_rate must be positive and finite")
         if self.epochs < 1:
             raise InvalidConfig("epochs must be at least 1")
         if self.batch_size < 1:
@@ -375,18 +376,70 @@ def _as_rows(model: TemplateClassifier, data: Iterable) -> _Rows:
     )
 
 
-def _batch(rows: _Rows, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted columns ``U`` active in the samples ``idx``, and their 0/1
-    matrix over ``U``; every other column of those samples is zero."""
-    starts = rows.indptr[idx]
-    lengths = rows.indptr[idx + 1] - starts
-    owner = np.repeat(np.arange(len(idx)), lengths)
-    # The k-th gathered bit sits at its sample's start plus its rank there.
-    rank = np.arange(len(owner)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    cols, col_of = np.unique(rows.indices[starts[owner] + rank], return_inverse=True)
-    xs = np.zeros((len(idx), len(cols)), dtype=np.float64)
-    xs[owner, col_of] = 1.0
-    return cols, xs
+class _Epoch(NamedTuple):
+    """The samples of one permutation, in its order, gathered once: the bits
+    of the ``k``-th are ``bits[offsets[k]:offsets[k + 1]]``, each tagged with
+    ``owner`` ``k``; ``y`` and ``w`` are permuted alike."""
+
+    bits: np.ndarray
+    owner: np.ndarray
+    offsets: np.ndarray
+    y: np.ndarray
+    w: np.ndarray
+
+
+def _gather(rows: _Rows, perm: np.ndarray) -> _Epoch:
+    starts = rows.indptr[perm]
+    lengths = rows.indptr[perm + 1] - starts
+    offsets = np.zeros(len(perm) + 1, dtype=np.intp)
+    np.cumsum(lengths, out=offsets[1:])
+    # The j-th gathered bit sits at its sample's start plus its rank there.
+    at = np.repeat(starts - offsets[:-1], lengths)
+    at += np.arange(offsets[-1])
+    bits = rows.indices[at]
+    del at  # one epoch-sized temporary at a time
+    owner = np.repeat(np.arange(len(perm)), lengths)
+    return _Epoch(bits, owner, offsets, rows.y[perm], rows.w[perm])
+
+
+class _Batches:
+    """The batch builder of one ``train`` or ``nll_and_grad`` call.
+
+    A ``dim``-sized mark array and position table find a batch's sorted
+    active columns ``U`` and each bit's position in ``U``, as
+    ``np.unique(bits, return_inverse=True)`` does, in time linear in the
+    bits. The batch's 0/1 matrix over ``U`` is a C-ordered view of a reused
+    buffer; the next call clears the ones it holds.
+    """
+
+    def __init__(self, dim: int) -> None:
+        self.mark = np.zeros(dim, dtype=bool)
+        self.pos = np.empty(dim, dtype=np.intp)
+        self.buf = np.zeros(0, dtype=np.float64)
+        self.ones = np.zeros(0, dtype=np.intp)
+
+    def columns(self, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The sorted distinct ``bits``, and each bit's position among them."""
+        self.mark[bits] = True
+        cols = np.flatnonzero(self.mark)
+        self.mark[cols] = False
+        self.pos[cols] = np.arange(len(cols))
+        return cols, self.pos[bits]
+
+    def __call__(self, epoch: _Epoch, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """The columns ``U`` active in the samples ``start:stop`` of
+        ``epoch``, and their 0/1 matrix over ``U``, valid until the next
+        call; every other column of those samples is zero."""
+        self.buf[self.ones] = 0.0
+        lo, hi = epoch.offsets[start], epoch.offsets[stop]
+        cols, col_of = self.columns(epoch.bits[lo:hi])
+        size = (stop - start) * len(cols)
+        if self.buf.size < size:
+            self.buf = np.zeros(size, dtype=np.float64)
+        self.ones = (epoch.owner[lo:hi] - start) * len(cols)
+        self.ones += col_of
+        self.buf[self.ones] = 1.0
+        return cols, self.buf[:size].reshape(stop - start, len(cols))
 
 
 def _nll_grad(
@@ -395,14 +448,17 @@ def _nll_grad(
     """Per-sample log-probabilities of the labels, and the gradient of the
     total weighted negative log-likelihood over (weights, bias). ``x`` and
     ``weights`` may hold just the columns some sample activates: the others
-    add nothing to the logits and get a zero gradient."""
-    logits = x @ weights.T + bias
+    add nothing to the logits and get a zero gradient. The softmax and its
+    residual are computed in place in the logits array."""
+    logits = x @ weights.T
+    logits += bias
     logits -= logits.max(axis=1, keepdims=True)
-    e = np.exp(logits)
-    z = e.sum(axis=1, keepdims=True)
     rows = np.arange(len(y))
-    logp = logits[rows, y] - np.log(z[:, 0])
-    resid = e / z
+    logp = logits[rows, y]
+    resid = np.exp(logits, out=logits)
+    z = resid.sum(axis=1, keepdims=True)
+    logp -= np.log(z[:, 0])
+    resid /= z
     resid[rows, y] -= 1.0
     resid *= w[:, None]
     return logp, resid.T @ x, resid.sum(axis=0)
@@ -414,14 +470,17 @@ def nll_and_grad(
     """Total weighted negative log-likelihood and its exact gradient.
 
     The objective is a weighted sum, so doubling a sample's weight doubles its
-    gradient contribution exactly.
+    gradient contribution exactly. All samples form one batch, built as
+    ``train`` builds its batches.
     """
     rows = _as_rows(model, data)
-    cols, xs = _batch(rows, np.arange(len(rows.y)))
-    logp, grad_u, grad_b = _nll_grad(model.weights[:, cols], model.bias, xs, rows.y, rows.w)
+    n = len(rows.y)
+    epoch = _gather(rows, np.arange(n))
+    cols, xs = _Batches(model.dim)(epoch, 0, n)
+    logp, grad_u, grad_b = _nll_grad(model.weights[:, cols], model.bias, xs, epoch.y, epoch.w)
     grad_w = np.zeros_like(model.weights)
     grad_w[:, cols] = grad_u
-    return float(-(rows.w * logp).sum()), grad_w, grad_b
+    return float(-(epoch.w * logp).sum()), grad_w, grad_b
 
 
 def mean_nll(model: TemplateClassifier, data: Iterable) -> float:
@@ -436,25 +495,34 @@ def train(
 ) -> TemplateClassifier:
     """Seeded mini-batch gradient ascent on the weighted log-likelihood.
 
-    Each step touches only the weight columns its batch activates; the rest
-    have a zero gradient. Returns a new classifier; the input model is
-    untouched. Identical (model, data, cfg) produce bit-identical weights.
+    Each epoch gathers the CSR rows of its permutation once, and each batch
+    is a slice of that gather. A step touches only the weight columns its
+    batch activates; the rest have a zero gradient. Returns a new
+    classifier; the input model is untouched. Identical (model, data, cfg)
+    produce bit-identical weights.
     """
     rows = _as_rows(model, data)
     n = len(rows.y)
     weights = model.weights.copy()
     bias = model.bias.copy()
+    batches = _Batches(model.dim)
     rng = np.random.default_rng(cfg.seed)
     for _ in range(cfg.epochs):
-        perm = rng.permutation(n)
+        epoch = _gather(rows, rng.permutation(n))
         for start in range(0, n, cfg.batch_size):
-            idx = perm[start : start + cfg.batch_size]
-            cols, xs = _batch(rows, idx)
+            stop = min(start + cfg.batch_size, n)
+            cols, xs = batches(epoch, start, stop)
             active = weights[:, cols]
-            _logp, grad_w, grad_b = _nll_grad(active, bias, xs, rows.y[idx], rows.w[idx])
-            scale = cfg.learning_rate / len(idx)
-            weights[:, cols] = active - scale * grad_w
-            bias -= scale * grad_b
+            _logp, grad_w, grad_b = _nll_grad(
+                active, bias, xs, epoch.y[start:stop], epoch.w[start:stop]
+            )
+            scale = cfg.learning_rate / (stop - start)
+            grad_w *= scale
+            active -= grad_w
+            weights[:, cols] = active
+            grad_b *= scale
+            bias -= grad_b
+        del epoch  # so that two epochs are never held at once
     return replace(model, weights=weights, bias=bias)
 
 
@@ -512,24 +580,43 @@ def save_checkpoint(model: TemplateClassifier, path: str | Path) -> None:
         fh.write("]}\n")
 
 
+def _numbers(doc: dict, field: str, n: int, path: str | Path) -> np.ndarray:
+    values = doc[field]
+    numeric = isinstance(values, list) and set(map(type, values)) <= {float, int}
+    if not numeric or len(values) != n:
+        raise CheckpointError(f"checkpoint {path} field {field!r} is not a list of {n} numbers")
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except OverflowError as exc:
+        raise CheckpointError(f"checkpoint {path} field {field!r}: {exc}") from exc
+
+
 def load_checkpoint(path: str | Path) -> TemplateClassifier:
+    """The classifier a ``save_checkpoint`` file holds. A file that cannot
+    be read, or whose fields are missing or of the wrong type or length,
+    raises CheckpointError naming it."""
     try:
         doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise CheckpointError(f"checkpoint {path} is not a JSON object")
     for field in ("version", "role", "dim", "template_index", "weights", "bias"):
         if field not in doc:
             raise CheckpointError(f"checkpoint {path} missing field {field!r}")
-    if doc["version"] != CHECKPOINT_VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {doc['version']!r}")
+    if type(doc["version"]) is not int or doc["version"] != CHECKPOINT_VERSION:
+        raise CheckpointError(f"checkpoint {path} has unsupported version {doc['version']!r}")
     if doc["role"] not in ROLES:
-        raise CheckpointError(f"unknown role {doc['role']!r}")
-    t, d = len(doc["template_index"]), int(doc["dim"])
-    if len(doc["weights"]) != t * d or len(doc["bias"]) != t:
-        raise CheckpointError(f"checkpoint {path} has inconsistent dimensions")
+        raise CheckpointError(f"checkpoint {path} has unknown role {doc['role']!r}")
+    d, index = doc["dim"], doc["template_index"]
+    if type(d) is not int or d < 0:
+        raise CheckpointError(f"checkpoint {path} field 'dim' is not a non-negative integer")
+    if not isinstance(index, list) or not all(isinstance(tid, str) for tid in index):
+        raise CheckpointError(f"checkpoint {path} field 'template_index' is not a list of strings")
+    t = len(index)
     return TemplateClassifier(
-        weights=np.asarray(doc["weights"], dtype=np.float64).reshape(t, d),
-        bias=np.asarray(doc["bias"], dtype=np.float64),
-        template_index=tuple(doc["template_index"]),
+        weights=_numbers(doc, "weights", t * d, path).reshape(t, d),
+        bias=_numbers(doc, "bias", t, path),
+        template_index=tuple(index),
         role=doc["role"],
     )

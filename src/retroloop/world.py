@@ -12,6 +12,7 @@ malformed fragment, so they can never appear in a completed route.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -509,8 +510,8 @@ def check_dataset_settings(
         raise InvalidConfig("n_targets must be at least 1")
     if max_depth < 0:
         raise InvalidConfig("max_depth must be non-negative")
-    if len(split) != 3 or any(f <= 0 for f in split):
-        raise InvalidConfig("split must be three positive fractions")
+    if len(split) != 3 or not all(0.0 < f < math.inf for f in split):
+        raise InvalidConfig("split must be three positive finite fractions")
     if abs(sum(split) - 1.0) > 1e-9:
         raise InvalidConfig("split fractions must sum to 1")
     if not 0.0 <= leaf_prob < 1.0:

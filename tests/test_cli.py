@@ -158,9 +158,12 @@ class TestConfig:
             (("dataset", "split"), [0.9, 0.1]),
             (("dataset", "split"), [0.8, 0.1, 0.2]),
             (("dataset", "leaf_prob"), 1.0),
+            (("dataset", "split"), [float("nan")] * 3),
+            (("pretrain", "backward", "learning_rate"), float("nan")),
+            (("loop", "bc", "learning_rate"), float("inf")),
         ],
         ids=["dim-zero", "dim-negative", "n_targets", "max_depth", "split-short", "split-sum",
-             "leaf_prob"],
+             "leaf_prob", "split-nan", "pretrain-learning_rate-nan", "bc-learning_rate-inf"],
     )
     def test_bad_value_exits_2_before_any_write(self, tmp_path, capsys, path, value):
         # Checked with the config, not once the world or the models are built.
@@ -353,6 +356,28 @@ class TestEvaluate:
             )
             == 5
         )
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("dim", "x"), ("template_index", 5), ("weights", "strings"), ("bias", None)],
+        ids=["dim-string", "template_index-number", "weights-strings", "bias-null"],
+    )
+    def test_wrong_typed_checkpoint_field_exits_5(
+        self, config_path, tmp_path, capsys, field, value
+    ):
+        out = tmp_path / "run"
+        main(["pretrain", "--config", config_path, "--out", str(out), "--seed", "1"])
+        bad = out / "seed_1" / "checkpoints" / "backward.json"
+        doc = json.loads(bad.read_text())
+        doc[field] = ["x"] * len(doc["weights"]) if value == "strings" else value
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = main(
+            ["evaluate", "--config", config_path, "--out", str(out), "--seed", "1",
+             "--checkpoint", str(bad)]
+        )
+        assert code == 5
+        assert f"checkpoint {bad} " in capsys.readouterr().err
 
     def test_missing_baseline_exits_4_before_any_read(self, config_path, tmp_path, capsys):
         out = tmp_path / "run"
@@ -663,6 +688,30 @@ class TestBuilders:
         for model, name in ((pretrained[0], "backward.json"), (final, "backward_final.json")):
             save_checkpoint(model, tmp_path / name)
             assert (tmp_path / name).read_bytes() == (ck / name).read_bytes()
+
+
+    def test_final_checkpoint_is_the_last_iteration_file(self, config_path, tmp_path, monkeypatch):
+        import retroloop.cli as cli
+
+        cfg, _doc = load_config(config_path)
+        world, data = build_world_data(cfg, 1)
+        pretrained = build_pretrained(cfg, 1, world, data)
+        saved = []
+
+        def counting(model, path):
+            saved.append(Path(path).name)
+            save_checkpoint(model, path)
+
+        monkeypatch.setattr(cli, "save_checkpoint", counting)
+        seed_dir = tmp_path / "seed_1"
+        _final, reports = cli.run_improve(cfg, 1, seed_dir, world, data, pretrained)
+        iterations = cfg.loop.iterations
+        assert len(reports) == iterations
+        assert saved == [f"backward_iter_{i}.json" for i in range(1, iterations + 1)]
+        ck = seed_dir / "checkpoints"
+        assert (ck / "backward_final.json").read_bytes() == (
+            ck / f"backward_iter_{iterations}.json"
+        ).read_bytes()
 
 
 class TestScripts:

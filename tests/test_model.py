@@ -689,6 +689,92 @@ class TestTraining:
             TrainConfig(batch_size=0)
 
 
+# The batch builder before the per-epoch gather: each batch gathers its own
+# samples' CSR rows and finds its columns with np.unique. Training with it and
+# the out-of-place dense_nll_grad is the reference that train and nll_and_grad
+# must equal bit for bit.
+
+
+def unique_batch(rows, idx):
+    starts = rows.indptr[idx]
+    lengths = rows.indptr[idx + 1] - starts
+    owner = np.repeat(np.arange(len(idx)), lengths)
+    rank = np.arange(len(owner)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    cols, col_of = np.unique(rows.indices[starts[owner] + rank], return_inverse=True)
+    xs = np.zeros((len(idx), len(cols)), dtype=np.float64)
+    xs[owner, col_of] = 1.0
+    return cols, xs
+
+
+def unique_train(model, samples, cfg):
+    rows = model_module._as_rows(model, samples)
+    n = len(rows.y)
+    weights, bias = model.weights.copy(), model.bias.copy()
+    rng = np.random.default_rng(cfg.seed)
+    for _ in range(cfg.epochs):
+        perm = rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            idx = perm[start : start + cfg.batch_size]
+            cols, xs = unique_batch(rows, idx)
+            active = weights[:, cols]
+            _, grad_w, grad_b = dense_nll_grad(active, bias, xs, rows.y[idx], rows.w[idx])
+            scale = cfg.learning_rate / len(idx)
+            weights[:, cols] = active - scale * grad_w
+            bias -= scale * grad_b
+    return weights, bias
+
+
+def unique_nll_and_grad(model, samples):
+    rows = model_module._as_rows(model, samples)
+    cols, xs = unique_batch(rows, np.arange(len(rows.y)))
+    logp, grad_u, grad_b = dense_nll_grad(model.weights[:, cols], model.bias, xs, rows.y, rows.w)
+    grad_w = np.zeros_like(model.weights)
+    grad_w[:, cols] = grad_u
+    return float(-(rows.w * logp).sum()), grad_w, grad_b
+
+
+class TestPerEpochGather:
+    """Every sample set here has weights and one sample without features."""
+
+    @pytest.mark.parametrize(
+        "dim, batch_size",
+        [(64, 7), (2048, 7), (256, 1), (256, 1000)],
+        ids=["dim64-partial-last-batch", "dim2048-partial-last-batch", "batch-size-1", "batch-over-n"],
+    )
+    def test_train_equals_per_batch_reference(self, small_world, small_data, dim, batch_size):
+        clf, samples = random_model_and_samples(small_world, small_data, dim)
+        assert len(samples) % 7 and len(samples) < 1000
+        cfg = TrainConfig(learning_rate=0.05, epochs=3, batch_size=batch_size, seed=4)
+        trained = train(clf, samples, cfg)
+        weights, bias = unique_train(clf, samples, cfg)
+        assert np.array_equal(trained.weights, weights)
+        assert np.array_equal(trained.bias, bias)
+
+    @pytest.mark.parametrize("dim", [64, 2048])
+    def test_nll_and_grad_equal_per_batch_reference(self, small_world, small_data, dim):
+        clf, samples = random_model_and_samples(small_world, small_data, dim)
+        total, grad_w, grad_b = nll_and_grad(clf, samples)
+        ref_total, ref_w, ref_b = unique_nll_and_grad(clf, samples)
+        assert total == ref_total
+        assert np.array_equal(grad_w, ref_w)
+        assert np.array_equal(grad_b, ref_b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dim=st.integers(1, 300),
+        batches=st.lists(st.lists(st.integers(0, 299), max_size=40), min_size=1, max_size=5),
+    )
+    def test_column_index_equals_unique(self, dim, batches):
+        # One builder answers batch after batch, as within a training run.
+        builder = model_module._Batches(dim)
+        for bits in batches:
+            bits = np.array([b % dim for b in bits], dtype=np.intp)
+            cols, col_of = builder.columns(bits)
+            ref_cols, ref_of = np.unique(bits, return_inverse=True)
+            assert np.array_equal(cols, ref_cols)
+            assert np.array_equal(col_of, ref_of)
+
+
 class TestExactMatch:
     def test_monotone_in_k(self, small_models, small_data, small_world):
         backward, _, _ = small_models
