@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 from pathlib import Path
 from typing import NamedTuple, get_args, get_origin, get_type_hints
 
-from .errors import CheckpointError, EmptyDataset, InvalidConfig
+from .errors import CheckpointError, EmptyDataset, InvalidConfig, UnknownTemplate
 from .evaluate import OracleEstimator, evaluate_over_budgets, penalty_constants
 from .improve import LoopConfig, pretrain_models, run_self_improvement
 from .model import (
@@ -37,6 +37,7 @@ from .model import (
     ROLE_FORWARD,
     TemplateClassifier,
     TrainConfig,
+    check_world,
     load_checkpoint,
     save_checkpoint,
     topk_exact_match,
@@ -48,6 +49,7 @@ from .world import (
     World,
     WorldConfig,
     build_datasets,
+    check_dataset,
     check_dataset_settings,
     generate_world,
     load_dataset,
@@ -278,11 +280,13 @@ def _read(load, path: Path):
 def ensure_world_data(
     cfg: ExperimentConfig, seed: int, seed_dir: Path
 ) -> tuple[World, Dataset]:
-    """Reload the world and dataset files of one seed, or build and save them."""
+    """Reload the world and dataset files of one seed, or build and save them.
+    A reloaded dataset is checked against the reloaded world."""
     world_path = seed_dir / "world.json"
     data_dir = seed_dir / "dataset"
     if world_path.exists() and (data_dir / "targets.jsonl").exists():
-        return _read(load_world, world_path), _read(load_dataset, data_dir)
+        world = _read(load_world, world_path)
+        return world, _read(lambda path: check_dataset(world, load_dataset(path)), data_dir)
     world, data = build_world_data(cfg, seed)
     seed_dir.mkdir(parents=True, exist_ok=True)
     save_world(world, world_path)
@@ -324,8 +328,12 @@ def _load_checkpoints(needed, world: World, dim: int) -> list[TemplateClassifier
             raise CheckpointError(f"checkpoint {path} holds a {model.role} model, not a {role} one")
         if model.dim != dim:
             raise CheckpointError(f"checkpoint {path} has dim {model.dim}, the config {dim}")
-        if model.template_index != world.template_ids:
-            raise CheckpointError(f"checkpoint {path} was not trained on this world's templates")
+        try:
+            check_world(model, world)
+        except UnknownTemplate as exc:
+            raise CheckpointError(
+                f"checkpoint {path} was not trained on this world's templates"
+            ) from exc
         models.append(model)
     return models
 

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Callable
 
-from .errors import CapExceeded, EmptyDataset, InvalidInput, UnknownTemplate
-from .model import TemplateClassifier, product_proba
+from .errors import CapExceeded, EmptyDataset, InvalidInput
+from .model import TemplateClassifier, check_world, product_proba
 from .planner import ValueEstimator, plan, route_cost_under
 from .world import Dataset, Molecule, Reaction, Route, World, make_reaction
 
@@ -160,9 +160,7 @@ class OracleTable:
         return self._build_witnesses()
 
 
-def _applications(
-    m: Molecule, world: World, ref: TemplateClassifier, row_of: dict[str, int]
-) -> list[Application]:
+def _applications(m: Molecule, world: World, ref: TemplateClassifier) -> list[Application]:
     """The non-cyclic template applications to ``m`` in template order, each
     priced at its negative log probability under ``ref``. The model is asked
     only when some template applies, through its memo (``product_proba``),
@@ -172,10 +170,7 @@ def _applications(
         texts = tuple(sorted({r.text for r in reactants}))
         if m.text in texts:
             continue  # cyclic application
-        row = row_of.get(tid)
-        if row is None:
-            raise UnknownTemplate(tid)
-        fired.append((tid, row, reactants, texts))
+        fired.append((tid, ref._row_of[tid], reactants, texts))
     if not fired:
         return []
     probs = product_proba(ref, m)
@@ -192,7 +187,6 @@ def _settle(
     roots: "list[Molecule] | tuple[Molecule, ...]",
     cap: int,
     known: Mapping[str, float],
-    row_of: dict[str, int],
 ) -> tuple[dict[str, float], dict[str, list[Application]]]:
     """The costs of every molecule reachable from ``roots`` and not in
     ``known``, and the applications of those that are not building blocks."""
@@ -207,7 +201,7 @@ def _settle(
         m = queue.popleft()
         if world.is_building_block(m):
             continue
-        apps[m.text] = _applications(m, world, ref, row_of)
+        apps[m.text] = _applications(m, world, ref)
         for _, _, ordered, _ in apps[m.text]:
             for r in ordered:
                 if r.text not in known and r.text not in molecules:
@@ -251,7 +245,6 @@ def _witnesses(
     world: World,
     ref: TemplateClassifier,
     roots: "list[Molecule] | tuple[Molecule, ...]",
-    row_of: dict[str, int],
     apps: dict[str, list[Application]],
     final: Mapping[str, float],
 ) -> dict[str, Route]:
@@ -274,7 +267,7 @@ def _witnesses(
             if m.text in apps:
                 entry = apps[m.text]
             else:
-                entry = _applications(m, world, ref, row_of)
+                entry = _applications(m, world, ref)
             best = None
             for app in entry:
                 total = app[1] + sum(final[t] for t in app[3])
@@ -301,7 +294,8 @@ def brute_force_oracle(
     value(m) = 0 for building blocks, otherwise the cheapest applicable
     template application: its negative log probability under the reference
     model plus the values of the distinct reactants. Self-reproducing
-    applications are skipped as cyclic.
+    applications are skipped as cyclic. The reference model must be made
+    for ``world`` (``check_world``), or UnknownTemplate is raised.
 
     ``known`` holds costs settled by earlier calls. They are final, because
     a call settles everything reachable from what it explores, so they are
@@ -319,14 +313,14 @@ def brute_force_oracle(
     final costs, when ``witnesses`` is first read. It reads ``known`` as it
     is then; costs added to it in between change no witness.
     """
+    check_world(ref, world)
     known = {} if known is None else known
-    row_of = {tid: i for i, tid in enumerate(ref.template_index)}
-    costs, apps = _settle(world, ref, roots, cap, known, row_of)
+    costs, apps = _settle(world, ref, roots, cap, known)
     return OracleTable(
         costs=costs,
         explored=len(costs),
         _build_witnesses=partial(
-            _witnesses, world, ref, tuple(roots), row_of, apps, ChainMap(costs, known)
+            _witnesses, world, ref, tuple(roots), apps, ChainMap(costs, known)
         ),
     )
 
@@ -338,8 +332,6 @@ class OracleEstimator:
     passes them to each call as ``known``, so every molecule is explored
     and costed once over the estimator's life.
     """
-
-    kind = "oracle"
 
     def __init__(self, world: World, ref: TemplateClassifier, cap: int = 100_000):
         self.world = world

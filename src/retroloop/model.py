@@ -151,12 +151,6 @@ class TemplateClassifier:
         ``dataclasses.replace`` or ``load_checkpoint``, starts empty."""
         return {}
 
-    @cached_property
-    def _missing_rows(self) -> dict[int, tuple[World, list[int]]]:
-        """By ``id(world)``: the world, kept alive so its id stays its own,
-        and the rows of this model's templates that it lacks."""
-        return {}
-
 
 def zero_classifier(
     template_ids: Sequence[str], role: str, dim: int = DEFAULT_DIM
@@ -220,14 +214,12 @@ def product_proba(model: TemplateClassifier, product: Molecule) -> np.ndarray:
     return probs
 
 
-def _missing(model: TemplateClassifier, world: World) -> list[int]:
-    """Rows of the model's templates that ``world`` lacks, ascending."""
-    entry = model._missing_rows.get(id(world))
-    if entry is None:
-        templates = world.template_by_id
-        rows = [i for i, tid in enumerate(model.template_index) if tid not in templates]
-        entry = model._missing_rows[id(world)] = (world, rows)
-    return entry[1]
+def check_world(model: TemplateClassifier, world: World) -> None:
+    """Raise UnknownTemplate unless ``model`` classifies over exactly
+    ``world``'s templates, in its order: then row ``i`` of the model is
+    ``world.templates[i]``."""
+    if model.template_index != world.template_ids:
+        raise UnknownTemplate("the model's templates are not the world's")
 
 
 class Prediction(NamedTuple):
@@ -244,16 +236,15 @@ def predict_topk(
 ) -> list[Prediction]:
     """Top-k applicable templates with outcomes, by descending probability.
 
-    Inapplicable templates are skipped without renormalizing, so the reported
-    probabilities are comparable with filtering thresholds. Ties break by
-    template index order. A model template missing from the world raises
-    UnknownTemplate when it ranks above the k-th applicable one.
+    The model must be made for ``world`` (``check_world``), or
+    UnknownTemplate is raised. Inapplicable templates are skipped without
+    renormalizing, so the reported probabilities are comparable with
+    filtering thresholds. Ties break by template index order.
 
     A backward model ranks only the product's applications
-    (``World.applications``). It scores the product only when one of them is
-    a model template, or when a model template missing from the world might
-    outrank them; otherwise the product is a dead end and the result empty.
-    The score is read through the model's memo (``product_proba``).
+    (``World.applications``) and scores the product only when there is one;
+    otherwise the product is a dead end and the result empty. The score is
+    read through the model's memo (``product_proba``).
 
     Ranking is in plain Python floats: the candidate rows, ascending, go
     through one stable sort by descending probability, which is the order a
@@ -261,6 +252,7 @@ def predict_topk(
     """
     if k < 1:
         raise InvalidInput("k must be at least 1")
+    check_world(model, world)
     if model.role == ROLE_FORWARD:
         if isinstance(inp, Molecule):
             raise InvalidInput("forward models take a reactant sequence")
@@ -270,48 +262,40 @@ def predict_topk(
         if not isinstance(inp, Molecule):
             raise InvalidInput("backward models take a single product molecule")
         row_of = model._row_of
-        outcomes = {row_of[tid]: rs for tid, rs in world.applications(inp) if tid in row_of}
-        missing = _missing(model, world)
-        if not outcomes and not missing:
+        # Applications come in template order, so these rows ascend.
+        outcomes = {row_of[tid]: rs for tid, rs in world.applications(inp)}
+        if not outcomes:
             return []
         probs = product_proba(model, inp)
-        rows = sorted([*outcomes, *missing])
+        rows = outcomes
     p = probs.tolist()
     results: list[Prediction] = []
     for i in sorted(rows, key=p.__getitem__, reverse=True):
         if len(results) >= k:
             break
-        tid = model.template_index[i]
-        template = world.template_by_id.get(tid)
-        if template is None:
-            raise UnknownTemplate(tid)
         if model.role == ROLE_FORWARD:
-            outcome = template.forward(inp)  # type: ignore[arg-type]
+            outcome = world.templates[i].forward(inp)  # type: ignore[arg-type]
         else:
             outcome = outcomes[i]
         if outcome is not None:
-            results.append(Prediction(tid, p[i], outcome))
+            results.append(Prediction(model.template_index[i], p[i], outcome))
     return results
 
 
 def likelihood(model: TemplateClassifier, reaction: Reaction, world: World) -> float:
-    """Probability of the reaction's template given its featurized input.
+    """Probability of the reaction's template given its featurized input,
+    under a model made for ``world`` (``check_world``).
 
     A backward model reads the product's score through its memo
     (``product_proba``)."""
+    check_world(model, world)
     row = model._row_of.get(reaction.template_id)
     if row is None:
         raise UnknownTemplate(reaction.template_id)
     if model.role == ROLE_FORWARD:
         fv = featurize_reactant_set(reaction.reactants, model.dim)
         return float(predict_proba(model, fv)[row])
-    template = world.template_by_id.get(reaction.template_id)
-    if template is None:
-        raise UnknownTemplate(reaction.template_id)
-    produced = template.backward(reaction.product)
-    if produced is None or tuple(sorted(m.text for m in produced)) != tuple(
-        r.text for r in reaction.reactants
-    ):
+    if not world.templates[row].yields(reaction.product, reaction.reactants):
         raise InvalidReaction(
             f"template {reaction.template_id} does not yield the stated "
             f"reactants for {reaction.product.text}"

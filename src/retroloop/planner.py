@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Protocol
 
 from .errors import InvalidInput, NotSolved
-from .model import TemplateClassifier, predict_topk
+from .model import TemplateClassifier, likelihood, predict_topk
 from .world import Molecule, Reaction, Route, World, make_reaction
 
 OPEN = "open"
@@ -58,15 +58,11 @@ INF = math.inf
 
 
 class ValueEstimator(Protocol):
-    kind: str
-
     def evaluate(self, molecule: Molecule) -> float: ...
 
 
 class ZeroEstimator:
     """Estimates every molecule at zero cost-to-go (the value-free variant)."""
-
-    kind = "zero"
 
     def evaluate(self, molecule: Molecule) -> float:
         return 0.0
@@ -407,8 +403,6 @@ def route_cost_under(
     route: Route, model: TemplateClassifier, world: World
 ) -> float:
     """Sum of negative log-likelihoods over the route's reaction set."""
-    from .model import likelihood
-
     return sum(-math.log(likelihood(model, rx, world)) for rx in route.reactions)
 
 
@@ -423,8 +417,6 @@ def unfolded_route_cost(
     reaction counts once). It equals ``route_cost_under`` whenever no
     intermediate is consumed by two different reactions.
     """
-    from .model import likelihood
-
     by_product = {rx.product.text: rx for rx in route.reactions}
 
     def cost(text: str) -> float:

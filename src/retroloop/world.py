@@ -170,6 +170,10 @@ class Template:
     op: str | None = None
     variant: str | None = None
 
+    def __post_init__(self) -> None:
+        if self.kind not in (KIND_SPLIT, KIND_CHOP, KIND_IDENTITY):
+            raise InvalidInput(f"template {self.id!r} has unknown kind {self.kind!r}")
+
     def backward(self, product: Molecule) -> tuple[Molecule, ...] | None:
         """Reactants produced by applying this rule to ``product``, or None."""
         if product.malformed:
@@ -186,13 +190,18 @@ class Template:
         left, right = ast.left, ast.right
         if self.kind == KIND_SPLIT:
             return (left.molecule, right.molecule)  # type: ignore[union-attr]
-        if self.kind == KIND_CHOP:
-            if self.variant == "left":
-                return (left.fragment(), right.molecule)  # type: ignore[union-attr]
-            if self.variant == "right":
-                return (left.molecule, right.fragment())  # type: ignore[union-attr]
-            return (ast.fragment(),)
-        return None
+        if self.variant == "left":
+            return (left.fragment(), right.molecule)  # type: ignore[union-attr]
+        if self.variant == "right":
+            return (left.molecule, right.fragment())  # type: ignore[union-attr]
+        return (ast.fragment(),)
+
+    def yields(self, product: Molecule, reactants: Sequence[Molecule]) -> bool:
+        """Whether ``backward(product)`` gives ``reactants``, sorted by text."""
+        produced = self.backward(product)
+        return produced is not None and sorted(m.text for m in produced) == [
+            r.text for r in reactants
+        ]
 
     def forward(self, reactants: Sequence[Molecule]) -> Molecule | None:
         """Product obtained by joining ``reactants`` with this rule, or None."""
@@ -268,15 +277,11 @@ def validate_route(world: "World", route: Route) -> list[str]:
         template = world.template_by_id.get(rx.template_id)
         if template is None:
             problems.append(f"unknown template {rx.template_id}")
-        else:
-            produced = template.backward(rx.product)
-            if produced is None or tuple(
-                sorted(m.text for m in produced)
-            ) != tuple(r.text for r in rx.reactants):
-                problems.append(
-                    f"template {rx.template_id} does not map {rx.product.text} "
-                    "to the stated reactants"
-                )
+        elif not template.yields(rx.product, rx.reactants):
+            problems.append(
+                f"template {rx.template_id} does not map {rx.product.text} "
+                "to the stated reactants"
+            )
 
     if route.target.text not in by_product:
         problems.append("target is not the product of any reaction")
@@ -361,11 +366,7 @@ class World:
         templates fire only on their own operator; identity fires on all.
         """
         return {
-            op: tuple(
-                t
-                for t in self.templates
-                if t.kind == KIND_IDENTITY or (t.kind in (KIND_SPLIT, KIND_CHOP) and t.op == op)
-            )
+            op: tuple(t for t in self.templates if t.kind == KIND_IDENTITY or t.op == op)
             for op in (None, *OPERATOR_CHARS)
         }
 
@@ -410,13 +411,24 @@ def _random_term(
     leaves: Sequence[str],
     operators: Sequence[str],
     compose_root: bool,
+    leaf_prob: float = _LEAF_PROB,
+    reactions: "dict[tuple, Reaction] | None" = None,
 ) -> str:
-    if depth <= 0 or (not compose_root and rng.random() < _LEAF_PROB):
+    """A random term over ``leaves`` of height at most ``depth``. If given,
+    ``reactions`` gets each composite's split reaction, by ``Reaction.key``;
+    that draws nothing more from ``rng``."""
+    if depth <= 0 or (not compose_root and rng.random() < leaf_prob):
         return rng.choice(leaves)
     op = rng.choice(operators)
-    left = _random_term(rng, depth - 1, leaves, operators, False)
-    right = _random_term(rng, depth - 1, leaves, operators, False)
-    return "(" + left + op + right + ")"
+    left = _random_term(rng, depth - 1, leaves, operators, False, leaf_prob, reactions)
+    right = _random_term(rng, depth - 1, leaves, operators, False, leaf_prob, reactions)
+    text = "(" + left + op + right + ")"
+    if reactions is not None:
+        rx = make_reaction(
+            parse_molecule(text), (parse_molecule(left), parse_molecule(right)), f"split:{op}"
+        )
+        reactions.setdefault(rx.key, rx)
+    return text
 
 
 def generate_world(config: WorldConfig, seed: int) -> World:
@@ -481,24 +493,9 @@ def sample_ground_truth_route(
         return target, Route(target=target, reactions=())
 
     reactions: dict[tuple, Reaction] = {}
-
-    def grow(depth: int, compose: bool) -> str:
-        if depth <= 0 or (not compose and rng.random() < leaf_prob):
-            return rng.choice(stock_texts)
-        op = rng.choice(world.operators)
-        left = grow(depth - 1, False)
-        right = grow(depth - 1, False)
-        text = "(" + left + op + right + ")"
-        rx = make_reaction(
-            parse_molecule(text),
-            (parse_molecule(left), parse_molecule(right)),
-            f"split:{op}",
-        )
-        reactions.setdefault(rx.key, rx)
-        return text
-
     depth = rng.randint(1, max_depth)
-    target = parse_molecule(grow(depth, True))
+    text = _random_term(rng, depth, stock_texts, world.operators, True, leaf_prob, reactions)
+    target = parse_molecule(text)
     return target, Route(target=target, reactions=tuple(reactions.values()))
 
 
@@ -686,3 +683,22 @@ def load_dataset(out_dir: str | Path) -> Dataset:
         reactions_test=splits["reactions_test"],
         ground_truth_routes=routes,
     )
+
+
+def check_dataset(world: World, data: Dataset) -> Dataset:
+    """``data``, if it fits ``world``: every target has a route, every route
+    is valid there, and every split reaction is a reaction of a route.
+    InvalidInput otherwise."""
+    for target in data.targets:
+        if target.text not in data.ground_truth_routes:
+            raise InvalidInput(f"target {target.text} has no route")
+    route_keys = set()
+    for text, route in data.ground_truth_routes.items():
+        problems = validate_route(world, route)
+        if problems:
+            raise InvalidInput(f"route to {text}: {problems[0]}")
+        route_keys.update(rx.key for rx in route.reactions)
+    for rx in (*data.reactions_train, *data.reactions_val, *data.reactions_test):
+        if rx.key not in route_keys:
+            raise InvalidInput(f"reaction {rx.key} is not a step of any route")
+    return data

@@ -185,9 +185,9 @@ class TestDamagedFiles:
         assert main(["gen-world", "--config", config_path, "--out", str(out), "--seed", "1"]) == 0
         return out / "seed_1"
 
-    def assert_exits_5(self, config_path, out, path, capsys):
+    def assert_exits_5(self, config_path, out, path, capsys, command="pretrain"):
         capsys.readouterr()
-        assert main(["pretrain", "--config", config_path, "--out", str(out), "--seed", "1"]) == 5
+        assert main([command, "--config", config_path, "--out", str(out), "--seed", "1"]) == 5
         assert str(path) in capsys.readouterr().err
 
     @pytest.mark.parametrize(
@@ -214,6 +214,36 @@ class TestDamagedFiles:
         lines = (path / "routes.jsonl").read_text().splitlines()
         (path / "routes.jsonl").write_text("\n".join(["{}"] + lines[1:]) + "\n")
         self.assert_exits_5(config_path, out, path, capsys)
+
+    @pytest.mark.parametrize(
+        "name, field, value",
+        [
+            ("reactions_train", "template", "nope"),
+            ("reactions_test", "reactants", ["a", "zz"]),
+            ("targets", "target", "zz"),
+        ],
+        ids=["unknown-template", "no-route-takes-it", "target-without-route"],
+    )
+    def test_dataset_not_of_the_world_exits_5(
+        self, config_path, tmp_path, capsys, name, field, value
+    ):
+        """A record that parses but names an unknown template, a reaction no
+        route takes or a target without a route is caught on reading."""
+        out = tmp_path / "run"
+        path = self.gen_world(config_path, out) / "dataset"
+        lines = (path / f"{name}.jsonl").read_text().splitlines()
+        record = json.loads(lines[0])
+        record[field] = value
+        (path / f"{name}.jsonl").write_text("\n".join([json.dumps(record)] + lines[1:]) + "\n")
+        self.assert_exits_5(config_path, out, path, capsys)
+
+    def test_unknown_template_kind_exits_5(self, config_path, tmp_path, capsys):
+        out = tmp_path / "run"
+        path = self.gen_world(config_path, out) / "world.json"
+        doc = json.loads(path.read_text())
+        doc["templates"][0]["kind"] = "bogus"
+        path.write_text(json.dumps(doc))
+        self.assert_exits_5(config_path, out, path, capsys, command="run-all")
 
 
 class TestPretrain:
@@ -715,31 +745,6 @@ class TestBuilders:
 
 
 class TestScripts:
-    def summary_rates(self, config_path, tmp_path) -> dict:
-        """(iteration, budget) -> success rate as ``retroloop run-all`` reports it for seed 1."""
-        out = tmp_path / "run"
-        assert main(["run-all", "--config", config_path, "--out", str(out), "--seed", "1"]) == 0
-        with (out / "seed_1" / "metrics" / "summary.csv").open() as fh:
-            return {
-                (int(r["iteration"]), int(r["budget"])): float(r["success_rate"])
-                for r in csv.DictReader(fh)
-            }
-
-    def test_budget_curve_table(self, config_path, tmp_path, capsys):
-        main_fn = runpy.run_path(str(SCRIPTS / "budget_curve.py"))["main"]
-        assert main_fn(["--config", config_path, "--seed", "1", "--budgets", "25", "10"]) == 0
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert lines[0].split() == ["budget", "baseline", "improved"]
-        rows = [line.split() for line in lines[1:]]
-        assert [int(r[0]) for r in rows] == [10, 25]
-        # The script evaluates with eval.k_expand, as run-all does, so at the
-        # evaluation budgets it prints the CLI's success rates.
-        rates = self.summary_rates(config_path, tmp_path)
-        iterations = TINY["loop"]["iterations"]
-        for budget, base, ours in rows:
-            assert base == f"{rates[(0, int(budget))]:.4f}"
-            assert ours == f"{rates[(iterations, int(budget))]:.4f}"
-
     def test_filtering_sweep_table(self, config_path, capsys):
         main_fn = runpy.run_path(str(SCRIPTS / "filtering_sweep.py"))["main"]
         assert main_fn(["--config", config_path, "--seeds", "1", "--thresholds", "0", "0.5"]) == 0
@@ -754,18 +759,11 @@ class TestScripts:
         # Both thresholds plan the same routes; the stricter one keeps fewer.
         assert float(rows[0][4]) >= float(rows[1][4])
 
-    @pytest.mark.parametrize(
-        "script, args",
-        [
-            ("budget_curve.py", ["--seed", "1", "--budgets", "10"]),
-            ("filtering_sweep.py", ["--seeds", "1", "--thresholds", "0"]),
-        ],
-    )
-    def test_scripts_evaluate_with_eval_k_expand(self, tmp_path, capsys, script, args):
+    def test_filtering_sweep_evaluates_with_eval_k_expand(self, tmp_path, capsys):
         doc = json.loads(json.dumps(TINY))
         doc["loop"]["k_expand"], doc["eval"]["k_expand"] = 5, 7
         path = write_config(tmp_path, doc)
-        main_fn = runpy.run_path(str(SCRIPTS / script))["main"]
+        main_fn = runpy.run_path(str(SCRIPTS / "filtering_sweep.py"))["main"]
         seen = []
 
         def record(model, estimator, targets, budgets, *rest, k_expand):
@@ -773,5 +771,5 @@ class TestScripts:
             return {b: SimpleNamespace(success_rate=0.0) for b in budgets}
 
         main_fn.__globals__["evaluate_over_budgets"] = record
-        assert main_fn(["--config", path, *args]) == 0
+        assert main_fn(["--config", path, "--seeds", "1", "--thresholds", "0"]) == 0
         assert seen and set(seen) == {7}

@@ -18,6 +18,8 @@ from retroloop import (
     TrainConfig,
     UnknownTemplate,
     World,
+    ZeroEstimator,
+    brute_force_oracle,
     featurize_molecule,
     featurize_reactant_set,
     likelihood,
@@ -25,6 +27,7 @@ from retroloop import (
     make_reaction,
     mol,
     parse_molecule,
+    plan,
     predict_topk,
     save_checkpoint,
     topk_exact_match,
@@ -246,9 +249,7 @@ def unfiltered_topk(model, inp, k, world):
         if len(results) >= k:
             break
         tid = model.template_index[i]
-        template = world.template_by_id.get(tid)
-        if template is None:
-            raise UnknownTemplate(tid)
+        template = world.template_by_id[tid]
         if model.role == ROLE_FORWARD:
             outcome = template.forward(inp)
         else:
@@ -260,11 +261,8 @@ def unfiltered_topk(model, inp, k, world):
     return results
 
 
-def topk_or_error(fn, model, inp, k, world):
-    try:
-        return [tuple(p) for p in fn(model, inp, k, world)]
-    except UnknownTemplate as exc:
-        return ("unknown", exc.args)
+def topk(model, inp, k, world):
+    return [tuple(p) for p in predict_topk(model, inp, k, world)]
 
 
 # Atoms, both world operators (+, *), an operator of the pool the world did
@@ -302,19 +300,22 @@ class TestTopkAgainstUnfiltered:
         for model in self._models(small_world, small_models):
             for product in TOPK_PRODUCTS:
                 for k in range(1, model.n_templates + 2):
-                    expected = topk_or_error(unfiltered_topk, model, product, k, small_world)
-                    assert topk_or_error(predict_topk, model, product, k, small_world) == expected
+                    expected = unfiltered_topk(model, product, k, small_world)
+                    assert topk(model, product, k, small_world) == expected
 
     def test_forward_matches_reference(self, small_world, small_models):
         forward = small_models[2]
         for reactants in ((mol("a"), mol("b")), (mol("(a+b)"),), (mol("a"), parse_molecule("(a"))):
             for k in range(1, forward.n_templates + 2):
-                expected = topk_or_error(unfiltered_topk, forward, reactants, k, small_world)
-                assert topk_or_error(predict_topk, forward, reactants, k, small_world) == expected
+                expected = unfiltered_topk(forward, reactants, k, small_world)
+                assert topk(forward, reactants, k, small_world) == expected
 
     @pytest.mark.parametrize("ghost_at", [0, 3, None])
     @pytest.mark.parametrize("ghost_bias", [-5.0, 0.0, 5.0])
     def test_unknown_template_matches_reference(self, small_world, small_models, ghost_at, ghost_bias):
+        """A ghost row is refused wherever it sits and however it ranks,
+        for every product and k; without it the model matches the
+        unfiltered reference."""
         base = small_models[0]
         ids = list(base.template_index)
         at = len(ids) if ghost_at is None else ghost_at
@@ -322,14 +323,12 @@ class TestTopkAgainstUnfiltered:
         weights = np.insert(base.weights, at, 0.0, axis=0)
         bias = np.insert(base.bias, at, ghost_bias)
         model = classifier_like(base, weights=weights, bias=bias, template_index=tuple(ids))
-        raised = 0
         for product in TOPK_PRODUCTS:
             for k in range(1, model.n_templates + 2):
-                expected = topk_or_error(unfiltered_topk, model, product, k, small_world)
-                got = topk_or_error(predict_topk, model, product, k, small_world)
-                assert got == expected
-                raised += got == ("unknown", ("ghost",))
-        assert raised > 0
+                with pytest.raises(UnknownTemplate):
+                    predict_topk(model, product, k, small_world)
+                expected = unfiltered_topk(base, product, k, small_world)
+                assert topk(base, product, k, small_world) == expected
 
     def test_unknown_template_raises(self, small_world):
         ids = small_world.template_ids + ("ghost",)
@@ -337,12 +336,36 @@ class TestTopkAgainstUnfiltered:
         top = classifier_like(zero, bias=np.array([0.0] * (len(ids) - 1) + [1.0]))
         with pytest.raises(UnknownTemplate):
             predict_topk(top, mol("(a+b)"), 1, small_world)
-        # ranked last, the ghost is met only when fewer than k templates fire
-        assert predict_topk(zero, mol("(a+b)"), 1, small_world)
-        with pytest.raises(UnknownTemplate):
-            predict_topk(zero, mol("a"), 2, small_world)
-        with pytest.raises(UnknownTemplate):
-            predict_topk(zero, parse_molecule("(a+"), 1, small_world)
+        # ranked last, the ghost is refused too, even where k templates fire
+        # before it is reached
+        for model_input, k in ((mol("(a+b)"), 1), (mol("a"), 2), (parse_molecule("(a+"), 1)):
+            with pytest.raises(UnknownTemplate):
+                predict_topk(zero, model_input, k, small_world)
+
+
+class TestOneWorld:
+    @pytest.mark.parametrize("mismatch", ["ghost", "missing", "permuted"])
+    def test_model_of_another_world_raises(self, small_world, mismatch):
+        """A model whose templates are not exactly the world's, in its
+        order, is refused by every function that reads it with the world,
+        whatever it would rank first."""
+        ids = small_world.template_ids
+        ids = {"ghost": ids + ("ghost",), "missing": ids[:-1], "permuted": ids[::-1]}[mismatch]
+        backward = zero_classifier(ids, ROLE_BACKWARD, dim=128)
+        forward = zero_classifier(ids, ROLE_FORWARD, dim=128)
+        product = mol("((a+b)*c)")
+        rx = make_reaction(mol("(a+b)"), (mol("a"), mol("b")), "split:+")
+        calls = [
+            lambda: predict_topk(backward, product, 1, small_world),
+            lambda: predict_topk(forward, (mol("a"), mol("b")), 1, small_world),
+            lambda: likelihood(backward, rx, small_world),
+            lambda: likelihood(forward, rx, small_world),
+            lambda: brute_force_oracle(small_world, backward, [product], cap=100),
+            lambda: plan(product, backward, ZeroEstimator(), 10, 1, small_world),
+        ]
+        for call in calls:
+            with pytest.raises(UnknownTemplate):
+                call()
 
 
 class TestDeadEndsAreNotScored:
