@@ -1,5 +1,13 @@
 """Self-improving retrosynthetic planning on a synthetic reaction universe."""
 
+import os
+
+# Checkpoint bytes depend on how many threads BLAS sums a product with, so
+# the library runs it on one unless the caller says otherwise. This must
+# happen before any submodule imports numpy.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from .errors import (
     CapExceeded,
     CheckpointError,
@@ -64,8 +72,6 @@ from .world import (
     WorldConfig,
     build_datasets,
     generate_world,
-    load_dataset,
-    load_world,
     make_reaction,
     mol,
     parse_molecule,

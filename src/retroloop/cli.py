@@ -7,8 +7,8 @@ seeds, there is no global RNG). Exit codes are stable:
   2  invalid or unreadable config, or an invalid command-line argument
   3  empty train split at pretraining
   4  missing checkpoints
-  5  corrupt checkpoint, world or dataset file, or a checkpoint of another
-     world, feature dim or direction
+  5  corrupt checkpoint, a checkpoint of another world, feature dim or
+     direction, or a world or dataset file other than the config makes
   6  missing run manifest
 """
 
@@ -25,6 +25,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, is_dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import NamedTuple, get_args, get_origin, get_type_hints
 
@@ -45,15 +46,14 @@ from .model import (
 from .planner import ZeroEstimator, plan, route_cost_under
 from .seeding import derive_seed
 from .world import (
+    DATASET_FILES,
+    LEAF_PROB,
     Dataset,
     World,
     WorldConfig,
     build_datasets,
-    check_dataset,
     check_dataset_settings,
     generate_world,
-    load_dataset,
-    load_world,
     parse_molecule,
     save_dataset,
     save_world,
@@ -78,7 +78,7 @@ class ConfigError(Exception):
 
 
 class CorruptFile(Exception):
-    """A world or dataset file of a run cannot be read back."""
+    """A world or dataset file of a run is not the one its config makes."""
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,7 @@ class DatasetConfig:
     n_targets: int = 500
     max_depth: int = 6
     split: tuple[float, float, float] = (0.8, 0.1, 0.1)
-    leaf_prob: float = 0.35
+    leaf_prob: float = LEAF_PROB
 
     def __post_init__(self) -> None:
         check_dataset_settings(self.n_targets, self.max_depth, self.split, self.leaf_prob)
@@ -270,27 +270,32 @@ def seed_loop_config(cfg: ExperimentConfig, seed: int) -> LoopConfig:
     return replace(cfg.loop, seed=seeds.loop, bc=replace(cfg.loop.bc, seed=seeds.bc))
 
 
-def _read(load, path: Path):
-    try:
-        return load(path)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise CorruptFile(f"cannot read {path}: {type(exc).__name__}: {exc}") from exc
-
-
 def ensure_world_data(
     cfg: ExperimentConfig, seed: int, seed_dir: Path
 ) -> tuple[World, Dataset]:
-    """Reload the world and dataset files of one seed, or build and save them.
-    A reloaded dataset is checked against the reloaded world."""
-    world_path = seed_dir / "world.json"
-    data_dir = seed_dir / "dataset"
-    if world_path.exists() and (data_dir / "targets.jsonl").exists():
-        world = _read(load_world, world_path)
-        return world, _read(lambda path: check_dataset(world, load_dataset(path)), data_dir)
+    """The world and dataset of one seed, built from the config.
+
+    Each of their files is written if absent. One that exists must hold
+    the bytes the config makes, or CorruptFile names it; every existing
+    file is checked before any is written, so a mismatch writes nothing.
+    """
     world, data = build_world_data(cfg, seed)
-    seed_dir.mkdir(parents=True, exist_ok=True)
-    save_world(world, world_path)
-    save_dataset(data, data_dir)
+    texts = {seed_dir / "world.json": partial(save_world, world)}
+    for name in DATASET_FILES:
+        texts[seed_dir / "dataset" / f"{name}.jsonl"] = partial(save_dataset, data, name)
+    missing = [path for path in texts if not path.exists()]
+    for path in texts:
+        if path in missing:
+            continue
+        try:
+            held = path.read_bytes()
+        except OSError as exc:
+            raise CorruptFile(f"cannot read {path}: {exc}") from exc
+        if held != texts[path]().encode():
+            raise CorruptFile(f"{path} is not the file this config makes for seed {seed}")
+    for path in missing:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(texts[path]())
     return world, data
 
 
@@ -716,7 +721,6 @@ def cmd_run_all(args) -> int:
     cfg, doc = load_config(args.config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "config.json").write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     started = time.time()
     seeds = _seeds_for(args, cfg)
     if args.workers > 1 and len(seeds) > 1:
@@ -724,6 +728,8 @@ def cmd_run_all(args) -> int:
             results = list(pool.map(run_seed, [cfg] * len(seeds), seeds, [out] * len(seeds)))
     else:
         results = [run_seed(cfg, seed, out) for seed in seeds]
+    # Written last: a run that stops early leaves an earlier config.json as it was.
+    (out / "config.json").write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     aggregate_report(out)
     write_manifest(out, doc, dict(zip(seeds, results)), started)
     print_report(out)

@@ -16,7 +16,6 @@ import math
 import random
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InvalidConfig, InvalidInput
@@ -27,11 +26,10 @@ OPERATOR_POOL = "+*^%&@!~<>=?"
 OPERATOR_CHARS = frozenset(OPERATOR_POOL + "/:;.,|$#-")
 
 WORLD_FILE_VERSION = 1
-DATASET_FILE_VERSION = 1
 
 # Leaf probability when growing random subterms; 0.35 keeps route sizes spread
 # between single reactions and full binary trees at the configured depth.
-_LEAF_PROB = 0.35
+LEAF_PROB = 0.35
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +409,7 @@ def _random_term(
     leaves: Sequence[str],
     operators: Sequence[str],
     compose_root: bool,
-    leaf_prob: float = _LEAF_PROB,
+    leaf_prob: float = LEAF_PROB,
     reactions: "dict[tuple, Reaction] | None" = None,
 ) -> str:
     """A random term over ``leaves`` of height at most ``depth``. If given,
@@ -477,7 +475,7 @@ def generate_world(config: WorldConfig, seed: int) -> World:
 
 
 def sample_ground_truth_route(
-    world: World, max_depth: int, seed: int, leaf_prob: float = _LEAF_PROB
+    world: World, max_depth: int, seed: int, leaf_prob: float = LEAF_PROB
 ) -> tuple[Molecule, Route]:
     """Grow a random synthesizable target together with one valid route.
 
@@ -530,7 +528,7 @@ def build_datasets(
     max_depth: int,
     split: tuple[float, float, float],
     seed: int,
-    leaf_prob: float = _LEAF_PROB,
+    leaf_prob: float = LEAF_PROB,
 ) -> Dataset:
     """Sample targets with ground-truth routes and split the pooled reactions."""
     fractions = tuple(split)
@@ -571,8 +569,12 @@ def build_datasets(
 # ---------------------------------------------------------------------------
 # file formats
 
+# The files of a dataset, each ``<name>.jsonl`` with one JSON record a line.
+DATASET_FILES = ("targets", "reactions_train", "reactions_val", "reactions_test", "routes")
 
-def save_world(world: World, path: str | Path) -> None:
+
+def save_world(world: World) -> str:
+    """The text of a world's ``world.json``."""
     doc = {
         "version": WORLD_FILE_VERSION,
         "atoms": list(world.atoms),
@@ -584,23 +586,7 @@ def save_world(world: World, path: str | Path) -> None:
         "building_blocks": [m.text for m in world.building_blocks],
         "rng_seed": world.rng_seed,
     }
-    Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-
-
-def load_world(path: str | Path) -> World:
-    doc = json.loads(Path(path).read_text())
-    if doc.get("version") != WORLD_FILE_VERSION:
-        raise InvalidInput(f"unsupported world file version {doc.get('version')!r}")
-    return World(
-        atoms=tuple(doc["atoms"]),
-        operators=tuple(doc["operators"]),
-        templates=tuple(
-            Template(id=t["id"], kind=t["kind"], op=t.get("op"), variant=t.get("variant"))
-            for t in doc["templates"]
-        ),
-        building_blocks=tuple(parse_molecule(t) for t in doc["building_blocks"]),
-        rng_seed=doc["rng_seed"],
-    )
+    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
 
 
 def _reaction_record(rx: Reaction) -> dict:
@@ -611,37 +597,13 @@ def _reaction_record(rx: Reaction) -> dict:
     }
 
 
-def _reaction_from_record(rec: dict) -> Reaction:
-    return make_reaction(
-        parse_molecule(rec["product"]),
-        tuple(parse_molecule(t) for t in rec["reactants"]),
-        rec["template"],
-    )
-
-
-def save_dataset(dataset: Dataset, out_dir: str | Path) -> dict[str, Path]:
-    """Write targets/reaction splits/routes as one-record-per-line JSON files."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    paths: dict[str, Path] = {}
-
-    def dump(name: str, records: Iterable[dict]) -> None:
-        path = out / f"{name}.jsonl"
-        with path.open("w") as fh:
-            for rec in records:
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
-        paths[name] = path
-
-    dump("targets", ({"target": t.text} for t in dataset.targets))
-    for name, rxs in (
-        ("reactions_train", dataset.reactions_train),
-        ("reactions_val", dataset.reactions_val),
-        ("reactions_test", dataset.reactions_test),
-    ):
-        dump(name, (_reaction_record(rx) for rx in rxs))
-    dump(
-        "routes",
-        (
+def save_dataset(dataset: Dataset, name: str) -> str:
+    """The text of the dataset file ``<name>.jsonl``, ``name`` one of
+    ``DATASET_FILES``."""
+    if name == "targets":
+        records = ({"target": t.text} for t in dataset.targets)
+    elif name == "routes":
+        records = (
             {
                 "target": t.text,
                 "reactions": [
@@ -650,55 +612,7 @@ def save_dataset(dataset: Dataset, out_dir: str | Path) -> dict[str, Path]:
                 ],
             }
             for t in dataset.targets
-        ),
-    )
-    return paths
-
-
-def load_dataset(out_dir: str | Path) -> Dataset:
-    out = Path(out_dir)
-
-    def records(name: str) -> list[dict]:
-        path = out / f"{name}.jsonl"
-        if not path.exists():
-            raise InvalidInput(f"missing dataset file {path}")
-        return [json.loads(line) for line in path.read_text().splitlines() if line]
-
-    targets = tuple(parse_molecule(r["target"]) for r in records("targets"))
-    splits = {
-        name: tuple(_reaction_from_record(r) for r in records(name))
-        for name in ("reactions_train", "reactions_val", "reactions_test")
-    }
-    routes = {
-        r["target"]: Route(
-            target=parse_molecule(r["target"]),
-            reactions=tuple(_reaction_from_record(x) for x in r["reactions"]),
         )
-        for r in records("routes")
-    }
-    return Dataset(
-        targets=targets,
-        reactions_train=splits["reactions_train"],
-        reactions_val=splits["reactions_val"],
-        reactions_test=splits["reactions_test"],
-        ground_truth_routes=routes,
-    )
-
-
-def check_dataset(world: World, data: Dataset) -> Dataset:
-    """``data``, if it fits ``world``: every target has a route, every route
-    is valid there, and every split reaction is a reaction of a route.
-    InvalidInput otherwise."""
-    for target in data.targets:
-        if target.text not in data.ground_truth_routes:
-            raise InvalidInput(f"target {target.text} has no route")
-    route_keys = set()
-    for text, route in data.ground_truth_routes.items():
-        problems = validate_route(world, route)
-        if problems:
-            raise InvalidInput(f"route to {text}: {problems[0]}")
-        route_keys.update(rx.key for rx in route.reactions)
-    for rx in (*data.reactions_train, *data.reactions_val, *data.reactions_test):
-        if rx.key not in route_keys:
-            raise InvalidInput(f"reaction {rx.key} is not a step of any route")
-    return data
+    else:
+        records = (_reaction_record(rx) for rx in getattr(dataset, name))
+    return "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in records)

@@ -430,14 +430,19 @@ class TestDeterminism:
             outs = [tmp_path / "first", tmp_path / "second"]
             for out in outs:
                 assert main(["run-all", "--config", str(config_path), "--out", str(out)]) == 0
+            # Every artifact but manifest.json, which holds paths and times.
             contents = []
             for out in outs:
                 contents.append(
                     {
                         str(p.relative_to(out)): p.read_bytes()
-                        for p in sorted(out.rglob("*.csv"))
+                        for p in sorted(out.rglob("*"))
+                        if p.is_file() and p.name != "manifest.json"
                     }
                 )
             assert contents[0] == contents[1]
-            assert any(name.endswith("summary.csv") for name in contents[0])
-            print(f"  [determinism: {len(contents[0])} metrics CSVs byte-identical]")
+            for name in ("config.json", "seed_1/world.json", "seed_2/dataset/routes.jsonl",
+                         "seed_1/checkpoints/forward.json", "seed_2/reports/iteration_2.json",
+                         "seed_1/metrics/summary.csv"):
+                assert name in contents[0]
+            print(f"  [determinism: {len(contents[0])} artifacts byte-identical]")

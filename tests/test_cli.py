@@ -1,12 +1,17 @@
 import csv
 import json
+import os
 import runpy
+import shutil
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+import retroloop
 from retroloop import IterationReport, run_self_improvement, save_checkpoint
 from retroloop.cli import (
     ExperimentConfig,
@@ -19,6 +24,7 @@ from retroloop.cli import (
 )
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+REFERENCE_CONFIG = SCRIPTS.parent / "configs" / "reference.json"
 
 TINY = {
     "version": 1,
@@ -84,6 +90,23 @@ class TestGenWorld:
         main(["gen-world", "--config", config_path, "--out", str(a)])
         main(["gen-world", "--config", config_path, "--out", str(b)])
         assert tree_bytes(a) == tree_bytes(b)
+
+    def test_rerun_leaves_every_file_unchanged(self, config_path, tmp_path):
+        out = tmp_path / "run"
+        main(["gen-world", "--config", config_path, "--out", str(out)])
+        before = tree_bytes(out)
+        assert main(["gen-world", "--config", config_path, "--out", str(out)]) == 0
+        assert tree_bytes(out) == before
+
+    def test_missing_dataset_files_are_written(self, config_path, tmp_path):
+        """A seed directory holding only world.json gets the dataset files a
+        fresh gen-world writes."""
+        fresh, out = tmp_path / "fresh", tmp_path / "run"
+        main(["gen-world", "--config", config_path, "--out", str(fresh), "--seed", "1"])
+        (out / "seed_1").mkdir(parents=True)
+        shutil.copyfile(fresh / "seed_1" / "world.json", out / "seed_1" / "world.json")
+        assert main(["pretrain", "--config", config_path, "--out", str(out), "--seed", "1"]) == 0
+        assert tree_bytes(fresh).items() <= tree_bytes(out).items()
 
     def test_zero_atoms_exits_2(self, tmp_path):
         doc = json.loads(json.dumps(TINY))
@@ -245,6 +268,23 @@ class TestDamagedFiles:
         path.write_text(json.dumps(doc))
         self.assert_exits_5(config_path, out, path, capsys, command="run-all")
 
+    def test_world_of_another_config_exits_5(self, config_path, tmp_path, capsys):
+        out = tmp_path / "run"
+        seed_dir = self.gen_world(config_path, out)
+        doc = json.loads(json.dumps(TINY))
+        doc["world"]["n_atoms"] = 5
+        other_config = write_config(tmp_path, doc, "other.json")
+        self.assert_exits_5(other_config, out, seed_dir / "world.json", capsys)
+        assert not (seed_dir / "checkpoints").exists()
+
+    def test_chop_template_without_operator_exits_5(self, config_path, tmp_path, capsys):
+        out = tmp_path / "run"
+        path = self.gen_world(config_path, out) / "world.json"
+        doc = json.loads(path.read_text())
+        next(t for t in doc["templates"] if t["kind"] == "chop")["op"] = None
+        path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+        self.assert_exits_5(config_path, out, path, capsys, command="run-all")
+
 
 class TestPretrain:
     def test_backward_equals_reference_checkpoint(self, config_path, tmp_path, capsys):
@@ -260,6 +300,26 @@ class TestPretrain:
         for out in (a, b):
             main(["pretrain", "--config", config_path, "--out", str(out), "--seed", "1"])
         assert tree_bytes(a) == tree_bytes(b)
+
+    def test_checkpoints_do_not_depend_on_blas_threads(self, tmp_path):
+        """The reference pretraining writes the same checkpoints with the BLAS
+        thread variables unset as with one thread. On a one-CPU host BLAS
+        runs one thread either way, so there this test cannot fail."""
+        blas_vars = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        src = str(Path(retroloop.__file__).resolve().parent.parent)
+        checkpoints = []
+        for name, pinned in (("unset", {}), ("one", {"OPENBLAS_NUM_THREADS": "1"})):
+            env = {k: v for k, v in os.environ.items() if k not in blas_vars}
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+            out = tmp_path / name
+            subprocess.run(
+                [sys.executable, "-m", "retroloop", "pretrain", "--config",
+                 str(REFERENCE_CONFIG), "--out", str(out), "--seed", "1"],
+                env=env | pinned, check=True, capture_output=True,
+            )
+            checkpoints.append(tree_bytes(out / "seed_1" / "checkpoints"))
+        assert checkpoints[0] == checkpoints[1]
+        assert sorted(checkpoints[0]) == ["backward.json", "forward.json"]
 
     def test_empty_train_split_exits_3(self, tmp_path):
         doc = json.loads(json.dumps(TINY))
@@ -673,6 +733,16 @@ class TestReportAndRunAll:
         }
         assert metrics_a == metrics_b
         assert any(name.endswith("aggregated.csv") for name in metrics_a)
+
+    def test_run_all_of_another_world_keeps_config_json(self, config_path, tmp_path):
+        out = tmp_path / "run"
+        assert main(["run-all", "--config", config_path, "--out", str(out), "--seed", "1"]) == 0
+        before = (out / "config.json").read_bytes()
+        doc = json.loads(json.dumps(TINY))
+        doc["world"]["n_atoms"] = 5
+        other_config = write_config(tmp_path, doc, "other.json")
+        assert main(["run-all", "--config", other_config, "--out", str(out), "--seed", "1"]) == 5
+        assert (out / "config.json").read_bytes() == before
 
     def test_report_aggregates_with_stdev(self, config_path, tmp_path, capsys):
         out = tmp_path / "run"

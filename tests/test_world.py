@@ -1,4 +1,3 @@
-import json
 import random
 
 import pytest
@@ -16,13 +15,10 @@ from retroloop import (
     build_datasets,
     featurize_molecule,
     generate_world,
-    load_dataset,
-    load_world,
     make_reaction,
     mol,
     parse_molecule,
     sample_ground_truth_route,
-    save_dataset,
     save_world,
     validate_route,
 )
@@ -343,13 +339,9 @@ class TestSharedOperands:
 
 
 class TestGenerateWorld:
-    def test_determinism(self, tmp_path):
+    def test_determinism(self):
         cfg = WorldConfig(n_atoms=26, n_operators=3, n_decoys=5, bb_composites=8, bb_depth=2)
-        w1, w2 = generate_world(cfg, 7), generate_world(cfg, 7)
-        p1, p2 = tmp_path / "w1.json", tmp_path / "w2.json"
-        save_world(w1, p1)
-        save_world(w2, p2)
-        assert p1.read_bytes() == p2.read_bytes()
+        assert save_world(generate_world(cfg, 7)) == save_world(generate_world(cfg, 7))
 
     def test_seed_changes_world(self):
         cfg = WorldConfig(n_atoms=5, n_operators=2, n_decoys=2, bb_composites=6, bb_depth=2)
@@ -484,26 +476,3 @@ class TestDatasets:
             build_datasets(small_world, 5, 2, (0.5, 0.2, 0.2), seed=1)
         with pytest.raises(InvalidConfig):
             build_datasets(small_world, 0, 2, (0.8, 0.1, 0.1), seed=1)
-
-
-class TestFiles:
-    def test_world_round_trip(self, small_world, tmp_path):
-        path = tmp_path / "world.json"
-        save_world(small_world, path)
-        loaded = load_world(path)
-        assert loaded == small_world
-
-    def test_world_version_check(self, tmp_path):
-        path = tmp_path / "world.json"
-        path.write_text(json.dumps({"version": 99}))
-        with pytest.raises(InvalidInput):
-            load_world(path)
-
-    def test_dataset_round_trip(self, small_data, tmp_path):
-        save_dataset(small_data, tmp_path / "ds")
-        loaded = load_dataset(tmp_path / "ds")
-        assert loaded.targets == small_data.targets
-        assert loaded.reactions_train == small_data.reactions_train
-        assert loaded.reactions_val == small_data.reactions_val
-        assert loaded.reactions_test == small_data.reactions_test
-        assert loaded.ground_truth_routes == dict(small_data.ground_truth_routes)
