@@ -73,10 +73,6 @@ PLAN_METRICS = ("success_rate", "avg_length", "avg_time", "avg_cost")
 SUMMARY_COLUMNS = ("seed", "iteration", "budget", *PLAN_METRICS, "top1", "top10")
 
 
-class ConfigError(Exception):
-    pass
-
-
 class CorruptFile(Exception):
     """A world or dataset file of a run is not the one its config makes."""
 
@@ -138,17 +134,17 @@ def _typed(hint, value, default, where: str):
         return _build(default, value, where)
     if hint is bool:
         if not isinstance(value, bool):
-            raise ConfigError(f"{where}: expected true or false, got {value!r}")
+            raise InvalidConfig(f"{where}: expected true or false, got {value!r}")
         return value
     if get_origin(hint) is tuple:
         if not isinstance(value, list):
-            raise ConfigError(f"{where}: expected a list")
+            raise InvalidConfig(f"{where}: expected a list")
         item = get_args(hint)[0]
         return tuple(_typed(item, v, None, f"{where}[{i}]") for i, v in enumerate(value))
     try:
         return hint(value)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+        raise InvalidConfig(f"{where}: {exc}") from exc
 
 
 def _build(default, section, where: str):
@@ -159,31 +155,31 @@ def _build(default, section, where: str):
     result.
     """
     if not isinstance(section, dict):
-        raise ConfigError(f"{where}: expected an object")
+        raise InvalidConfig(f"{where}: expected an object")
     hints = get_type_hints(type(default))
     names = {f.name for f in fields(default)}
     values = {}
     for key, value in section.items():
         if key == "seed":
-            raise ConfigError(f"{where}.seed: derived from the experiment seed, not settable")
+            raise InvalidConfig(f"{where}.seed: derived from the experiment seed, not settable")
         if key not in names:
-            raise ConfigError(f"{where}.{key}: unknown key")
+            raise InvalidConfig(f"{where}.{key}: unknown key")
         values[key] = _typed(hints[key], value, getattr(default, key), f"{where}.{key}")
     try:
         return replace(default, **values)
     except InvalidConfig as exc:
         # Each check's message opens with its field, so this names the key.
-        raise ConfigError(f"{where}.{exc}") from exc
+        raise InvalidConfig(f"{where}.{exc}") from exc
 
 
 def parse_config(doc: dict, where: str = "config") -> ExperimentConfig:
     """The experiment a config document describes; omitted keys keep the
     dataclass defaults."""
     if not isinstance(doc, dict):
-        raise ConfigError(f"{where}: expected an object")
+        raise InvalidConfig(f"{where}: expected an object")
     version = doc.get("version", CONFIG_VERSION)
     if version != CONFIG_VERSION:
-        raise ConfigError(f"{where}.version: unsupported version {version!r}")
+        raise InvalidConfig(f"{where}.version: unsupported version {version!r}")
     return _build(ExperimentConfig(), {k: v for k, v in doc.items() if k != "version"}, where)
 
 
@@ -192,11 +188,11 @@ def load_config(path: str | Path) -> tuple[ExperimentConfig, dict]:
     try:
         text = path.read_text()
     except OSError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        raise InvalidConfig(f"{path}: {exc}") from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+        raise InvalidConfig(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     return parse_config(doc, where=str(path)), doc
 
 
@@ -624,7 +620,7 @@ def cmd_evaluate(args) -> int:
             estimator=args.estimator or cfg.eval.estimator,
         )
     except InvalidConfig as exc:
-        raise ConfigError(f"--budget: {exc}") from exc
+        raise InvalidConfig(f"--budget: {exc}") from exc
     extra = (args.baseline,) if args.baseline else ()
 
     def needs(paths):
@@ -637,6 +633,8 @@ def cmd_evaluate(args) -> int:
         models = {cfg.loop.iterations: model}
         if baseline:
             models[0] = baseline[0]
+        # The run-level aggregate no longer matches; ``report`` rebuilds it.
+        (Path(args.out) / "aggregated.csv").unlink(missing_ok=True)
         rows = run_evaluate(cfg, seed, seed_dir, world, data, reference, models)
         for row in rows:
             print(
@@ -649,9 +647,9 @@ def cmd_evaluate(args) -> int:
 
 def cmd_plan(args) -> int:
     if not args.target:
-        raise ConfigError("--target: must be a non-empty molecule")
+        raise InvalidConfig("--target: must be a non-empty molecule")
     if args.budget < 0:
-        raise ConfigError(f"--budget: must be non-negative, got {args.budget}")
+        raise InvalidConfig(f"--budget: must be non-negative, got {args.budget}")
     oracle = args.estimator == "oracle"
 
     def needs(paths):
@@ -669,18 +667,7 @@ def cmd_plan(args) -> int:
     if args.trace:
         with Path(args.trace).open("w") as fh:
             for rec in result.trace or ():
-                fh.write(
-                    json.dumps(
-                        {
-                            "step": rec.step,
-                            "molecule": rec.molecule,
-                            "g_plus_h": rec.g_plus_h,
-                            "applicable": rec.n_applicable,
-                        },
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
+                fh.write(json.dumps(rec._asdict(), sort_keys=True) + "\n")
     if not result.success:
         print(f"failure target={target.text} calls={result.model_calls}")
         return 0
@@ -791,11 +778,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_CONFIG
     except InvalidConfig as exc:
-        print(f"error: invalid config: {exc}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_CONFIG
     except EmptyDataset as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,18 +10,18 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import ChainMap, deque
+from collections import deque
 from collections.abc import Mapping
-from dataclasses import dataclass, field
-from functools import cached_property, partial
-from typing import Callable
+from dataclasses import dataclass
 
 from .errors import CapExceeded, EmptyDataset, InvalidInput
 from .model import TemplateClassifier, check_world, product_proba
 from .planner import ValueEstimator, plan, route_cost_under
-from .world import Dataset, Molecule, Reaction, Route, World, make_reaction
+from .world import Dataset, Molecule, Route, World
 
 INF = math.inf
+# How many new molecules one OracleEstimator call may explore.
+ORACLE_CAP = 100_000
 
 
 @dataclass(frozen=True)
@@ -136,28 +136,18 @@ def evaluate_over_budgets(
 # ---------------------------------------------------------------------------
 # exhaustive oracle
 
-# (template id, cost under the reference model, reactants sorted by text,
-# distinct reactant texts sorted)
-Application = tuple[str, float, tuple[Molecule, ...], tuple[str, ...]]
+# (cost under the reference model, reactants sorted by text, distinct
+# reactant texts sorted)
+Application = tuple[float, tuple[Molecule, ...], tuple[str, ...]]
 
 
 @dataclass
 class OracleTable:
     """What one oracle call settled: the minimal additive route cost of each
-    molecule it newly explored (INF when unsynthesizable), and a witness
-    route for each root of finite cost.
-
-    The witnesses are built when ``witnesses`` is first read, so a caller
-    that wants only the costs, as ``OracleEstimator`` does, builds none.
-    """
+    molecule it newly explored (INF when unsynthesizable), and their count."""
 
     costs: dict[str, float]
     explored: int
-    _build_witnesses: Callable[[], dict[str, Route]] = field(repr=False)
-
-    @cached_property
-    def witnesses(self) -> dict[str, Route]:
-        return self._build_witnesses()
 
 
 def _applications(m: Molecule, world: World, ref: TemplateClassifier) -> list[Application]:
@@ -170,116 +160,15 @@ def _applications(m: Molecule, world: World, ref: TemplateClassifier) -> list[Ap
         texts = tuple(sorted({r.text for r in reactants}))
         if m.text in texts:
             continue  # cyclic application
-        fired.append((tid, ref._row_of[tid], reactants, texts))
+        fired.append((ref._row_of[tid], reactants, texts))
     if not fired:
         return []
     probs = product_proba(ref, m)
     apps = []
-    for tid, row, reactants, texts in fired:
+    for row, reactants, texts in fired:
         p = float(probs[row])
-        apps.append((tid, INF if p <= 0.0 else -math.log(p), reactants, texts))
+        apps.append((INF if p <= 0.0 else -math.log(p), reactants, texts))
     return apps
-
-
-def _settle(
-    world: World,
-    ref: TemplateClassifier,
-    roots: "list[Molecule] | tuple[Molecule, ...]",
-    cap: int,
-    known: Mapping[str, float],
-) -> tuple[dict[str, float], dict[str, list[Application]]]:
-    """The costs of every molecule reachable from ``roots`` and not in
-    ``known``, and the applications of those that are not building blocks."""
-    molecules: dict[str, Molecule] = {}
-    queue = deque()
-    for m in roots:
-        if m.text not in known and m.text not in molecules:
-            molecules[m.text] = m
-            queue.append(m)
-    apps: dict[str, list[Application]] = {}
-    while queue:
-        m = queue.popleft()
-        if world.is_building_block(m):
-            continue
-        apps[m.text] = _applications(m, world, ref)
-        for _, _, ordered, _ in apps[m.text]:
-            for r in ordered:
-                if r.text not in known and r.text not in molecules:
-                    if len(molecules) >= cap:
-                        raise CapExceeded(
-                            f"oracle exploration exceeded cap of {cap} molecules"
-                        )
-                    molecules[r.text] = r
-                    queue.append(r)
-
-    # values holds the known costs this call reads, then each settled one.
-    values: dict[str, float] = {}
-    heap = [(0.0, text) for text, m in molecules.items() if world.is_building_block(m)]
-    waiting: dict[str, list[list]] = {}  # unsettled text -> its applications
-    for text, entry in apps.items():
-        for _, cost, _, texts in entry:
-            app = [0, text, cost, texts]  # [unsettled reactants, product, ...]
-            for t in texts:
-                if t in known:
-                    values[t] = known[t]
-                else:
-                    app[0] += 1
-                    waiting.setdefault(t, []).append(app)
-            if not app[0]:
-                heap.append((cost + sum(values[t] for t in texts), text))
-    heapq.heapify(heap)
-    while heap:
-        value, text = heapq.heappop(heap)
-        if text in values:
-            continue
-        values[text] = value
-        for app in waiting.pop(text, ()):
-            app[0] -= 1
-            if app[0] == 0 and app[1] not in values:
-                _, parent, cost, texts = app
-                heapq.heappush(heap, (cost + sum(values[t] for t in texts), parent))
-    return {text: values.get(text, INF) for text in molecules}, apps
-
-
-def _witnesses(
-    world: World,
-    ref: TemplateClassifier,
-    roots: "list[Molecule] | tuple[Molecule, ...]",
-    apps: dict[str, list[Application]],
-    final: Mapping[str, float],
-) -> dict[str, Route]:
-    """A witness route for each root of finite ``final`` cost, built
-    top-down: each route molecule takes the first application, in
-    ``world.templates`` order, of strictly least cost. Applications not in
-    ``apps`` (of molecules costed by earlier calls) are derived again."""
-    witnesses: dict[str, Route] = {}
-    for root in roots:
-        if root.text in witnesses or final[root.text] == INF:
-            continue
-        reactions: dict[tuple, Reaction] = {}
-        pending = [root]
-        seen = set()
-        while pending:
-            m = pending.pop()
-            if m.text in seen or world.is_building_block(m):
-                continue
-            seen.add(m.text)
-            if m.text in apps:
-                entry = apps[m.text]
-            else:
-                entry = _applications(m, world, ref)
-            best = None
-            for app in entry:
-                total = app[1] + sum(final[t] for t in app[3])
-                if best is None or total < best[0]:
-                    best = (total, app)
-            assert best is not None
-            tid, _, ordered, _ = best[1]
-            rx = make_reaction(m, ordered, tid)
-            reactions.setdefault(rx.key, rx)
-            pending.extend(ordered)
-        witnesses[root.text] = Route(target=root, reactions=tuple(reactions.values()))
-    return witnesses
 
 
 def brute_force_oracle(
@@ -308,21 +197,59 @@ def brute_force_oracle(
     costs are non-negative and additive, so an application is priced once
     its last reactant is settled, and the cheapest priced molecule is
     settled next. Molecules never settled are unsynthesizable (INF).
-
-    A witness route is built for each root of finite cost, top-down from the
-    final costs, when ``witnesses`` is first read. It reads ``known`` as it
-    is then; costs added to it in between change no witness.
     """
     check_world(ref, world)
     known = {} if known is None else known
-    costs, apps = _settle(world, ref, roots, cap, known)
-    return OracleTable(
-        costs=costs,
-        explored=len(costs),
-        _build_witnesses=partial(
-            _witnesses, world, ref, tuple(roots), apps, ChainMap(costs, known)
-        ),
-    )
+    molecules: dict[str, Molecule] = {}
+    queue = deque()
+    for m in roots:
+        if m.text not in known and m.text not in molecules:
+            molecules[m.text] = m
+            queue.append(m)
+    apps: dict[str, list[Application]] = {}
+    while queue:
+        m = queue.popleft()
+        if world.is_building_block(m):
+            continue
+        apps[m.text] = _applications(m, world, ref)
+        for _, ordered, _ in apps[m.text]:
+            for r in ordered:
+                if r.text not in known and r.text not in molecules:
+                    if len(molecules) >= cap:
+                        raise CapExceeded(
+                            f"oracle exploration exceeded cap of {cap} molecules"
+                        )
+                    molecules[r.text] = r
+                    queue.append(r)
+
+    # values holds the known costs this call reads, then each settled one.
+    values: dict[str, float] = {}
+    heap = [(0.0, text) for text, m in molecules.items() if world.is_building_block(m)]
+    waiting: dict[str, list[list]] = {}  # unsettled text -> its applications
+    for text, entry in apps.items():
+        for cost, _, texts in entry:
+            app = [0, text, cost, texts]  # [unsettled reactants, product, ...]
+            for t in texts:
+                if t in known:
+                    values[t] = known[t]
+                else:
+                    app[0] += 1
+                    waiting.setdefault(t, []).append(app)
+            if not app[0]:
+                heap.append((cost + sum(values[t] for t in texts), text))
+    heapq.heapify(heap)
+    while heap:
+        value, text = heapq.heappop(heap)
+        if text in values:
+            continue
+        values[text] = value
+        for app in waiting.pop(text, ()):
+            app[0] -= 1
+            if app[0] == 0 and app[1] not in values:
+                _, parent, cost, texts = app
+                heapq.heappush(heap, (cost + sum(values[t] for t in texts), parent))
+    costs = {text: values.get(text, INF) for text in molecules}
+    return OracleTable(costs=costs, explored=len(costs))
 
 
 class OracleEstimator:
@@ -333,16 +260,15 @@ class OracleEstimator:
     and costed once over the estimator's life.
     """
 
-    def __init__(self, world: World, ref: TemplateClassifier, cap: int = 100_000):
+    def __init__(self, world: World, ref: TemplateClassifier):
         self.world = world
         self.ref = ref
-        self.cap = cap
         self._costs: dict[str, float] = {}
 
     def evaluate(self, molecule: Molecule) -> float:
         if molecule.text not in self._costs:
             table = brute_force_oracle(
-                self.world, self.ref, [molecule], self.cap, known=self._costs
+                self.world, self.ref, [molecule], ORACLE_CAP, known=self._costs
             )
             self._costs.update(table.costs)
         return self._costs[molecule.text]

@@ -116,7 +116,6 @@ class LoopConfig:
     bc: TrainConfig = TrainConfig()
     seed: int = 0
     augmentation: bool = True
-    warm_start: bool = True
 
     def __post_init__(self) -> None:
         if self.iterations < 1:
@@ -226,13 +225,8 @@ def run_self_improvement(
 
         union = collected + augmented
         if union:
-            base = (
-                backward
-                if cfg.warm_start
-                else zero_classifier(backward.template_index, ROLE_BACKWARD, backward.dim)
-            )
             bc_cfg = replace(cfg.bc, seed=derive_seed(cfg.bc.seed, f"bc-{i}"))
-            backward = behavioral_clone(base, union, bc_cfg)
+            backward = behavioral_clone(backward, union, bc_cfg)
 
         top1 = top10 = float("nan")
         if data.reactions_test:

@@ -124,7 +124,7 @@ class ExpansionRecord(NamedTuple):
     step: int
     molecule: str
     g_plus_h: float
-    n_applicable: int
+    applicable: int
 
 
 @dataclass
@@ -348,10 +348,10 @@ def plan(
             )
         node, g = open_nodes[0]
         score = g + node.value
-        n_applicable = tree.expand(node)
+        applicable = tree.expand(node)
         if trace:
             records.append(
-                ExpansionRecord(tree.call_count, node.molecule.text, score, n_applicable)
+                ExpansionRecord(tree.call_count, node.molecule.text, score, applicable)
             )
 
 

@@ -140,11 +140,6 @@ class TestOracleOptimality:
                     assert result.success, f"planner failed on solvable {target.text}"
                     achieved = unfolded_route_cost(result.route, ref, world)
                     assert abs(achieved - optimal) <= 1e-6
-                    witness = table.witnesses[target.text]
-                    assert abs(
-                        route_cost_under(result.route, ref, world)
-                        - route_cost_under(witness, ref, world)
-                    ) <= 1e-6
                     matched += 1
             elapsed = time.time() - started
             assert solvable > 0

@@ -80,3 +80,20 @@ def test_traced_counters_see_backward_and_featurize(small_world, small_models):
     featurized = [span for span in t.spans if span[0] == "model.featurize_molecule"]
     assert len(featurized) == len(products)  # each product once, on its first miss
     assert t.featurized == {p.text for p in products}
+
+
+def test_traced_oracle_counts_what_it_settles(small_world, small_models, small_data):
+    # ``evaluate.brute_force_oracle.explored`` and ``evaluate.oracle.useful_ratio``
+    # read the ``explored`` and ``costs`` of every table the oracle returns.
+    from retroloop.evaluate import OracleEstimator
+
+    tracer = load("tracer")
+    t = tracer.Tracer()
+    t.install()
+    try:
+        estimator = OracleEstimator(small_world, small_models[1])
+        for target in small_data.targets:
+            estimator.evaluate(target)
+    finally:
+        t.uninstall()
+    assert t.counts["oracle.explored"] == len(t.oracle_cached) > 0

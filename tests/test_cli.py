@@ -131,8 +131,9 @@ class TestConfig:
             ("augmentation", "false"),
             ("mix_train_reactions", False),
             ("dedupe_collections", False),
+            ("warm_start", True),
         ],
-        ids=["typo", "string-boolean", "removed-knob", "removed-dedupe"],
+        ids=["typo", "string-boolean", "removed-knob", "removed-dedupe", "removed-warm-start"],
     )
     def test_bad_loop_key_exits_2(self, tmp_path, capsys, key, value):
         doc = json.loads(json.dumps(TINY))
@@ -424,6 +425,23 @@ class TestEvaluate:
         assert [(r["iteration"], r["budget"]) for r in rows] == [("2", "10"), ("2", "25")]
         printed = capsys.readouterr().out.splitlines()
         assert len(printed) == 2 and all(" iteration=2 " in line for line in printed)
+
+    def test_removes_the_run_aggregate(self, config_path, tmp_path, capsys):
+        # run-all's aggregated.csv lists budgets a new evaluation no longer
+        # has; evaluate removes it and report rebuilds it from the summary.
+        out = tmp_path / "run"
+        assert main(["run-all", "--config", config_path, "--out", str(out), "--seed", "1"]) == 0
+        assert (out / "aggregated.csv").exists()
+        code = main(
+            ["evaluate", "--config", config_path, "--out", str(out), "--seed", "1",
+             "--budget", "3"]
+        )
+        assert code == 0
+        assert not (out / "aggregated.csv").exists()
+        assert main(["report", "--run", str(out)]) == 0
+        with (out / "aggregated.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["iteration"], r["budget"]) for r in rows] == [("2", "3")]
 
     def test_corrupt_checkpoint_exits_5(self, config_path, tmp_path):
         out = tmp_path / "run"

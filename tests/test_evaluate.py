@@ -28,7 +28,6 @@ from retroloop import (
     plan,
     predict_topk,
     train,
-    validate_route,
     zero_classifier,
 )
 from retroloop.errors import InvalidInput
@@ -153,7 +152,6 @@ class TestOracle:
         _, reference, _ = small_models
         table = brute_force_oracle(small_world, reference, [mol("a")], cap=100)
         assert table.costs["a"] == 0.0
-        assert table.witnesses["a"].reactions == ()
 
     def test_single_option_cost(self):
         world = plus_identity_world()
@@ -161,7 +159,6 @@ class TestOracle:
         table = brute_force_oracle(world, clf, [mol("(a+b)")], cap=100)
         q = predict_proba(clf, featurize_molecule(mol("(a+b)")))[0]
         assert table.costs["(a+b)"] == pytest.approx(-math.log(q))
-        assert validate_route(world, table.witnesses["(a+b)"]) == []
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_naive_enumeration(self, seed):
@@ -186,8 +183,6 @@ class TestOracle:
                 assert math.isinf(got)
             else:
                 assert got == pytest.approx(expected, abs=1e-9)
-                witness = table.witnesses[target.text]
-                assert validate_route(world, witness) == []
 
     def test_cap_exceeded(self, small_world, small_models, small_data):
         _, reference, _ = small_models
@@ -199,7 +194,6 @@ class TestOracle:
         _, reference, _ = small_models
         table = brute_force_oracle(small_world, reference, [mol("(a?b)")], cap=100)
         assert math.isinf(table.costs["(a?b)"])
-        assert "(a?b)" not in table.witnesses
 
     def test_model_without_an_applicable_template_is_rejected(self):
         world = plus_identity_world()
@@ -216,31 +210,6 @@ class TestOracle:
         table = brute_force_oracle(world, clf, [mol("((a+b)+a)")], cap=1, known=known)
         assert table.explored == 1
         assert table.costs == {"((a+b)+a)": 2 * math.log(2.0)}
-
-    def test_witness_ties_take_the_first_template(self):
-        # Two split templates on one operator give every product two
-        # applications of equal cost; the first in template order wins,
-        # also below a molecule whose cost an earlier call settled.
-        splits = (
-            Template(id="split:+:x", kind=KIND_SPLIT, op="+"),
-            Template(id="split:+:y", kind=KIND_SPLIT, op="+"),
-        )
-        for order in (splits, splits[::-1]):
-            world = World(
-                atoms=("a", "b"),
-                operators=("+",),
-                templates=(Template(id="identity", kind=KIND_IDENTITY), *order),
-                building_blocks=(mol("a"), mol("b")),
-            )
-            clf = zero_classifier(world.template_ids, ROLE_BACKWARD)
-            root = mol("((a+b)+a)")
-            inner = brute_force_oracle(world, clf, [mol("(a+b)")], cap=100)
-            for known in (None, inner.costs):
-                table = brute_force_oracle(world, clf, [root], cap=100, known=known)
-                witness = table.witnesses[root.text]
-                assert validate_route(world, witness) == []
-                assert {rx.product.text for rx in witness.reactions} == {root.text, "(a+b)"}
-                assert {rx.template_id for rx in witness.reactions} == {order[0].id}
 
 
 # Well-formed products over the small world's operators and one it lacks.
@@ -259,7 +228,7 @@ class TestOracleMemo:
         warm = replace(reference)
         for product in products:
             predict_topk(warm, product, 10, small_world)
-        estimator = OracleEstimator(small_world, warm, cap=50_000)
+        estimator = OracleEstimator(small_world, warm)
         for product in products:
             cold = replace(reference)
             costs = brute_force_oracle(small_world, cold, [product], cap=50_000).costs
@@ -270,7 +239,7 @@ class TestOracleMemo:
 class TestOracleEstimator:
     def test_never_needs_more_calls_than_zero(self, small_world, small_models, small_data):
         backward, reference, _ = small_models
-        oracle_est = OracleEstimator(small_world, reference, cap=50_000)
+        oracle_est = OracleEstimator(small_world, reference)
         zero_est = ZeroEstimator()
         for target in small_data.targets[:12]:
             z = plan(target, reference, zero_est, 100_000, 10, small_world)
@@ -303,7 +272,7 @@ class TestOracleEstimator:
             return tables[-1]
 
         monkeypatch.setattr(evaluate_module, "brute_force_oracle", recording)
-        est = OracleEstimator(small_world, reference, cap=50_000)
+        est = OracleEstimator(small_world, reference)
         estimates = [est.evaluate(m) for m in molecules]
         monkeypatch.undo()
         for m, estimate in zip(molecules, estimates):
@@ -313,20 +282,9 @@ class TestOracleEstimator:
         assert len(tables) < len(molecules)
         assert sum(table.explored for table in tables) == len(costed)
 
-    def test_estimator_builds_no_witness(self, small_world, small_models, small_data, monkeypatch):
-        _, reference, _ = small_models
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("the estimator built a witness reaction")
-
-        monkeypatch.setattr(evaluate_module, "make_reaction", refuse)
-        est = OracleEstimator(small_world, reference, cap=50_000)
-        costs = [est.evaluate(target) for target in small_data.targets]
-        assert any(math.isfinite(c) and c > 0 for c in costs)
-
     def test_estimates_match_table(self, small_world, small_models):
         _, reference, _ = small_models
-        est = OracleEstimator(small_world, reference, cap=50_000)
+        est = OracleEstimator(small_world, reference)
         table = brute_force_oracle(small_world, reference, [mol("(a+b)")], cap=50_000)
         assert est.evaluate(mol("(a+b)")) == pytest.approx(table.costs["(a+b)"])
 

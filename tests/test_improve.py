@@ -1,5 +1,4 @@
 from collections import Counter
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,7 +32,6 @@ from retroloop.model import (
     featurize_reactant_set,
     predict_topk,
 )
-from retroloop.seeding import derive_seed
 from retroloop.world import KIND_CHOP, KIND_SPLIT
 
 
@@ -297,48 +295,6 @@ class TestLoop:
         )
         assert np.array_equal(a.weights, b.weights)
         assert reports_a == reports_b
-
-    def test_cold_start_clones_from_zero_each_iteration(
-        self, small_world, small_data, small_models, monkeypatch
-    ):
-        cfg = LoopConfig(
-            iterations=2,
-            targets_per_iteration=15,
-            budget=40,
-            epsilon=0.3,
-            warm_start=False,
-            bc=TrainConfig(learning_rate=0.05, epochs=3, seed=1),
-            seed=13,
-        )
-        clones = []
-
-        def recording(base, union, bc_cfg):
-            clones.append((base, union, bc_cfg))
-            return behavioral_clone(base, union, bc_cfg)
-
-        monkeypatch.setattr(improve, "behavioral_clone", recording)
-        models = []
-        _, reports = run_self_improvement(
-            cfg,
-            small_world,
-            small_data,
-            pretrained=small_models,
-            on_iteration=lambda model, report: models.append(model),
-        )
-        zero = zero_classifier(small_world.template_ids, ROLE_BACKWARD)
-        previous = small_models[0]
-        assert len(clones) == len(models) == len(reports)
-        for model, report, (base, union, used_cfg) in zip(models, reports, clones):
-            assert union
-            assert len(union) == report.kept_after_filter + report.augmented_accepted
-            assert np.array_equal(base.weights, zero.weights)
-            assert np.array_equal(base.bias, zero.bias)
-            bc_cfg = replace(cfg.bc, seed=derive_seed(cfg.bc.seed, f"bc-{report.iteration}"))
-            assert used_cfg == bc_cfg
-            assert np.array_equal(model.weights, behavioral_clone(zero, union, bc_cfg).weights)
-            warm = behavioral_clone(previous, union, bc_cfg)
-            assert not np.array_equal(model.weights, warm.weights)
-            previous = model
 
     def test_empty_train_split_rejected(self, small_world, small_models):
         from retroloop import Dataset, EmptyDataset
