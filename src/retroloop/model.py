@@ -19,6 +19,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -170,11 +171,22 @@ def zero_classifier(
 
 
 def _scores(model: TemplateClassifier, fv: FeatureVector) -> np.ndarray:
+    """The logits of ``fv``: each template's on-bit weights plus its bias.
+
+    Each logit is the left-to-right float sum of its weights over the
+    on-bits in ascending order, then the bias. The gather
+    ``weights[:, idx]`` leaves the on-bits on the outer stride, so
+    ``np.add.reduce`` adds them one at a time; a C-ordered gather would be
+    summed pairwise, and every memoised probability would move.
+    """
     if fv.dim != model.dim:
         raise InvalidInput(f"feature dim {fv.dim} != model dim {model.dim}")
     if not fv.indices:
         return model.bias.copy()
-    s = np.add.reduce(model.weights[:, fv.indices], axis=1)
+    # The result, which the memo may keep, is allocated before the gathered
+    # temporary, so that a kept row does not sit above the freed gather.
+    s = np.empty_like(model.bias)
+    np.add.reduce(model.weights[:, np.array(fv.indices, dtype=np.intp)], axis=1, out=s)
     s += model.bias
     return s
 
@@ -208,7 +220,7 @@ def product_proba(model: TemplateClassifier, product: Molecule) -> np.ndarray:
     memo = model._proba_memo
     probs = memo.get(product.text)
     if probs is None:
-        probs = predict_proba(model, featurize_molecule(product, model.dim))
+        probs = _softmax(_scores(model, featurize_molecule(product, model.dim)))
         probs.flags.writeable = False
         memo[product.text] = probs
     return probs
@@ -228,6 +240,9 @@ class Prediction(NamedTuple):
     outcome: "tuple[Molecule, ...] | Molecule"
 
 
+_probability = itemgetter(1)
+
+
 def predict_topk(
     model: TemplateClassifier,
     inp: "Molecule | Sequence[Molecule]",
@@ -244,39 +259,36 @@ def predict_topk(
     A backward model ranks only the product's applications
     (``World.applications``) and scores the product only when there is one;
     otherwise the product is a dead end and the result empty. The score is
-    read through the model's memo (``product_proba``).
+    read through the model's memo (``product_proba``). The applications
+    come in template order, and one stable sort by descending probability
+    ranks them, which is the order a stable argsort gives.
 
-    Ranking is in plain Python floats: the candidate rows, ascending, go
-    through one stable sort by descending probability, which is the order a
-    stable argsort gives, and each probability is reported as that float.
+    Ranking is in plain Python floats, and each probability is reported as
+    that float.
     """
     if k < 1:
         raise InvalidInput("k must be at least 1")
     check_world(model, world)
-    if model.role == ROLE_FORWARD:
-        if isinstance(inp, Molecule):
-            raise InvalidInput("forward models take a reactant sequence")
-        probs = predict_proba(model, featurize_reactant_set(inp, model.dim))
-        rows: Iterable[int] = range(model.n_templates)
-    else:
+    if model.role == ROLE_BACKWARD:
         if not isinstance(inp, Molecule):
             raise InvalidInput("backward models take a single product molecule")
-        row_of = model._row_of
-        # Applications come in template order, so these rows ascend.
-        outcomes = {row_of[tid]: rs for tid, rs in world.applications(inp)}
-        if not outcomes:
+        apps = world.applications(inp)
+        if not apps:
             return []
-        probs = product_proba(model, inp)
-        rows = outcomes
-    p = probs.tolist()
+        p = product_proba(model, inp).tolist()
+        row_of = model._row_of
+        ranked = [Prediction(tid, p[row_of[tid]], reactants) for tid, reactants in apps]
+        ranked.sort(key=_probability, reverse=True)
+        del ranked[k:]
+        return ranked
+    if isinstance(inp, Molecule):
+        raise InvalidInput("forward models take a reactant sequence")
+    p = predict_proba(model, featurize_reactant_set(inp, model.dim)).tolist()
     results: list[Prediction] = []
-    for i in sorted(rows, key=p.__getitem__, reverse=True):
+    for i in sorted(range(model.n_templates), key=p.__getitem__, reverse=True):
         if len(results) >= k:
             break
-        if model.role == ROLE_FORWARD:
-            outcome = world.templates[i].forward(inp)  # type: ignore[arg-type]
-        else:
-            outcome = outcomes[i]
+        outcome = world.templates[i].forward(inp)
         if outcome is not None:
             results.append(Prediction(model.template_index[i], p[i], outcome))
     return results

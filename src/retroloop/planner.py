@@ -8,25 +8,32 @@ estimator. With an estimator that never overestimates (the zero estimator in
 particular) the first completed route is also the cheapest one in the tree.
 
 Selection is incremental, in the style of Retro* (Chen et al., ICML 2020): a
-molecule knows its g (the reaction costs from the root down to it) from the
-moment it is created, and every molecule keeps the key ``(g + value, row)``
-of the best open leaf on its own best partial subroute. An expansion changes
-values only on the path from the expanded molecule to the root, and
-``_refresh`` recomputes the key of each molecule on that path from its
-children, so picking the next molecule costs O(1) and an expansion
-O(depth x branching). The keys are the exact quantities a walk of the best
-partial route would compute: g is the same float additions in the same
-order, and the best reaction is the same first minimum.
+reaction knows its g (the reaction costs from the root down to its
+reactants) from the moment it is created, and every molecule keeps the key
+``(g + value, row)`` of the best open leaf on its own best partial subroute.
+An expansion changes values only on the path from the expanded molecule to
+the root, and one upward pass along that path (``_update``) recomputes, at
+each molecule, its value, status and key from its reactions, and then the
+value of the reaction above it. So picking the next molecule costs O(1) and
+an expansion O(depth x branching). The keys are the exact quantities a walk
+of the best partial route would compute: g is the same float additions in
+the same order, and the best reaction is the same first minimum.
 
 A tree is stored as columns: parallel lists with one entry per molecule row
-(``mol_*``) and per reaction row (``rxn_*``). Every link is a row number, so
-a tree holds no node objects and no reference cycles: reference counting
-frees it as soon as ``plan`` returns, and the garbage collector has few
-objects to trace while it lives. One ``expand`` appends all the reactions of
-a molecule, and each reaction's children right after it, so the children of
-a row are the contiguous rows ``[first, end)``; a child's row is always
-larger than its parent's. The molecule column holds the very ``Molecule``
-objects of the reactant tuples, which routes then share.
+(``mol_*``: molecule, parent reaction, status, value, key) and per reaction
+row (``rxn_*``: template, cost, g, parent molecule, child range, value),
+plus ``expanded``, the reaction rows ``[first, end)`` of each expanded
+molecule. Every link is a row number, so a tree holds no node objects and
+no reference cycles: reference counting frees it as soon as ``plan``
+returns. Nor does it store the reactant tuples of its reactions: the
+molecule column holds the reactants' own ``Molecule`` objects, and
+``extract_route`` derives the reactants of the few reactions on the route
+again with ``Template.backward``. So the objects a live tree makes are
+floats, ints and the ``(float, row)`` keys, which the garbage collector
+stops tracking at its first pass over them. One ``expand`` appends all the
+reactions of a molecule, and each reaction's children right after it, so
+the children of a row are contiguous rows; a child's row is always larger
+than its parent's.
 
 ``MolNode`` and ``ReactionNode`` are read-only ``(tree, row)`` views with the
 attribute names of a node, built only when read: ``tree.root``,
@@ -73,8 +80,7 @@ def _column(name: str, doc: str | None = None) -> property:
     return property(lambda view: getattr(view.tree, name)[view.row], doc=doc)
 
 
-@dataclass(frozen=True, slots=True)
-class MolNode:
+class MolNode(NamedTuple):
     """Molecule row ``row`` of ``tree``, read through its columns."""
 
     tree: "SearchTree"
@@ -84,7 +90,6 @@ class MolNode:
     parent = _column("mol_parent", "Row of the producing reaction; None at the root.")
     status = _column("mol_status")
     value = _column("mol_value")
-    g = _column("mol_g", "Reaction costs from the root down to this molecule.")
     best = _column(
         "mol_best",
         "``(g + value, row)`` of the open molecule to expand next in this "
@@ -92,15 +97,18 @@ class MolNode:
     )
 
     @property
+    def g(self) -> float:
+        """Reaction costs from the root down to this molecule."""
+        parent = self.tree.mol_parent[self.row]
+        return 0.0 if parent is None else self.tree.rxn_g[parent]
+
+    @property
     def children(self) -> list[ReactionNode]:
-        first = self.tree.mol_first[self.row]
-        return [
-            ReactionNode(self.tree, r) for r in range(first, first + self.tree.mol_nrxn[self.row])
-        ]
+        first, end = self.tree.expanded.get(self.row, (0, 0))
+        return [ReactionNode(self.tree, r) for r in range(first, end)]
 
 
-@dataclass(frozen=True, slots=True)
-class ReactionNode:
+class ReactionNode(NamedTuple):
     """Reaction row ``row`` of ``tree``, read through its columns."""
 
     tree: "SearchTree"
@@ -108,7 +116,6 @@ class ReactionNode:
 
     template_id = _column("rxn_template")
     cost = _column("rxn_cost")
-    reactants = _column("rxn_reactants")
     parent = _column("rxn_parent", "Row of the expanded molecule.")
     value = _column("rxn_value")
 
@@ -155,13 +162,9 @@ class SearchTree:
         self.estimator = estimator
         self.k_expand = k_expand
         self.call_count = 0
-        # Molecule columns, row 0 the target. A molecule's reactions are the
-        # rows [mol_first, mol_first + mol_nrxn); (0, 0) until it is expanded.
+        # Molecule columns, row 0 the target.
         self.mol_molecule: list[Molecule] = [target]
         self.mol_parent: list[int | None] = [None]
-        self.mol_g: list[float] = [0.0]
-        self.mol_first: list[int] = [0]
-        self.mol_nrxn: list[int] = [0]
         self.mol_status: list[str]
         self.mol_value: list[float]
         self.mol_best: list[tuple[float, int] | None]
@@ -171,14 +174,18 @@ class SearchTree:
             value = float(estimator.evaluate(target))
             self.mol_status, self.mol_value, self.mol_best = [OPEN], [value], [(value, 0)]
         # Reaction columns. A reaction's children are the molecule rows
-        # [rxn_first, rxn_end), one per distinct reactant.
+        # [rxn_first, rxn_end), one per distinct reactant, and rxn_g is
+        # their g.
         self.rxn_template: list[str] = []
         self.rxn_cost: list[float] = []
-        self.rxn_reactants: list[tuple[Molecule, ...]] = []
+        self.rxn_g: list[float] = []
         self.rxn_parent: list[int] = []
         self.rxn_first: list[int] = []
         self.rxn_end: list[int] = []
         self.rxn_value: list[float] = []
+        # By expanded molecule row: its reaction rows [first, end), empty
+        # for a molecule that no template could expand.
+        self.expanded: dict[int, tuple[int, int]] = {}
 
     @property
     def root(self) -> MolNode:
@@ -204,14 +211,13 @@ class SearchTree:
         stock = self.world.stock
         evaluate = self.estimator.evaluate
         molecules, values, costs = self.mol_molecule, self.mol_value, self.rxn_cost
-        add_molecule, add_parent, add_g = molecules.append, self.mol_parent.append, self.mol_g.append
-        add_first, add_nrxn = self.mol_first.append, self.mol_nrxn.append
+        add_molecule, add_parent = molecules.append, self.mol_parent.append
         add_status, add_value, add_best = self.mol_status.append, values.append, self.mol_best.append
-        add_template, add_cost = self.rxn_template.append, costs.append
-        add_reactants, add_rxn_parent = self.rxn_reactants.append, self.rxn_parent.append
+        add_template, add_cost, add_g = self.rxn_template.append, costs.append, self.rxn_g.append
+        add_rxn_parent, add_rxn_value = self.rxn_parent.append, self.rxn_value.append
         add_rxn_first, add_rxn_end = self.rxn_first.append, self.rxn_end.append
-        add_rxn_value = self.rxn_value.append
-        g_row = self.mol_g[row]
+        parent = self.mol_parent[row]
+        g_row = 0.0 if parent is None else self.rxn_g[parent]
         first = len(costs)
         for pred in preds:
             reactants = pred.outcome  # sorted tuple of molecules
@@ -233,9 +239,6 @@ class SearchTree:
                     child = len(molecules)
                     add_molecule(r)
                     add_parent(rxn)
-                    add_g(g)
-                    add_first(0)
-                    add_nrxn(0)
                     if not r.malformed and text in stock:
                         add_status(SOLVED_LEAF)
                         add_value(0.0)
@@ -248,49 +251,50 @@ class SearchTree:
                 end = len(molecules)
                 add_template(pred.template_id)
                 add_cost(cost)
-                add_reactants(reactants)
+                add_g(g)
                 add_rxn_parent(row)
                 add_rxn_first(start)
                 add_rxn_end(end)
                 add_rxn_value(cost + sum(values[start:end]))
-        n_rxn = len(costs) - first
-        self.mol_first[row], self.mol_nrxn[row] = first, n_rxn
-        self.mol_status[row] = EXPANDED if n_rxn else DEAD
-        self._refresh(row)
-        self._propagate(row)
+        self.expanded[row] = (first, len(costs))
+        self._update(row)
         return len(preds)
 
-    def _refresh(self, row: int) -> None:
-        if self.mol_status[row] in (SOLVED_LEAF, OPEN):
-            return
-        first = self.mol_first[row]
-        # The first strict minimum: ties go to the earlier reaction.
-        best = min(
-            range(first, first + self.mol_nrxn[row]), key=self.rxn_value.__getitem__, default=None
-        )
-        value = INF if best is None else self.rxn_value[best]
-        self.mol_value[row] = value
-        if value == INF:
-            self.mol_status[row], self.mol_best[row] = DEAD, None
-            return
-        self.mol_status[row] = EXPANDED
-        key = None
-        bests = self.mol_best
-        for c in range(self.rxn_first[best], self.rxn_end[best]):
-            k = bests[c]
-            if k is not None and (key is None or k < key):
-                key = k
-        bests[row] = key
+    def _update(self, row: int) -> None:
+        """One pass from the expanded molecule ``row`` up to the root.
 
-    def _propagate(self, row: int) -> None:
-        parent = self.mol_parent[row]
-        while parent is not None:
-            self.rxn_value[parent] = self.rxn_cost[parent] + sum(
-                self.mol_value[self.rxn_first[parent] : self.rxn_end[parent]]
+        At each molecule: its value is the least value of its reactions, its
+        best reaction the first that has it (ties go to the earlier
+        reaction), and its key the least key among that reaction's children;
+        it is dead when the value is infinite. Then the value of the
+        reaction that produced it is its cost plus its children's values.
+        """
+        expanded, mol_parent = self.expanded, self.mol_parent
+        statuses, values, bests = self.mol_status, self.mol_value, self.mol_best
+        rxn_values, costs = self.rxn_value, self.rxn_cost
+        rxn_parent, child_first, child_end = self.rxn_parent, self.rxn_first, self.rxn_end
+        while True:
+            first, end = expanded[row]
+            options = rxn_values[first:end]
+            value = min(options, default=INF)
+            values[row] = value
+            if value == INF:
+                statuses[row], bests[row] = DEAD, None
+            else:
+                statuses[row] = EXPANDED
+                best = first + options.index(value)
+                key = None
+                for k in bests[child_first[best] : child_end[best]]:
+                    if k is not None and (key is None or k < key):
+                        key = k
+                bests[row] = key
+            parent = mol_parent[row]
+            if parent is None:
+                return
+            rxn_values[parent] = costs[parent] + sum(
+                values[child_first[parent] : child_end[parent]]
             )
-            row = self.rxn_parent[parent]
-            self._refresh(row)
-            parent = self.mol_parent[row]
+            row = rxn_parent[parent]
 
     def best_partial_route(self) -> list[tuple[MolNode, float]] | None:
         """The open molecule to expand next on the minimum-value partial route.
@@ -309,8 +313,8 @@ class SearchTree:
         key = self.mol_best[0]
         if key is None:
             return []
-        row = key[1]
-        return [(MolNode(self, row), self.mol_g[row])]
+        node = MolNode(self, key[1])
+        return [(node, node.g)]
 
 
 def plan(
@@ -329,72 +333,76 @@ def plan(
         raise InvalidInput("k_expand must be at least 1")
     tree = SearchTree(target, model, estimator, k_expand, world)
     records: list[ExpansionRecord] = []
-    while True:
-        open_nodes = tree.best_partial_route()
-        if open_nodes is None:
-            return PlanResult(
-                "failure", None, tree.call_count, tuple(records) if trace else None
-            )
-        if not open_nodes:
-            return PlanResult(
-                "success",
-                extract_route(tree),
-                tree.call_count,
-                tuple(records) if trace else None,
-            )
-        if tree.call_count >= budget:
-            return PlanResult(
-                "failure", None, tree.call_count, tuple(records) if trace else None
-            )
+    # None: the root is dead; []: the best route is complete.
+    while (open_nodes := tree.best_partial_route()) and tree.call_count < budget:
         node, g = open_nodes[0]
-        score = g + node.value
-        applicable = tree.expand(node)
         if trace:
+            score = g + node.value
+            applicable = tree.expand(node)
             records.append(
                 ExpansionRecord(tree.call_count, node.molecule.text, score, applicable)
             )
+        else:
+            tree.expand(node)
+    solved = open_nodes == []
+    return PlanResult(
+        "success" if solved else "failure",
+        extract_route(tree) if solved else None,
+        tree.call_count,
+        tuple(records) if trace else None,
+    )
 
 
 def extract_route(tree: SearchTree) -> Route:
-    """The minimum-cost fully solved subtree of the tree, as a Route."""
-    # By molecule row: (cost, first cheapest reaction row) of the molecule's
-    # cheapest solved subtree, (0.0, None) for a building block, None if it
-    # has none. Children come after their parents, so a backwards pass
-    # settles every child before its parent.
-    statuses, firsts, counts = tree.mol_status, tree.mol_first, tree.mol_nrxn
+    """The minimum-cost fully solved subtree of the tree, as a Route.
+
+    Each route reaction's reactants are derived again from its template
+    (``Template.backward``), as the expansion derived them.
+    """
+    # By expanded molecule row: (cost, first cheapest reaction row) of the
+    # molecule's cheapest solved subtree, absent if it has none; a building
+    # block costs nothing. Children come after their parents, so settling
+    # the expanded rows in descending order settles every child first.
+    statuses, expanded = tree.mol_status, tree.expanded
     costs, child_first, child_end = tree.rxn_cost, tree.rxn_first, tree.rxn_end
-    solved: list[tuple[float, int | None] | None] = [None] * len(statuses)
-    for row in range(len(statuses) - 1, -1, -1):
-        status = statuses[row]
-        if status == SOLVED_LEAF:
-            solved[row] = (0.0, None)
-        elif status == EXPANDED:
-            result: tuple[float, int | None] | None = None
-            for r in range(firsts[row], firsts[row] + counts[row]):
-                total = costs[r]
-                for child in range(child_first[r], child_end[r]):
-                    sub = solved[child]
+    solved: dict[int, tuple[float, int]] = {}
+    for row in sorted(expanded, reverse=True):
+        if statuses[row] != EXPANDED:
+            continue
+        first, end = expanded[row]
+        result: tuple[float, int] | None = None
+        for r in range(first, end):
+            total = costs[r]
+            for child in range(child_first[r], child_end[r]):
+                if statuses[child] != SOLVED_LEAF:
+                    sub = solved.get(child)
                     if sub is None:
                         break
                     total += sub[0]
-                else:
-                    if result is None or total < result[0]:
-                        result = (total, r)
+            else:
+                if result is None or total < result[0]:
+                    result = (total, r)
+        if result is not None:
             solved[row] = result
 
     target = tree.mol_molecule[0]
-    if solved[0] is None:
+    if statuses[0] != SOLVED_LEAF and 0 not in solved:
         raise NotSolved(f"no solved route for {target.text}")
 
-    reactions: dict[tuple, Reaction] = {}
+    # A product and a template determine the reactants, so a reaction met
+    # again under another row is derived once.
+    templates = tree.world.template_by_id
+    reactions: dict[tuple[str, str], Reaction] = {}
     stack = [0]
     while stack:  # pre-order, children left to right
         row = stack.pop()
-        r = solved[row][1]  # type: ignore[index]
-        if r is None:
+        if statuses[row] == SOLVED_LEAF:
             continue
-        rx = make_reaction(tree.mol_molecule[row], tree.rxn_reactants[r], tree.rxn_template[r])
-        reactions.setdefault(rx.key, rx)
+        r = solved[row][1]
+        product, tid = tree.mol_molecule[row], tree.rxn_template[r]
+        if (product.text, tid) not in reactions:
+            reactants = templates[tid].backward(product)
+            reactions[product.text, tid] = make_reaction(product, reactants, tid)  # type: ignore[arg-type]
         stack.extend(range(child_end[r] - 1, child_first[r] - 1, -1))
     return Route(target=target, reactions=tuple(reactions.values()))
 

@@ -517,6 +517,24 @@ def random_model_and_samples(world, data, dim=256):
     return clf, samples
 
 
+class TestScoreSummationOrder:
+    def test_scores_are_left_to_right_sums(self, small_world, small_data):
+        # Every memoised probability and golden digest rests on this order.
+        # A C-ordered gather such as ``weights.take(idx, axis=1)`` is summed
+        # pairwise and fails here.
+        clf, _ = random_model_and_samples(small_world, small_data)
+        splits = (small_data.reactions_train, small_data.reactions_val, small_data.reactions_test)
+        molecules = {
+            m.text: m for reactions in splits for rx in reactions for m in (rx.product, *rx.reactants)
+        }
+        assert len(molecules) > 100
+        for m in molecules.values():
+            fv = featurize_molecule(m, clf.dim)
+            idx = np.array(fv.indices, dtype=np.intp)
+            expected = np.add.reduce(clf.weights.T[idx], axis=0) + clf.bias
+            assert np.array_equal(model_module._scores(clf, fv), expected), m.text
+
+
 # The dense training path the sparse one replaced: every sample is a full
 # 0/1 row of length dim.
 

@@ -33,6 +33,7 @@ from retroloop import (
 )
 from retroloop.model import ROLE_BACKWARD
 from retroloop.planner import (
+    DEAD,
     EXPANDED,
     OPEN,
     SOLVED_LEAF,
@@ -76,14 +77,20 @@ def recompute_all_values(tree):
 
 def check_columns(tree):
     """Row links point both ways, child ranges tile the rows without
-    overlapping, and no column holds a list or a node object."""
+    overlapping, each reaction's children are the distinct reactants its
+    template derives, with their g, and no column holds a list, a tuple or
+    a node object, apart from the ``(float, row)`` keys of ``mol_best``."""
     n_mol, n_rxn = len(tree.mol_molecule), len(tree.rxn_cost)
     columns = {name: col for name, col in vars(tree).items() if name.startswith(("mol_", "rxn_"))}
-    assert len(columns) == 15
+    assert len(columns) == 12
     for name, col in columns.items():
         assert len(col) == (n_mol if name.startswith("mol_") else n_rxn), name
         for cell in col:
-            assert not isinstance(cell, (list, MolNode, ReactionNode)), name
+            if name == "mol_best" and cell is not None:
+                assert type(cell) is tuple and list(map(type, cell)) == [float, int], cell
+            else:
+                # Node views are tuples too.
+                assert not isinstance(cell, (list, tuple, MolNode, ReactionNode)), name
     assert tree.mol_parent[0] is None
     # Molecule rows 1.. are the children of reactions 0.., in row order.
     child_end = 1
@@ -91,24 +98,83 @@ def check_columns(tree):
         first, end = tree.rxn_first[r], tree.rxn_end[r]
         assert first == child_end and first < end
         child_end = end
-        texts = [m.text for m in tree.rxn_reactants[r]]
+        product_row = tree.rxn_parent[r]
+        reactants = tree.world.template_by_id[tree.rxn_template[r]].backward(
+            tree.mol_molecule[product_row]
+        )
+        texts = sorted(m.text for m in reactants)
         for c in range(first, end):
             assert tree.mol_parent[c] == r
-            # The molecule column holds the reactant tuple's own objects.
-            assert any(m is tree.mol_molecule[c] for m in tree.rxn_reactants[r])
+            # The molecule column holds the objects the template hands out.
+            assert any(m is tree.mol_molecule[c] for m in reactants)
         assert [tree.mol_molecule[c].text for c in range(first, end)] == list(dict.fromkeys(texts))
+        above = tree.mol_parent[product_row]
+        g = 0.0 if above is None else tree.rxn_g[above]
+        assert tree.rxn_g[r] == g + tree.rxn_cost[r]
     assert child_end == n_mol
-    # Reaction rows are the reactions of expanded molecules, one range each.
-    ranges = sorted(
-        (tree.mol_first[m], tree.mol_nrxn[m], m) for m in range(n_mol) if tree.mol_nrxn[m]
-    )
+    # Reaction rows are the reactions of expanded molecules, one range each,
+    # and only expanded molecules have a range.
     rxn_end = 0
-    for first, count, m in ranges:
-        assert first == rxn_end and tree.mol_status[m] != OPEN
-        rxn_end = first + count
-        for r in range(first, first + count):
+    for m in sorted(tree.expanded, key=tree.expanded.__getitem__):
+        first, end = tree.expanded[m]
+        assert first == rxn_end and tree.mol_status[m] in (EXPANDED, DEAD)
+        assert tree.mol_status[m] == DEAD or first < end
+        rxn_end = end
+        for r in range(first, end):
             assert tree.rxn_parent[r] == m
     assert rxn_end == n_rxn
+    for m in range(n_mol):
+        assert (m in tree.expanded) == (tree.mol_status[m] not in (OPEN, SOLVED_LEAF))
+
+
+def reference_extract_route(tree):
+    """Route reaction keys, in route order, from a backward pass over every
+    molecule row; None when the root has no solved subtree."""
+    statuses = tree.mol_status
+    # By molecule row: (cost, first cheapest reaction row) of the molecule's
+    # cheapest solved subtree, (0.0, None) for a building block, None if it
+    # has none. Children come after their parents, so a backwards pass
+    # settles every child before its parent.
+    solved = [None] * len(statuses)
+    for row in range(len(statuses) - 1, -1, -1):
+        status = statuses[row]
+        if status == SOLVED_LEAF:
+            solved[row] = (0.0, None)
+        elif status == EXPANDED:
+            result = None
+            for r in range(*tree.expanded[row]):
+                total = tree.rxn_cost[r]
+                for child in range(tree.rxn_first[r], tree.rxn_end[r]):
+                    sub = solved[child]
+                    if sub is None:
+                        break
+                    total += sub[0]
+                else:
+                    if result is None or total < result[0]:
+                        result = (total, r)
+            solved[row] = result
+    if solved[0] is None:
+        return None
+    keys = []
+    stack = [0]
+    while stack:  # pre-order, children left to right
+        row = stack.pop()
+        r = solved[row][1]
+        if r is None:
+            continue
+        product, tid = tree.mol_molecule[row], tree.rxn_template[r]
+        reactants = tree.world.template_by_id[tid].backward(product)
+        keys.append(make_reaction(product, reactants, tid).key)
+        stack.extend(range(tree.rxn_end[r] - 1, tree.rxn_first[r] - 1, -1))
+    return list(dict.fromkeys(keys))
+
+
+def search(target, model, estimator, budget, k_expand, world):
+    """The tree that ``plan`` grows for these arguments, left as it stops."""
+    tree = SearchTree(target, model, estimator, k_expand, world)
+    while (step := tree.best_partial_route()) and tree.call_count < budget:
+        tree.expand(step[0][0])
+    return tree
 
 
 def append_row(tree, prefix, **cells):
@@ -140,6 +206,15 @@ def walk_best_partial_route(tree):
         for child in best.children:
             stack.append((child, g + best.cost))
     return open_nodes
+
+
+class LengthEstimator:
+    """A non-zero cost-to-go, so that scores add g and value."""
+
+    kind = "length"
+
+    def evaluate(self, molecule):
+        return 0.05 * len(molecule.text)
 
 
 class TestPlanBasics:
@@ -227,23 +302,28 @@ class TestExtractRoute:
     @staticmethod
     def _alternatives(costs):
         """Hand-built tree: one solved reaction under the root per
-        (cost, template id), in that order."""
-        world = single_split_world()
+        (cost, template id), in that order, with the reactants the
+        template derives as its solved children."""
+        world = World(
+            atoms=("a", "b"),
+            operators=("+",),
+            templates=(
+                Template(id="split:+", kind=KIND_SPLIT, op="+"),
+                Template(id="identity", kind=KIND_IDENTITY),
+            ),
+            building_blocks=(mol("a"), mol("b")),
+        )
         clf = zero_classifier(world.template_ids, ROLE_BACKWARD)
         tree = SearchTree(mol("(a+b)"), clf, ZeroEstimator(), 5, world)
         tree.mol_status[0], tree.mol_best[0] = EXPANDED, None
-        tree.mol_first[0], tree.mol_nrxn[0] = 0, len(costs)
+        tree.expanded[0] = (0, len(costs))
         for i, (cost, tid) in enumerate(costs):
-            reactants = (mol("a"), mol("b"))
             start = len(tree.mol_molecule)
-            for m in reactants:
-                append_row(
-                    tree, "mol", molecule=m, parent=i, status=SOLVED_LEAF, value=0.0,
-                    g=0.0, best=None, first=0, nrxn=0,
-                )
+            for m in world.template_by_id[tid].backward(tree.mol_molecule[0]):
+                append_row(tree, "mol", molecule=m, parent=i, status=SOLVED_LEAF, value=0.0, best=None)
             append_row(
-                tree, "rxn", template=tid, cost=cost, reactants=reactants, parent=0,
-                first=start, end=len(tree.mol_molecule), value=cost,
+                tree, "rxn", template=tid, cost=cost, g=cost, parent=0, first=start,
+                end=len(tree.mol_molecule), value=cost,
             )
         tree.mol_value[0] = min(cost for cost, _tid in costs)
         check_columns(tree)
@@ -255,12 +335,41 @@ class TestExtractRoute:
         route = extract_route(self._alternatives([(0.7, "split:+"), (0.3, "identity")]))
         assert len(route.reactions) == 1
         assert route.reactions[0].template_id == "identity"
+        # Extraction derives the reactants from the template.
+        assert route.reactions[0].reactants == (mol("(a+b)"),)
 
     @pytest.mark.parametrize("first", ["split:+", "identity"])
     def test_first_of_equal_cost_reactions_wins(self, first):
         second = "identity" if first == "split:+" else "split:+"
         route = extract_route(self._alternatives([(0.5, first), (0.5, second)]))
         assert [rx.template_id for rx in route.reactions] == [first]
+
+    @staticmethod
+    def _check_against_reference(world, clf, estimator, targets, budget, k_expand):
+        solved = 0
+        for target in targets:
+            tree = search(target, clf, estimator, budget, k_expand, world)
+            result = plan(target, clf, estimator, budget, k_expand, world)
+            expected = reference_extract_route(tree)
+            assert result.success == (expected is not None and tree.best_partial_route() == [])
+            if result.success:
+                solved += 1
+                route = extract_route(tree)
+                assert route == result.route
+                assert [rx.key for rx in route.reactions] == expected
+        return solved
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_full_backward_pass_on_property_worlds(self, seed):
+        world, data, clf = TestSearchProperties._random_setup(seed)
+        solved = self._check_against_reference(world, clf, ZeroEstimator(), data.targets, 60, 10)
+        assert solved > 0
+
+    @pytest.mark.parametrize("estimator", [ZeroEstimator(), LengthEstimator()])
+    def test_matches_full_backward_pass_on_golden_worlds(self, estimator):
+        world, clf, targets = golden_setup()
+        solved = self._check_against_reference(world, clf, estimator, targets, 60, 8)
+        assert solved > 0
 
 
 class TestTreeLifetime:
@@ -326,7 +435,8 @@ class TestRouteCost:
 
 
 class TestSearchProperties:
-    def _random_setup(self, seed):
+    @staticmethod
+    def _random_setup(seed):
         rng = random.Random(seed)
         cfg = WorldConfig(
             n_atoms=rng.randint(2, 5),
@@ -443,18 +553,9 @@ class TestDeterminism:
             assert a.route == b.route
 
 
-class LengthEstimator:
-    """A non-zero cost-to-go, so that scores add g and value."""
-
-    kind = "length"
-
-    def evaluate(self, molecule):
-        return 0.05 * len(molecule.text)
-
-
-def golden_plan_records():
-    """Traced plans of the longest targets of a seeded world under a model
-    with seeded random weights, with both estimators."""
+def golden_setup():
+    """A seeded world, a model with seeded random weights over it, and the
+    world's four longest targets."""
     world = generate_world(
         WorldConfig(n_atoms=6, n_operators=3, n_decoys=5, bb_composites=6, bb_depth=1),
         seed=11,
@@ -470,6 +571,12 @@ def golden_plan_records():
         ),
     )
     targets = sorted(data.targets, key=lambda t: (-len(t.text), t.text))[:4]
+    return world, clf, targets
+
+
+def golden_plan_records():
+    """Traced plans of the golden targets, with both estimators."""
+    world, clf, targets = golden_setup()
     records = []
     for estimator in (ZeroEstimator(), LengthEstimator()):
         for target in targets:
