@@ -127,9 +127,22 @@ class ExperimentConfig:
             raise InvalidConfig("dim must be at least 1")
 
 
+# The JSON types a scalar setting of each field type takes, and its name.
+_SCALARS = {
+    int: ((int, float), "an integer"),
+    float: ((int, float), "a number"),
+    str: ((str,), "a string"),
+}
+
+
 def _typed(hint, value, default, where: str):
     """The JSON ``value`` as the field type ``hint``; ``default`` is the
-    field's current value, which a nested config section starts from."""
+    field's current value, which a nested config section starts from.
+
+    No value is converted with a loss: an integer setting takes an integer
+    or a float of integral value, a float setting an integer or a float,
+    and neither takes a boolean or a string.
+    """
     if is_dataclass(hint):
         return _build(default, value, where)
     if hint is bool:
@@ -140,11 +153,15 @@ def _typed(hint, value, default, where: str):
         if not isinstance(value, list):
             raise InvalidConfig(f"{where}: expected a list")
         item = get_args(hint)[0]
-        return tuple(_typed(item, v, None, f"{where}[{i}]") for i, v in enumerate(value))
+        return tuple(_typed(item, v, None, f"{where} item {i}") for i, v in enumerate(value))
+    types, kind = _SCALARS[hint]
+    lossy = hint is int and isinstance(value, float) and not value.is_integer()
+    if isinstance(value, bool) or not isinstance(value, types) or lossy:
+        raise InvalidConfig(f"{where} must be {kind}, got {value!r}")
     try:
         return hint(value)
-    except (TypeError, ValueError) as exc:
-        raise InvalidConfig(f"{where}: {exc}") from exc
+    except OverflowError as exc:
+        raise InvalidConfig(f"{where} must be {kind}, got {value!r}") from exc
 
 
 def _build(default, section, where: str):
@@ -705,13 +722,17 @@ def cmd_report(args) -> int:
 
 
 def cmd_run_all(args) -> int:
+    if args.workers < 1:
+        raise InvalidConfig(f"--workers: must be at least 1, got {args.workers}")
     cfg, doc = load_config(args.config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     started = time.time()
     seeds = _seeds_for(args, cfg)
-    if args.workers > 1 and len(seeds) > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+    # A forked pool starts all its workers at once: one per seed at most.
+    workers = min(args.workers, len(seeds))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_seed, [cfg] * len(seeds), seeds, [out] * len(seeds)))
     else:
         results = [run_seed(cfg, seed, out) for seed in seeds]

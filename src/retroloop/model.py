@@ -19,6 +19,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
+from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
@@ -170,38 +171,84 @@ def zero_classifier(
     )
 
 
-def _scores(model: TemplateClassifier, fv: FeatureVector) -> np.ndarray:
-    """The logits of ``fv``: each template's on-bit weights plus its bias.
+def _logits(
+    model: TemplateClassifier, fvs: Sequence[FeatureVector]
+) -> tuple[list[int], np.ndarray]:
+    """The logits of each of ``fvs``, every template's on-bit weights plus
+    its bias, in one pass: the order in which the pass took the rows, and
+    their logits in that order. Row ``k`` holds the logits of
+    ``fvs[order[k]]``.
 
     Each logit is the left-to-right float sum of its weights over the
-    on-bits in ascending order, then the bias. The gather
-    ``weights[:, idx]`` leaves the on-bits on the outer stride, so
-    ``np.add.reduce`` adds them one at a time; a C-ordered gather would be
-    summed pairwise, and every memoised probability would move.
+    on-bits in ascending order, then the bias, however many rows are
+    scored together. Rows are taken widest first and cut into buckets: a
+    bucket starts at its widest row and ends before the first row with at
+    most half as many bits. A bucket gathers ``weights.T[idx]``, shape
+    (rows, width, templates), and reduces it over the middle, bit, axis,
+    with the padding of any shorter rows masked out by ``where=``. Over
+    that axis ``np.add.reduce`` adds one on-bit at a time to every
+    template; a reduction over the contiguous axis would be pairwise, and
+    every memoised probability would move. It starts from -0.0, which
+    leaves every sum as it is, the sign of a zero included; a row with no
+    bits is its bias.
     """
-    if fv.dim != model.dim:
-        raise InvalidInput(f"feature dim {fv.dim} != model dim {model.dim}")
-    if not fv.indices:
-        return model.bias.copy()
-    # The result, which the memo may keep, is allocated before the gathered
-    # temporary, so that a kept row does not sit above the freed gather.
-    s = np.empty_like(model.bias)
-    np.add.reduce(model.weights[:, np.array(fv.indices, dtype=np.intp)], axis=1, out=s)
-    s += model.bias
-    return s
+    dim = model.dim
+    for fv in fvs:
+        if fv.dim != dim:
+            raise InvalidInput(f"feature dim {fv.dim} != model dim {dim}")
+    indices = [fv.indices for fv in fvs]
+    lengths = list(map(len, indices))
+    n = len(indices)
+    order = sorted(range(n), key=lengths.__getitem__, reverse=True)
+    logits = np.empty((n, model.n_templates))
+    weights_t = model.weights.T
+    start = 0
+    while start < n:
+        width = lengths[order[start]]
+        stop = start + 1
+        while stop < n and 2 * lengths[order[stop]] > width:
+            stop += 1
+        rows = order[start:stop]
+        count = sum([lengths[i] for i in rows])
+        bits = np.fromiter(chain.from_iterable([indices[i] for i in rows]), np.intp, count)
+        if count == width * len(rows):  # no padding
+            idx, on = bits.reshape(len(rows), width), True
+        else:
+            on = np.arange(width) < np.array([lengths[i] for i in rows])[:, None]
+            idx = np.zeros(on.shape, dtype=np.intp)
+            idx[on] = bits
+            on = on[:, :, None]
+        np.add.reduce(weights_t[idx], axis=1, where=on, initial=-0.0, out=logits[start:stop])
+        start = stop
+    logits += model.bias
+    return order, logits
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
-    """Softmax of ``z``, computed in place: ``z`` must be a fresh array."""
-    z -= np.maximum.reduce(z)
+def _proba_rows(model: TemplateClassifier, fvs: Sequence[FeatureVector]) -> list[np.ndarray]:
+    """``predict_proba`` of each of ``fvs``, from one ``_logits`` pass.
+
+    The softmax runs on all rows at once, with the float operations of a
+    one-row softmax: the row maximum and the subtraction are exact,
+    ``np.exp`` works element by element, and each row's sum is numpy's
+    pairwise sum over that contiguous row, as it is for a lone row. Each
+    row is then copied into an array of its own, which the memo may keep
+    without keeping the rest of the batch.
+    """
+    # Allocated before the batch's temporaries, so that kept rows do not
+    # sit above the freed gathers.
+    rows = [np.empty(model.n_templates) for _ in fvs]
+    order, z = _logits(model, fvs)
+    z -= np.maximum.reduce(z, axis=1, keepdims=True)
     np.exp(z, out=z)
-    z /= np.add.reduce(z)
-    return z
+    z /= np.add.reduce(z, axis=1, keepdims=True)
+    for i, row in zip(order, z):
+        rows[i][:] = row
+    return rows
 
 
 def predict_proba(model: TemplateClassifier, fv: FeatureVector) -> np.ndarray:
     """Probability over the full template list; sums to 1."""
-    return _softmax(_scores(model, fv))
+    return _proba_rows(model, [fv])[0]
 
 
 def product_proba(model: TemplateClassifier, product: Molecule) -> np.ndarray:
@@ -209,21 +256,39 @@ def product_proba(model: TemplateClassifier, product: Molecule) -> np.ndarray:
 
     A backward model keeps the row of each well-formed product it scores,
     read-only, in its memo, so planning, filtering, augmentation, route
-    costs and the oracle score a product once per model. A malformed
-    product, whose features differ from those of the well-formed molecule
-    of the same text, and every product under a forward model, are scored
-    afresh. Writing the memo is one dict entry of an equal value per
-    product, so concurrent callers may share a model.
+    costs and the oracle score a product once per model; ``score_products``
+    fills many entries at once. A malformed product, whose features differ
+    from those of the well-formed molecule of the same text, and every
+    product under a forward model, are scored afresh. Every memo entry is
+    one dict entry, written once, whose value equals what a later call
+    would compute, so concurrent callers may share a model.
     """
     if product.malformed or model.role != ROLE_BACKWARD:
         return predict_proba(model, featurize_molecule(product, model.dim))
-    memo = model._proba_memo
-    probs = memo.get(product.text)
+    probs = model._proba_memo.get(product.text)
     if probs is None:
-        probs = _softmax(_scores(model, featurize_molecule(product, model.dim)))
-        probs.flags.writeable = False
-        memo[product.text] = probs
+        score_products(model, [product])
+        probs = model._proba_memo[product.text]
     return probs
+
+
+def score_products(model: TemplateClassifier, products: Iterable[Molecule]) -> None:
+    """Memoise the ``product_proba`` rows of the well-formed ``products``
+    that a backward model's memo lacks, in one ``_proba_rows`` pass.
+
+    Each product is featurized through ``featurize_molecule``. A forward
+    model keeps no memo, so it scores nothing here.
+    """
+    if model.role != ROLE_BACKWARD:
+        return
+    memo = model._proba_memo
+    new = {p.text: p for p in products if not p.malformed and p.text not in memo}
+    if not new:
+        return
+    rows = _proba_rows(model, [featurize_molecule(p, model.dim) for p in new.values()])
+    for text, row in zip(new, rows):
+        row.flags.writeable = False
+        memo[text] = row
 
 
 def check_world(model: TemplateClassifier, world: World) -> None:

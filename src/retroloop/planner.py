@@ -40,10 +40,13 @@ attribute names of a node, built only when read: ``tree.root``,
 ``best_partial_route()`` and ``.children`` return views, and ``expand``
 takes one.
 
-One plan invocation owns its tree and only reads the world. It writes the
-model's memo of product scores (``model.product_proba``), but only one dict
-entry of an equal value per product, so many plans may still run
-concurrently against shared instances.
+One plan invocation owns its tree and only reads the world. Before its
+search, it scores every molecule it may expand, the target's subterms down
+to the building blocks, in one batch (``model.score_products``), so each
+expansion reads its product's scores from the model's memo. That writes many
+memo entries, but each is written once and holds a value equal to what a
+later call would compute, so many plans may still run concurrently against
+shared instances.
 """
 
 from __future__ import annotations
@@ -53,8 +56,8 @@ from dataclasses import dataclass
 from typing import NamedTuple, Protocol
 
 from .errors import InvalidInput, NotSolved
-from .model import TemplateClassifier, likelihood, predict_topk
-from .world import Molecule, Reaction, Route, World, make_reaction
+from .model import TemplateClassifier, likelihood, predict_topk, score_products
+from .world import Molecule, Reaction, Route, World, make_reaction, parse_ast
 
 OPEN = "open"
 EXPANDED = "expanded"
@@ -317,6 +320,26 @@ class SearchTree:
         return [(node, node.g)]
 
 
+def _expandable(target: Molecule, world: World) -> list[Molecule]:
+    """Every molecule a plan of ``target`` may expand: the well-formed
+    subterms of ``target``, read off its cached parse tree from the root
+    down, stopping at building blocks. Backward templates give operands,
+    the product itself or malformed fragments, so no other molecule can
+    reach the frontier."""
+    root = None if target.malformed else parse_ast(target.text)
+    stock = world.stock
+    found: dict[str, Molecule] = {}
+    stack = [] if root is None else [root]
+    while stack:
+        node = stack.pop()
+        if node.text in stock or node.text in found:
+            continue
+        found[node.text] = node.molecule
+        if node.op is not None:
+            stack += (node.right, node.left)  # type: ignore[list-item]
+    return list(found.values())
+
+
 def plan(
     target: Molecule,
     model: TemplateClassifier,
@@ -326,11 +349,18 @@ def plan(
     world: World,
     trace: bool = False,
 ) -> PlanResult:
-    """Search for a route to ``target`` within ``budget`` model calls."""
+    """Search for a route to ``target`` within ``budget`` model calls.
+
+    Before the search, the model scores every molecule the plan may expand
+    in one batch (``score_products``), so each expansion reads its scores
+    from the model's memo.
+    """
     if budget < 0:
         raise InvalidInput("budget must be non-negative")
     if k_expand < 1:
         raise InvalidInput("k_expand must be at least 1")
+    if budget:
+        score_products(model, _expandable(target, world))
     tree = SearchTree(target, model, estimator, k_expand, world)
     records: list[ExpansionRecord] = []
     # None: the root is dead; []: the best route is complete.

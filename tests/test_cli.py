@@ -12,6 +12,7 @@ from types import SimpleNamespace
 import pytest
 
 import retroloop
+import retroloop.cli as cli
 from retroloop import IterationReport, run_self_improvement, save_checkpoint
 from retroloop.cli import (
     ExperimentConfig,
@@ -185,9 +186,18 @@ class TestConfig:
             (("dataset", "split"), [float("nan")] * 3),
             (("pretrain", "backward", "learning_rate"), float("nan")),
             (("loop", "bc", "learning_rate"), float("inf")),
+            (("pretrain", "backward", "epochs"), 3.7),
+            (("pretrain", "backward", "epochs"), True),
+            (("pretrain", "backward", "epochs"), "4"),
+            (("seeds",), [1.5]),
+            (("eval", "budgets"), [10.9, 25]),
+            (("pretrain", "backward", "learning_rate"), True),
+            (("loop", "epsilon"), "0.5"),
         ],
         ids=["dim-zero", "dim-negative", "n_targets", "max_depth", "split-short", "split-sum",
-             "leaf_prob", "split-nan", "pretrain-learning_rate-nan", "bc-learning_rate-inf"],
+             "leaf_prob", "split-nan", "pretrain-learning_rate-nan", "bc-learning_rate-inf",
+             "epochs-float", "epochs-bool", "epochs-string", "seeds-float", "budgets-float",
+             "learning_rate-bool", "epsilon-string"],
     )
     def test_bad_value_exits_2_before_any_write(self, tmp_path, capsys, path, value):
         # Checked with the config, not once the world or the models are built.
@@ -202,6 +212,33 @@ class TestConfig:
         err = capsys.readouterr().err
         assert f"config.json.{'.'.join(path)} " in err and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "path, value, expected",
+        [
+            (("pretrain", "backward", "epochs"), 3.0, 3),
+            (("pretrain", "backward", "learning_rate"), 1, 1.0),
+            (("dataset", "leaf_prob"), 0, 0.0),
+            (("eval", "budgets"), [10, 25.0], (10, 25)),
+        ],
+        ids=["integral-float-epochs", "integer-learning_rate", "integer-leaf_prob",
+             "integral-budget"],
+    )
+    def test_numbers_keep_their_value(self, path, value, expected):
+        # An integral float is a valid integer setting, and a JSON integer a
+        # valid float setting: each keeps its value and takes the field's type.
+        doc = json.loads(json.dumps(TINY))
+        section = doc
+        for key in path[:-1]:
+            section = section[key]
+        section[path[-1]] = value
+        got = parse_config(doc)
+        for key in path:
+            got = getattr(got, key)
+        assert got == expected
+        items = got if isinstance(got, tuple) else (got,)
+        wanted = expected if isinstance(expected, tuple) else (expected,)
+        assert [type(v) for v in items] == [type(v) for v in wanted]
 
 
 class TestDamagedFiles:
@@ -707,8 +744,11 @@ class TestArguments:
             (["evaluate", "--budget", "20", "--budget", "20"], "--budget"),
             (["plan", "--target", "a", "--budget", "-1"], "--budget"),
             (["plan", "--target", ""], "--target"),
+            (["run-all", "--workers", "0"], "--workers"),
+            (["run-all", "--workers", "-3"], "--workers"),
         ],
-        ids=["evaluate-negative", "evaluate-zero", "evaluate-repeated", "plan-negative", "plan-empty-target"],
+        ids=["evaluate-negative", "evaluate-zero", "evaluate-repeated", "plan-negative",
+             "plan-empty-target", "run-all-workers-zero", "run-all-workers-negative"],
     )
     def test_invalid_argument_exits_2_before_any_read(
         self, config_path, tmp_path, capsys, command, option
@@ -783,6 +823,32 @@ class TestReportAndRunAll:
         assert rows
         for row in rows:
             assert float(row["success_rate_std"]) == 0.0
+
+    def test_pool_has_at_most_one_worker_per_seed(self, config_path, tmp_path, monkeypatch):
+        # A forked pool starts every worker at its first submit, so the pool
+        # is sized to the seeds. The fake pool runs each seed inline.
+        pools = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        out = tmp_path / "run"
+        assert main(["run-all", "--config", config_path, "--out", str(out), "--workers", "64"]) == 0
+        assert pools == [2]  # the two seeds of the config
+        assert main(["run-all", "--config", config_path, "--out", str(out), "--workers", "64",
+                     "--seed", "1"]) == 0
+        assert pools == [2]  # one seed runs in this process
 
     def test_workers_flag_produces_identical_outputs(self, config_path, tmp_path):
         a, b = tmp_path / "w1", tmp_path / "w2"

@@ -532,7 +532,53 @@ class TestScoreSummationOrder:
             fv = featurize_molecule(m, clf.dim)
             idx = np.array(fv.indices, dtype=np.intp)
             expected = np.add.reduce(clf.weights.T[idx], axis=0) + clf.bias
-            assert np.array_equal(model_module._scores(clf, fv), expected), m.text
+            assert np.array_equal(model_module._logits(clf, [fv])[1][0], expected), m.text
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_many_rows_equal_the_one_row_path(self, seed):
+        # Scoring many products in one pass must not move a bit of any row,
+        # the sign of a zero included: weights and biases hold +0.0 and
+        # -0.0, two rows have no bits, and bit counts from 1 to 128, some
+        # repeated, cut the rows into several buckets, padded and not. The
+        # probabilities must be those of a softmax of one row at a time.
+        rng = np.random.default_rng(seed)
+        t, dim = 23, 256
+        weights = rng.normal(size=(t, dim))
+        zeros = rng.random(size=weights.shape)
+        weights[zeros < 0.3] = 0.0
+        weights[zeros < 0.15] = -0.0
+        bias = rng.choice([0.0, -0.0, 1.5, -2.25], size=t)
+        clf = classifier_like(
+            zero_classifier([f"t{i}" for i in range(t)], ROLE_BACKWARD, dim),
+            weights=weights,
+            bias=bias,
+        )
+        counts = [0, 0, 1, 2, 3, 5, 5, 8, 17, 33, 64, 65, 100, 128, *rng.integers(1, 129, size=20)]
+        rng.shuffle(counts)
+        fvs = [
+            FeatureVector(dim, tuple(sorted(rng.choice(dim, size=c, replace=False).tolist())))
+            for c in counts
+        ]
+        order, many = model_module._logits(clf, fvs)
+        assert sorted(order) == list(range(len(fvs)))
+        probs = model_module._proba_rows(clf, fvs)
+        for i, row in zip(order, many):
+            fv = fvs[i]
+            one = model_module._logits(clf, [fv])[1][0]
+            expected = bias.copy() if not fv.indices else None
+            for bit in fv.indices:  # left to right over the on-bits, then the bias
+                expected = weights[:, bit].copy() if expected is None else expected + weights[:, bit]
+            if fv.indices:
+                expected = expected + bias
+            for got in (row, one):
+                assert np.array_equal(got, expected)
+                assert np.array_equal(np.signbit(got), np.signbit(expected))
+            softmax = expected - np.maximum.reduce(expected)
+            np.exp(softmax, out=softmax)
+            softmax /= np.add.reduce(softmax)
+            assert np.array_equal(probs[i], softmax)
+            assert np.array_equal(predict_proba(clf, fv), softmax)
 
 
 # The dense training path the sparse one replaced: every sample is a full

@@ -8,8 +8,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import retroloop.model as model_module
 from retroloop import (
     InvalidInput,
+    Molecule,
     NotSolved,
     Template,
     TrainConfig,
@@ -394,6 +396,50 @@ class TestTreeLifetime:
         assert [r.outcome for r in results] == ["success", "failure", "success"]
         assert results[1].model_calls == 2
         assert found == 0
+
+
+class TestPlanStartScoring:
+    def test_expansions_read_the_scores_of_one_batch(
+        self, small_world, small_models, small_data, monkeypatch
+    ):
+        # ``plan`` scores the target's expandable subterms in one kernel
+        # call, featurized through the module-level ``featurize_molecule``
+        # that the benchmark's tracer wraps; its expansions then make no
+        # kernel call of their own.
+        batches, featurized = [], []
+        kernel, featurize = model_module._proba_rows, model_module.featurize_molecule
+
+        def counting_kernel(model, fvs):
+            batches.append(len(fvs))
+            return kernel(model, fvs)
+
+        def counting_featurize(m, dim):
+            featurized.append(m.text)
+            return featurize(m, dim)
+
+        monkeypatch.setattr(model_module, "_proba_rows", counting_kernel)
+        monkeypatch.setattr(model_module, "featurize_molecule", counting_featurize)
+        targets = sorted(small_data.targets, key=lambda t: (-len(t.text), t.text))[:15]
+        for target in targets:
+            model = replace(small_models[0])  # an empty memo
+            batches.clear()
+            featurized.clear()
+            result = plan(target, model, ZeroEstimator(), 60, 10, small_world, trace=True)
+            scored = list(model._proba_memo)
+            assert batches == [len(scored)] and sorted(featurized) == sorted(scored)
+            assert {e.molecule for e in result.trace} <= set(scored)
+            for text in scored:
+                assert not parse_molecule(text).malformed
+                assert text not in small_world.stock
+                assert text in target.text
+
+    def test_plans_without_expansions_score_nothing(self, small_world, small_models, small_data):
+        block = small_world.building_blocks[-1]
+        target = max(small_data.targets, key=lambda t: len(t.text))
+        for t, budget in ((target, 0), (block, 10), (Molecule(target.text, malformed=True), 10)):
+            model = replace(small_models[0])
+            plan(t, model, ZeroEstimator(), budget, 10, small_world)
+            assert model._proba_memo == {}
 
 
 class TestRouteCost:
