@@ -70,11 +70,12 @@ EXIT_MISSING_MANIFEST = 6
 
 # The planning metrics of one (model, budget), as attributes of PlanningMetrics.
 PLAN_METRICS = ("success_rate", "avg_length", "avg_time", "avg_cost")
-SUMMARY_COLUMNS = ("seed", "iteration", "budget", *PLAN_METRICS, "top1", "top10")
+SUMMARY_COLUMNS = ("seed", "estimator", "iteration", "budget", *PLAN_METRICS, "top1", "top10")
 
 
 class CorruptFile(Exception):
-    """A world or dataset file of a run is not the one its config makes."""
+    """A world or dataset file of a run is not the one its config makes, or
+    a metrics summary lacks the columns ``evaluate`` writes."""
 
 
 @dataclass(frozen=True)
@@ -203,13 +204,12 @@ def parse_config(doc: dict, where: str = "config") -> ExperimentConfig:
 def load_config(path: str | Path) -> tuple[ExperimentConfig, dict]:
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
-        raise InvalidConfig(f"{path}: {exc}") from exc
-    try:
-        doc = json.loads(text)
+        doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise InvalidConfig(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except (OSError, UnicodeDecodeError, RecursionError) as exc:
+        # RecursionError: nested deeper than the decoder's limit.
+        raise InvalidConfig(f"{path}: {exc}") from exc
     return parse_config(doc, where=str(path)), doc
 
 
@@ -452,8 +452,8 @@ def run_evaluate(
         metrics_dir / "summary.csv",
         SUMMARY_COLUMNS,
         (
-            [row["seed"], row["iteration"], row["budget"]]
-            + [_fmt(row[c]) for c in SUMMARY_COLUMNS[3:]]
+            [row["seed"], cfg.eval.estimator, row["iteration"], row["budget"]]
+            + [_fmt(row[c]) for c in SUMMARY_COLUMNS[4:]]
             for row in summary_rows
         ),
     )
@@ -510,24 +510,29 @@ def run_seed(cfg: ExperimentConfig, seed: int, out: Path) -> dict:
 
 
 def aggregate_report(out: Path) -> Path:
-    """Merge per-seed summaries into mean/stdev rows; returns the CSV path."""
+    """Merge per-seed summaries into mean/stdev rows, one per estimator,
+    iteration and budget, so rows of different estimators never share a
+    mean; returns the CSV path."""
     rows: list[dict] = []
     for summary in sorted(out.glob("seed_*/metrics/summary.csv")):
         with summary.open() as fh:
-            for rec in csv.DictReader(fh):
-                rows.append(rec)
-    grouped: dict[tuple[int, int], list[dict]] = {}
+            reader = csv.DictReader(fh)
+            if reader.fieldnames != list(SUMMARY_COLUMNS):
+                columns = ",".join(SUMMARY_COLUMNS)
+                raise CorruptFile(f"{summary} does not have the columns {columns}")
+            rows.extend(reader)
+    grouped: dict[tuple[str, int, int], list[dict]] = {}
     for rec in rows:
-        key = (int(rec["iteration"]), int(rec["budget"]))
+        key = (rec["estimator"], int(rec["iteration"]), int(rec["budget"]))
         grouped.setdefault(key, []).append(rec)
 
-    metrics = SUMMARY_COLUMNS[3:]
-    header = ["iteration", "budget", "n_seeds"]
+    metrics = SUMMARY_COLUMNS[4:]
+    header = ["estimator", "iteration", "budget", "n_seeds"]
     table = []
     for m in metrics:
         header += [f"{m}_mean", f"{m}_std"]
-    for (iteration, budget), recs in sorted(grouped.items()):
-        row = [iteration, budget, len(recs)]
+    for (estimator, iteration, budget), recs in sorted(grouped.items()):
+        row = [estimator, iteration, budget, len(recs)]
         for m in metrics:
             values = [float(r[m]) for r in recs]
             if any(math.isnan(v) for v in values):
@@ -547,8 +552,8 @@ def print_report(out: Path) -> None:
     with aggregated.open() as fh:
         for rec in csv.DictReader(fh):
             print(
-                f"iteration={rec['iteration']} budget={rec['budget']} "
-                f"n={rec['n_seeds']} "
+                f"estimator={rec['estimator']} iteration={rec['iteration']} "
+                f"budget={rec['budget']} n={rec['n_seeds']} "
                 f"success={float(rec['success_rate_mean']):.4f}"
                 f"±{float(rec['success_rate_std']):.4f} "
                 f"length={float(rec['avg_length_mean']):.3f}"

@@ -195,8 +195,6 @@ def run_self_improvement(
     ``on_iteration(model, report)`` is invoked after each iteration, e.g. to
     persist intermediate checkpoints.
     """
-    if not data.reactions_train:
-        raise EmptyDataset("self-improvement needs a non-empty train split")
     backward, reference, forward = pretrained
 
     estimator = ZeroEstimator()

@@ -34,7 +34,7 @@ from .errors import (
     InvalidReaction,
     UnknownTemplate,
 )
-from .world import Molecule, Node, Reaction, World, parse_ast
+from .world import Molecule, Reaction, World, parse_ast
 
 DEFAULT_DIM = 2048
 CHECKPOINT_VERSION = 1
@@ -98,7 +98,7 @@ def _subterm_bits(text: str, dim: int) -> tuple[int, ...]:
     """Hashes of the subterms of height <= 2 of the well-formed term ``text``:
     the union of its operands' bits, plus its own hash at height <= 2.
     Int tuples keep the memo compact and untracked by the garbage collector."""
-    node: Node = parse_ast(text)  # type: ignore[assignment]
+    node: Molecule = parse_ast(text)  # type: ignore[assignment]
     if node.op is None:
         return (_feature_hash(text, dim),)
     bits = set(_subterm_bits(node.left.text, dim))  # type: ignore[union-attr]
@@ -658,7 +658,7 @@ def load_checkpoint(path: str | Path) -> TemplateClassifier:
     raises CheckpointError naming it."""
     try:
         doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise CheckpointError(f"checkpoint {path} is not a JSON object")

@@ -57,7 +57,7 @@ from typing import NamedTuple, Protocol
 
 from .errors import InvalidInput, NotSolved
 from .model import TemplateClassifier, likelihood, predict_topk, score_products
-from .world import Molecule, Reaction, Route, World, make_reaction, parse_ast
+from .world import Molecule, Reaction, Route, World, make_reaction
 
 OPEN = "open"
 EXPANDED = "expanded"
@@ -322,21 +322,19 @@ class SearchTree:
 
 def _expandable(target: Molecule, world: World) -> list[Molecule]:
     """Every molecule a plan of ``target`` may expand: the well-formed
-    subterms of ``target``, read off its cached parse tree from the root
-    down, stopping at building blocks. Backward templates give operands,
-    the product itself or malformed fragments, so no other molecule can
-    reach the frontier."""
-    root = None if target.malformed else parse_ast(target.text)
+    subterms of ``target``, from the root down, stopping at building blocks.
+    Backward templates give operands, the product itself or malformed
+    fragments, so no other molecule can reach the frontier."""
     stock = world.stock
     found: dict[str, Molecule] = {}
-    stack = [] if root is None else [root]
+    stack = [] if target.malformed else [target]
     while stack:
-        node = stack.pop()
-        if node.text in stock or node.text in found:
+        m = stack.pop()
+        if m.text in stock or m.text in found:
             continue
-        found[node.text] = node.molecule
-        if node.op is not None:
-            stack += (node.right, node.left)  # type: ignore[list-item]
+        found[m.text] = m
+        if m.op is not None:
+            stack += (m.right, m.left)  # type: ignore[list-item]
     return list(found.values())
 
 

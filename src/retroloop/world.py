@@ -2,7 +2,10 @@
 
 Molecules are fully parenthesized binary infix terms over a finite atom
 alphabet, e.g. ``((a+b)*c)``. The literal string is the canonical form: two
-molecules are equal iff their texts are byte-identical. Templates are
+molecules are equal iff their texts are byte-identical. One object is one
+term: a well-formed ``Molecule`` is its own parse tree, holding its root
+operator and its operands, and the parser's cache shares each subterm
+between the terms that contain it. Templates are
 bidirectional rewrite rules; the backward direction splits a product into
 reactants, the forward direction joins reactants into a product. Decoy
 templates are applicable to well-formed molecules but produce at least one
@@ -38,32 +41,30 @@ LEAF_PROB = 0.35
 
 @dataclass(frozen=True, slots=True)
 class Molecule:
-    """A term string; ``malformed`` marks strings that do not parse."""
+    """One term: a string, and, if it parses, its parse tree.
 
-    text: str
-    malformed: bool = False
-
-
-@dataclass(frozen=True, slots=True)
-class Node:
-    """Parse-tree node. ``op is None`` for atoms.
-
-    A node owns the well-formed ``Molecule`` of its text, built with the
-    node, and the malformed fragment ``"(" + text`` that chop templates
-    produce, built on first use by ``fragment``. Backward applications
-    hand out these shared objects instead of building new ones.
+    ``malformed`` marks strings that do not parse. Equality, hashing and
+    ``repr`` read only ``text`` and ``malformed``. A well-formed molecule is
+    its own parse-tree node: ``op`` is its root operator (None for an atom),
+    ``left`` and ``right`` are its operands, the parser's shared molecules,
+    and ``height`` is 0 for an atom. Only the parser builds composites: a
+    molecule built by hand as well-formed must be an atom. Backward
+    applications hand out the operands and ``fragment()`` instead of
+    building new molecules.
     """
 
     text: str
-    op: str | None = None
-    left: "Node | None" = None
-    right: "Node | None" = None
-    height: int = 0
-    molecule: Molecule = field(init=False, repr=False, compare=False)
+    malformed: bool = False
+    op: str | None = field(default=None, compare=False, repr=False)
+    left: Molecule | None = field(default=None, compare=False, repr=False)
+    right: Molecule | None = field(default=None, compare=False, repr=False)
+    height: int = field(default=0, compare=False, repr=False)
     _fragment: Molecule | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "molecule", Molecule(self.text))
+        atom = self.text and ATOM_CHARS.issuperset(self.text)
+        if not (self.malformed or self.op is not None or atom):
+            raise InvalidInput(f"well-formed molecule {self.text!r} must be parsed, not built")
 
     def fragment(self) -> Molecule:
         """The malformed ``"(" + text``: prepending "(" to a balanced term
@@ -74,7 +75,7 @@ class Node:
 
 
 @lru_cache(maxsize=1 << 18)
-def parse_ast(text: str) -> Node | None:
+def parse_ast(text: str) -> Molecule | None:
     """Full parse of ``text``; None if it is not a well-formed term.
 
     A composite ``(A o B)`` is split at its top-level operator and both
@@ -84,7 +85,7 @@ def parse_ast(text: str) -> Node | None:
     if not text:
         return None
     if text[0] != "(":
-        return Node(text=text) if ATOM_CHARS.issuperset(text) else None
+        return Molecule(text) if ATOM_CHARS.issuperset(text) else None
     if text[-1] != ")":
         return None
     # The left operand ends at the paren closing its opening one, or, for an
@@ -109,8 +110,8 @@ def parse_ast(text: str) -> Node | None:
     right = parse_ast(text[j + 1 : n]) if left is not None else None
     if right is None:
         return None
-    return Node(
-        text=text,
+    return Molecule(
+        text,
         op=text[j],
         left=left,
         right=right,
@@ -119,10 +120,10 @@ def parse_ast(text: str) -> Node | None:
 
 
 def parse_molecule(text: str) -> Molecule:
-    """Parse ``text`` into a Molecule, flagging it malformed if it does not parse."""
+    """The parsed Molecule of ``text``, or a malformed one if it does not parse."""
     if not text:
         raise InvalidInput("molecule text must be non-empty")
-    return Molecule(text=text, malformed=parse_ast(text) is None)
+    return parse_ast(text) or Molecule(text, malformed=True)
 
 
 def mol(text: str) -> Molecule:
@@ -130,9 +131,9 @@ def mol(text: str) -> Molecule:
     return parse_molecule(text)
 
 
-def subterm_nodes(node: Node) -> Iterable[Node]:
-    """All parse-tree nodes of ``node``, including itself."""
-    stack = [node]
+def subterms(m: Molecule) -> Iterable[Molecule]:
+    """All subterms of the well-formed ``m``, including itself."""
+    stack = [m]
     while stack:
         cur = stack.pop()
         yield cur
@@ -176,23 +177,19 @@ class Template:
         """Reactants produced by applying this rule to ``product``, or None."""
         if product.malformed:
             return None
-        ast = parse_ast(product.text)
-        if ast is None:
-            return None
         if self.kind == KIND_IDENTITY:
             return (product,)
-        if ast.op != self.op:
+        if product.op != self.op:
             return None
-        # The operands are subtrees of the product's parse: their molecules
-        # and fragments are the ones those nodes own.
-        left, right = ast.left, ast.right
+        # The operands are the product's own subterms and their fragments.
+        left, right = product.left, product.right
         if self.kind == KIND_SPLIT:
-            return (left.molecule, right.molecule)  # type: ignore[union-attr]
+            return (left, right)  # type: ignore[return-value]
         if self.variant == "left":
-            return (left.fragment(), right.molecule)  # type: ignore[union-attr]
+            return (left.fragment(), right)  # type: ignore[union-attr,return-value]
         if self.variant == "right":
-            return (left.molecule, right.fragment())  # type: ignore[union-attr]
-        return (ast.fragment(),)
+            return (left, right.fragment())  # type: ignore[union-attr,return-value]
+        return (product.fragment(),)
 
     def yields(self, product: Molecule, reactants: Sequence[Molecule]) -> bool:
         """Whether ``backward(product)`` gives ``reactants``, sorted by text."""
@@ -371,11 +368,10 @@ class World:
     def applications(self, product: Molecule) -> list[tuple[str, tuple[Molecule, ...]]]:
         """``(template id, reactants sorted by text)`` for every template that
         fires on ``product``, in ``templates`` order; none for a malformed one."""
-        ast = None if product.malformed else parse_ast(product.text)
-        if ast is None:
+        if product.malformed:
             return []
         apps = []
-        for template in self.backward_templates_by_op[ast.op]:
+        for template in self.backward_templates_by_op[product.op]:
             reactants = template.backward(product)
             if reactants is not None:
                 # At most two reactants: one comparison sorts them, and a

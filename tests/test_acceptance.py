@@ -46,7 +46,7 @@ from retroloop.cli import (
 )
 from retroloop.improve import pretrain_models
 from retroloop.model import ROLE_BACKWARD, nll_and_grad
-from retroloop.world import KIND_SPLIT, Template, parse_ast
+from retroloop.world import KIND_SPLIT, Template
 
 REFERENCE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "reference.json"
 
@@ -219,11 +219,9 @@ class TestRoundTrip:
             failures = checked = 0
             for _ in range(10_000):
                 m = parse_molecule(random_term(rng.randint(1, 5)))
-                ast = parse_ast(m.text)
-                if ast.op is None:
+                if m.op is None:
                     m = parse_molecule(f"({m.text}+{rng.choice(atoms)})")
-                    ast = parse_ast(m.text)
-                template = templates[ast.op]
+                template = templates[m.op]
                 reactants = template.backward(m)
                 if reactants is None or template.forward(reactants) != m:
                     failures += 1

@@ -82,6 +82,28 @@ def test_traced_counters_see_backward_and_featurize(small_world, small_models):
     assert t.featurized == {p.text for p in products}
 
 
+def test_applications_read_the_product_not_the_parse_cache(small_world):
+    # ``world.parse_ast.*`` reads the parse cache's own counters, and a
+    # parsed product holds its own operands: expanding it must leave those
+    # counters alone, while ``world.template_backward.calls`` still counts
+    # one call per firing template.
+    from retroloop.world import mol, parse_ast
+
+    tracer = load("tracer")
+    products = [mol("((a+b)*c)"), mol("(a*b)"), mol("a")]
+    t = tracer.Tracer()
+    t.install()
+    try:
+        for product in products:
+            before, calls = parse_ast.cache_info(), t.counts["backward.calls"]
+            apps = small_world.applications(product)
+            after = parse_ast.cache_info()
+            assert (after.hits, after.misses) == (before.hits, before.misses)
+            assert apps and t.counts["backward.calls"] - calls == len(apps)
+    finally:
+        t.uninstall()
+
+
 def test_traced_oracle_counts_what_it_settles(small_world, small_models, small_data):
     # ``evaluate.brute_force_oracle.explored`` and ``evaluate.oracle.useful_ratio``
     # read the ``explored`` and ``costs`` of every table the oracle returns.

@@ -69,6 +69,11 @@ def write_config(tmp_path, doc, name="config.json"):
     return str(path)
 
 
+# Files that are no JSON document: bytes that are not UTF-8, and nesting
+# deeper than the decoder's recursion limit.
+UNREADABLE_JSON = [b"\xff\xfe\x00bad", b"[" * 100_000]
+
+
 def tree_bytes(root: Path) -> dict:
     return {
         str(p.relative_to(root)): p.read_bytes()
@@ -119,6 +124,15 @@ class TestGenWorld:
         path = tmp_path / "broken.json"
         path.write_text("{nope")
         assert main(["gen-world", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize("content", UNREADABLE_JSON, ids=["undecodable", "too-deep"])
+    def test_unreadable_config_exits_2_before_any_write(self, tmp_path, capsys, content):
+        path = tmp_path / "config.json"
+        path.write_bytes(content)
+        out = tmp_path / "x"
+        assert main(["run-all", "--config", str(path), "--out", str(out), "--seed", "1"]) == 2
+        assert str(path) in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestConfig:
@@ -399,6 +413,17 @@ class TestSelfImprove:
         main(["self-improve", "--config", config_path, "--out", str(out), "--seed", "1"])
         second = {p.name: p.read_bytes() for p in ck.glob("backward_iter_*.json")}
         assert first == second
+
+
+    @pytest.mark.parametrize("content", UNREADABLE_JSON, ids=["undecodable", "too-deep"])
+    def test_unreadable_checkpoint_exits_5(self, config_path, tmp_path, capsys, content):
+        out = tmp_path / "run"
+        main(["pretrain", "--config", config_path, "--out", str(out), "--seed", "1"])
+        bad = out / "seed_1" / "checkpoints" / "forward.json"
+        bad.write_bytes(content)
+        capsys.readouterr()
+        assert main(["self-improve", "--config", config_path, "--out", str(out), "--seed", "1"]) == 5
+        assert f"checkpoint {bad}" in capsys.readouterr().err
 
 
 class TestEvaluate:
@@ -811,6 +836,42 @@ class TestReportAndRunAll:
         with (out / "aggregated.csv").open() as fh:
             rows = list(csv.DictReader(fh))
         assert all(r["n_seeds"] == "2" for r in rows)
+
+    def test_report_never_averages_estimators(self, config_path, tmp_path, capsys):
+        # Seed 1 re-evaluated with the oracle; seed 2 keeps run-all's retro0 rows.
+        out = tmp_path / "run"
+        assert main(["run-all", "--config", config_path, "--out", str(out)]) == 0
+        code = main(
+            ["evaluate", "--config", config_path, "--out", str(out), "--seed", "1",
+             "--estimator", "oracle"]
+        )
+        assert code == 0
+        capsys.readouterr()
+        assert main(["report", "--run", str(out)]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        with (out / "aggregated.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert {(r["estimator"], r["iteration"], r["budget"], r["n_seeds"]) for r in rows} == {
+            ("oracle", "2", "10", "1"), ("oracle", "2", "25", "1"),
+            ("retro0", "0", "10", "1"), ("retro0", "0", "25", "1"),
+            ("retro0", "2", "10", "1"), ("retro0", "2", "25", "1"),
+        }
+        assert len(printed) == len(rows)
+        assert sum(line.startswith("estimator=oracle iteration=2 ") for line in printed) == 2
+        assert all(" n=1 " in line for line in printed)
+
+    def test_summary_of_another_layout_exits_5(self, config_path, tmp_path, capsys):
+        # A summary without the estimator column, as an older evaluate wrote it.
+        out = tmp_path / "run"
+        assert main(["run-all", "--config", config_path, "--out", str(out), "--seed", "1"]) == 0
+        summary = out / "seed_1" / "metrics" / "summary.csv"
+        with summary.open() as fh:
+            rows = [r[:1] + r[2:] for r in csv.reader(fh)]
+        with summary.open("w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        capsys.readouterr()
+        assert main(["report", "--run", str(out)]) == 5
+        assert str(summary) in capsys.readouterr().err
 
     def test_single_seed_stdev_is_zero(self, tmp_path):
         doc = json.loads(json.dumps(TINY))

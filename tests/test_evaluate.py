@@ -32,7 +32,7 @@ from retroloop import (
 )
 from retroloop.errors import InvalidInput
 from retroloop.model import ROLE_BACKWARD, predict_proba
-from retroloop.world import KIND_IDENTITY, KIND_SPLIT, WorldConfig, parse_ast, subterm_nodes
+from retroloop.world import KIND_IDENTITY, KIND_SPLIT, WorldConfig, subterms
 
 
 def plus_identity_world():
@@ -254,11 +254,7 @@ class TestOracleEstimator:
     ):
         _, reference, _ = small_models
         molecules = list(
-            {
-                node.text: mol(node.text)
-                for target in small_data.targets
-                for node in subterm_nodes(parse_ast(target.text))
-            }.values()
+            {m.text: m for target in small_data.targets for m in subterms(target)}.values()
         )
         if order == "reverse":
             molecules.reverse()

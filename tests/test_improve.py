@@ -296,19 +296,6 @@ class TestLoop:
         assert np.array_equal(a.weights, b.weights)
         assert reports_a == reports_b
 
-    def test_empty_train_split_rejected(self, small_world, small_models):
-        from retroloop import Dataset, EmptyDataset
-
-        empty = Dataset(
-            targets=(mol("a"),),
-            reactions_train=(),
-            reactions_val=(),
-            reactions_test=(),
-            ground_truth_routes={"a": Route(target=mol("a"))},
-        )
-        with pytest.raises(EmptyDataset):
-            run_self_improvement(LoopConfig(), small_world, empty, pretrained=small_models)
-
 
 class TestPretrainModels:
     def test_backward_initialized_to_reference(self, small_world, small_data):

@@ -44,7 +44,7 @@ from retroloop.model import (
     nll_and_grad,
     predict_proba,
 )
-from retroloop.world import KIND_CHOP, KIND_SPLIT, parse_ast, subterm_nodes
+from retroloop.world import KIND_CHOP, KIND_SPLIT, subterms
 
 
 def two_template_world(decoy_first=False):
@@ -64,17 +64,16 @@ def two_template_world(decoy_first=False):
 def direct_features(m, dim):
     """Reference featurizer: hash every subterm of height <= 2 and the root
     operator, or the character 3-grams of a malformed text."""
-    ast = None if m.malformed else parse_ast(m.text)
-    if ast is None:
+    if m.malformed:
         text = m.text
         if len(text) < 3:
             features = {"#" + text}
         else:
             features = {"#" + text[i : i + 3] for i in range(len(text) - 2)}
     else:
-        features = {node.text for node in subterm_nodes(ast) if node.height <= 2}
-        if ast.op is not None:
-            features.add("op:" + ast.op)
+        features = {s.text for s in subterms(m) if s.height <= 2}
+        if m.op is not None:
+            features.add("op:" + m.op)
     digests = (hashlib.blake2b(f.encode(), digest_size=8).digest() for f in features)
     return tuple(sorted({int.from_bytes(d, "little") % dim for d in digests}))
 

@@ -28,7 +28,6 @@ from retroloop.world import (
     KIND_IDENTITY,
     KIND_SPLIT,
     OPERATOR_CHARS,
-    Node,
     parse_ast,
 )
 
@@ -45,7 +44,8 @@ def terms(atoms="abc", ops="+*", max_leaves=8):
 
 
 def _scan_term(text, i):
-    """Reference recursive-descent parser: one term from ``i``, or None."""
+    """Reference recursive-descent parser: the shape (see ``shape``) of one
+    term from ``i`` and the index after it, or None."""
     n = len(text)
     if i >= n:
         return None
@@ -53,38 +53,40 @@ def _scan_term(text, i):
         left = _scan_term(text, i + 1)
         if left is None:
             return None
-        lnode, j = left
+        lshape, j = left
         if j >= n or text[j] not in OPERATOR_CHARS:
             return None
         op = text[j]
         right = _scan_term(text, j + 1)
         if right is None:
             return None
-        rnode, k = right
+        rshape, k = right
         if k >= n or text[k] != ")":
             return None
-        node = Node(
-            text=text[i : k + 1],
-            op=op,
-            left=lnode,
-            right=rnode,
-            height=1 + max(lnode.height, rnode.height),
-        )
-        return node, k + 1
+        height = 1 + max(lshape[3], rshape[3])
+        return (text[i : k + 1], False, op, height, lshape, rshape), k + 1
     j = i
     while j < n and text[j] in ATOM_CHARS:
         j += 1
     if j == i:
         return None
-    return Node(text=text[i:j]), j
+    return (text[i:j], False, None, 0, None, None), j
 
 
 def reference_parse(text):
     result = _scan_term(text, 0)
     if result is None:
         return None
-    node, end = result
-    return node if end == len(text) else None
+    found, end = result
+    return found if end == len(text) else None
+
+
+def shape(m):
+    """``(text, malformed, op, height, left shape, right shape)`` of ``m``,
+    down to its atoms; ``==`` of molecules reads only the first two."""
+    if m is None:
+        return None
+    return (m.text, m.malformed, m.op, m.height, shape(m.left), shape(m.right))
 
 
 # Atoms, world and non-world operators, parens, and a character that is neither.
@@ -127,6 +129,14 @@ class TestParsing:
         assert mol("(a+b)") == mol("(a+b)")
         assert mol("(a+b)") != mol("(b+a)")
 
+    def test_only_the_parser_builds_composites(self):
+        with pytest.raises(InvalidInput):
+            Molecule("(a+b)")
+        with pytest.raises(InvalidInput):
+            Molecule("")
+        assert Molecule("a") == mol("a") and hash(Molecule("a")) == hash(mol("a"))
+        assert Molecule("(a+", malformed=True) == mol("(a+")
+
     @given(terms())
     def test_generated_terms_parse(self, text):
         ast = parse_ast(text)
@@ -142,10 +152,12 @@ class TestParsing:
     def test_agrees_with_reference_parser(self, text):
         ref = reference_parse(text)
         ast = parse_ast(text)
-        assert (ast is None) == (ref is None)
-        if ast is not None:
-            assert (ast.text, ast.op, ast.height) == (ref.text, ref.op, ref.height)
-            assert ast == ref
+        assert shape(ast) == ref
+        if text:
+            if ast is None:
+                assert parse_molecule(text).malformed
+            else:
+                assert parse_molecule(text) is ast
 
     def test_cached_trees_share_subtrees(self):
         ast = parse_ast("((a+b)*c)")
@@ -298,16 +310,15 @@ class TestSharedOperands:
     @given(terms(atoms="ab1", ops="+*", max_leaves=10).filter(lambda t: t[0] == "("))
     def test_split_and_chop_outputs_are_the_parse_tree_molecules(self, text):
         product = mol(text)
-        ast = parse_ast(text)
-        left, right = ast.left, ast.right
+        left, right = product.left, product.right
         expected = {
-            "split": (left.molecule, right.molecule),
-            "left": (left.fragment(), right.molecule),
-            "right": (left.molecule, right.fragment()),
-            "whole": (ast.fragment(),),
+            "split": (left, right),
+            "left": (left.fragment(), right),
+            "right": (left, right.fragment()),
+            "whole": (product.fragment(),),
         }
         for template in BACKWARD_WORLD.templates:
-            if template.kind == KIND_IDENTITY or template.op != ast.op:
+            if template.kind == KIND_IDENTITY or template.op != product.op:
                 continue
             out = template.backward(product)
             shared = expected[template.variant or template.kind]
@@ -327,12 +338,12 @@ class TestSharedOperands:
         assert left.fragment() is first
 
     def test_value_objects_have_no_instance_dict(self):
-        node = parse_ast("((a+b)*c)")
+        m = mol("((a+b)*c)")
         objects = (
-            node,
-            node.molecule,
-            make_reaction(node.molecule, (node.left.molecule, node.right.molecule), "split:*"),
-            featurize_molecule(node.molecule),
+            m,
+            m.fragment(),
+            make_reaction(m, (m.left, m.right), "split:*"),
+            featurize_molecule(m),
         )
         for obj in objects:
             assert not hasattr(obj, "__dict__"), type(obj).__name__
