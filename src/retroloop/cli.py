@@ -75,7 +75,7 @@ SUMMARY_COLUMNS = ("seed", "estimator", "iteration", "budget", *PLAN_METRICS, "t
 
 class CorruptFile(Exception):
     """A world or dataset file of a run is not the one its config makes, or
-    a metrics summary lacks the columns ``evaluate`` writes."""
+    a metrics summary is not in the layout ``evaluate`` writes."""
 
 
 @dataclass(frozen=True)
@@ -509,22 +509,42 @@ def run_seed(cfg: ExperimentConfig, seed: int, out: Path) -> dict:
 # aggregation
 
 
-def aggregate_report(out: Path) -> Path:
-    """Merge per-seed summaries into mean/stdev rows, one per estimator,
-    iteration and budget, so rows of different estimators never share a
-    mean; returns the CSV path."""
-    rows: list[dict] = []
-    for summary in sorted(out.glob("seed_*/metrics/summary.csv")):
-        with summary.open() as fh:
+def _summary_rows(summary: Path) -> list[tuple[tuple[str, int, int], list[float]]]:
+    """The (estimator, iteration, budget) key and the metric values of each
+    row of one ``summary.csv``. A file that cannot be read as UTF-8 text in
+    the layout ``evaluate`` writes, with integer iterations and budgets and
+    numeric metrics, raises CorruptFile naming it."""
+    metrics = SUMMARY_COLUMNS[4:]
+    try:
+        with summary.open(encoding="utf-8", newline="") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames != list(SUMMARY_COLUMNS):
                 columns = ",".join(SUMMARY_COLUMNS)
                 raise CorruptFile(f"{summary} does not have the columns {columns}")
-            rows.extend(reader)
-    grouped: dict[tuple[str, int, int], list[dict]] = {}
-    for rec in rows:
-        key = (rec["estimator"], int(rec["iteration"]), int(rec["budget"]))
-        grouped.setdefault(key, []).append(rec)
+            rows = []
+            for rec in reader:
+                if None in rec:  # DictReader's key for fields past the header's
+                    raise CorruptFile(f"{summary} line {reader.line_num} has extra fields")
+                key = (rec["estimator"], int(rec["iteration"]), int(rec["budget"]))
+                rows.append((key, [float(rec[m]) for m in metrics]))
+            return rows
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise CorruptFile(f"cannot read {summary}: {exc}") from exc
+    except (TypeError, ValueError) as exc:  # int(None), float("x"), ...
+        raise CorruptFile(
+            f"{summary} line {reader.line_num} has a missing or non-numeric field: {exc}"
+        ) from exc
+
+
+def aggregate_report(out: Path) -> Path:
+    """Merge per-seed summaries into mean/stdev rows, one per estimator,
+    iteration and budget, so rows of different estimators never share a
+    mean; returns the CSV path. Every summary is read before anything is
+    written."""
+    grouped: dict[tuple[str, int, int], list[list[float]]] = {}
+    for summary in sorted(out.glob("seed_*/metrics/summary.csv")):
+        for key, values in _summary_rows(summary):
+            grouped.setdefault(key, []).append(values)
 
     metrics = SUMMARY_COLUMNS[4:]
     header = ["estimator", "iteration", "budget", "n_seeds"]
@@ -533,8 +553,7 @@ def aggregate_report(out: Path) -> Path:
         header += [f"{m}_mean", f"{m}_std"]
     for (estimator, iteration, budget), recs in sorted(grouped.items()):
         row = [estimator, iteration, budget, len(recs)]
-        for m in metrics:
-            values = [float(r[m]) for r in recs]
+        for values in zip(*recs):
             if any(math.isnan(v) for v in values):
                 row += ["nan", "nan"]
             else:

@@ -26,6 +26,7 @@ from .model import (
     featurize_reactant_set,
     likelihood,
     predict_topk,
+    score_products,
     topk_exact_match,
     train,
     zero_classifier,
@@ -42,13 +43,12 @@ def collect_reactions(
     world: World,
 ) -> tuple[Reaction, ...]:
     """Reactions of all routes whose reference likelihood strictly exceeds
-    epsilon; a reaction on several routes is kept once per route."""
-    return tuple(
-        rx
-        for route in routes
-        for rx in route.reactions
-        if likelihood(ref, rx, world) > epsilon
-    )
+    epsilon; a reaction on several routes is kept once per route. The
+    products are scored under the reference together, in one
+    ``score_products`` call."""
+    harvested = [rx for route in routes for rx in route.reactions]
+    score_products(ref, [rx.product for rx in harvested])
+    return tuple(rx for rx in harvested if likelihood(ref, rx, world) > epsilon)
 
 
 def augment(

@@ -70,9 +70,9 @@ def featurize_molecule(m: Molecule, dim: int = DEFAULT_DIM) -> FeatureVector:
     """Hash all subterms of height <= 2 plus the root operator symbol.
 
     Malformed molecules fall back to character 3-grams of their text.
-    Vectors are memoised by ``(text, malformed, dim)``, and the bits of each
-    subterm by ``(text, dim)``, so a subterm shared by many molecules is
-    hashed once.
+    Vectors are memoised by ``(text, malformed, dim)``, the bits of each
+    subterm by ``(text, dim)`` and the root-operator bit by ``(op, dim)``, so
+    a subterm or operator shared by many molecules is hashed once.
     """
     return _featurize(m.text, m.malformed, dim)
 
@@ -89,8 +89,15 @@ def _featurize(text: str, malformed: bool, dim: int) -> FeatureVector:
     else:
         bits = set(_subterm_bits(text, dim))
         if ast.op is not None:
-            bits.add(_feature_hash("op:" + ast.op, dim))
+            bits.add(_op_bit(ast.op, dim))
     return FeatureVector(dim=dim, indices=tuple(sorted(bits)))
+
+
+@lru_cache(maxsize=1 << 8)
+def _op_bit(op: str, dim: int) -> int:
+    """The hash of the root-operator feature ``op``: a world has a handful of
+    operators, and every well-formed composite molecule sets one of them."""
+    return _feature_hash("op:" + op, dim)
 
 
 @lru_cache(maxsize=1 << 18)
@@ -438,13 +445,13 @@ def _as_rows(model: TemplateClassifier, data: Iterable) -> _Rows:
 
 
 class _Epoch(NamedTuple):
-    """The samples of one permutation, in its order, gathered once: the bits
-    of the ``k``-th are ``bits[offsets[k]:offsets[k + 1]]``, each tagged with
-    ``owner`` ``k``; ``y`` and ``w`` are permuted alike."""
+    """The samples of one permutation, in its order, gathered once: the
+    ``lengths[k]`` bits of the ``k``-th are ``bits[offsets[k]:offsets[k + 1]]``;
+    ``y`` and ``w`` are permuted alike."""
 
     bits: np.ndarray
-    owner: np.ndarray
     offsets: np.ndarray
+    lengths: np.ndarray
     y: np.ndarray
     w: np.ndarray
 
@@ -457,10 +464,7 @@ def _gather(rows: _Rows, perm: np.ndarray) -> _Epoch:
     # The j-th gathered bit sits at its sample's start plus its rank there.
     at = np.repeat(starts - offsets[:-1], lengths)
     at += np.arange(offsets[-1])
-    bits = rows.indices[at]
-    del at  # one epoch-sized temporary at a time
-    owner = np.repeat(np.arange(len(perm)), lengths)
-    return _Epoch(bits, owner, offsets, rows.y[perm], rows.w[perm])
+    return _Epoch(rows.indices[at], offsets, lengths, rows.y[perm], rows.w[perm])
 
 
 class _Batches:
@@ -497,32 +501,64 @@ class _Batches:
         size = (stop - start) * len(cols)
         if self.buf.size < size:
             self.buf = np.zeros(size, dtype=np.float64)
-        self.ones = (epoch.owner[lo:hi] - start) * len(cols)
+        # A bit of the batch's k-th sample is a one at k * |U| + its column.
+        self.ones = np.repeat(np.arange(stop - start), epoch.lengths[start:stop])
+        self.ones *= len(cols)
         self.ones += col_of
         self.buf[self.ones] = 1.0
         return cols, self.buf[:size].reshape(stop - start, len(cols))
 
 
+# Rows per logits product. The logits of a batch of at least twice this
+# many rows are computed in pieces of this many rows, the last piece taking
+# the remainder, which is faster than one product of the whole batch.
+# Splitting rows is exact only where every piece sums each logit in the
+# order the whole product does, which is up to the BLAS: OpenBLAS picks its
+# kernel by a product's size, and its kernel for small products can round
+# differently once a batch has more than a few hundred active columns. With
+# no piece under this many rows, products of the reference world's 23
+# templates come out bit for bit as the whole product gives them
+# (``TestReferenceScaleTraining``); a 72-row tail piece did not.
+_LOGIT_ROWS = 128
+
+
 def _nll_grad(
-    weights: np.ndarray, bias: np.ndarray, x: np.ndarray, y: np.ndarray, w: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-sample log-probabilities of the labels, and the gradient of the
-    total weighted negative log-likelihood over (weights, bias). ``x`` and
-    ``weights`` may hold just the columns some sample activates: the others
-    add nothing to the logits and get a zero gradient. The softmax and its
-    residual are computed in place in the logits array."""
-    logits = x @ weights.T
+    active: np.ndarray,
+    bias: np.ndarray,
+    x: np.ndarray,
+    y: np.ndarray,
+    w: "np.ndarray | None",
+    with_logp: bool = False,
+) -> tuple["np.ndarray | None", np.ndarray, np.ndarray]:
+    """``(logp, grad_w, grad_b)``: each sample's log-probability of its
+    label if ``with_logp``, else None, and the gradient of the batch's total
+    weighted negative log-likelihood over the (T, U) active weights and the
+    bias. ``active`` holds the weights of the batch's U active columns, one
+    C-ordered row of T per column, and ``x`` the batch's (B, U) 0/1 matrix;
+    every other column adds nothing to the logits and gets a zero gradient.
+    ``w=None`` means unit weights, whose multiply would change no bit. The
+    softmax and its residual are computed in place in the logits array."""
+    logits = np.empty((len(y), len(bias)))
+    starts = range(0, max(len(y) - _LOGIT_ROWS, 0) + 1, _LOGIT_ROWS)
+    for start, stop in zip(starts, [*starts[1:], len(y)]):
+        np.matmul(x[start:stop], active, out=logits[start:stop])
     logits += bias
-    logits -= logits.max(axis=1, keepdims=True)
-    rows = np.arange(len(y))
-    logp = logits[rows, y]
+    # Row maxima from a transposed copy, where the reduction runs along
+    # rows of the batch's length. A maximum is the same whatever order it
+    # is taken in; only the sign of a zero maximum may differ, and a zero
+    # logit minus either zero exponentiates to 1.0.
+    logits -= np.maximum.reduce(np.ascontiguousarray(logits.T), axis=0)[:, None]
+    labels = (np.arange(len(y)), y)
+    logp = logits[labels] if with_logp else None
     resid = np.exp(logits, out=logits)
-    z = resid.sum(axis=1, keepdims=True)
-    logp -= np.log(z[:, 0])
+    z = np.add.reduce(resid, axis=1, keepdims=True)
+    if logp is not None:
+        logp -= np.log(z[:, 0])
     resid /= z
-    resid[rows, y] -= 1.0
-    resid *= w[:, None]
-    return logp, resid.T @ x, resid.sum(axis=0)
+    resid[labels] -= 1.0
+    if w is not None:
+        resid *= w[:, None]
+    return logp, resid.T @ x, np.add.reduce(resid, axis=0)
 
 
 def nll_and_grad(
@@ -538,7 +574,9 @@ def nll_and_grad(
     n = len(rows.y)
     epoch = _gather(rows, np.arange(n))
     cols, xs = _Batches(model.dim)(epoch, 0, n)
-    logp, grad_u, grad_b = _nll_grad(model.weights[:, cols], model.bias, xs, epoch.y, epoch.w)
+    logp, grad_u, grad_b = _nll_grad(
+        model.weights.T[cols], model.bias, xs, epoch.y, epoch.w, with_logp=True
+    )
     grad_w = np.zeros_like(model.weights)
     grad_w[:, cols] = grad_u
     return float(-(epoch.w * logp).sum()), grad_w, grad_b
@@ -558,13 +596,16 @@ def train(
 
     Each epoch gathers the CSR rows of its permutation once, and each batch
     is a slice of that gather. A step touches only the weight columns its
-    batch activates; the rest have a zero gradient. Returns a new
-    classifier; the input model is untouched. Identical (model, data, cfg)
-    produce bit-identical weights.
+    batch activates; the rest have a zero gradient. The weights being
+    trained are held as a (D, T) copy, so a batch's active columns are
+    contiguous rows to gather and write back. Returns a new classifier; the
+    input model is untouched. Identical (model, data, cfg) produce
+    bit-identical weights.
     """
     rows = _as_rows(model, data)
     n = len(rows.y)
-    weights = model.weights.copy()
+    unit = bool((rows.w == 1.0).all())
+    weights = model.weights.T.copy()
     bias = model.bias.copy()
     batches = _Batches(model.dim)
     rng = np.random.default_rng(cfg.seed)
@@ -573,18 +614,18 @@ def train(
         for start in range(0, n, cfg.batch_size):
             stop = min(start + cfg.batch_size, n)
             cols, xs = batches(epoch, start, stop)
-            active = weights[:, cols]
-            _logp, grad_w, grad_b = _nll_grad(
-                active, bias, xs, epoch.y[start:stop], epoch.w[start:stop]
+            active = weights[cols]
+            _, grad_w, grad_b = _nll_grad(
+                active, bias, xs, epoch.y[start:stop], None if unit else epoch.w[start:stop]
             )
             scale = cfg.learning_rate / (stop - start)
             grad_w *= scale
-            active -= grad_w
-            weights[:, cols] = active
+            active -= grad_w.T
+            weights[cols] = active
             grad_b *= scale
             bias -= grad_b
         del epoch  # so that two epochs are never held at once
-    return replace(model, weights=weights, bias=bias)
+    return replace(model, weights=np.ascontiguousarray(weights.T), bias=bias)
 
 
 def topk_exact_match(
@@ -592,11 +633,13 @@ def topk_exact_match(
 ) -> tuple[float, ...]:
     """For each k in ``ks``, the fraction of reactions whose true reactant set
     appears in the top-k. Each reaction is ranked once, to the largest k: a
-    top-k list is a prefix of every longer one."""
+    top-k list is a prefix of every longer one. The test products are
+    scored together, in one ``score_products`` call."""
     if not test:
         raise EmptyDataset("test set is empty")
     if model.role == ROLE_FORWARD:
         raise InvalidInput("exact match accuracy is defined for backward models")
+    score_products(model, [rx.product for rx in test])
     hits = [0] * len(ks)
     for rx in test:
         truth = tuple(r.text for r in rx.reactants)

@@ -873,6 +873,37 @@ class TestReportAndRunAll:
         assert main(["report", "--run", str(out)]) == 5
         assert str(summary) in capsys.readouterr().err
 
+    def test_unreadable_or_non_numeric_summary_exits_5(self, config_path, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["run-all", "--config", config_path, "--out", str(out), "--seed", "1"]) == 0
+        summary = out / "seed_1" / "metrics" / "summary.csv"
+        good = summary.read_bytes()
+        header, first, *rest = good.decode().splitlines(keepends=True)
+        columns = header.strip().split(",")
+
+        def with_field(column, value):
+            fields = first.rstrip("\r\n").split(",")
+            fields[columns.index(column)] = value
+            return (header + ",".join(fields) + "\r\n" + "".join(rest)).encode()
+
+        damaged = {
+            "not UTF-8": b"\xff\xfe" + good,
+            "iteration": with_field("iteration", "x"),
+            "budget": with_field("budget", "1.5"),
+            "metric": with_field("success_rate", "x"),
+            "short row": (header + first.split(",", 1)[0] + "\r\n").encode(),
+            "long row": (header + first.rstrip("\r\n") + ",1\r\n" + "".join(rest)).encode(),
+        }
+        for what, data in damaged.items():
+            summary.write_bytes(data)
+            capsys.readouterr()
+            assert main(["report", "--run", str(out)]) == 5, what
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and str(summary) in err, what
+            assert err.count("\n") == 1, what
+        summary.write_bytes(good)
+        assert main(["report", "--run", str(out)]) == 0
+
     def test_single_seed_stdev_is_zero(self, tmp_path):
         doc = json.loads(json.dumps(TINY))
         doc["seeds"] = [1]

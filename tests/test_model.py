@@ -1,6 +1,7 @@
 import hashlib
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from retroloop import (
     train,
     zero_classifier,
 )
+from retroloop.cli import build_world_data, child_seeds, load_config
 from retroloop.errors import CheckpointError
 from retroloop.model import (
     ROLE_BACKWARD,
@@ -859,6 +861,70 @@ class TestPerEpochGather:
             ref_cols, ref_of = np.unique(bits, return_inverse=True)
             assert np.array_equal(cols, ref_cols)
             assert np.array_equal(col_of, ref_of)
+
+
+REFERENCE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "reference.json"
+
+
+@pytest.fixture(scope="module")
+def reference_world_data():
+    cfg, _doc = load_config(REFERENCE_CONFIG)
+    world, data = build_world_data(cfg, 1)
+    return cfg, world, data
+
+
+class TestReferenceScaleTraining:
+    """Batches as wide as the reference config's: 256 rows over about 300
+    active columns of 23 templates, and up to 430 columns at 300 rows,
+    where small_world's batches have a few dozen. Only at this scale can a
+    product that BLAS sums in another order show."""
+
+    @pytest.mark.parametrize(
+        "direction, batch_size, weighted",
+        [("forward", None, False), ("forward", None, True), ("backward", 300, True)],
+        ids=["forward-unit-weights", "forward-weights", "backward-300-rows-weights"],
+    )
+    def test_train_equals_per_batch_reference(
+        self, reference_world_data, direction, batch_size, weighted
+    ):
+        cfg, world, data = reference_world_data
+        if direction == "forward":
+            samples = [
+                (featurize_reactant_set(rx.reactants, cfg.dim), rx.template_id)
+                for rx in data.reactions_train
+            ]
+        else:
+            samples = [
+                (featurize_molecule(rx.product, cfg.dim), rx.template_id)
+                for rx in data.reactions_train
+            ]
+        if weighted:
+            rng = np.random.default_rng(2)
+            samples = [(fv, tid, float(rng.integers(1, 4))) for fv, tid in samples]
+        seeds = child_seeds(1)
+        train_cfg = replace(
+            cfg.pretrain.forward,
+            epochs=2,
+            batch_size=batch_size or cfg.pretrain.forward.batch_size,
+            seed=seeds.pretrain_forward,
+        )
+        rng = np.random.default_rng(5)
+        t = len(world.template_ids)
+        clf = classifier_like(
+            zero_classifier(world.template_ids, ROLE_FORWARD, cfg.dim),
+            weights=rng.normal(size=(t, cfg.dim)) * 0.5,
+            bias=rng.normal(size=t) * 0.5,
+        )
+        weights, bias = clf.weights.copy(), clf.bias.copy()
+        trained = train(clf, samples, train_cfg)
+        ref_weights, ref_bias = unique_train(clf, samples, train_cfg)
+        assert np.array_equal(trained.weights, ref_weights)
+        assert np.array_equal(trained.bias, ref_bias)
+        # The input model's arrays are neither changed nor shared.
+        assert np.array_equal(clf.weights, weights) and np.array_equal(clf.bias, bias)
+        assert not np.shares_memory(trained.weights, clf.weights)
+        assert not np.shares_memory(trained.bias, clf.bias)
+        assert trained.weights.flags.c_contiguous
 
 
 class TestExactMatch:
