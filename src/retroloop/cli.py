@@ -6,7 +6,7 @@ seeds, there is no global RNG). Exit codes are stable:
 
   2  invalid or unreadable config, or an invalid command-line argument
   3  empty train split at pretraining
-  4  missing checkpoints
+  4  missing checkpoints (``MissingCheckpoint``), and nothing else
   5  corrupt checkpoint, a checkpoint of another world, feature dim or
      direction, or a world or dataset file other than the config makes
   6  missing run manifest
@@ -19,6 +19,7 @@ import csv
 import hashlib
 import json
 import math
+import re
 import shutil
 import statistics
 import sys
@@ -76,6 +77,10 @@ SUMMARY_COLUMNS = ("seed", "estimator", "iteration", "budget", *PLAN_METRICS, "t
 class CorruptFile(Exception):
     """A world or dataset file of a run is not the one its config makes, or
     a metrics summary is not in the layout ``evaluate`` writes."""
+
+
+class MissingCheckpoint(Exception):
+    """A checkpoint a command reads does not exist."""
 
 
 @dataclass(frozen=True)
@@ -536,11 +541,12 @@ def _summary_rows(summary: Path) -> list[tuple[tuple[str, int, int], list[float]
         ) from exc
 
 
-def aggregate_report(out: Path) -> Path:
+def aggregate_report(out: Path) -> list[dict]:
     """Merge per-seed summaries into mean/stdev rows, one per estimator,
     iteration and budget, so rows of different estimators never share a
-    mean; returns the CSV path. Every summary is read before anything is
-    written."""
+    mean, and write them to ``aggregated.csv``. Every summary is read before
+    anything is written. Returns the rows by column, statistics as floats
+    (nan for a metric that is nan on some seed)."""
     grouped: dict[tuple[str, int, int], list[list[float]]] = {}
     for summary in sorted(out.glob("seed_*/metrics/summary.csv")):
         for key, values in _summary_rows(summary):
@@ -555,33 +561,24 @@ def aggregate_report(out: Path) -> Path:
         row = [estimator, iteration, budget, len(recs)]
         for values in zip(*recs):
             if any(math.isnan(v) for v in values):
-                row += ["nan", "nan"]
+                row += [math.nan, math.nan]
             else:
-                row += [_fmt(statistics.fmean(values)), _fmt(statistics.pstdev(values))]
+                row += [statistics.fmean(values), statistics.pstdev(values)]
         table.append(row)
-    aggregated = out / "aggregated.csv"
-    _write_csv(aggregated, header, table)
-    return aggregated
+    _write_csv(out / "aggregated.csv", header, ([*row[:4], *map(_fmt, row[4:])] for row in table))
+    return [dict(zip(header, row)) for row in table]
 
 
-def print_report(out: Path) -> None:
-    aggregated = out / "aggregated.csv"
-    if not aggregated.exists():
-        return
-    with aggregated.open() as fh:
-        for rec in csv.DictReader(fh):
-            print(
-                f"estimator={rec['estimator']} iteration={rec['iteration']} "
-                f"budget={rec['budget']} n={rec['n_seeds']} "
-                f"success={float(rec['success_rate_mean']):.4f}"
-                f"±{float(rec['success_rate_std']):.4f} "
-                f"length={float(rec['avg_length_mean']):.3f}"
-                f"±{float(rec['avg_length_std']):.3f} "
-                f"time={float(rec['avg_time_mean']):.2f}"
-                f"±{float(rec['avg_time_std']):.2f} "
-                f"cost={float(rec['avg_cost_mean']):.3f}"
-                f"±{float(rec['avg_cost_std']):.3f}"
-            )
+def print_report(rows: list[dict]) -> None:
+    for rec in rows:
+        print(
+            f"estimator={rec['estimator']} iteration={rec['iteration']} "
+            f"budget={rec['budget']} n={rec['n_seeds']} "
+            f"success={rec['success_rate_mean']:.4f}±{rec['success_rate_std']:.4f} "
+            f"length={rec['avg_length_mean']:.3f}±{rec['avg_length_std']:.3f} "
+            f"time={rec['avg_time_mean']:.2f}±{rec['avg_time_std']:.2f} "
+            f"cost={rec['avg_cost_mean']:.3f}±{rec['avg_cost_std']:.3f}"
+        )
 
 
 def write_manifest(out: Path, doc: dict, seed_artifacts: dict[int, dict], started: float) -> None:
@@ -617,7 +614,7 @@ def _seed_worlds(args, needs=lambda paths: (), cfg=None):
         needed = needs(_checkpoint_paths(seed_dir))
         for path, _role in needed:
             if not Path(path).exists():
-                raise FileNotFoundError(f"missing checkpoint {path}")
+                raise MissingCheckpoint(f"missing checkpoint {path}")
         world, data = ensure_world_data(cfg, seed, seed_dir)
         yield cfg, seed, seed_dir, world, data, _load_checkpoints(needed, world, cfg.dim)
 
@@ -652,6 +649,17 @@ def cmd_self_improve(args) -> int:
     return 0
 
 
+def _checkpoint_iteration(path: str | None, final: int) -> int:
+    """The loop iteration of a backward checkpoint, read off the names
+    ``run-all`` writes: ``backward.json`` is 0, ``backward_iter_<i>.json`` is
+    i, and any other file, ``backward_final.json`` included, is ``final``."""
+    name = Path(path).name if path else ""
+    if name == "backward.json":
+        return 0
+    match = re.fullmatch(r"backward_iter_(\d+)\.json", name)
+    return int(match.group(1)) if match else final
+
+
 def cmd_evaluate(args) -> int:
     cfg, _doc = load_config(args.config)
     try:
@@ -662,6 +670,11 @@ def cmd_evaluate(args) -> int:
         )
     except InvalidConfig as exc:
         raise InvalidConfig(f"--budget: {exc}") from exc
+    iteration = _checkpoint_iteration(args.checkpoint, cfg.loop.iterations)
+    if iteration == 0 and args.baseline:
+        raise InvalidConfig(
+            f"--baseline: --checkpoint {args.checkpoint} is iteration 0 as well"
+        )
     extra = (args.baseline,) if args.baseline else ()
 
     def needs(paths):
@@ -671,7 +684,7 @@ def cmd_evaluate(args) -> int:
     for cfg, seed, seed_dir, world, data, (reference, model, *baseline) in _seed_worlds(
         args, needs, replace(cfg, eval=eval_cfg)
     ):
-        models = {cfg.loop.iterations: model}
+        models = {iteration: model}
         if baseline:
             models[0] = baseline[0]
         # The run-level aggregate no longer matches; ``report`` rebuilds it.
@@ -689,8 +702,14 @@ def cmd_evaluate(args) -> int:
 def cmd_plan(args) -> int:
     if not args.target:
         raise InvalidConfig("--target: must be a non-empty molecule")
+    try:
+        target = parse_molecule(args.target)
+    except RecursionError as exc:
+        raise InvalidConfig(f"--target: nested too deeply to parse: {exc}") from exc
     if args.budget < 0:
         raise InvalidConfig(f"--budget: must be non-negative, got {args.budget}")
+    if args.trace and not Path(args.trace).parent.is_dir():
+        raise InvalidConfig(f"--trace: no directory {Path(args.trace).parent}")
     oracle = args.estimator == "oracle"
 
     def needs(paths):
@@ -700,15 +719,17 @@ def cmd_plan(args) -> int:
     # The given seed, or the config's first.
     cfg, _seed, _seed_dir, world, _data, (model, *reference) = next(_seed_worlds(args, needs))
     estimator = OracleEstimator(world, reference[0]) if oracle else ZeroEstimator()
-    target = parse_molecule(args.target)
     result = plan(
         target, model, estimator, args.budget, cfg.eval.k_expand, world,
         trace=bool(args.trace),
     )
     if args.trace:
-        with Path(args.trace).open("w") as fh:
-            for rec in result.trace or ():
-                fh.write(json.dumps(rec._asdict(), sort_keys=True) + "\n")
+        try:
+            with Path(args.trace).open("w") as fh:
+                for rec in result.trace or ():
+                    fh.write(json.dumps(rec._asdict(), sort_keys=True) + "\n")
+        except OSError as exc:
+            raise InvalidConfig(f"--trace: {exc}") from exc
     if not result.success:
         print(f"failure target={target.text} calls={result.model_calls}")
         return 0
@@ -740,8 +761,7 @@ def cmd_report(args) -> int:
     if not (out / "manifest.json").exists():
         print(f"error: no manifest.json in {out}", file=sys.stderr)
         return EXIT_MISSING_MANIFEST
-    aggregate_report(out)
-    print_report(out)
+    print_report(aggregate_report(out))
     return 0
 
 
@@ -762,9 +782,9 @@ def cmd_run_all(args) -> int:
         results = [run_seed(cfg, seed, out) for seed in seeds]
     # Written last: a run that stops early leaves an earlier config.json as it was.
     (out / "config.json").write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-    aggregate_report(out)
+    rows = aggregate_report(out)
     write_manifest(out, doc, dict(zip(seeds, results)), started)
-    print_report(out)
+    print_report(rows)
     return 0
 
 
@@ -829,7 +849,7 @@ def main(argv=None) -> int:
     except EmptyDataset as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EMPTY_SPLIT
-    except FileNotFoundError as exc:
+    except MissingCheckpoint as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING_CHECKPOINT
     except (CheckpointError, CorruptFile) as exc:

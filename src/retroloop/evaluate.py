@@ -3,12 +3,12 @@
 Failed plans are scored with penalty rows: length and cost are twice the
 maxima over the dataset's ground-truth routes (under the reference model) and
 time is the full call budget. Time is always measured in backward-model
-calls, never wall clock.
+calls, never wall clock. The oracle explores breadth-first and settles its
+costs in one pass in ascending term height.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from collections import deque
 from collections.abc import Mapping
@@ -151,15 +151,16 @@ class OracleTable:
 
 
 def _applications(m: Molecule, world: World, ref: TemplateClassifier) -> list[Application]:
-    """The non-cyclic template applications to ``m`` in template order, each
-    priced at its negative log probability under ``ref``. The model is asked
-    only when some template applies, through its memo (``product_proba``),
-    so a product the planner or the filter scored is not scored again."""
+    """The template applications to ``m`` in template order, but identity's,
+    the one cycle (``world.Template``), each priced at its negative log
+    probability under ``ref``. The model is asked only when some template
+    applies, through its memo (``product_proba``), so a product the planner
+    or the filter scored is not scored again."""
     fired = []
     for tid, reactants in world.applications(m):
         texts = tuple(sorted({r.text for r in reactants}))
         if m.text in texts:
-            continue  # cyclic application
+            continue  # identity
         fired.append((ref._row_of[tid], reactants, texts))
     if not fired:
         return []
@@ -182,9 +183,9 @@ def brute_force_oracle(
 
     value(m) = 0 for building blocks, otherwise the cheapest applicable
     template application: its negative log probability under the reference
-    model plus the values of the distinct reactants. Self-reproducing
-    applications are skipped as cyclic. The reference model must be made
-    for ``world`` (``check_world``), or UnknownTemplate is raised.
+    model plus the values of the distinct reactants (``_applications``).
+    The reference model must be made for ``world`` (``check_world``), or
+    UnknownTemplate is raised.
 
     ``known`` holds costs settled by earlier calls. They are final, because
     a call settles everything reachable from what it explores, so they are
@@ -192,11 +193,10 @@ def brute_force_oracle(
     molecules, as the union of earlier calls' costs does. The call explores,
     scores and settles only the molecules not in ``known``; ``cap`` bounds
     how many of those it may explore (``CapExceeded``), and ``explored``
-    counts them. Building blocks are leaves as well. The settling is
-    Knuth's generalised Dijkstra (Knuth 1977, Inf. Proc. Letters 6(1)):
-    costs are non-negative and additive, so an application is priced once
-    its last reactant is settled, and the cheapest priced molecule is
-    settled next. Molecules never settled are unsynthesizable (INF).
+    counts them. Building blocks are leaves as well. Every reactant is
+    lower in height than its product or malformed (``world.Template``), so
+    one pass in ascending height settles each molecule after its reactants;
+    one with no finite application is unsynthesizable (INF).
     """
     check_world(ref, world)
     known = {} if known is None else known
@@ -222,33 +222,18 @@ def brute_force_oracle(
                     molecules[r.text] = r
                     queue.append(r)
 
-    # values holds the known costs this call reads, then each settled one.
-    values: dict[str, float] = {}
-    heap = [(0.0, text) for text, m in molecules.items() if world.is_building_block(m)]
-    waiting: dict[str, list[list]] = {}  # unsettled text -> its applications
-    for text, entry in apps.items():
-        for cost, _, texts in entry:
-            app = [0, text, cost, texts]  # [unsettled reactants, product, ...]
-            for t in texts:
-                if t in known:
-                    values[t] = known[t]
-                else:
-                    app[0] += 1
-                    waiting.setdefault(t, []).append(app)
-            if not app[0]:
-                heap.append((cost + sum(values[t] for t in texts), text))
-    heapq.heapify(heap)
-    while heap:
-        value, text = heapq.heappop(heap)
-        if text in values:
+    costs: dict[str, float] = {}
+    for m in sorted(molecules.values(), key=lambda m: m.height):
+        if world.is_building_block(m):
+            costs[m.text] = 0.0
             continue
-        values[text] = value
-        for app in waiting.pop(text, ()):
-            app[0] -= 1
-            if app[0] == 0 and app[1] not in values:
-                _, parent, cost, texts = app
-                heapq.heappush(heap, (cost + sum(values[t] for t in texts), parent))
-    costs = {text: values.get(text, INF) for text in molecules}
+        costs[m.text] = min(
+            (
+                cost + sum(costs[t] if t in costs else known[t] for t in texts)
+                for cost, _, texts in apps[m.text]
+            ),
+            default=INF,
+        )
     return OracleTable(costs=costs, explored=len(costs))
 
 

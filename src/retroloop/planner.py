@@ -6,6 +6,9 @@ the planner repeatedly expands the open molecule on the cheapest partial
 route, where a partial route prices open molecules with a cost-to-go
 estimator. With an estimator that never overestimates (the zero estimator in
 particular) the first completed route is also the cheapest one in the tree.
+Reactions only go down in term height (``world.Template``), so the one cycle
+is identity's, and a prediction whose reactants include its product is
+skipped.
 
 Selection is incremental, in the style of Retro* (Chen et al., ICML 2020): a
 reaction knows its g (the reaction costs from the root down to its
@@ -194,15 +197,6 @@ class SearchTree:
     def root(self) -> MolNode:
         return MolNode(self, 0)
 
-    def _path_texts(self, row: int) -> set[str]:
-        texts = {self.mol_molecule[row].text}
-        parent = self.mol_parent[row]
-        while parent is not None:
-            row = self.rxn_parent[parent]
-            texts.add(self.mol_molecule[row].text)
-            parent = self.mol_parent[row]
-        return texts
-
     def expand(self, node: MolNode) -> int:
         """One backward-model call; returns the number of applicable templates."""
         row = node.row
@@ -210,7 +204,7 @@ class SearchTree:
             raise InvalidInput("only open molecules can be expanded")
         self.call_count += 1
         preds = predict_topk(self.model, self.mol_molecule[row], self.k_expand, self.world)
-        path = self._path_texts(row)
+        product_text = self.mol_molecule[row].text
         stock = self.world.stock
         evaluate = self.estimator.evaluate
         molecules, values, costs = self.mol_molecule, self.mol_value, self.rxn_cost
@@ -224,9 +218,9 @@ class SearchTree:
         first = len(costs)
         for pred in preds:
             reactants = pred.outcome  # sorted tuple of molecules
-            # A reactant equal to any molecule on the root path would cycle.
+            # Only a reactant equal to the product cycles (world.Template).
             for r in reactants:
-                if r.text in path:
+                if r.text == product_text:
                     break
             else:
                 cost = INF if pred.probability <= 0.0 else -math.log(pred.probability)
@@ -323,8 +317,8 @@ class SearchTree:
 def _expandable(target: Molecule, world: World) -> list[Molecule]:
     """Every molecule a plan of ``target`` may expand: the well-formed
     subterms of ``target``, from the root down, stopping at building blocks.
-    Backward templates give operands, the product itself or malformed
-    fragments, so no other molecule can reach the frontier."""
+    No other molecule a template fires on reaches the frontier
+    (``world.Template``)."""
     stock = world.stock
     found: dict[str, Molecule] = {}
     stack = [] if target.malformed else [target]

@@ -162,6 +162,14 @@ class Template:
                   into a malformed fragment, forward is never applicable.
       identity -- decoy mapping a molecule to itself; forward restores a
                   singleton reactant.
+
+    Reactions only go down in term height. Backward identity gives
+    ``(product,)``; every other kind gives reactants that are each a strict
+    subterm of the product, so of lower ``height``, or malformed (height 0,
+    and no template fires on them). So the one cycle in the reaction graph is
+    identity's self-loop: the planner's cycle check, the molecules a plan may
+    expand and the oracle's settle order all rest on this, and
+    ``test_world.py::TestHeightInvariant`` checks it for every template kind.
     """
 
     id: str

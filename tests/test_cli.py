@@ -73,6 +73,11 @@ def write_config(tmp_path, doc, name="config.json"):
 # deeper than the decoder's recursion limit.
 UNREADABLE_JSON = [b"\xff\xfe\x00bad", b"[" * 100_000]
 
+# A well-formed term nested deeper than the parser's recursion reaches.
+DEEP_TARGET = "a"
+for _ in range(600):
+    DEEP_TARGET = f"({DEEP_TARGET}+b)"
+
 
 def tree_bytes(root: Path) -> dict:
     return {
@@ -467,6 +472,30 @@ class TestEvaluate:
         if base:
             assert float(row["relative_gain"]) == pytest.approx((ours - base) / base)
 
+    @pytest.mark.parametrize(
+        "name, iteration",
+        [("backward.json", 0), ("backward_iter_1.json", 1), ("backward_final.json", 2)],
+    )
+    def test_checkpoint_is_labelled_by_its_file_name(
+        self, config_path, tmp_path, capsys, name, iteration
+    ):
+        out = tmp_path / "run"
+        assert main(["run-all", "--config", config_path, "--out", str(out), "--seed", "1"]) == 0
+        capsys.readouterr()
+        code = main(
+            ["evaluate", "--config", config_path, "--out", str(out), "--seed", "1",
+             "--checkpoint", str(out / "seed_1" / "checkpoints" / name)]
+        )
+        assert code == 0
+        metrics = out / "seed_1" / "metrics"
+        assert sorted(p.name for p in metrics.iterdir()) == [
+            "summary.csv",
+            f"targets_budget10_iter{iteration}.csv",
+            f"targets_budget25_iter{iteration}.csv",
+        ]
+        printed = capsys.readouterr().out.splitlines()
+        assert len(printed) == 2 and all(f" iteration={iteration} " in l for l in printed)
+
     def test_replaces_every_earlier_metrics_file(self, config_path, tmp_path, capsys):
         # The final checkpoint is labelled with the last loop iteration, and
         # run-all's baseline files and gains do not outlive a new evaluation.
@@ -648,6 +677,29 @@ class TestPlan:
         assert all({"step", "molecule", "g_plus_h", "applicable"} <= set(r) for r in records)
 
 
+    def test_bad_target_or_trace_exits_2_with_checkpoints(self, config_path, tmp_path, capsys):
+        # Only a missing checkpoint exits 4: a target too deep to parse, and a
+        # trace into a missing directory or onto a directory, exit 2.
+        out = tmp_path / "run"
+        main(["pretrain", "--config", config_path, "--out", str(out), "--seed", "1"])
+        before = tree_bytes(out)
+        trace = tmp_path / "missing" / "t.jsonl"
+        for extra, option in (
+            (["--target", DEEP_TARGET], "--target"),
+            (["--target", "a", "--trace", str(trace)], "--trace"),
+            (["--target", "a", "--trace", str(tmp_path)], "--trace"),
+        ):
+            capsys.readouterr()
+            code = main(
+                ["plan", "--config", config_path, "--out", str(out), "--seed", "1",
+                 "--checkpoint", str(out / "seed_1" / "checkpoints" / "backward.json"), *extra]
+            )
+            assert code == 2, option
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {option}: ") and err.count("\n") == 1, err
+        assert tree_bytes(out) == before
+        assert not trace.parent.exists()
+
     def test_oracle_without_reference_exits_4(self, config_path, tmp_path, capsys):
         out = tmp_path / "run"
         main(["pretrain", "--config", config_path, "--out", str(out), "--seed", "1"])
@@ -693,7 +745,7 @@ class TestCheckpointChecks:
         "command, role",
         [
             (["evaluate", "--checkpoint", "forward.json"], "forward"),
-            (["evaluate", "--checkpoint", "backward.json", "--baseline", "forward.json"], "forward"),
+            (["evaluate", "--checkpoint", "model.json", "--baseline", "forward.json"], "forward"),
             (["plan", "--target", "a", "--checkpoint", "forward.json"], "forward"),
             (["self-improve"], "backward"),
         ],
@@ -706,6 +758,9 @@ class TestCheckpointChecks:
         main(["pretrain", "--config", config_path, "--out", str(out), "--seed", "1"])
         ck = out / "seed_1" / "checkpoints"
         forward = ck / "forward.json"
+        # A backward model under a name that labels no iteration, so that it
+        # and the baseline are not both iteration 0.
+        (ck / "model.json").write_bytes((ck / "backward.json").read_bytes())
         if role == "backward":  # self-improve reads forward.json as the forward model
             forward.write_bytes((ck / "backward.json").read_bytes())
         argv = [str(ck / a) if a.endswith(".json") else a for a in command]
@@ -769,11 +824,15 @@ class TestArguments:
             (["evaluate", "--budget", "20", "--budget", "20"], "--budget"),
             (["plan", "--target", "a", "--budget", "-1"], "--budget"),
             (["plan", "--target", ""], "--target"),
+            (["plan", "--target", DEEP_TARGET], "--target"),
+            (["plan", "--target", "a", "--trace", "no-such-dir/t.jsonl"], "--trace"),
+            (["evaluate", "--checkpoint", "backward.json", "--baseline", "b.json"], "--baseline"),
             (["run-all", "--workers", "0"], "--workers"),
             (["run-all", "--workers", "-3"], "--workers"),
         ],
         ids=["evaluate-negative", "evaluate-zero", "evaluate-repeated", "plan-negative",
-             "plan-empty-target", "run-all-workers-zero", "run-all-workers-negative"],
+             "plan-empty-target", "plan-deep-target", "plan-trace-no-dir",
+             "evaluate-two-iteration-0", "run-all-workers-zero", "run-all-workers-negative"],
     )
     def test_invalid_argument_exits_2_before_any_read(
         self, config_path, tmp_path, capsys, command, option
@@ -832,10 +891,24 @@ class TestReportAndRunAll:
         main(["run-all", "--config", config_path, "--out", str(out)])
         capsys.readouterr()
         assert main(["report", "--run", str(out)]) == 0
-        assert "success=" in capsys.readouterr().out
+        printed = capsys.readouterr().out.splitlines()
+        assert printed and all("success=" in line for line in printed)
         with (out / "aggregated.csv").open() as fh:
             rows = list(csv.DictReader(fh))
         assert all(r["n_seeds"] == "2" for r in rows)
+        # Each printed line shows its row of the file, rounded.
+        assert printed == [
+            f"estimator={r['estimator']} iteration={r['iteration']} budget={r['budget']} "
+            f"n={r['n_seeds']} "
+            + " ".join(
+                f"{name}={float(r[m + '_mean']):.{d}f}±{float(r[m + '_std']):.{d}f}"
+                for name, m, d in (
+                    ("success", "success_rate", 4), ("length", "avg_length", 3),
+                    ("time", "avg_time", 2), ("cost", "avg_cost", 3),
+                )
+            )
+            for r in rows
+        ]
 
     def test_report_never_averages_estimators(self, config_path, tmp_path, capsys):
         # Seed 1 re-evaluated with the oracle; seed 2 keeps run-all's retro0 rows.

@@ -28,7 +28,9 @@ from retroloop.world import (
     KIND_IDENTITY,
     KIND_SPLIT,
     OPERATOR_CHARS,
+    OPERATOR_POOL,
     parse_ast,
+    subterms,
 )
 
 
@@ -347,6 +349,49 @@ class TestSharedOperands:
         )
         for obj in objects:
             assert not hasattr(obj, "__dict__"), type(obj).__name__
+
+
+@st.composite
+def worlds_and_products(draw):
+    """A generated world and products to apply its templates to: its
+    building blocks, atoms, dataset targets, random terms over every operator a
+    molecule may parse with, a mutated string, and all their subterms."""
+    cfg = WorldConfig(
+        n_atoms=draw(st.integers(1, 6)),
+        n_operators=draw(st.integers(1, len(OPERATOR_POOL))),
+        n_decoys=draw(st.integers(1, 25)),
+        bb_composites=draw(st.integers(0, 6)),
+        bb_depth=draw(st.integers(0, 2)),
+    )
+    world = generate_world(cfg, draw(st.integers(0, 2**16)))
+    data = build_datasets(world, 5, 3, (0.8, 0.1, 0.1), seed=draw(st.integers(0, 2**16)))
+    ops = OPERATOR_POOL + "/"  # "/" parses but no world has it
+    randoms = draw(st.lists(terms(atoms=world.atoms, ops=ops, max_leaves=8), max_size=4))
+    roots = [*world.building_blocks, *map(mol, world.atoms), *data.targets, *map(mol, randoms)]
+    products = [s for m in roots for s in subterms(m)]
+    products.append(parse_molecule(draw(mutated_terms().filter(bool))))
+    return world, products
+
+
+class TestHeightInvariant:
+    """What ``Template`` states: identity gives back its product; every other
+    reactant is a strict subterm of the product or malformed."""
+
+    @given(worlds_and_products())
+    @settings(max_examples=60, deadline=None)
+    def test_reactions_only_go_down_in_height(self, case):
+        world, products = case
+        for product in products:
+            below = {s.text for s in subterms(product)} - {product.text}
+            for tid, reactants in world.applications(product):
+                if world.template_by_id[tid].kind == KIND_IDENTITY:
+                    assert reactants == (product,), tid
+                    continue
+                for r in reactants:
+                    if r.malformed:
+                        assert r.height == 0 and world.applications(r) == [], (tid, r)
+                    else:
+                        assert r.text in below and r.height < product.height, (tid, r)
 
 
 class TestGenerateWorld:
