@@ -127,8 +127,8 @@ class ExperimentConfig:
     dim: int = DEFAULT_DIM
 
     def __post_init__(self) -> None:
-        if not self.seeds:
-            raise InvalidConfig("seeds must be a non-empty list")
+        if not self.seeds or len(set(self.seeds)) < len(self.seeds):
+            raise InvalidConfig("seeds must be a non-empty list of distinct seeds")
         if self.dim < 1:
             raise InvalidConfig("dim must be at least 1")
 
@@ -838,10 +838,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out(out: Path) -> None:
+    """``--out`` must be a directory, or a path that mkdir can make one."""
+    for path in (out, *out.parents):
+        if path.exists():
+            if not path.is_dir():
+                raise InvalidConfig(f"--out: {path} is not a directory")
+            return
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if hasattr(args, "out"):
+            _check_out(Path(args.out))
         return args.func(args)
     except InvalidConfig as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,14 +16,16 @@ reactants) from the moment it is created, and every molecule keeps the key
 ``(g + value, row)`` of the best open leaf on its own best partial subroute.
 An expansion changes values only on the path from the expanded molecule to
 the root, and one upward pass along that path (``_update``) recomputes, at
-each molecule, its value, status and key from its reactions, and then the
-value of the reaction above it. So picking the next molecule costs O(1) and
-an expansion O(depth x branching). The keys are the exact quantities a walk
-of the best partial route would compute: g is the same float additions in
-the same order, and the best reaction is the same first minimum.
+each molecule, its value and key from its reactions, and then the value of
+the reaction above it. So picking the next molecule costs O(1) and an
+expansion O(depth x branching). The keys are the exact quantities a walk of
+the best partial route would compute: g is the same float additions in the
+same order, and the best reaction is the same first minimum. The search
+stops when that route is complete (the root's key is None), and that route,
+read off the same first minima, is the one ``extract_route`` returns.
 
 A tree is stored as columns: parallel lists with one entry per molecule row
-(``mol_*``: molecule, parent reaction, status, value, key) and per reaction
+(``mol_*``: molecule, parent reaction, value, key) and per reaction
 row (``rxn_*``: template, cost, g, parent molecule, child range, value),
 plus ``expanded``, the reaction rows ``[first, end)`` of each expanded
 molecule. Every link is a row number, so a tree holds no node objects and
@@ -81,9 +83,9 @@ class ZeroEstimator:
         return 0.0
 
 
-def _column(name: str, doc: str | None = None) -> property:
+def _column(name: str) -> property:
     """A view attribute: the view's row of the tree column ``name``."""
-    return property(lambda view: getattr(view.tree, name)[view.row], doc=doc)
+    return property(lambda view: getattr(view.tree, name)[view.row])
 
 
 class MolNode(NamedTuple):
@@ -93,14 +95,17 @@ class MolNode(NamedTuple):
     row: int
 
     molecule = _column("mol_molecule")
-    parent = _column("mol_parent", "Row of the producing reaction; None at the root.")
-    status = _column("mol_status")
     value = _column("mol_value")
-    best = _column(
-        "mol_best",
-        "``(g + value, row)`` of the open molecule to expand next in this "
-        "molecule's best partial subroute; None when that has none open.",
-    )
+
+    @property
+    def status(self) -> str:
+        """Expanded: DEAD at infinite value, else EXPANDED. Unexpanded: a
+        building block is a SOLVED_LEAF, the only molecule with no key;
+        any other is OPEN."""
+        tree, row = self.tree, self.row
+        if row in tree.expanded:
+            return DEAD if tree.mol_value[row] == INF else EXPANDED
+        return SOLVED_LEAF if tree.mol_best[row] is None else OPEN
 
     @property
     def g(self) -> float:
@@ -122,7 +127,6 @@ class ReactionNode(NamedTuple):
 
     template_id = _column("rxn_template")
     cost = _column("rxn_cost")
-    parent = _column("rxn_parent", "Row of the expanded molecule.")
     value = _column("rxn_value")
 
     @property
@@ -171,14 +175,13 @@ class SearchTree:
         # Molecule columns, row 0 the target.
         self.mol_molecule: list[Molecule] = [target]
         self.mol_parent: list[int | None] = [None]
-        self.mol_status: list[str]
         self.mol_value: list[float]
         self.mol_best: list[tuple[float, int] | None]
         if world.is_building_block(target):
-            self.mol_status, self.mol_value, self.mol_best = [SOLVED_LEAF], [0.0], [None]
+            self.mol_value, self.mol_best = [0.0], [None]
         else:
             value = float(estimator.evaluate(target))
-            self.mol_status, self.mol_value, self.mol_best = [OPEN], [value], [(value, 0)]
+            self.mol_value, self.mol_best = [value], [(value, 0)]
         # Reaction columns. A reaction's children are the molecule rows
         # [rxn_first, rxn_end), one per distinct reactant, and rxn_g is
         # their g.
@@ -200,7 +203,7 @@ class SearchTree:
     def expand(self, node: MolNode) -> int:
         """One backward-model call; returns the number of applicable templates."""
         row = node.row
-        if self.mol_status[row] != OPEN:
+        if row in self.expanded or self.mol_best[row] is None:
             raise InvalidInput("only open molecules can be expanded")
         self.call_count += 1
         preds = predict_topk(self.model, self.mol_molecule[row], self.k_expand, self.world)
@@ -209,7 +212,7 @@ class SearchTree:
         evaluate = self.estimator.evaluate
         molecules, values, costs = self.mol_molecule, self.mol_value, self.rxn_cost
         add_molecule, add_parent = molecules.append, self.mol_parent.append
-        add_status, add_value, add_best = self.mol_status.append, values.append, self.mol_best.append
+        add_value, add_best = values.append, self.mol_best.append
         add_template, add_cost, add_g = self.rxn_template.append, costs.append, self.rxn_g.append
         add_rxn_parent, add_rxn_value = self.rxn_parent.append, self.rxn_value.append
         add_rxn_first, add_rxn_end = self.rxn_first.append, self.rxn_end.append
@@ -237,12 +240,10 @@ class SearchTree:
                     add_molecule(r)
                     add_parent(rxn)
                     if not r.malformed and text in stock:
-                        add_status(SOLVED_LEAF)
                         add_value(0.0)
                         add_best(None)
                     else:
                         value = float(evaluate(r))
-                        add_status(OPEN)
                         add_value(value)
                         add_best((g + value, child))
                 end = len(molecules)
@@ -262,12 +263,12 @@ class SearchTree:
 
         At each molecule: its value is the least value of its reactions, its
         best reaction the first that has it (ties go to the earlier
-        reaction), and its key the least key among that reaction's children;
-        it is dead when the value is infinite. Then the value of the
-        reaction that produced it is its cost plus its children's values.
+        reaction), and its key the least key among that reaction's children,
+        None when the value is infinite. Then the value of the reaction that
+        produced it is its cost plus its children's values.
         """
         expanded, mol_parent = self.expanded, self.mol_parent
-        statuses, values, bests = self.mol_status, self.mol_value, self.mol_best
+        values, bests = self.mol_value, self.mol_best
         rxn_values, costs = self.rxn_value, self.rxn_cost
         rxn_parent, child_first, child_end = self.rxn_parent, self.rxn_first, self.rxn_end
         while True:
@@ -276,9 +277,8 @@ class SearchTree:
             value = min(options, default=INF)
             values[row] = value
             if value == INF:
-                statuses[row], bests[row] = DEAD, None
+                bests[row] = None
             else:
-                statuses[row] = EXPANDED
                 best = first + options.index(value)
                 key = None
                 for k in bests[child_first[best] : child_end[best]]:
@@ -376,41 +376,18 @@ def plan(
 
 
 def extract_route(tree: SearchTree) -> Route:
-    """The minimum-cost fully solved subtree of the tree, as a Route.
+    """The completed best partial route of the tree, as a Route.
 
+    It takes each expanded molecule's first least-value reaction from the
+    target down, as ``_update`` does. NotSolved is raised unless the
+    target's value is finite and its key None, the test ``plan`` stops on.
     Each route reaction's reactants are derived again from its template
     (``Template.backward``), as the expansion derived them.
     """
-    # By expanded molecule row: (cost, first cheapest reaction row) of the
-    # molecule's cheapest solved subtree, absent if it has none; a building
-    # block costs nothing. Children come after their parents, so settling
-    # the expanded rows in descending order settles every child first.
-    statuses, expanded = tree.mol_status, tree.expanded
-    costs, child_first, child_end = tree.rxn_cost, tree.rxn_first, tree.rxn_end
-    solved: dict[int, tuple[float, int]] = {}
-    for row in sorted(expanded, reverse=True):
-        if statuses[row] != EXPANDED:
-            continue
-        first, end = expanded[row]
-        result: tuple[float, int] | None = None
-        for r in range(first, end):
-            total = costs[r]
-            for child in range(child_first[r], child_end[r]):
-                if statuses[child] != SOLVED_LEAF:
-                    sub = solved.get(child)
-                    if sub is None:
-                        break
-                    total += sub[0]
-            else:
-                if result is None or total < result[0]:
-                    result = (total, r)
-        if result is not None:
-            solved[row] = result
-
     target = tree.mol_molecule[0]
-    if statuses[0] != SOLVED_LEAF and 0 not in solved:
+    if tree.mol_value[0] == INF or tree.mol_best[0] is not None:
         raise NotSolved(f"no solved route for {target.text}")
-
+    expanded, rxn_values = tree.expanded, tree.rxn_value
     # A product and a template determine the reactants, so a reaction met
     # again under another row is derived once.
     templates = tree.world.template_by_id
@@ -418,14 +395,16 @@ def extract_route(tree: SearchTree) -> Route:
     stack = [0]
     while stack:  # pre-order, children left to right
         row = stack.pop()
-        if statuses[row] == SOLVED_LEAF:
+        if row not in expanded:  # a building block
             continue
-        r = solved[row][1]
+        first, end = expanded[row]
+        options = rxn_values[first:end]
+        r = first + options.index(min(options))
         product, tid = tree.mol_molecule[row], tree.rxn_template[r]
         if (product.text, tid) not in reactions:
             reactants = templates[tid].backward(product)
             reactions[product.text, tid] = make_reaction(product, reactants, tid)  # type: ignore[arg-type]
-        stack.extend(range(child_end[r] - 1, child_first[r] - 1, -1))
+        stack.extend(range(tree.rxn_end[r] - 1, tree.rxn_first[r] - 1, -1))
     return Route(target=target, reactions=tuple(reactions.values()))
 
 

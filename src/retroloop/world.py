@@ -34,6 +34,10 @@ WORLD_FILE_VERSION = 1
 # between single reactions and full binary trees at the configured depth.
 LEAF_PROB = 0.35
 
+# A generated target is at most max_depth + bb_depth high, and a target must
+# stay within the nesting ``plan --target`` parses (about 490 levels).
+MAX_DEPTH = 400
+
 
 # ---------------------------------------------------------------------------
 # molecules and parsing
@@ -507,8 +511,8 @@ def check_dataset_settings(
     """The rules a dataset's settings obey; each message opens with its key."""
     if n_targets < 1:
         raise InvalidConfig("n_targets must be at least 1")
-    if max_depth < 0:
-        raise InvalidConfig("max_depth must be non-negative")
+    if not 0 <= max_depth <= MAX_DEPTH:
+        raise InvalidConfig(f"max_depth must lie in [0, {MAX_DEPTH}]")
     if len(split) != 3 or not all(0.0 < f < math.inf for f in split):
         raise InvalidConfig("split must be three positive finite fractions")
     if abs(sum(split) - 1.0) > 1e-9:

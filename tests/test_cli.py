@@ -209,14 +209,15 @@ class TestConfig:
             (("pretrain", "backward", "epochs"), True),
             (("pretrain", "backward", "epochs"), "4"),
             (("seeds",), [1.5]),
+            (("seeds",), [1, 1]),
             (("eval", "budgets"), [10.9, 25]),
             (("pretrain", "backward", "learning_rate"), True),
             (("loop", "epsilon"), "0.5"),
         ],
         ids=["dim-zero", "dim-negative", "n_targets", "max_depth", "split-short", "split-sum",
              "leaf_prob", "split-nan", "pretrain-learning_rate-nan", "bc-learning_rate-inf",
-             "epochs-float", "epochs-bool", "epochs-string", "seeds-float", "budgets-float",
-             "learning_rate-bool", "epsilon-string"],
+             "epochs-float", "epochs-bool", "epochs-string", "seeds-float", "seeds-duplicate",
+             "budgets-float", "learning_rate-bool", "epsilon-string"],
     )
     def test_bad_value_exits_2_before_any_write(self, tmp_path, capsys, path, value):
         # Checked with the config, not once the world or the models are built.
@@ -230,6 +231,18 @@ class TestConfig:
         assert main(["run-all", "--config", config, "--out", str(out), "--seed", "1"]) == 2
         err = capsys.readouterr().err
         assert f"config.json.{'.'.join(path)} " in err and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_max_depth_past_the_bound_exits_2_before_any_write(self, tmp_path, capsys):
+        # At leaf_prob 0 every path of a target is as deep as the target, so
+        # generating one past the interpreter's recursion limit would fail.
+        doc = json.loads(json.dumps(TINY))
+        doc["dataset"].update(max_depth=2000, leaf_prob=0)
+        path = write_config(tmp_path, doc)
+        out = tmp_path / "x"
+        assert main(["gen-world", "--config", path, "--out", str(out), "--seed", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "config.json.dataset.max_depth must lie in [0, " in err and err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -844,6 +857,26 @@ class TestArguments:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {option}: ") and err.count("\n") == 1
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+    @pytest.mark.parametrize(
+        "command",
+        [["gen-world"], ["pretrain"], ["self-improve"], ["evaluate"], ["plan", "--target", "a"],
+         ["run-all"]],
+        ids=lambda command: command[0],
+    )
+    def test_out_that_is_no_directory_exits_2_before_any_write(
+        self, config_path, tmp_path, capsys, command, under
+    ):
+        file = tmp_path / "file"
+        file.write_text("kept\n")
+        out = file / "sub" if under else file
+        code = main([*command, "--config", config_path, "--out", str(out), "--seed", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: --out: {file} is not a directory\n"
+        assert sorted(tmp_path.iterdir()) == sorted([file, Path(config_path)])
+        assert file.read_text() == "kept\n"
 
 
 class TestReportAndRunAll:

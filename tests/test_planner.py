@@ -84,7 +84,7 @@ def check_columns(tree):
     a node object, apart from the ``(float, row)`` keys of ``mol_best``."""
     n_mol, n_rxn = len(tree.mol_molecule), len(tree.rxn_cost)
     columns = {name: col for name, col in vars(tree).items() if name.startswith(("mol_", "rxn_"))}
-    assert len(columns) == 12
+    assert len(columns) == 11
     for name, col in columns.items():
         assert len(col) == (n_mol if name.startswith("mol_") else n_rxn), name
         for cell in col:
@@ -115,24 +115,25 @@ def check_columns(tree):
         assert tree.rxn_g[r] == g + tree.rxn_cost[r]
     assert child_end == n_mol
     # Reaction rows are the reactions of expanded molecules, one range each,
-    # and only expanded molecules have a range.
+    # and only expanded molecules have a range. An expanded molecule with no
+    # reaction is dead, and a dead molecule has no key.
     rxn_end = 0
     for m in sorted(tree.expanded, key=tree.expanded.__getitem__):
         first, end = tree.expanded[m]
-        assert first == rxn_end and tree.mol_status[m] in (EXPANDED, DEAD)
-        assert tree.mol_status[m] == DEAD or first < end
+        status = MolNode(tree, m).status
+        assert first == rxn_end
+        assert status == DEAD or first < end
+        assert status == EXPANDED or tree.mol_best[m] is None
         rxn_end = end
         for r in range(first, end):
             assert tree.rxn_parent[r] == m
     assert rxn_end == n_rxn
-    for m in range(n_mol):
-        assert (m in tree.expanded) == (tree.mol_status[m] not in (OPEN, SOLVED_LEAF))
 
 
 def reference_extract_route(tree):
     """Route reaction keys, in route order, from a backward pass over every
     molecule row; None when the root has no solved subtree."""
-    statuses = tree.mol_status
+    statuses = [MolNode(tree, row).status for row in range(len(tree.mol_molecule))]
     # By molecule row: (cost, first cheapest reaction row) of the molecule's
     # cheapest solved subtree, (0.0, None) for a building block, None if it
     # has none. Children come after their parents, so a backwards pass
@@ -302,10 +303,11 @@ class TestExtractRoute:
             extract_route(tree)
 
     @staticmethod
-    def _alternatives(costs):
-        """Hand-built tree: one solved reaction under the root per
-        (cost, template id), in that order, with the reactants the
-        template derives as its solved children."""
+    def _alternatives(costs, open_tid=None):
+        """Hand-built tree: one reaction under the root per (cost, template
+        id), in that order, with the reactants the template derives as its
+        children, open at value 0 for ``open_tid`` and solved otherwise. The
+        root's value and key are set by the search's upward pass."""
         world = World(
             atoms=("a", "b"),
             operators=("+",),
@@ -317,17 +319,17 @@ class TestExtractRoute:
         )
         clf = zero_classifier(world.template_ids, ROLE_BACKWARD)
         tree = SearchTree(mol("(a+b)"), clf, ZeroEstimator(), 5, world)
-        tree.mol_status[0], tree.mol_best[0] = EXPANDED, None
         tree.expanded[0] = (0, len(costs))
         for i, (cost, tid) in enumerate(costs):
             start = len(tree.mol_molecule)
             for m in world.template_by_id[tid].backward(tree.mol_molecule[0]):
-                append_row(tree, "mol", molecule=m, parent=i, status=SOLVED_LEAF, value=0.0, best=None)
+                key = (cost, len(tree.mol_molecule)) if tid == open_tid else None
+                append_row(tree, "mol", molecule=m, parent=i, value=0.0, best=key)
             append_row(
                 tree, "rxn", template=tid, cost=cost, g=cost, parent=0, first=start,
                 end=len(tree.mol_molecule), value=cost,
             )
-        tree.mol_value[0] = min(cost for cost, _tid in costs)
+        tree._update(0)
         check_columns(tree)
         return tree
 
@@ -339,6 +341,14 @@ class TestExtractRoute:
         assert route.reactions[0].template_id == "identity"
         # Extraction derives the reactants from the template.
         assert route.reactions[0].reactants == (mol("(a+b)"),)
+
+    def test_unfinished_route_raises_despite_a_solved_alternative(self):
+        # The 0.7 reaction is solved, but the best partial route takes the
+        # 0.3 one, whose reactant is still open: no route is finished.
+        tree = self._alternatives([(0.7, "split:+"), (0.3, "identity")], open_tid="identity")
+        assert tree.root.value == 0.3 and tree.best_partial_route()
+        with pytest.raises(NotSolved):
+            extract_route(tree)
 
     @pytest.mark.parametrize("first", ["split:+", "identity"])
     def test_first_of_equal_cost_reactions_wins(self, first):
