@@ -3,8 +3,10 @@
 Failed plans are scored with penalty rows: length and cost are twice the
 maxima over the dataset's ground-truth routes (under the reference model) and
 time is the full call budget. Time is always measured in backward-model
-calls, never wall clock. The oracle explores breadth-first and settles its
-costs in one pass in ascending term height.
+calls, never wall clock. The oracle explores breadth-first and settles each
+dead end, a malformed molecule or a building block, when it finds it; it
+scores the molecules left in one batch and settles them in one pass in
+ascending term height.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .errors import CapExceeded, EmptyDataset, InvalidInput
-from .model import TemplateClassifier, check_world, product_proba
+from .model import TemplateClassifier, check_world, product_proba, score_products
 from .planner import ValueEstimator, plan, route_cost_under
 from .world import Dataset, Molecule, Route, World
 
@@ -136,9 +138,9 @@ def evaluate_over_budgets(
 # ---------------------------------------------------------------------------
 # exhaustive oracle
 
-# (cost under the reference model, reactants sorted by text, distinct
-# reactant texts sorted)
-Application = tuple[float, tuple[Molecule, ...], tuple[str, ...]]
+# A live application of a template: its row in the reference model and its
+# distinct reactant texts, sorted.
+Application = tuple[int, tuple[str, ...]]
 
 
 @dataclass
@@ -150,26 +152,18 @@ class OracleTable:
     explored: int
 
 
-def _applications(m: Molecule, world: World, ref: TemplateClassifier) -> list[Application]:
-    """The template applications to ``m`` in template order, but identity's,
-    the one cycle (``world.Template``), each priced at its negative log
-    probability under ``ref``. The model is asked only when some template
-    applies, through its memo (``product_proba``), so a product the planner
-    or the filter scored is not scored again."""
-    fired = []
-    for tid, reactants in world.applications(m):
-        texts = tuple(sorted({r.text for r in reactants}))
-        if m.text in texts:
-            continue  # identity
-        fired.append((ref._row_of[tid], reactants, texts))
-    if not fired:
-        return []
-    probs = product_proba(ref, m)
-    apps = []
-    for row, reactants, texts in fired:
-        p = float(probs[row])
-        apps.append((INF if p <= 0.0 else -math.log(p), reactants, texts))
-    return apps
+def _found(m: Molecule, stock: frozenset[str], costs: dict[str, float], queue: deque) -> None:
+    """Record the newly explored ``m``. A dead end is settled at once: a
+    malformed molecule, on which no template fires, at INF, and a building
+    block at 0.0. Any other molecule is queued for its applications and
+    holds INF until one of them is priced."""
+    if m.malformed:
+        costs[m.text] = INF
+    elif m.text in stock:
+        costs[m.text] = 0.0
+    else:
+        costs[m.text] = INF
+        queue.append(m)
 
 
 def brute_force_oracle(
@@ -183,9 +177,9 @@ def brute_force_oracle(
 
     value(m) = 0 for building blocks, otherwise the cheapest applicable
     template application: its negative log probability under the reference
-    model plus the values of the distinct reactants (``_applications``).
-    The reference model must be made for ``world`` (``check_world``), or
-    UnknownTemplate is raised.
+    model plus the values of its distinct reactants. Identity's application,
+    the one cycle (``world.Template``), is skipped. The reference model must
+    be made for ``world`` (``check_world``), or UnknownTemplate is raised.
 
     ``known`` holds costs settled by earlier calls. They are final, because
     a call settles everything reachable from what it explores, so they are
@@ -193,44 +187,59 @@ def brute_force_oracle(
     molecules, as the union of earlier calls' costs does. The call explores,
     scores and settles only the molecules not in ``known``; ``cap`` bounds
     how many of those it may explore (``CapExceeded``), and ``explored``
-    counts them. Building blocks are leaves as well. Every reactant is
-    lower in height than its product or malformed (``world.Template``), so
-    one pass in ascending height settles each molecule after its reactants;
-    one with no finite application is unsynthesizable (INF).
+    counts them, dead ends included.
+
+    Exploration is breadth-first, and dead ends are settled when they are
+    found (``_found``): a malformed molecule costs INF and a building block
+    0.0, and neither is expanded. An application with a malformed reactant
+    can never be finite, so it is dropped once its reactants are recorded.
+    The molecules left with a live application are scored in one batch
+    (``score_products``), then priced from the model's memo. Every reactant
+    is lower in height than its product or malformed (``world.Template``),
+    so one pass over them in ascending height settles each after its
+    reactants; a molecule with no live application stays INF.
     """
     check_world(ref, world)
     known = {} if known is None else known
-    molecules: dict[str, Molecule] = {}
-    queue = deque()
+    stock = world.stock
+    row_of = ref._row_of
+    costs: dict[str, float] = {}
+    queue: deque[Molecule] = deque()
     for m in roots:
-        if m.text not in known and m.text not in molecules:
-            molecules[m.text] = m
-            queue.append(m)
-    apps: dict[str, list[Application]] = {}
+        if m.text not in known and m.text not in costs:
+            _found(m, stock, costs, queue)
+    live: list[tuple[Molecule, list[Application]]] = []
     while queue:
         m = queue.popleft()
-        if world.is_building_block(m):
-            continue
-        apps[m.text] = _applications(m, world, ref)
-        for _, ordered, _ in apps[m.text]:
-            for r in ordered:
-                if r.text not in known and r.text not in molecules:
-                    if len(molecules) >= cap:
+        apps = []
+        for tid, reactants in world.applications(m):
+            dead = False
+            for r in reactants:
+                dead = dead or r.malformed
+                if r.text not in costs and r.text not in known:
+                    if len(costs) >= cap:
                         raise CapExceeded(
                             f"oracle exploration exceeded cap of {cap} molecules"
                         )
-                    molecules[r.text] = r
-                    queue.append(r)
+                    _found(r, stock, costs, queue)
+            if dead:
+                continue
+            # Reactants come sorted by text, so their distinct texts do too.
+            texts = tuple(dict.fromkeys([r.text for r in reactants]))
+            if m.text not in texts:  # identity's is the one cycle
+                apps.append((row_of[tid], texts))
+        if apps:
+            live.append((m, apps))
 
-    costs: dict[str, float] = {}
-    for m in sorted(molecules.values(), key=lambda m: m.height):
-        if world.is_building_block(m):
-            costs[m.text] = 0.0
-            continue
+    score_products(ref, [m for m, _ in live])
+    live.sort(key=lambda entry: entry[0].height)
+    for m, apps in live:
+        probs = product_proba(ref, m).tolist()
         costs[m.text] = min(
             (
-                cost + sum(costs[t] if t in costs else known[t] for t in texts)
-                for cost, _, texts in apps[m.text]
+                (INF if probs[row] <= 0.0 else -math.log(probs[row]))
+                + sum(costs[t] if t in costs else known[t] for t in texts)
+                for row, texts in apps
             ),
             default=INF,
         )
@@ -251,9 +260,11 @@ class OracleEstimator:
         self._costs: dict[str, float] = {}
 
     def evaluate(self, molecule: Molecule) -> float:
-        if molecule.text not in self._costs:
+        cost = self._costs.get(molecule.text)
+        if cost is None:
             table = brute_force_oracle(
                 self.world, self.ref, [molecule], ORACLE_CAP, known=self._costs
             )
             self._costs.update(table.costs)
-        return self._costs[molecule.text]
+            cost = self._costs[molecule.text]
+        return cost

@@ -411,7 +411,11 @@ def extract_route(tree: SearchTree) -> Route:
 def route_cost_under(
     route: Route, model: TemplateClassifier, world: World
 ) -> float:
-    """Sum of negative log-likelihoods over the route's reaction set."""
+    """Sum of negative log-likelihoods over the route's reaction set.
+
+    The route's products are scored in one batch first (``score_products``).
+    """
+    score_products(model, [rx.product for rx in route.reactions])
     return sum(-math.log(likelihood(model, rx, world)) for rx in route.reactions)
 
 
@@ -424,8 +428,10 @@ def unfolded_route_cost(
     both minimize: a reaction's cost is added once per reaction that needs its
     product (reactant sets are sets, so a reactant repeated inside one
     reaction counts once). It equals ``route_cost_under`` whenever no
-    intermediate is consumed by two different reactions.
+    intermediate is consumed by two different reactions. The route's
+    products are scored in one batch first, as in ``route_cost_under``.
     """
+    score_products(model, [rx.product for rx in route.reactions])
     by_product = {rx.product.text: rx for rx in route.reactions}
 
     def cost(text: str) -> float:

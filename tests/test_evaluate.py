@@ -1,5 +1,6 @@
 import math
 import random
+from collections import deque
 from dataclasses import replace
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import retroloop.evaluate as evaluate_module
+import retroloop.model as model_module
 from retroloop import (
     CapExceeded,
     Dataset,
@@ -31,7 +33,7 @@ from retroloop import (
     zero_classifier,
 )
 from retroloop.errors import InvalidInput
-from retroloop.model import ROLE_BACKWARD, predict_proba
+from retroloop.model import ROLE_BACKWARD, predict_proba, product_proba
 from retroloop.world import KIND_IDENTITY, KIND_SPLIT, WorldConfig, subterms
 
 
@@ -69,6 +71,31 @@ def naive_min_cost(world, clf, molecule, visited=frozenset()):
             )
         best = min(best, total)
     return best
+
+
+def reachable(world, roots, known):
+    """Breadth-first over ``world.applications`` from ``roots``, identity
+    skipped: every molecule found and not in ``known``, by text. Building
+    blocks and ``known`` molecules are not expanded."""
+    found = {m.text: m for m in roots if m.text not in known}
+    queue = deque(found.values())
+    while queue:
+        m = queue.popleft()
+        if world.is_building_block(m):
+            continue
+        for _, reactants in world.applications(m):
+            if m.text in {r.text for r in reactants}:
+                continue
+            for r in reactants:
+                if r.text not in known and r.text not in found:
+                    found[r.text] = r
+                    queue.append(r)
+    return found
+
+
+def sign_bits(costs):
+    """Costs with the sign of each value, so that 0.0 and -0.0 differ."""
+    return {text: (v, math.copysign(1.0, v)) for text, v in costs.items()}
 
 
 class TestEvaluatePlanning:
@@ -211,6 +238,33 @@ class TestOracle:
         assert table.explored == 1
         assert table.costs == {"((a+b)+a)": 2 * math.log(2.0)}
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_table_holds_every_reachable_molecule(self, seed):
+        """Chop decoys leave malformed fragments: each is explored, costed
+        INF and counted toward ``explored`` and ``cap``."""
+        world = generate_world(
+            WorldConfig(n_atoms=3, n_operators=2, n_decoys=4, bb_composites=1, bb_depth=1),
+            seed=seed,
+        )
+        data = build_datasets(world, 12, 3, (0.8, 0.1, 0.1), seed=seed + 50)
+        clf = zero_classifier(world.template_ids, ROLE_BACKWARD)
+        roots = list(data.targets)
+        first = brute_force_oracle(world, clf, roots[: len(roots) // 2], cap=10_000)
+        for known in ({}, first.costs):
+            found = reachable(world, roots, known)
+            table = brute_force_oracle(world, clf, roots, cap=len(found), known=known)
+            assert table.costs.keys() == found.keys()
+            assert table.explored == len(table.costs)
+            malformed = [m for m in found.values() if m.malformed]
+            blocks = [m for m in found.values() if world.is_building_block(m)]
+            if not known:
+                assert malformed and blocks
+            assert all(table.costs[m.text] == math.inf for m in malformed)
+            assert all(sign_bits(table.costs)[m.text] == (0.0, 1.0) for m in blocks)
+            if len(found) > len(roots):
+                with pytest.raises(CapExceeded):
+                    brute_force_oracle(world, clf, roots, cap=len(found) - 1, known=known)
+
 
 # Well-formed products over the small world's operators and one it lacks.
 oracle_products = st.recursive(
@@ -234,6 +288,30 @@ class TestOracleMemo:
             costs = brute_force_oracle(small_world, cold, [product], cap=50_000).costs
             assert brute_force_oracle(small_world, warm, [product], cap=50_000).costs == costs
             assert estimator.evaluate(product) == costs[product.text]
+
+    def test_one_scoring_batch_per_call(self, small_world, small_models, small_data, monkeypatch):
+        reference = small_models[1]
+        product = max(small_data.targets, key=lambda t: t.height)
+        warm = replace(reference)
+        explored = brute_force_oracle(small_world, warm, [product], cap=50_000).costs
+        scored = [m for m in subterms(product) if m.text in warm._proba_memo]
+        assert len(scored) >= 3
+        # Each product scored alone fills the memo a row at a time.
+        warm = replace(reference)
+        for m in scored:
+            product_proba(warm, m)
+        calls = []
+        proba_rows = model_module._proba_rows
+        monkeypatch.setattr(
+            model_module, "_proba_rows", lambda *args: calls.append(args) or proba_rows(*args)
+        )
+        cold = replace(reference)
+        costs = brute_force_oracle(small_world, cold, [product], cap=50_000).costs
+        assert len(calls) == 1
+        assert sorted(cold._proba_memo) == sorted(m.text for m in scored)
+        warm_costs = brute_force_oracle(small_world, warm, [product], cap=50_000).costs
+        assert len(calls) == 1
+        assert sign_bits(costs) == sign_bits(warm_costs) == sign_bits(explored)
 
 
 class TestOracleEstimator:

@@ -489,6 +489,27 @@ class TestRouteCost:
         )
         assert route_cost_under(route, clf, world) == pytest.approx(math.log(2.0))
 
+    @pytest.mark.parametrize("cost", [route_cost_under, unfolded_route_cost])
+    def test_route_is_scored_in_one_batch(
+        self, small_world, small_models, small_data, monkeypatch, cost
+    ):
+        reference = small_models[1]
+        route = max(small_data.ground_truth_routes.values(), key=lambda r: len(r.reactions))
+        assert len({rx.product.text for rx in route.reactions}) >= 3
+        # Each product scored alone fills the memo a row at a time.
+        warm = replace(reference)
+        for rx in route.reactions:
+            model_module.product_proba(warm, rx.product)
+        calls = []
+        proba_rows = model_module._proba_rows
+        monkeypatch.setattr(
+            model_module, "_proba_rows", lambda *args: calls.append(args) or proba_rows(*args)
+        )
+        got = cost(route, replace(reference), small_world)
+        assert len(calls) == 1
+        assert got == cost(route, warm, small_world)
+        assert len(calls) == 1
+
 
 class TestSearchProperties:
     @staticmethod
