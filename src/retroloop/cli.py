@@ -2,14 +2,9 @@
 
 One JSON config drives a full experiment; every stage is deterministic given
 the config (all randomness flows from the config's seeds through named child
-seeds, there is no global RNG). Exit codes are stable:
-
-  2  invalid or unreadable config, or an invalid command-line argument
-  3  empty train split at pretraining
-  4  missing checkpoints (``MissingCheckpoint``), and nothing else
-  5  corrupt checkpoint, a checkpoint of another world, feature dim or
-     direction, or a world or dataset file other than the config makes
-  6  missing run manifest
+seeds, there is no global RNG). Exit codes are stable: ``EXIT_CODES`` maps
+each error a command raises to its code, and README's exit-code table says
+what each code means.
 """
 
 from __future__ import annotations
@@ -31,10 +26,11 @@ from pathlib import Path
 from typing import NamedTuple, get_args, get_origin, get_type_hints
 
 from .errors import CheckpointError, EmptyDataset, InvalidConfig, UnknownTemplate
-from .evaluate import OracleEstimator, evaluate_over_budgets, penalty_constants
+from .evaluate import ESTIMATORS, evaluate_over_budgets, penalty_constants
 from .improve import LoopConfig, pretrain_models, run_self_improvement
 from .model import (
     DEFAULT_DIM,
+    MAX_DIM,
     ROLE_BACKWARD,
     ROLE_FORWARD,
     TemplateClassifier,
@@ -44,7 +40,7 @@ from .model import (
     save_checkpoint,
     topk_exact_match,
 )
-from .planner import ZeroEstimator, plan, route_cost_under
+from .planner import plan, route_cost_under
 from .seeding import derive_seed
 from .world import (
     DATASET_FILES,
@@ -63,12 +59,6 @@ from .world import (
 CONFIG_VERSION = 1
 MANIFEST_VERSION = 1
 
-EXIT_INVALID_CONFIG = 2
-EXIT_EMPTY_SPLIT = 3
-EXIT_MISSING_CHECKPOINT = 4
-EXIT_CORRUPT_CHECKPOINT = 5
-EXIT_MISSING_MANIFEST = 6
-
 # The planning metrics of one (model, budget), as attributes of PlanningMetrics.
 PLAN_METRICS = ("success_rate", "avg_length", "avg_time", "avg_cost")
 SUMMARY_COLUMNS = ("seed", "estimator", "iteration", "budget", *PLAN_METRICS, "top1", "top10")
@@ -81,6 +71,21 @@ class CorruptFile(Exception):
 
 class MissingCheckpoint(Exception):
     """A checkpoint a command reads does not exist."""
+
+
+class MissingManifest(Exception):
+    """``report`` was given a run directory without a manifest."""
+
+
+# The exit code of each error a command raises, as ``main`` returns it.
+EXIT_CODES = (
+    (InvalidConfig, 2),
+    (EmptyDataset, 3),
+    (MissingCheckpoint, 4),
+    (CheckpointError, 5),
+    (CorruptFile, 5),
+    (MissingManifest, 6),
+)
 
 
 @dataclass(frozen=True)
@@ -97,15 +102,15 @@ class DatasetConfig:
 @dataclass(frozen=True)
 class EvalConfig:
     budgets: tuple[int, ...] = (50,)
-    estimator: str = "retro0"  # retro0 | oracle
+    estimator: str = "retro0"
     k_expand: int = 10
 
     def __post_init__(self) -> None:
         ascending = all(a < b for a, b in zip(self.budgets, self.budgets[1:]))
         if not self.budgets or not ascending or self.budgets[0] < 1:
             raise InvalidConfig("budgets must be strictly ascending positive integers")
-        if self.estimator not in ("retro0", "oracle"):
-            raise InvalidConfig("estimator must be 'retro0' or 'oracle'")
+        if self.estimator not in ESTIMATORS:
+            raise InvalidConfig(f"estimator must be one of {', '.join(ESTIMATORS)}")
         if self.k_expand < 1:
             raise InvalidConfig("k_expand must be at least 1")
 
@@ -129,8 +134,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not self.seeds or len(set(self.seeds)) < len(self.seeds):
             raise InvalidConfig("seeds must be a non-empty list of distinct seeds")
-        if self.dim < 1:
-            raise InvalidConfig("dim must be at least 1")
+        if not 1 <= self.dim <= MAX_DIM:
+            raise InvalidConfig(f"dim must lie in [1, {MAX_DIM}]")
 
 
 # The JSON types a scalar setting of each field type takes, and its name.
@@ -416,9 +421,7 @@ def run_evaluate(
     models_by_iteration: dict[int, TemplateClassifier],
 ) -> list[dict]:
     budgets = cfg.eval.budgets
-    estimator = (
-        OracleEstimator(world, reference) if cfg.eval.estimator == "oracle" else ZeroEstimator()
-    )
+    estimator = ESTIMATORS[cfg.eval.estimator](world, reference)
     metrics_dir = seed_dir / "metrics"
     metrics_dir.mkdir(parents=True, exist_ok=True)
     # A new evaluation replaces every metrics file of an earlier one.
@@ -670,26 +673,28 @@ def cmd_evaluate(args) -> int:
         )
     except InvalidConfig as exc:
         raise InvalidConfig(f"--budget: {exc}") from exc
-    iteration = _checkpoint_iteration(args.checkpoint, cfg.loop.iterations)
-    if iteration == 0 and args.baseline:
-        raise InvalidConfig(
-            f"--baseline: --checkpoint {args.checkpoint} is iteration 0 as well"
-        )
-    extra = (args.baseline,) if args.baseline else ()
+    # Each checkpoint by its iteration; None is the default backward_final.json.
+    checkpoints: dict[int, str | None] = {}
+    for path in args.checkpoint or [None]:
+        iteration = _checkpoint_iteration(path, cfg.loop.iterations)
+        if iteration in checkpoints:
+            raise InvalidConfig(
+                f"--checkpoint: {checkpoints[iteration]} and {path} are both iteration {iteration}"
+            )
+        checkpoints[iteration] = path
 
     def needs(paths):
-        chosen = (paths["backward"], args.checkpoint or paths["final"], *extra)
+        chosen = (paths["backward"], *(path or paths["final"] for path in checkpoints.values()))
         return [(path, ROLE_BACKWARD) for path in chosen]
 
-    for cfg, seed, seed_dir, world, data, (reference, model, *baseline) in _seed_worlds(
+    for cfg, seed, seed_dir, world, data, (reference, *models) in _seed_worlds(
         args, needs, replace(cfg, eval=eval_cfg)
     ):
-        models = {iteration: model}
-        if baseline:
-            models[0] = baseline[0]
         # The run-level aggregate no longer matches; ``report`` rebuilds it.
         (Path(args.out) / "aggregated.csv").unlink(missing_ok=True)
-        rows = run_evaluate(cfg, seed, seed_dir, world, data, reference, models)
+        rows = run_evaluate(
+            cfg, seed, seed_dir, world, data, reference, dict(zip(checkpoints, models))
+        )
         for row in rows:
             print(
                 f"evaluate seed={seed} iteration={row['iteration']} budget={row['budget']} "
@@ -710,15 +715,14 @@ def cmd_plan(args) -> int:
         raise InvalidConfig(f"--budget: must be non-negative, got {args.budget}")
     if args.trace and not Path(args.trace).parent.is_dir():
         raise InvalidConfig(f"--trace: no directory {Path(args.trace).parent}")
-    oracle = args.estimator == "oracle"
 
     def needs(paths):
-        chosen = (args.checkpoint or paths["final"], *((paths["backward"],) if oracle else ()))
+        chosen = (paths["backward"], args.checkpoint or paths["final"])
         return [(path, ROLE_BACKWARD) for path in chosen]
 
     # The given seed, or the config's first.
-    cfg, _seed, _seed_dir, world, _data, (model, *reference) = next(_seed_worlds(args, needs))
-    estimator = OracleEstimator(world, reference[0]) if oracle else ZeroEstimator()
+    cfg, _seed, _seed_dir, world, _data, (reference, model) = next(_seed_worlds(args, needs))
+    estimator = ESTIMATORS[args.estimator or cfg.eval.estimator](world, reference)
     result = plan(
         target, model, estimator, args.budget, cfg.eval.k_expand, world,
         trace=bool(args.trace),
@@ -759,8 +763,7 @@ def cmd_plan(args) -> int:
 def cmd_report(args) -> int:
     out = Path(args.run)
     if not (out / "manifest.json").exists():
-        print(f"error: no manifest.json in {out}", file=sys.stderr)
-        return EXIT_MISSING_MANIFEST
+        raise MissingManifest(f"no manifest.json in {out}")
     print_report(aggregate_report(out))
     return 0
 
@@ -809,12 +812,11 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_self_improve)
 
-    p = sub.add_parser("evaluate", help="planning metrics for a checkpoint")
+    p = sub.add_parser("evaluate", help="planning metrics for each checkpoint")
     common(p)
-    p.add_argument("--checkpoint", default=None)
-    p.add_argument("--baseline", default=None)
+    p.add_argument("--checkpoint", action="append", default=None)
     p.add_argument("--budget", type=int, action="append", default=None)
-    p.add_argument("--estimator", choices=("retro0", "oracle"), default=None)
+    p.add_argument("--estimator", choices=tuple(ESTIMATORS), default=None)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("plan", help="plan a single target and print the route")
@@ -822,7 +824,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True)
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--budget", type=int, default=500)
-    p.add_argument("--estimator", choices=("retro0", "oracle"), default="retro0")
+    p.add_argument("--estimator", choices=tuple(ESTIMATORS), default=None)
     p.add_argument("--trace", default=None, help="write one JSON line per expansion")
     p.set_defaults(func=cmd_plan)
 
@@ -854,18 +856,9 @@ def main(argv=None) -> int:
         if hasattr(args, "out"):
             _check_out(Path(args.out))
         return args.func(args)
-    except InvalidConfig as exc:
+    except tuple(error for error, _code in EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_CONFIG
-    except EmptyDataset as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EMPTY_SPLIT
-    except MissingCheckpoint as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISSING_CHECKPOINT
-    except (CheckpointError, CorruptFile) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CORRUPT_CHECKPOINT
+        return next(code for error, code in EXIT_CODES if isinstance(exc, error))
 
 
 if __name__ == "__main__":

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 
 from .errors import CapExceeded, EmptyDataset, InvalidInput
 from .model import TemplateClassifier, check_world, product_proba, score_products
-from .planner import ValueEstimator, plan, route_cost_under
+from .planner import ValueEstimator, ZeroEstimator, plan, route_cost_under
 from .world import Dataset, Molecule, Route, World
 
 INF = math.inf
@@ -268,3 +268,12 @@ class OracleEstimator:
             self._costs.update(table.costs)
             cost = self._costs[molecule.text]
         return cost
+
+
+# Every cost-to-go estimator ``evaluate`` and ``plan`` may use, by its name
+# in ``eval.estimator`` and ``--estimator``: a builder taking the world and
+# the frozen reference model.
+ESTIMATORS: dict[str, Callable[[World, TemplateClassifier], ValueEstimator]] = {
+    "retro0": lambda world, reference: ZeroEstimator(),
+    "oracle": OracleEstimator,
+}

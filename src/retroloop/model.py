@@ -37,6 +37,8 @@ from .errors import (
 from .world import Molecule, Reaction, World, parse_ast
 
 DEFAULT_DIM = 2048
+# The largest feature dim: the weights take 8 * templates * dim bytes.
+MAX_DIM = 2**16
 CHECKPOINT_VERSION = 1
 
 ROLE_BACKWARD = "backward"
@@ -405,10 +407,6 @@ class TrainConfig:
             raise InvalidConfig("epochs must be at least 1")
         if self.batch_size < 1:
             raise InvalidConfig("batch_size must be at least 1")
-
-
-# A sample is (features, template_id) with an optional multiset weight.
-Sample = "tuple[FeatureVector, str] | tuple[FeatureVector, str, float]"
 
 
 class _Rows(NamedTuple):

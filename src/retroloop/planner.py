@@ -358,14 +358,12 @@ def plan(
     # None: the root is dead; []: the best route is complete.
     while (open_nodes := tree.best_partial_route()) and tree.call_count < budget:
         node, g = open_nodes[0]
+        score = g + node.value if trace else None  # the value before expansion
+        applicable = tree.expand(node)
         if trace:
-            score = g + node.value
-            applicable = tree.expand(node)
             records.append(
                 ExpansionRecord(tree.call_count, node.molecule.text, score, applicable)
             )
-        else:
-            tree.expand(node)
     solved = open_nodes == []
     return PlanResult(
         "success" if solved else "failure",

@@ -1,6 +1,8 @@
+import argparse
 import csv
 import json
 import os
+import re
 import runpy
 import shutil
 import subprocess
@@ -23,6 +25,7 @@ from retroloop.cli import (
     parse_config,
     seed_loop_config,
 )
+from retroloop.evaluate import ESTIMATORS
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 REFERENCE_CONFIG = SCRIPTS.parent / "configs" / "reference.json"
@@ -77,6 +80,12 @@ UNREADABLE_JSON = [b"\xff\xfe\x00bad", b"[" * 100_000]
 DEEP_TARGET = "a"
 for _ in range(600):
     DEEP_TARGET = f"({DEEP_TARGET}+b)"
+
+
+def first_target(out: Path, seed: int = 1) -> str:
+    """The first dataset target of a run's seed."""
+    with (out / f"seed_{seed}" / "dataset" / "targets.jsonl").open() as fh:
+        return json.loads(fh.readline())["target"]
 
 
 def tree_bytes(root: Path) -> dict:
@@ -197,6 +206,7 @@ class TestConfig:
         [
             (("dim",), 0),
             (("dim",), -4),
+            (("dim",), 10**15),
             (("dataset", "n_targets"), 0),
             (("dataset", "max_depth"), -1),
             (("dataset", "split"), [0.9, 0.1]),
@@ -214,8 +224,8 @@ class TestConfig:
             (("pretrain", "backward", "learning_rate"), True),
             (("loop", "epsilon"), "0.5"),
         ],
-        ids=["dim-zero", "dim-negative", "n_targets", "max_depth", "split-short", "split-sum",
-             "leaf_prob", "split-nan", "pretrain-learning_rate-nan", "bc-learning_rate-inf",
+        ids=["dim-zero", "dim-negative", "dim-huge", "n_targets", "max_depth", "split-short",
+             "split-sum", "leaf_prob", "split-nan", "pretrain-learning_rate-nan", "bc-learning_rate-inf",
              "epochs-float", "epochs-bool", "epochs-string", "seeds-float", "seeds-duplicate",
              "budgets-float", "learning_rate-bool", "epsilon-string"],
     )
@@ -461,7 +471,7 @@ class TestEvaluate:
                 "1",
                 "--checkpoint",
                 str(ck / "backward_final.json"),
-                "--baseline",
+                "--checkpoint",
                 str(ck / "backward.json"),
             ]
         )
@@ -508,6 +518,53 @@ class TestEvaluate:
         ]
         printed = capsys.readouterr().out.splitlines()
         assert len(printed) == 2 and all(f" iteration={iteration} " in l for l in printed)
+
+    def test_two_loop_checkpoints_write_their_rows_and_gains(self, config_path, tmp_path):
+        # Each checkpoint is labelled by its file name, not by its place on
+        # the command line; gains compare the lower iteration with the higher.
+        out = tmp_path / "run"
+        assert main(["run-all", "--config", config_path, "--out", str(out), "--seed", "1"]) == 0
+        ck = out / "seed_1" / "checkpoints"
+        code = main(
+            ["evaluate", "--config", config_path, "--out", str(out), "--seed", "1",
+             "--checkpoint", str(ck / "backward_iter_2.json"),
+             "--checkpoint", str(ck / "backward_iter_1.json")]
+        )
+        assert code == 0
+        metrics = out / "seed_1" / "metrics"
+        with (metrics / "summary.csv").open() as fh:
+            summary = {(r["iteration"], r["budget"]): r for r in csv.DictReader(fh)}
+        assert list(summary) == [("1", "10"), ("1", "25"), ("2", "10"), ("2", "25")]
+        with (metrics / "gains.csv").open() as fh:
+            gains = list(csv.DictReader(fh))
+        assert [(g["budget"], g["metric"]) for g in gains] == [
+            (budget, metric) for budget in ("10", "25") for metric in cli.PLAN_METRICS
+        ]
+        for g in gains:
+            assert g["base"] == summary["1", g["budget"]][g["metric"]]
+            assert g["ours"] == summary["2", g["budget"]][g["metric"]]
+
+    def test_stage_commands_reproduce_run_all(self, config_path, tmp_path, capsys):
+        staged, whole = tmp_path / "staged", tmp_path / "whole"
+        args = ["--config", config_path, "--out", str(staged), "--seed", "1"]
+        for command in ("gen-world", "pretrain", "self-improve"):
+            assert main([command, *args]) == 0
+        ck = staged / "seed_1" / "checkpoints"
+        code = main(
+            ["evaluate", *args, "--checkpoint", str(ck / "backward.json"),
+             "--checkpoint", str(ck / "backward_final.json")]
+        )
+        assert code == 0
+        assert main(["run-all", "--config", config_path, "--out", str(whole), "--seed", "1"]) == 0
+        assert tree_bytes(staged / "seed_1") == tree_bytes(whole / "seed_1")
+
+    def test_baseline_is_an_unknown_argument(self, config_path, tmp_path, capsys):
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit) as exc:
+            main(["evaluate", "--config", config_path, "--out", str(out), "--baseline", "b.json"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --baseline" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_replaces_every_earlier_metrics_file(self, config_path, tmp_path, capsys):
         # The final checkpoint is labelled with the last loop iteration, and
@@ -596,7 +653,8 @@ class TestEvaluate:
         main(["pretrain", "--config", config_path, "--out", str(out), "--seed", "1"])
         ck = out / "seed_1" / "checkpoints"
         (ck / "backward_final.json").write_text("{]")
-        missing = ck / "absent.json"
+        # A second checkpoint, labelled iteration 1, that is not there.
+        missing = ck / "backward_iter_1.json"
         capsys.readouterr()
         code = main(
             [
@@ -609,7 +667,7 @@ class TestEvaluate:
                 "1",
                 "--checkpoint",
                 str(ck / "backward_final.json"),
-                "--baseline",
+                "--checkpoint",
                 str(missing),
             ]
         )
@@ -741,6 +799,70 @@ class TestPlan:
         assert code == 4
         assert f"missing checkpoint {ck / 'backward.json'}" in capsys.readouterr().err
 
+    def test_retro0_without_reference_exits_4(self, config_path, tmp_path, capsys):
+        # plan reads the reference as evaluate does, whatever the estimator.
+        out = tmp_path / "run"
+        main(["pretrain", "--config", config_path, "--out", str(out), "--seed", "1"])
+        ck = out / "seed_1" / "checkpoints"
+        model = tmp_path / "model.json"
+        (ck / "backward.json").rename(model)
+        capsys.readouterr()
+        code = main(
+            ["plan", "--config", config_path, "--out", str(out), "--seed", "1",
+             "--target", first_target(out), "--checkpoint", str(model), "--estimator", "retro0"]
+        )
+        assert code == 4
+        assert f"missing checkpoint {ck / 'backward.json'}" in capsys.readouterr().err
+
+    def test_estimator_defaults_to_the_config(self, tmp_path, capsys):
+        # With eval.estimator "oracle" and no --estimator, the root's g + h
+        # is its oracle cost, above the zero estimate.
+        doc = json.loads(json.dumps(TINY))
+        doc["eval"]["estimator"] = "oracle"
+        args = ["--config", write_config(tmp_path, doc), "--out", str(tmp_path / "run"),
+                "--seed", "1"]
+        main(["pretrain", *args])
+        trace = tmp_path / "trace.jsonl"
+        code = main(
+            ["plan", *args, "--target", first_target(tmp_path / "run"), "--trace", str(trace),
+             "--checkpoint", str(tmp_path / "run" / "seed_1" / "checkpoints" / "backward.json")]
+        )
+        assert code == 0
+        assert json.loads(trace.read_text().splitlines()[0])["g_plus_h"] > 0
+
+
+class TestSingleHomes:
+    def test_both_estimator_flags_offer_the_table(self):
+        sub = next(
+            a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        for command in ("evaluate", "plan"):
+            flag = next(a for a in sub.choices[command]._actions if a.dest == "estimator")
+            assert tuple(flag.choices) == tuple(ESTIMATORS), command
+
+    @pytest.mark.parametrize("name", list(ESTIMATORS))
+    def test_every_estimator_plans_and_evaluates(self, config_path, tmp_path, capsys, name):
+        out = tmp_path / "run"
+        args = ["--config", config_path, "--out", str(out), "--seed", "1"]
+        main(["pretrain", *args])
+        ck = str(out / "seed_1" / "checkpoints" / "backward.json")
+        capsys.readouterr()
+        code = main(
+            ["plan", *args, "--target", first_target(out), "--checkpoint", ck,
+             "--estimator", name]
+        )
+        assert code == 0
+        assert capsys.readouterr().out.splitlines()[-1].startswith("success ")
+        assert main(["evaluate", *args, "--checkpoint", ck, "--estimator", name]) == 0
+        with (out / "seed_1" / "metrics" / "summary.csv").open() as fh:
+            assert {r["estimator"] for r in csv.DictReader(fh)} == {name}
+
+    def test_readme_lists_the_exit_codes_of_main(self):
+        readme = (SCRIPTS.parent / "README.md").read_text()
+        table = readme.split("## Exit codes")[1].split("\n## ")[0]
+        listed = [int(code) for code in re.findall(r"^\| (\d+) ", table, re.M)]
+        assert listed == sorted({code for _error, code in cli.EXIT_CODES})
+
 
 class TestCheckpointChecks:
     @pytest.mark.parametrize(
@@ -758,7 +880,8 @@ class TestCheckpointChecks:
         "command, role",
         [
             (["evaluate", "--checkpoint", "forward.json"], "forward"),
-            (["evaluate", "--checkpoint", "model.json", "--baseline", "forward.json"], "forward"),
+            (["evaluate", "--checkpoint", "backward.json", "--checkpoint", "forward.json"],
+             "forward"),
             (["plan", "--target", "a", "--checkpoint", "forward.json"], "forward"),
             (["self-improve"], "backward"),
         ],
@@ -771,9 +894,6 @@ class TestCheckpointChecks:
         main(["pretrain", "--config", config_path, "--out", str(out), "--seed", "1"])
         ck = out / "seed_1" / "checkpoints"
         forward = ck / "forward.json"
-        # A backward model under a name that labels no iteration, so that it
-        # and the baseline are not both iteration 0.
-        (ck / "model.json").write_bytes((ck / "backward.json").read_bytes())
         if role == "backward":  # self-improve reads forward.json as the forward model
             forward.write_bytes((ck / "backward.json").read_bytes())
         argv = [str(ck / a) if a.endswith(".json") else a for a in command]
@@ -839,13 +959,17 @@ class TestArguments:
             (["plan", "--target", ""], "--target"),
             (["plan", "--target", DEEP_TARGET], "--target"),
             (["plan", "--target", "a", "--trace", "no-such-dir/t.jsonl"], "--trace"),
-            (["evaluate", "--checkpoint", "backward.json", "--baseline", "b.json"], "--baseline"),
+            (["evaluate", "--checkpoint", "backward.json", "--checkpoint", "b/backward.json"],
+             "--checkpoint"),
+            (["evaluate", "--checkpoint", "a.json", "--checkpoint", "backward_final.json"],
+             "--checkpoint"),
             (["run-all", "--workers", "0"], "--workers"),
             (["run-all", "--workers", "-3"], "--workers"),
         ],
         ids=["evaluate-negative", "evaluate-zero", "evaluate-repeated", "plan-negative",
              "plan-empty-target", "plan-deep-target", "plan-trace-no-dir",
-             "evaluate-two-iteration-0", "run-all-workers-zero", "run-all-workers-negative"],
+             "evaluate-two-iteration-0", "evaluate-two-final", "run-all-workers-zero",
+             "run-all-workers-negative"],
     )
     def test_invalid_argument_exits_2_before_any_read(
         self, config_path, tmp_path, capsys, command, option
