@@ -19,7 +19,6 @@ import shutil
 import statistics
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -673,6 +672,11 @@ def cmd_evaluate(args) -> int:
         )
     except InvalidConfig as exc:
         raise InvalidConfig(f"--budget: {exc}") from exc
+    if args.checkpoint and args.seed is None and len(cfg.seeds) > 1:
+        seeds = ", ".join(map(str, cfg.seeds))
+        raise InvalidConfig(
+            f"--checkpoint: a checkpoint is one seed's model; give --seed (seeds {seeds})"
+        )
     # Each checkpoint by its iteration; None is the default backward_final.json.
     checkpoints: dict[int, str | None] = {}
     for path in args.checkpoint or [None]:
@@ -779,6 +783,8 @@ def cmd_run_all(args) -> int:
     # A forked pool starts all its workers at once: one per seed at most.
     workers = min(args.workers, len(seeds))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_seed, [cfg] * len(seeds), seeds, [out] * len(seeds)))
     else:

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .errors import EmptyCollection, EmptyDataset, InvalidConfig
+from .errors import EmptyCollection, EmptyDataset, InvalidConfig, InvalidReaction
 from .model import (
     DEFAULT_DIM,
     ROLE_BACKWARD,
@@ -74,9 +74,12 @@ def augment(
         if not prob > epsilon_aug:
             continue
         backs = predict_topk(ref, product, 1, world)  # type: ignore[arg-type]
-        if not backs or backs[0].template_id != tid:
+        if not backs:
             continue
-        reproduced = tuple(m.text for m in backs[0].outcome)  # type: ignore[union-attr]
+        back_tid, _back_prob, reactants = backs[0]
+        if back_tid != tid:
+            continue
+        reproduced = tuple(m.text for m in reactants)  # type: ignore[union-attr]
         if reproduced != tuple(r.text for r in rx.reactants):
             continue
         accepted.append(Reaction(product=product, reactants=rx.reactants, template_id=tid))  # type: ignore[arg-type]
@@ -207,10 +210,10 @@ def run_self_improvement(
         routes: list[Route] = []
         for target in sampled:
             result = plan(target, backward, estimator, cfg.budget, cfg.k_expand, world)
-            if result.success:
-                assert result.route is not None
+            if result.route is not None:
                 problems = validate_route(world, result.route)
-                assert not problems, problems
+                if problems:
+                    raise InvalidReaction(f"route for {target.text}: {problems[0]}")
                 routes.append(result.route)
 
         harvested = sum(len(r.reactions) for r in routes)

@@ -308,12 +308,6 @@ def check_world(model: TemplateClassifier, world: World) -> None:
         raise UnknownTemplate("the model's templates are not the world's")
 
 
-class Prediction(NamedTuple):
-    template_id: str
-    probability: float
-    outcome: "tuple[Molecule, ...] | Molecule"
-
-
 _probability = itemgetter(1)
 
 
@@ -322,8 +316,9 @@ def predict_topk(
     inp: "Molecule | Sequence[Molecule]",
     k: int,
     world: World,
-) -> list[Prediction]:
-    """Top-k applicable templates with outcomes, by descending probability.
+) -> list[tuple[str, float, tuple[Molecule, ...] | Molecule]]:
+    """Top-k applicable templates as ``(template_id, probability, outcome)``
+    tuples, by descending probability.
 
     The model must be made for ``world`` (``check_world``), or
     UnknownTemplate is raised. Inapplicable templates are skipped without
@@ -351,20 +346,20 @@ def predict_topk(
             return []
         p = product_proba(model, inp).tolist()
         row_of = model._row_of
-        ranked = [Prediction(tid, p[row_of[tid]], reactants) for tid, reactants in apps]
+        ranked = [(tid, p[row_of[tid]], reactants) for tid, reactants in apps]
         ranked.sort(key=_probability, reverse=True)
         del ranked[k:]
         return ranked
     if isinstance(inp, Molecule):
         raise InvalidInput("forward models take a reactant sequence")
     p = predict_proba(model, featurize_reactant_set(inp, model.dim)).tolist()
-    results: list[Prediction] = []
+    results = []
     for i in sorted(range(model.n_templates), key=p.__getitem__, reverse=True):
         if len(results) >= k:
             break
         outcome = world.templates[i].forward(inp)
         if outcome is not None:
-            results.append(Prediction(model.template_index[i], p[i], outcome))
+            results.append((model.template_index[i], p[i], outcome))
     return results
 
 
@@ -642,8 +637,8 @@ def topk_exact_match(
     for rx in test:
         truth = tuple(r.text for r in rx.reactants)
         outcomes = [
-            tuple(m.text for m in pred.outcome)  # type: ignore[union-attr]
-            for pred in predict_topk(model, rx.product, max(ks), world)
+            tuple(m.text for m in outcome)  # type: ignore[union-attr]
+            for _tid, _probability, outcome in predict_topk(model, rx.product, max(ks), world)
         ]
         for j, k in enumerate(ks):
             hits[j] += truth in outcomes[:k]

@@ -210,51 +210,56 @@ class SearchTree:
         product_text = self.mol_molecule[row].text
         stock = self.world.stock
         evaluate = self.estimator.evaluate
-        molecules, values, costs = self.mol_molecule, self.mol_value, self.rxn_cost
-        add_molecule, add_parent = molecules.append, self.mol_parent.append
-        add_value, add_best = values.append, self.mol_best.append
-        add_template, add_cost, add_g = self.rxn_template.append, costs.append, self.rxn_g.append
-        add_rxn_parent, add_rxn_value = self.rxn_parent.append, self.rxn_value.append
+        add_molecule, add_parent = self.mol_molecule.append, self.mol_parent.append
+        add_value, add_best = self.mol_value.append, self.mol_best.append
+        add_template, add_cost = self.rxn_template.append, self.rxn_cost.append
+        add_g, add_rxn_parent = self.rxn_g.append, self.rxn_parent.append
+        add_rxn_value = self.rxn_value.append
         add_rxn_first, add_rxn_end = self.rxn_first.append, self.rxn_end.append
         parent = self.mol_parent[row]
         g_row = 0.0 if parent is None else self.rxn_g[parent]
-        first = len(costs)
-        for pred in preds:
-            reactants = pred.outcome  # sorted tuple of molecules
-            # Only a reactant equal to the product cycles (world.Template).
+        # The next reaction row and the next molecule row.
+        first = rxn = len(self.rxn_cost)
+        child = len(self.mol_molecule)
+        for template_id, probability, reactants in preds:
+            # reactants: a sorted tuple. Only a reactant equal to the
+            # product cycles (world.Template).
             for r in reactants:
                 if r.text == product_text:
                     break
             else:
-                cost = INF if pred.probability <= 0.0 else -math.log(pred.probability)
+                cost = INF if probability <= 0.0 else -math.log(probability)
                 g = g_row + cost
-                rxn = len(costs)
-                start = len(molecules)
+                start = child
+                # The children's values, added in row order from int 0 as
+                # sum() adds them.
+                total = 0
                 previous = None
                 for r in reactants:
                     text = r.text
                     if text == previous:  # sorted, so a repeated reactant is adjacent
                         continue
                     previous = text
-                    child = len(molecules)
                     add_molecule(r)
                     add_parent(rxn)
                     if not r.malformed and text in stock:
-                        add_value(0.0)
+                        value = 0.0
                         add_best(None)
                     else:
                         value = float(evaluate(r))
-                        add_value(value)
                         add_best((g + value, child))
-                end = len(molecules)
-                add_template(pred.template_id)
+                    add_value(value)
+                    total += value
+                    child += 1
+                add_template(template_id)
                 add_cost(cost)
                 add_g(g)
                 add_rxn_parent(row)
                 add_rxn_first(start)
-                add_rxn_end(end)
-                add_rxn_value(cost + sum(values[start:end]))
-        self.expanded[row] = (first, len(costs))
+                add_rxn_end(child)
+                add_rxn_value(cost + total)
+                rxn += 1
+        self.expanded[row] = (first, rxn)
         self._update(row)
         return len(preds)
 
@@ -274,7 +279,7 @@ class SearchTree:
         while True:
             first, end = expanded[row]
             options = rxn_values[first:end]
-            value = min(options, default=INF)
+            value = min(options) if options else INF
             values[row] = value
             if value == INF:
                 bests[row] = None

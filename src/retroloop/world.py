@@ -155,7 +155,7 @@ KIND_IDENTITY = "identity"
 CHOP_VARIANTS = ("left", "right", "whole")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Template:
     """A named bidirectional rewrite rule.
 

@@ -1,4 +1,5 @@
 import argparse
+import concurrent.futures
 import csv
 import json
 import os
@@ -518,6 +519,46 @@ class TestEvaluate:
         ]
         printed = capsys.readouterr().out.splitlines()
         assert len(printed) == 2 and all(f" iteration={iteration} " in l for l in printed)
+
+    def test_checkpoint_without_seed_exits_2_on_many_seeds(self, config_path, tmp_path, capsys):
+        # A checkpoint is one seed's model. Without --seed it would be
+        # evaluated on every seed's world and written as that seed's rows.
+        out = tmp_path / "run"
+        assert main(["run-all", "--config", config_path, "--out", str(out)]) == 0
+        before = tree_bytes(out)
+        capsys.readouterr()
+        code = main(
+            ["evaluate", "--config", config_path, "--out", str(out),
+             "--checkpoint", str(out / "seed_1" / "checkpoints" / "backward_iter_1.json")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --checkpoint: ") and err.count("\n") == 1
+        assert tree_bytes(out) == before  # seed_2/metrics/summary.csv included
+
+    def test_without_checkpoint_each_seed_reads_its_own_final_model(self, config_path, tmp_path):
+        out = tmp_path / "run"
+        assert main(["run-all", "--config", config_path, "--out", str(out)]) == 0
+        assert main(["evaluate", "--config", config_path, "--out", str(out)]) == 0
+        every_seed = tree_bytes(out)
+        for seed in (1, 2):
+            final = out / f"seed_{seed}" / "checkpoints" / "backward_final.json"
+            assert main(
+                ["evaluate", "--config", config_path, "--out", str(out), "--seed", str(seed),
+                 "--checkpoint", str(final)]
+            ) == 0
+        assert tree_bytes(out) == every_seed
+
+    def test_checkpoint_without_seed_on_one_seed(self, tmp_path):
+        doc = json.loads(json.dumps(TINY))
+        doc["seeds"] = [2]
+        path = write_config(tmp_path, doc)
+        out = tmp_path / "run"
+        assert main(["run-all", "--config", path, "--out", str(out)]) == 0
+        ck = out / "seed_2" / "checkpoints" / "backward_iter_1.json"
+        assert main(["evaluate", "--config", path, "--out", str(out), "--checkpoint", str(ck)]) == 0
+        with (out / "seed_2" / "metrics" / "summary.csv").open() as fh:
+            assert {row["iteration"] for row in csv.DictReader(fh)} == {"1"}
 
     def test_two_loop_checkpoints_write_their_rows_and_gains(self, config_path, tmp_path):
         # Each checkpoint is labelled by its file name, not by its place on
@@ -1164,13 +1205,25 @@ class TestReportAndRunAll:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         out = tmp_path / "run"
         assert main(["run-all", "--config", config_path, "--out", str(out), "--workers", "64"]) == 0
         assert pools == [2]  # the two seeds of the config
         assert main(["run-all", "--config", config_path, "--out", str(out), "--workers", "64",
                      "--seed", "1"]) == 0
         assert pools == [2]  # one seed runs in this process
+
+    def test_importing_the_cli_leaves_the_process_pool_unloaded(self):
+        # run-all imports the pool only when it runs more than one worker.
+        src = str(Path(retroloop.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, retroloop.cli; print('concurrent.futures.process' in sys.modules)"],
+            env=env, check=True, capture_output=True, text=True,
+        )
+        assert done.stdout == "False\n"
 
     def test_workers_flag_produces_identical_outputs(self, config_path, tmp_path):
         a, b = tmp_path / "w1", tmp_path / "w2"

@@ -5,7 +5,9 @@ import pytest
 
 from retroloop import (
     EmptyCollection,
+    InvalidReaction,
     LoopConfig,
+    PlanResult,
     Route,
     Template,
     TrainConfig,
@@ -150,12 +152,14 @@ class TestAugment:
         augmented = augment(collected, forward, reference, 0.2, small_world)
         for rx in augmented:
             proposals = predict_topk(forward, rx.reactants, 1, small_world)
-            assert proposals[0].template_id == rx.template_id
-            assert proposals[0].probability > 0.2
-            assert proposals[0].outcome == rx.product
+            tid, probability, product = proposals[0]
+            assert tid == rx.template_id
+            assert probability > 0.2
+            assert product == rx.product
             backs = predict_topk(reference, rx.product, 1, small_world)
-            assert backs[0].template_id == rx.template_id
-            assert backs[0].outcome == rx.reactants
+            back_tid, _, reactants = backs[0]
+            assert back_tid == rx.template_id
+            assert reactants == rx.reactants
 
 
 class TestBehavioralClone:
@@ -277,6 +281,28 @@ class TestLoop:
         for rx in kept:
             assert any(rx.key in {r.key for r in route.reactions} for route in routes)
             assert likelihood(reference, rx, small_world) > cfg.epsilon
+
+    def test_an_invalid_route_raises_naming_its_target(
+        self, small_world, small_data, small_models, monkeypatch
+    ):
+        # A raised error, not an assert, so that ``python -O`` keeps the check.
+        block = small_world.building_blocks[0]
+        planned = []
+
+        def wrong_plan(target, *args, **kwargs):
+            planned.append(target)
+            rx = make_reaction(target, (block,), "identity")
+            return PlanResult("success", Route(target=target, reactions=(rx,)), 1)
+
+        monkeypatch.setattr(improve, "plan", wrong_plan)
+        cfg = LoopConfig(iterations=1, targets_per_iteration=3, budget=10, seed=8)
+        with pytest.raises(InvalidReaction) as info:
+            run_self_improvement(cfg, small_world, small_data, pretrained=small_models)
+        [target] = planned
+        assert str(info.value) == (
+            f"route for {target.text}: template identity does not map {target.text} "
+            "to the stated reactants"
+        )
 
     def test_deterministic(self, small_world, small_data, small_models):
         cfg = LoopConfig(

@@ -195,13 +195,13 @@ class TestPrediction:
             if tmpl.backward(mol("(a+b)")) is not None
         ]
         assert len(preds) == len(applicable)
-        for p in preds:
-            assert p.probability == pytest.approx(1.0 / t)
+        for _tid, probability, _outcome in preds:
+            assert probability == pytest.approx(1.0 / t)
 
     def test_topk_probabilities_non_increasing(self, small_models, small_world):
         backward, _, _ = small_models
         preds = predict_topk(backward, mol("((a+b)*c)"), 10, small_world)
-        probs = [p.probability for p in preds]
+        probs = [probability for _tid, probability, _outcome in preds]
         assert probs == sorted(probs, reverse=True)
 
     def test_topk_monotone_in_k(self, small_models, small_world):
@@ -213,7 +213,7 @@ class TestPrediction:
     def test_topk_skips_inapplicable_on_atom(self, small_world):
         clf = zero_classifier(small_world.template_ids, ROLE_BACKWARD)
         preds = predict_topk(clf, mol("a"), len(small_world.templates), small_world)
-        assert [p.template_id for p in preds] == ["identity"]
+        assert [tid for tid, _probability, _outcome in preds] == ["identity"]
 
     def test_topk_k_below_one_rejected(self, small_world):
         clf = zero_classifier(small_world.template_ids, ROLE_BACKWARD)
@@ -226,13 +226,14 @@ class TestPrediction:
         sample = [(featurize_molecule(rx.product), rx.template_id)]
         trained = train(clf, sample, TrainConfig(learning_rate=0.1, epochs=200, seed=0))
         preds = predict_topk(trained, rx.product, 1, small_world)
-        assert preds[0].template_id == "split:+"
-        assert preds[0].outcome == rx.reactants
+        tid, _probability, outcome = preds[0]
+        assert tid == "split:+"
+        assert outcome == rx.reactants
 
     def test_forward_model_joins(self, small_world):
         clf = zero_classifier(small_world.template_ids, ROLE_FORWARD)
         preds = predict_topk(clf, (mol("a"), mol("b")), 10, small_world)
-        products = {p.outcome.text for p in preds}
+        products = {outcome.text for _tid, _probability, outcome in preds}
         assert products == {"(a+b)", "(a*b)", "a"} or "(a+b)" in products
 
 

@@ -4,6 +4,9 @@ import json
 import math
 import random
 from dataclasses import replace
+from itertools import repeat
+from operator import is_
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -37,6 +40,7 @@ from retroloop.model import ROLE_BACKWARD
 from retroloop.planner import (
     DEAD,
     EXPANDED,
+    INF,
     OPEN,
     SOLVED_LEAF,
     MolNode,
@@ -686,3 +690,208 @@ class TestGoldenPlans:
         assert sum(r[2] for r in records) > 200
         text = json.dumps(records, sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == self.DIGEST
+
+
+class ReferencePrediction(NamedTuple):
+    template_id: str
+    probability: float
+    outcome: tuple
+
+
+def reference_predict_topk(model, product, k, world):
+    """The backward ranking as it was when each prediction was a
+    ``Prediction`` NamedTuple: the applications in template order, one
+    stable sort by descending probability, the first k kept."""
+    apps = world.applications(product)
+    if not apps:
+        return []
+    p = model_module.product_proba(model, product).tolist()
+    row_of = model._row_of
+    ranked = [ReferencePrediction(tid, p[row_of[tid]], reactants) for tid, reactants in apps]
+    ranked.sort(key=lambda pred: pred.probability, reverse=True)
+    del ranked[k:]
+    return ranked
+
+
+class ReferenceTree(SearchTree):
+    """``SearchTree`` with the expansion loop and the upward pass as they
+    were before ``expand`` kept a running child row and sum: each reaction's
+    value is its cost plus ``sum`` over its children's value column."""
+
+    def expand(self, node):
+        row = node.row
+        if row in self.expanded or self.mol_best[row] is None:
+            raise InvalidInput("only open molecules can be expanded")
+        self.call_count += 1
+        product = self.mol_molecule[row]
+        preds = reference_predict_topk(self.model, product, self.k_expand, self.world)
+        product_text = product.text
+        stock = self.world.stock
+        evaluate = self.estimator.evaluate
+        molecules, values, costs = self.mol_molecule, self.mol_value, self.rxn_cost
+        parent = self.mol_parent[row]
+        g_row = 0.0 if parent is None else self.rxn_g[parent]
+        first = len(costs)
+        for pred in preds:
+            reactants = pred.outcome
+            for r in reactants:
+                if r.text == product_text:
+                    break
+            else:
+                cost = INF if pred.probability <= 0.0 else -math.log(pred.probability)
+                g = g_row + cost
+                rxn = len(costs)
+                start = len(molecules)
+                previous = None
+                for r in reactants:
+                    text = r.text
+                    if text == previous:
+                        continue
+                    previous = text
+                    child = len(molecules)
+                    molecules.append(r)
+                    self.mol_parent.append(rxn)
+                    if not r.malformed and text in stock:
+                        values.append(0.0)
+                        self.mol_best.append(None)
+                    else:
+                        value = float(evaluate(r))
+                        values.append(value)
+                        self.mol_best.append((g + value, child))
+                end = len(molecules)
+                self.rxn_template.append(pred.template_id)
+                costs.append(cost)
+                self.rxn_g.append(g)
+                self.rxn_parent.append(row)
+                self.rxn_first.append(start)
+                self.rxn_end.append(end)
+                self.rxn_value.append(cost + sum(values[start:end]))
+        self.expanded[row] = (first, len(costs))
+        self._update(row)
+        return len(preds)
+
+    def _update(self, row):
+        values, bests = self.mol_value, self.mol_best
+        while True:
+            first, end = self.expanded[row]
+            options = self.rxn_value[first:end]
+            value = min(options, default=INF)
+            values[row] = value
+            if value == INF:
+                bests[row] = None
+            else:
+                best = first + options.index(value)
+                key = None
+                for k in bests[self.rxn_first[best] : self.rxn_end[best]]:
+                    if k is not None and (key is None or k < key):
+                        key = k
+                bests[row] = key
+            parent = self.mol_parent[row]
+            if parent is None:
+                return
+            self.rxn_value[parent] = self.rxn_cost[parent] + sum(
+                values[self.rxn_first[parent] : self.rxn_end[parent]]
+            )
+            row = self.rxn_parent[parent]
+
+
+class SignedNumpyEstimator:
+    """numpy float estimates, -0.0 on every third text length."""
+
+    def evaluate(self, molecule):
+        n = len(molecule.text)
+        return np.float64(-0.0) if n % 3 == 0 else np.float64(0.013 * n)
+
+
+def assert_same_trees(tree, ref):
+    """Every column and ``expanded`` equal, cell by cell, with == on floats
+    and their signs compared through ``math.copysign``."""
+    columns = [name for name in vars(ref) if name.startswith(("mol_", "rxn_"))]
+    assert len(columns) == 11
+    for name in columns:
+        got, want = getattr(tree, name), getattr(ref, name)
+        assert got == want, name
+        assert list(map(type, got)) == list(map(type, want)), name
+        if name == "mol_best":
+            got = [key[0] for key in got if key is not None]
+            want = [key[0] for key in want if key is not None]
+        if name in ("mol_best", "mol_value", "rxn_cost", "rxn_g", "rxn_value"):
+            assert list(map(math.copysign, repeat(1.0), got)) == list(
+                map(math.copysign, repeat(1.0), want)
+            ), name
+    assert all(map(is_, tree.mol_molecule, ref.mol_molecule))
+    assert list(tree.expanded.items()) == list(ref.expanded.items())
+
+
+class TestExpansionMatchesReference:
+    """Step by step, ``SearchTree.expand`` grows the same columns as the
+    reference loop on seeded worlds with random weights."""
+
+    @staticmethod
+    def _setup(seed):
+        rng = random.Random(seed)
+        world = generate_world(
+            WorldConfig(
+                n_atoms=rng.randint(2, 6),
+                n_operators=rng.randint(1, 3),
+                n_decoys=rng.randint(2, 6),
+                bb_composites=rng.randint(0, 6),
+                bb_depth=1,
+            ),
+            seed=rng.randrange(2**32),
+        )
+        data = build_datasets(world, 30, 5, (0.8, 0.1, 0.1), seed=rng.randrange(2**32))
+        dim = 128
+        weights = np.array(
+            [[rng.uniform(-2.0, 2.0) for _ in range(dim)] for _ in world.template_ids]
+        )
+        if seed % 5 == 4:
+            weights[:] = 0.0  # every probability ties, so template order decides
+        bias = np.zeros(len(world.template_ids))
+        if seed % 2:
+            # exp underflows to exactly 0.0: the template costs INF.
+            bias[rng.randrange(len(bias))] = -1e4
+        clf = replace(
+            zero_classifier(world.template_ids, ROLE_BACKWARD, dim), weights=weights, bias=bias
+        )
+        # A target whose split gives the same reactant twice: (A o A).
+        a, b, o = world.atoms[0], world.atoms[-1], world.operators[-1]
+        twice = parse_molecule(f"(({a}{o}{b}){o}({a}{o}{b}))")
+        targets = sorted(data.targets, key=lambda t: (-len(t.text), t.text))[:4]
+        return world, clf, [twice, *targets]
+
+    def test_twenty_worlds_step_by_step(self):
+        seen = {"repeated": 0, "cycle": 0, "inf": 0, "negative-zero": 0}
+        for seed in range(20):
+            world, clf, targets = self._setup(seed)
+            k_expand = len(world.templates) if seed % 4 < 2 else 3
+            estimators = (ZeroEstimator(), SignedNumpyEstimator(), LengthEstimator())
+            for i, target in enumerate(targets):
+                estimator = estimators[(seed + i) % 3]
+                tree = SearchTree(target, clf, estimator, k_expand, world)
+                ref = ReferenceTree(target, clf, estimator, k_expand, world)
+                assert_same_trees(tree, ref)
+                for _ in range(40):
+                    step, ref_step = tree.best_partial_route(), ref.best_partial_route()
+                    assert (step is None) == (ref_step is None)
+                    assert [(n.row, g) for n, g in step or ()] == [
+                        (n.row, g) for n, g in ref_step or ()
+                    ]
+                    if not step:
+                        break
+                    node = step[0][0]
+                    made = len(tree.rxn_cost)
+                    applicable = tree.expand(node)
+                    assert ref.expand(MolNode(ref, node.row)) == applicable
+                    assert_same_trees(tree, ref)
+                    seen["cycle"] += applicable > len(tree.rxn_cost) - made
+                for r in range(len(tree.rxn_cost)):
+                    reactants = world.template_by_id[tree.rxn_template[r]].backward(
+                        tree.mol_molecule[tree.rxn_parent[r]]
+                    )
+                    seen["repeated"] += len({m.text for m in reactants}) < len(reactants)
+                seen["inf"] += INF in tree.rxn_cost
+                seen["negative-zero"] += any(
+                    v == 0.0 and math.copysign(1.0, v) < 0 for v in tree.mol_value
+                )
+        assert all(seen.values()), seen
