@@ -1,7 +1,9 @@
 """Sweep the realism filter threshold and report single-step accuracy vs planning.
 
 For each threshold the loop runs a single iteration without augmentation, so
-the comparison isolates the filter. Reports mean +- std over the seeds.
+the comparison isolates the filter. Each model is evaluated as ``run-all``
+evaluates it (``cli.evaluate_seed``); succ@N is its success rate at the
+largest ``eval`` budget. Reports mean +- std over the seeds.
 
 Usage:
     python scripts/filtering_sweep.py [--thresholds 0 0.5 0.8 0.9] [--seeds 1 2 3]
@@ -13,14 +15,14 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from retroloop import (
-    ZeroEstimator,
-    evaluate_over_budgets,
-    penalty_constants,
-    run_self_improvement,
-    topk_exact_match,
+from retroloop import run_self_improvement
+from retroloop.cli import (
+    build_pretrained,
+    build_world_data,
+    evaluate_seed,
+    load_config,
+    seed_loop_config,
 )
-from retroloop.cli import build_pretrained, build_world_data, load_config, seed_loop_config
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -35,31 +37,25 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     cfg, _doc = load_config(args.config)
-    estimator = ZeroEstimator()
-    budget = cfg.loop.budget
+    budget = cfg.eval.budgets[-1]
     prepared = []
     for seed in args.seeds:
         world, data = build_world_data(cfg, seed)
         pretrained = build_pretrained(cfg, seed, world, data)
         loop_cfg = replace(seed_loop_config(cfg, seed), iterations=1, augmentation=False)
-        penalties = penalty_constants(data, pretrained[1], world)
-        prepared.append((world, data, pretrained, loop_cfg, penalties))
+        prepared.append((world, data, pretrained, loop_cfg))
 
     print(f"{'eps':>5} {'top1':>16} {'top10':>16} {'succ@N':>16} {'kept':>8}")
     for eps in args.thresholds:
         top1s, top10s, succs, kept = [], [], [], []
-        for world, data, pretrained, loop_cfg, penalties in prepared:
+        for world, data, pretrained, loop_cfg in prepared:
             model, reports = run_self_improvement(
                 replace(loop_cfg, epsilon=eps), world, data, pretrained
             )
-            top1, top10 = topk_exact_match(model, data.reactions_test, (1, 10), world)
+            by_budget, top1, top10 = evaluate_seed(cfg, world, data, pretrained[1], {0: model})[0]
             top1s.append(top1)
             top10s.append(top10)
-            metrics = evaluate_over_budgets(
-                model, estimator, data.targets, [budget], pretrained[1], penalties, world,
-                k_expand=cfg.eval.k_expand,
-            )
-            succs.append(metrics[budget].success_rate)
+            succs.append(by_budget[budget].success_rate)
             kept.append(reports[0].kept_after_filter)
 
         def fmt(values):

@@ -292,6 +292,29 @@ def seed_loop_config(cfg: ExperimentConfig, seed: int) -> LoopConfig:
     return replace(cfg.loop, seed=seeds.loop, bc=replace(cfg.loop.bc, seed=seeds.bc))
 
 
+def evaluate_seed(
+    cfg: ExperimentConfig, world: World, data: Dataset, reference: TemplateClassifier, models: dict
+) -> dict:
+    """One seed's labelled ``models`` evaluated, in their order, as
+    ``{label: (by_budget, top1, top10)}``: the planning metrics of
+    ``data.targets`` at each ``eval.budgets`` entry, under ``eval.estimator``
+    and ``eval.k_expand``, and top-1 and top-10 on ``reactions_test``. Every
+    evaluation, of ``run-all``, the acceptance gates and the scripts, goes
+    through here."""
+    estimator = ESTIMATORS[cfg.eval.estimator](world, reference)
+    penalties = penalty_constants(data, reference, world)
+    return {
+        label: (
+            evaluate_over_budgets(
+                model, estimator, data.targets, list(cfg.eval.budgets), reference, penalties,
+                world, k_expand=cfg.eval.k_expand,
+            ),
+            *topk_exact_match(model, data.reactions_test, (1, 10), world),
+        )
+        for label, model in models.items()
+    }
+
+
 def ensure_world_data(
     cfg: ExperimentConfig, seed: int, seed_dir: Path
 ) -> tuple[World, Dataset]:
@@ -419,8 +442,6 @@ def run_evaluate(
     reference: TemplateClassifier,
     models_by_iteration: dict[int, TemplateClassifier],
 ) -> list[dict]:
-    budgets = cfg.eval.budgets
-    estimator = ESTIMATORS[cfg.eval.estimator](world, reference)
     metrics_dir = seed_dir / "metrics"
     metrics_dir.mkdir(parents=True, exist_ok=True)
     # A new evaluation replaces every metrics file of an earlier one.
@@ -429,21 +450,10 @@ def run_evaluate(
             stale.unlink()
     summary_rows: list[dict] = []
     per_budget: dict[int, dict[int, object]] = {}
-    penalties = penalty_constants(data, reference, world)
-    for iteration, model in sorted(models_by_iteration.items()):
-        by_budget = evaluate_over_budgets(
-            model,
-            estimator,
-            data.targets,
-            list(budgets),
-            reference,
-            penalties,
-            world,
-            k_expand=cfg.eval.k_expand,
-        )
-        top1 = top10 = float("nan")
-        if data.reactions_test:
-            top1, top10 = topk_exact_match(model, data.reactions_test, (1, 10), world)
+    models = dict(sorted(models_by_iteration.items()))
+    for iteration, (by_budget, top1, top10) in evaluate_seed(
+        cfg, world, data, reference, models
+    ).items():
         for budget, metrics in by_budget.items():
             _write_target_rows(
                 metrics_dir / f"targets_budget{budget}_iter{iteration}.csv", metrics
@@ -469,7 +479,7 @@ def run_evaluate(
     iterations = sorted(models_by_iteration)
     if len(iterations) >= 2:
         gains = []
-        for budget in budgets:
+        for budget in cfg.eval.budgets:
             base = per_budget[budget][iterations[0]]
             ours = per_budget[budget][iterations[-1]]
             for metric in PLAN_METRICS:
@@ -547,8 +557,9 @@ def aggregate_report(out: Path) -> list[dict]:
     """Merge per-seed summaries into mean/stdev rows, one per estimator,
     iteration and budget, so rows of different estimators never share a
     mean, and write them to ``aggregated.csv``. Every summary is read before
-    anything is written. Returns the rows by column, statistics as floats
-    (nan for a metric that is nan on some seed)."""
+    anything is written. Returns the rows by column, statistics as floats.
+    A metric that is nan on some seed has a nan mean and std; one infinite
+    on some seed has its mean and a nan std."""
     grouped: dict[tuple[str, int, int], list[list[float]]] = {}
     for summary in sorted(out.glob("seed_*/metrics/summary.csv")):
         for key, values in _summary_rows(summary):
@@ -562,10 +573,10 @@ def aggregate_report(out: Path) -> list[dict]:
     for (estimator, iteration, budget), recs in sorted(grouped.items()):
         row = [estimator, iteration, budget, len(recs)]
         for values in zip(*recs):
-            if any(math.isnan(v) for v in values):
-                row += [math.nan, math.nan]
-            else:
+            if all(map(math.isfinite, values)):
                 row += [statistics.fmean(values), statistics.pstdev(values)]
+            else:  # float addition: nan with a nan on some seed, else infinite
+                row += [sum(values) / len(values), math.nan]
         table.append(row)
     _write_csv(out / "aggregated.csv", header, ([*row[:4], *map(_fmt, row[4:])] for row in table))
     return [dict(zip(header, row)) for row in table]

@@ -229,9 +229,7 @@ def run_self_improvement(
             bc_cfg = replace(cfg.bc, seed=derive_seed(cfg.bc.seed, f"bc-{i}"))
             backward = behavioral_clone(backward, union, bc_cfg)
 
-        top1 = top10 = float("nan")
-        if data.reactions_test:
-            top1, top10 = topk_exact_match(backward, data.reactions_test, (1, 10), world)
+        top1, top10 = topk_exact_match(backward, data.reactions_test, (1, 10), world)
 
         report = IterationReport(
             iteration=i,

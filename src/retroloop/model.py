@@ -627,11 +627,12 @@ def topk_exact_match(
     """For each k in ``ks``, the fraction of reactions whose true reactant set
     appears in the top-k. Each reaction is ranked once, to the largest k: a
     top-k list is a prefix of every longer one. The test products are
-    scored together, in one ``score_products`` call."""
-    if not test:
-        raise EmptyDataset("test set is empty")
+    scored together, in one ``score_products`` call. An empty test set
+    gives nan for every k."""
     if model.role == ROLE_FORWARD:
         raise InvalidInput("exact match accuracy is defined for backward models")
+    if not test:
+        return (math.nan,) * len(ks)
     score_products(model, [rx.product for rx in test])
     hits = [0] * len(ks)
     for rx in test:

@@ -411,6 +411,13 @@ def extract_route(tree: SearchTree) -> Route:
     return Route(target=target, reactions=tuple(reactions.values()))
 
 
+def _reaction_cost(model: TemplateClassifier, rx: Reaction, world: World) -> float:
+    """A reaction's negative log-likelihood: INF at probability 0, as
+    ``SearchTree.expand`` and the oracle price it."""
+    p = likelihood(model, rx, world)
+    return INF if p <= 0.0 else -math.log(p)
+
+
 def route_cost_under(
     route: Route, model: TemplateClassifier, world: World
 ) -> float:
@@ -419,7 +426,7 @@ def route_cost_under(
     The route's products are scored in one batch first (``score_products``).
     """
     score_products(model, [rx.product for rx in route.reactions])
-    return sum(-math.log(likelihood(model, rx, world)) for rx in route.reactions)
+    return sum(_reaction_cost(model, rx, world) for rx in route.reactions)
 
 
 def unfolded_route_cost(
@@ -441,7 +448,7 @@ def unfolded_route_cost(
         rx = by_product.get(text)
         if rx is None:
             return 0.0
-        total = -math.log(likelihood(model, rx, world))
+        total = _reaction_cost(model, rx, world)
         for r_text in dict.fromkeys(r.text for r in rx.reactants):
             total += cost(r_text)
         return total

@@ -184,6 +184,14 @@ class Template:
     def __post_init__(self) -> None:
         if self.kind not in (KIND_SPLIT, KIND_CHOP, KIND_IDENTITY):
             raise InvalidInput(f"template {self.id!r} has unknown kind {self.kind!r}")
+        if (self.op is None) != (self.kind == KIND_IDENTITY):
+            raise InvalidInput(f"template {self.id!r}: only identity has no operator")
+        if self.kind == KIND_CHOP and self.variant not in CHOP_VARIANTS:
+            raise InvalidInput(
+                f"template {self.id!r}: a chop's variant is one of {', '.join(CHOP_VARIANTS)}"
+            )
+        if self.kind != KIND_CHOP and self.variant is not None:
+            raise InvalidInput(f"template {self.id!r}: only a chop has a variant")
 
     def backward(self, product: Molecule) -> tuple[Molecule, ...] | None:
         """Reactants produced by applying this rule to ``product``, or None."""

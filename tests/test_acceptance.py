@@ -40,6 +40,7 @@ from retroloop import (
 from retroloop.cli import (
     build_pretrained,
     build_world_data,
+    evaluate_seed,
     load_config,
     main,
     seed_loop_config,
@@ -65,35 +66,25 @@ def criterion(name):
 def reference_runs():
     """Per-seed pipeline artifacts for the reference configuration."""
     cfg, _doc = load_config(REFERENCE_CONFIG)
-    estimator = ZeroEstimator()
     runs = []
     started = time.time()
-    budget = cfg.loop.budget
+    budget = cfg.eval.budgets[-1]
     for seed in cfg.seeds:
         world, data = build_world_data(cfg, seed)
         pretrained = build_pretrained(cfg, seed, world, data)
         backward, reference, forward = pretrained
         loop_cfg = seed_loop_config(cfg, seed)
-        penalties = penalty_constants(data, reference, world)
-        base = evaluate_over_budgets(
-            backward, estimator, data.targets, [budget], reference, penalties, world,
-            k_expand=cfg.eval.k_expand,
-        )[budget]
         final, reports = run_self_improvement(loop_cfg, world, data, pretrained=pretrained)
-        post = evaluate_over_budgets(
-            final, estimator, data.targets, [budget], reference, penalties, world,
-            k_expand=cfg.eval.k_expand,
-        )[budget]
+        evaluated = evaluate_seed(cfg, world, data, reference, {"base": backward, "post": final})
         runs.append(
             {
                 "seed": seed,
                 "world": world,
                 "data": data,
                 "pretrained": pretrained,
-                "penalties": penalties,
                 "loop_cfg": loop_cfg,
-                "base": base,
-                "post": post,
+                "base": evaluated["base"][0][budget],
+                "post": evaluated["post"][0][budget],
                 "reports": reports,
             }
         )
@@ -279,26 +270,20 @@ class TestFilteringAblation:
 class TestAugmentationAblation:
     def test_augmentation_never_costs_a_point(self, reference_runs):
         with criterion("augmentation-ablation"):
-            estimator = ZeroEstimator()
             cfg = reference_runs["config"]
             rates = {True: [], False: []}
             for run in reference_runs["runs"]:
+                arms = {}
                 for aug in (True, False):
                     ablated = replace(run["loop_cfg"], iterations=1, augmentation=aug)
-                    model, _ = run_self_improvement(
+                    arms[aug], _ = run_self_improvement(
                         ablated, run["world"], run["data"], pretrained=run["pretrained"]
                     )
-                    metrics = evaluate_over_budgets(
-                        model,
-                        estimator,
-                        run["data"].targets,
-                        [cfg.loop.budget],
-                        run["pretrained"][1],
-                        run["penalties"],
-                        run["world"],
-                        k_expand=cfg.eval.k_expand,
-                    )[cfg.loop.budget]
-                    rates[aug].append(metrics.success_rate)
+                evaluated = evaluate_seed(
+                    cfg, run["world"], run["data"], run["pretrained"][1], arms
+                )
+                for aug, (by_budget, _top1, _top10) in evaluated.items():
+                    rates[aug].append(by_budget[cfg.eval.budgets[-1]].success_rate)
             with_aug = float(np.mean(rates[True]))
             without = float(np.mean(rates[False]))
             assert with_aug >= without - 0.01, (with_aug, without)

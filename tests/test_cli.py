@@ -26,7 +26,7 @@ from retroloop.cli import (
     parse_config,
     seed_loop_config,
 )
-from retroloop.evaluate import ESTIMATORS
+from retroloop.evaluate import ESTIMATORS, OracleEstimator
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 REFERENCE_CONFIG = SCRIPTS.parent / "configs" / "reference.json"
@@ -1175,6 +1175,25 @@ class TestReportAndRunAll:
         summary.write_bytes(good)
         assert main(["report", "--run", str(out)]) == 0
 
+    def test_infinite_metric_has_its_mean_and_a_nan_std(self, tmp_path, capsys):
+        # A reaction of probability 0 costs INF, and so may a seed's avg_cost.
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "manifest.json").write_text("{}\n")
+        for seed, cost, top1 in ((1, "inf", "1.0"), (2, "4.0", "nan")):
+            metrics_dir = out / f"seed_{seed}" / "metrics"
+            metrics_dir.mkdir(parents=True)
+            row = [seed, "retro0", 0, 25, "0.5", "3.0", "10.0", cost, top1, "1.0"]
+            with (metrics_dir / "summary.csv").open("w", newline="") as fh:
+                csv.writer(fh).writerows([cli.SUMMARY_COLUMNS, row])
+        assert main(["report", "--run", str(out)]) == 0
+        assert "cost=inf±nan" in capsys.readouterr().out
+        with (out / "aggregated.csv").open() as fh:
+            (row,) = csv.DictReader(fh)
+        assert (row["avg_cost_mean"], row["avg_cost_std"]) == ("inf", "nan")
+        assert (row["top1_mean"], row["top1_std"]) == ("nan", "nan")
+        assert (row["success_rate_mean"], row["success_rate_std"]) == ("0.5", "0.0")
+
     def test_single_seed_stdev_is_zero(self, tmp_path):
         doc = json.loads(json.dumps(TINY))
         doc["seeds"] = [1]
@@ -1249,6 +1268,29 @@ class TestBuilders:
             assert (tmp_path / name).read_bytes() == (ck / name).read_bytes()
 
 
+    def test_evaluate_seed_gives_the_run_all_summary(self, config_path, tmp_path):
+        out = tmp_path / "run"
+        assert main(["run-all", "--config", config_path, "--out", str(out), "--seed", "1"]) == 0
+        cfg, _doc = load_config(config_path)
+        assert len(cfg.eval.budgets) > 1
+        world, data = build_world_data(cfg, 1)
+        pretrained = build_pretrained(cfg, 1, world, data)
+        final, _reports = run_self_improvement(seed_loop_config(cfg, 1), world, data, pretrained)
+        models = {0: pretrained[0], cfg.loop.iterations: final}
+        evaluated = cli.evaluate_seed(cfg, world, data, pretrained[1], models)
+        expected = [
+            [*map(str, (1, cfg.eval.estimator, iteration, budget)),
+             *(repr(getattr(metrics, m)) for m in cli.PLAN_METRICS),
+             repr(top1), repr(top10)]
+            for iteration, (by_budget, top1, top10) in evaluated.items()
+            for budget, metrics in by_budget.items()
+        ]
+        with (out / "seed_1" / "metrics" / "summary.csv").open(newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == list(cli.SUMMARY_COLUMNS)
+        assert len(expected) == 2 * len(cfg.eval.budgets)
+        assert rows == expected
+
     def test_final_checkpoint_is_the_last_iteration_file(self, config_path, tmp_path, monkeypatch):
         import retroloop.cli as cli
 
@@ -1288,7 +1330,7 @@ class TestScripts:
         # Both thresholds plan the same routes; the stricter one keeps fewer.
         assert float(rows[0][4]) >= float(rows[1][4])
 
-    def test_filtering_sweep_evaluates_with_eval_k_expand(self, tmp_path, capsys):
+    def test_filtering_sweep_evaluates_with_eval_k_expand(self, tmp_path, capsys, monkeypatch):
         doc = json.loads(json.dumps(TINY))
         doc["loop"]["k_expand"], doc["eval"]["k_expand"] = 5, 7
         path = write_config(tmp_path, doc)
@@ -1299,6 +1341,23 @@ class TestScripts:
             seen.append(k_expand)
             return {b: SimpleNamespace(success_rate=0.0) for b in budgets}
 
-        main_fn.__globals__["evaluate_over_budgets"] = record
+        monkeypatch.setattr(cli, "evaluate_over_budgets", record)
         assert main_fn(["--config", path, "--seeds", "1", "--thresholds", "0"]) == 0
         assert seen and set(seen) == {7}
+
+    def test_filtering_sweep_evaluates_with_the_eval_budgets_and_estimator(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        doc = json.loads(json.dumps(TINY))
+        doc["eval"]["budgets"], doc["eval"]["estimator"] = [5, 15], "oracle"
+        path = write_config(tmp_path, doc)
+        main_fn = runpy.run_path(str(SCRIPTS / "filtering_sweep.py"))["main"]
+        seen = []
+
+        def record(model, estimator, targets, budgets, *rest, k_expand):
+            seen.append((list(budgets), type(estimator)))
+            return {b: SimpleNamespace(success_rate=0.0) for b in budgets}
+
+        monkeypatch.setattr(cli, "evaluate_over_budgets", record)
+        assert main_fn(["--config", path, "--seeds", "1", "--thresholds", "0", "0.5"]) == 0
+        assert seen == [([5, 15], OracleEstimator)] * 2

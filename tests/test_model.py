@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -959,10 +960,10 @@ class TestExactMatch:
         clf = zero_classifier(split_first.template_ids, ROLE_BACKWARD)
         assert topk_exact_match(clf, reactions, (1,), split_first) == (1.0,)
 
-    def test_empty_test_set_rejected(self, small_models, small_world):
+    def test_empty_test_set_is_nan(self, small_models, small_world):
         backward, _, _ = small_models
-        with pytest.raises(EmptyDataset):
-            topk_exact_match(backward, [], (1,), small_world)
+        top1, top10 = topk_exact_match(backward, [], (1, 10), small_world)
+        assert math.isnan(top1) and math.isnan(top10)
 
 
 class TestCheckpoints:

@@ -21,6 +21,7 @@ from retroloop import (
     World,
     WorldConfig,
     ZeroEstimator,
+    brute_force_oracle,
     build_datasets,
     extract_route,
     featurize_molecule,
@@ -29,6 +30,7 @@ from retroloop import (
     make_reaction,
     mol,
     parse_molecule,
+    penalty_constants,
     plan,
     route_cost_under,
     train,
@@ -492,6 +494,21 @@ class TestRouteCost:
             reactions=(make_reaction(mol("(a+b)"), (mol("a"), mol("b")), "split:+"),),
         )
         assert route_cost_under(route, clf, world) == pytest.approx(math.log(2.0))
+
+    def test_probability_zero_costs_inf(self, small_world, small_data):
+        # exp(-1e4) underflows to exactly 0.0. The tree search and the oracle
+        # price such a reaction at INF, and so does a route's cost.
+        clf = zero_classifier(small_world.template_ids, ROLE_BACKWARD)
+        bias = np.array([-1e4 if tid.startswith("split:") else 0.0 for tid in clf.template_index])
+        clf = replace(clf, bias=bias)
+        route = max(small_data.ground_truth_routes.values(), key=lambda r: len(r.reactions))
+        assert route.reactions
+        assert any(likelihood(clf, rx, small_world) == 0.0 for rx in route.reactions)
+        assert route_cost_under(route, clf, small_world) == INF
+        assert unfolded_route_cost(route, clf, small_world) == INF
+        assert penalty_constants(small_data, clf, small_world)[1] == INF
+        oracle = brute_force_oracle(small_world, clf, [route.target], cap=10_000)
+        assert oracle.costs[route.target.text] == INF
 
     @pytest.mark.parametrize("cost", [route_cost_under, unfolded_route_cost])
     def test_route_is_scored_in_one_batch(

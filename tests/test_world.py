@@ -229,6 +229,22 @@ class TestTemplates:
         t = Template(id="chop", kind=KIND_CHOP, op="+", variant="left")
         assert t.forward((mol("a"), mol("b"))) is None
 
+    @pytest.mark.parametrize(
+        "kind, op, variant",
+        [
+            (KIND_SPLIT, None, None),
+            (KIND_CHOP, None, "left"),
+            (KIND_IDENTITY, "+", None),
+            (KIND_CHOP, "+", None),
+            (KIND_CHOP, "+", "x"),
+            (KIND_SPLIT, "+", "left"),
+            (KIND_IDENTITY, None, "whole"),
+        ],
+    )
+    def test_fields_its_kind_does_not_have_are_rejected(self, kind, op, variant):
+        with pytest.raises(InvalidInput, match="'bad:template'"):
+            Template(id="bad:template", kind=kind, op=op, variant=variant)
+
 
 def reparsed_backward(template, product):
     """Reference backward: every reactant, chop fragments included, is built
@@ -392,6 +408,24 @@ class TestHeightInvariant:
                         assert r.height == 0 and world.applications(r) == [], (tid, r)
                     else:
                         assert r.text in below and r.height < product.height, (tid, r)
+
+
+class TestReactantCount:
+    @given(worlds_and_products())
+    @settings(max_examples=60, deadline=None)
+    def test_every_application_has_one_or_two_sorted_reactants(self, case):
+        # World.applications sorts reactants with one comparison, which sorts
+        # only up to two; the planner's repeated-reactant skip and
+        # topk_exact_match's comparison rely on that order.
+        world, products = case
+        for product in products:
+            for tid, reactants in world.applications(product):
+                texts = [r.text for r in reactants]
+                assert len(texts) in (1, 2), (
+                    f"{tid} gives {len(texts)} reactants: World.applications' sort "
+                    "orders at most two"
+                )
+                assert texts == sorted(texts), tid
 
 
 class TestGenerateWorld:
