@@ -64,6 +64,7 @@ from .planner import (
 )
 from .world import (
     Dataset,
+    DatasetConfig,
     Molecule,
     Reaction,
     Route,

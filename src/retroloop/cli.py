@@ -22,7 +22,7 @@ import time
 from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 from functools import partial
 from pathlib import Path
-from typing import NamedTuple, get_args, get_origin, get_type_hints
+from typing import get_args, get_origin, get_type_hints
 
 from .errors import CheckpointError, EmptyDataset, InvalidConfig, UnknownTemplate
 from .evaluate import ESTIMATORS, evaluate_over_budgets, penalty_constants
@@ -43,12 +43,11 @@ from .planner import plan, route_cost_under
 from .seeding import derive_seed
 from .world import (
     DATASET_FILES,
-    LEAF_PROB,
     Dataset,
+    DatasetConfig,
     World,
     WorldConfig,
     build_datasets,
-    check_dataset_settings,
     generate_world,
     parse_molecule,
     save_dataset,
@@ -85,17 +84,6 @@ EXIT_CODES = (
     (CorruptFile, 5),
     (MissingManifest, 6),
 )
-
-
-@dataclass(frozen=True)
-class DatasetConfig:
-    n_targets: int = 500
-    max_depth: int = 6
-    split: tuple[float, float, float] = (0.8, 0.1, 0.1)
-    leaf_prob: float = LEAF_PROB
-
-    def __post_init__(self) -> None:
-        check_dataset_settings(self.n_targets, self.max_depth, self.split, self.leaf_prob)
 
 
 @dataclass(frozen=True)
@@ -177,8 +165,8 @@ def _typed(hint, value, default, where: str):
 def _build(default, section, where: str):
     """``default`` with the keys of the JSON object ``section`` replaced.
 
-    Every key must name a field other than ``seed``: every seed is derived
-    from the experiment seed by ``child_seeds``. The dataclass checks the
+    Every key must name a field other than ``seed``: the per-seed builders
+    derive every seed from the experiment seed. The dataclass checks the
     result.
     """
     if not isinstance(section, dict):
@@ -235,61 +223,29 @@ def _seed_dir(out: Path, seed: int) -> Path:
     return out / f"seed_{seed}"
 
 
-class ChildSeeds(NamedTuple):
-    world: int
-    dataset: int
-    pretrain_backward: int
-    pretrain_forward: int
-    loop: int
-    bc: int
-
-
-def child_seeds(seed: int) -> ChildSeeds:
-    """The seed-derivation policy: one named child seed per random step of
-    an experiment seed. Every stage, script and test draws from here."""
-    return ChildSeeds(
-        world=derive_seed(seed, "world"),
-        dataset=derive_seed(seed, "dataset"),
-        pretrain_backward=derive_seed(seed, "pretrain-backward"),
-        pretrain_forward=derive_seed(seed, "pretrain-forward"),
-        loop=derive_seed(seed, "loop"),
-        bc=derive_seed(seed, "bc"),
-    )
-
-
 def build_world_data(cfg: ExperimentConfig, seed: int) -> tuple[World, Dataset]:
     """The world and dataset of one seed, in memory."""
-    seeds = child_seeds(seed)
-    world = generate_world(cfg.world, seeds.world)
-    data = build_datasets(
-        world,
-        n_targets=cfg.dataset.n_targets,
-        max_depth=cfg.dataset.max_depth,
-        split=cfg.dataset.split,
-        seed=seeds.dataset,
-        leaf_prob=cfg.dataset.leaf_prob,
-    )
-    return world, data
+    world = generate_world(cfg.world, derive_seed(seed, "world"))
+    return world, build_datasets(world, cfg.dataset, derive_seed(seed, "dataset"))
 
 
 def build_pretrained(
     cfg: ExperimentConfig, seed: int, world: World, data: Dataset
 ) -> tuple[TemplateClassifier, TemplateClassifier, TemplateClassifier]:
     """The pretrained (backward, reference, forward) models of one seed."""
-    seeds = child_seeds(seed)
     return pretrain_models(
         world,
         data,
-        replace(cfg.pretrain.backward, seed=seeds.pretrain_backward),
-        replace(cfg.pretrain.forward, seed=seeds.pretrain_forward),
+        replace(cfg.pretrain.backward, seed=derive_seed(seed, "pretrain-backward")),
+        replace(cfg.pretrain.forward, seed=derive_seed(seed, "pretrain-forward")),
         dim=cfg.dim,
     )
 
 
 def seed_loop_config(cfg: ExperimentConfig, seed: int) -> LoopConfig:
     """The self-improvement loop settings of one seed."""
-    seeds = child_seeds(seed)
-    return replace(cfg.loop, seed=seeds.loop, bc=replace(cfg.loop.bc, seed=seeds.bc))
+    bc = replace(cfg.loop.bc, seed=derive_seed(seed, "bc"))
+    return replace(cfg.loop, seed=derive_seed(seed, "loop"), bc=bc)
 
 
 def evaluate_seed(
@@ -400,6 +356,9 @@ def run_improve(
     reports_dir.mkdir(parents=True, exist_ok=True)
     ck_dir = seed_dir / "checkpoints"
     ck_dir.mkdir(parents=True, exist_ok=True)
+    # A new loop replaces every iteration file of an earlier one.
+    for stale in [*ck_dir.glob("backward_iter_*.json"), *reports_dir.glob("iteration_*.json")]:
+        stale.unlink()
 
     def persist(model, report):
         save_checkpoint(model, ck_dir / f"backward_iter_{report.iteration}.json")
@@ -812,9 +771,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="retroloop")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out_required=True):
+    def common(p):
         p.add_argument("--config", required=True)
-        p.add_argument("--out", required=out_required, default="runs/default")
+        p.add_argument("--out", required=True)
         p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("gen-world", help="generate world and dataset files")

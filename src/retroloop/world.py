@@ -355,6 +355,27 @@ class WorldConfig:
 
 
 @dataclass(frozen=True)
+class DatasetConfig:
+    n_targets: int = 500
+    max_depth: int = 6
+    split: tuple[float, float, float] = (0.8, 0.1, 0.1)
+    leaf_prob: float = LEAF_PROB
+
+    def __post_init__(self) -> None:
+        # Each message opens with its key.
+        if self.n_targets < 1:
+            raise InvalidConfig("n_targets must be at least 1")
+        if not 0 <= self.max_depth <= MAX_DEPTH:
+            raise InvalidConfig(f"max_depth must lie in [0, {MAX_DEPTH}]")
+        if len(self.split) != 3 or not all(0.0 < f < math.inf for f in self.split):
+            raise InvalidConfig("split must be three positive finite fractions")
+        if abs(sum(self.split) - 1.0) > 1e-9:
+            raise InvalidConfig("split fractions must sum to 1")
+        if not 0.0 <= self.leaf_prob < 1.0:
+            raise InvalidConfig("leaf_prob must lie in [0, 1)")
+
+
+@dataclass(frozen=True)
 class World:
     """The reaction universe: alphabets, templates (index = class label), stock."""
 
@@ -513,56 +534,36 @@ def sample_ground_truth_route(
     return target, Route(target=target, reactions=tuple(reactions.values()))
 
 
-def check_dataset_settings(
-    n_targets: int, max_depth: int, split: tuple[float, ...], leaf_prob: float
-) -> None:
-    """The rules a dataset's settings obey; each message opens with its key."""
-    if n_targets < 1:
-        raise InvalidConfig("n_targets must be at least 1")
-    if not 0 <= max_depth <= MAX_DEPTH:
-        raise InvalidConfig(f"max_depth must lie in [0, {MAX_DEPTH}]")
-    if len(split) != 3 or not all(0.0 < f < math.inf for f in split):
-        raise InvalidConfig("split must be three positive finite fractions")
-    if abs(sum(split) - 1.0) > 1e-9:
-        raise InvalidConfig("split fractions must sum to 1")
-    if not 0.0 <= leaf_prob < 1.0:
-        raise InvalidConfig("leaf_prob must lie in [0, 1)")
-
-
 @dataclass(frozen=True)
 class Dataset:
     targets: tuple[Molecule, ...]
     reactions_train: tuple[Reaction, ...]
     reactions_val: tuple[Reaction, ...]
     reactions_test: tuple[Reaction, ...]
-    ground_truth_routes: Mapping[str, Route] = field(default_factory=dict)
+    ground_truth_routes: Mapping[str, Route]
 
 
-def build_datasets(
-    world: World,
-    n_targets: int,
-    max_depth: int,
-    split: tuple[float, float, float],
-    seed: int,
-    leaf_prob: float = LEAF_PROB,
-) -> Dataset:
-    """Sample targets with ground-truth routes and split the pooled reactions."""
-    fractions = tuple(split)
-    check_dataset_settings(n_targets, max_depth, fractions, leaf_prob)
-
+def build_datasets(world: World, config: DatasetConfig, seed: int) -> Dataset:
+    """Sample ``config.n_targets`` distinct targets with ground-truth routes and
+    split the pooled reactions; InvalidConfig if 100 draws a target find fewer."""
     rng = random.Random(seed)
     targets: list[Molecule] = []
     routes: dict[str, Route] = {}
     attempts = 0
-    while len(targets) < n_targets and attempts < 100 * n_targets:
+    while len(targets) < config.n_targets and attempts < 100 * config.n_targets:
         attempts += 1
         target, route = sample_ground_truth_route(
-            world, max_depth, rng.randrange(2**62), leaf_prob=leaf_prob
+            world, config.max_depth, rng.randrange(2**62), leaf_prob=config.leaf_prob
         )
         if target.text in routes:
             continue
         targets.append(target)
         routes[target.text] = route
+    if len(targets) < config.n_targets:
+        raise InvalidConfig(
+            f"dataset.n_targets: {config.n_targets} targets asked for, but {attempts} draws "
+            f"found only {len(targets)} distinct ones in this world"
+        )
 
     pool: dict[tuple, Reaction] = {}
     for target in targets:
@@ -571,8 +572,8 @@ def build_datasets(
     unique = list(pool.values())
     rng.shuffle(unique)
     n = len(unique)
-    n_train = int(fractions[0] * n)
-    n_val = int(fractions[1] * n)
+    n_train = int(config.split[0] * n)
+    n_val = int(config.split[1] * n)
     return Dataset(
         targets=tuple(targets),
         reactions_train=tuple(unique[:n_train]),

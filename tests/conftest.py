@@ -1,6 +1,13 @@
 import pytest
 
-from retroloop import TrainConfig, WorldConfig, build_datasets, generate_world, penalty_constants
+from retroloop import (
+    DatasetConfig,
+    TrainConfig,
+    WorldConfig,
+    build_datasets,
+    generate_world,
+    penalty_constants,
+)
 from retroloop.improve import pretrain_models
 
 
@@ -14,7 +21,7 @@ def small_world():
 
 @pytest.fixture(scope="session")
 def small_data(small_world):
-    return build_datasets(small_world, 60, 4, (0.8, 0.1, 0.1), seed=3)
+    return build_datasets(small_world, DatasetConfig(60, 4), seed=3)
 
 
 @pytest.fixture(scope="session")

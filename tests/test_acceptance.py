@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from retroloop import (
+    DatasetConfig,
     TrainConfig,
     WorldConfig,
     ZeroEstimator,
@@ -109,7 +110,7 @@ class TestOracleOptimality:
                     ),
                     seed=rng.randrange(2**32),
                 )
-                data = build_datasets(world, 8, 3, (0.8, 0.1, 0.1), rng.randrange(2**32))
+                data = build_datasets(world, DatasetConfig(8, 3), rng.randrange(2**32))
                 ref = zero_classifier(world.template_ids, ROLE_BACKWARD, dim=512)
                 if data.reactions_train:
                     samples = [
@@ -150,7 +151,7 @@ class TestGradientCheck:
                 WorldConfig(n_atoms=8, n_operators=3, n_decoys=4, bb_composites=4, bb_depth=1),
                 seed=5,
             )
-            data = build_datasets(world, 40, 4, (0.8, 0.1, 0.1), seed=6)
+            data = build_datasets(world, DatasetConfig(40, 4), seed=6)
             dim = 256
             base = zero_classifier(world.template_ids, ROLE_BACKWARD, dim=dim)
             h = 1e-5
@@ -297,7 +298,7 @@ class TestFailureAccounting:
                 WorldConfig(n_atoms=4, n_operators=2, n_decoys=2, bb_composites=2, bb_depth=1),
                 seed=17,
             )
-            data = build_datasets(world, 30, 3, (0.8, 0.1, 0.1), seed=18)
+            data = build_datasets(world, DatasetConfig(30, 3), seed=18)
             backward, reference, _ = pretrain_models(
                 world,
                 data,
@@ -350,7 +351,7 @@ class TestBudgetHonestyAndMonotonicity:
                     ),
                     seed=rng.randrange(2**32),
                 )
-                data = build_datasets(world, 12, 3, (0.8, 0.1, 0.1), rng.randrange(2**32))
+                data = build_datasets(world, DatasetConfig(12, 3), rng.randrange(2**32))
                 model = zero_classifier(world.template_ids, ROLE_BACKWARD, dim=512)
                 if data.reactions_train:
                     samples = [

@@ -7,7 +7,12 @@ wrapper; this test fails then, without a traced benchmark run.
 """
 
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -119,3 +124,17 @@ def test_traced_oracle_counts_what_it_settles(small_world, small_models, small_d
     finally:
         t.uninstall()
     assert t.counts["oracle.explored"] == len(t.oracle_cached) > 0
+
+
+@pytest.mark.parametrize("workload", ["ref_seed", "deep_plan", "oracle_plan"])
+def test_traced_benchmark_run_passes(workload):
+    # One untraced and one traced repetition: the run exits 1 if either dies
+    # or if a per-layer metric that layers.py requires on the workload reads 0.
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", "1",
+         "--seconds", "1", "--trace", "1"],
+        cwd=BENCH.parent, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0

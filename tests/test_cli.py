@@ -135,6 +135,22 @@ class TestGenWorld:
         path = write_config(tmp_path, doc)
         assert main(["gen-world", "--config", path, "--out", str(tmp_path / "x")]) == 2
 
+    def test_too_few_distinct_targets_exits_2_before_any_write(self, tmp_path, capsys):
+        # Two atoms and one operator make 36 distinct terms of height 1 or 2.
+        doc = json.loads(json.dumps(TINY))
+        doc["world"] = {"n_atoms": 2, "n_operators": 1, "n_decoys": 1,
+                        "bb_composites": 0, "bb_depth": 0}
+        doc["dataset"].update(n_targets=500, max_depth=2)
+        path = write_config(tmp_path, doc)
+        out = tmp_path / "x"
+        assert main(["run-all", "--config", path, "--out", str(out), "--seed", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "error: dataset.n_targets: 500 targets asked for, but 50000 draws found only 36 "
+            "distinct ones in this world\n"
+        )
+        assert not (out / "seed_1").exists()
+
     def test_unparseable_config_exits_2(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{nope")
@@ -1083,6 +1099,21 @@ class TestReportAndRunAll:
         other_config = write_config(tmp_path, doc, "other.json")
         assert main(["run-all", "--config", other_config, "--out", str(out), "--seed", "1"]) == 5
         assert (out / "config.json").read_bytes() == before
+
+    def test_loop_rerun_replaces_the_earlier_iteration_files(self, config_path, tmp_path):
+        # A second run with fewer iterations keeps none of the first run's
+        # loop files, so its seed directory and manifest are a fresh run's.
+        out, fresh = tmp_path / "run", tmp_path / "fresh"
+        doc = json.loads(json.dumps(TINY))
+        doc["loop"]["iterations"] = 1
+        shorter = write_config(tmp_path, doc, "shorter.json")
+        assert main(["run-all", "--config", config_path, "--out", str(out), "--seed", "1"]) == 0
+        assert (out / "seed_1" / "reports" / "iteration_2.json").exists()
+        assert main(["run-all", "--config", shorter, "--out", str(out), "--seed", "1"]) == 0
+        assert main(["run-all", "--config", shorter, "--out", str(fresh), "--seed", "1"]) == 0
+        assert tree_bytes(out / "seed_1") == tree_bytes(fresh / "seed_1")
+        reports = json.loads((out / "manifest.json").read_text())["seeds"]["1"]["reports"]
+        assert [Path(r).name for r in reports] == ["iteration_1.json"]
 
     def test_report_aggregates_with_stdev(self, config_path, tmp_path, capsys):
         out = tmp_path / "run"

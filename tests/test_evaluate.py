@@ -12,6 +12,7 @@ import retroloop.model as model_module
 from retroloop import (
     CapExceeded,
     Dataset,
+    DatasetConfig,
     EmptyDataset,
     OracleEstimator,
     Template,
@@ -113,7 +114,7 @@ class TestEvaluatePlanning:
     def test_failure_penalty_rows(self):
         world = plus_identity_world()
         clf = zero_classifier(world.template_ids, ROLE_BACKWARD)
-        data = build_datasets(world, 12, 3, (0.8, 0.1, 0.1), seed=5)
+        data = build_datasets(world, DatasetConfig(12, 3), seed=5)
         max_len = max(len(r.reactions) for r in data.ground_truth_routes.values())
         # every reaction costs exactly ln 2 under the uniform two-template model
         max_cost = max_len * math.log(2.0)
@@ -193,7 +194,7 @@ class TestOracle:
             WorldConfig(n_atoms=3, n_operators=2, n_decoys=2, bb_composites=1, bb_depth=1),
             seed=seed,
         )
-        data = build_datasets(world, 8, 2, (0.8, 0.1, 0.1), seed=seed + 50)
+        data = build_datasets(world, DatasetConfig(8, 2), seed=seed + 50)
         clf = zero_classifier(world.template_ids, ROLE_BACKWARD)
         if data.reactions_train:
             samples = [
@@ -246,7 +247,7 @@ class TestOracle:
             WorldConfig(n_atoms=3, n_operators=2, n_decoys=4, bb_composites=1, bb_depth=1),
             seed=seed,
         )
-        data = build_datasets(world, 12, 3, (0.8, 0.1, 0.1), seed=seed + 50)
+        data = build_datasets(world, DatasetConfig(12, 3), seed=seed + 50)
         clf = zero_classifier(world.template_ids, ROLE_BACKWARD)
         roots = list(data.targets)
         first = brute_force_oracle(world, clf, roots[: len(roots) // 2], cap=10_000)

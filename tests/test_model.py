@@ -36,7 +36,7 @@ from retroloop import (
     train,
     zero_classifier,
 )
-from retroloop.cli import build_world_data, child_seeds, load_config
+from retroloop.cli import build_world_data, load_config
 from retroloop.errors import CheckpointError
 from retroloop.model import (
     ROLE_BACKWARD,
@@ -47,6 +47,7 @@ from retroloop.model import (
     nll_and_grad,
     predict_proba,
 )
+from retroloop.seeding import derive_seed
 from retroloop.world import KIND_CHOP, KIND_SPLIT, subterms
 
 
@@ -903,12 +904,11 @@ class TestReferenceScaleTraining:
         if weighted:
             rng = np.random.default_rng(2)
             samples = [(fv, tid, float(rng.integers(1, 4))) for fv, tid in samples]
-        seeds = child_seeds(1)
         train_cfg = replace(
             cfg.pretrain.forward,
             epochs=2,
             batch_size=batch_size or cfg.pretrain.forward.batch_size,
-            seed=seeds.pretrain_forward,
+            seed=derive_seed(1, "pretrain-forward"),
         )
         rng = np.random.default_rng(5)
         t = len(world.template_ids)

@@ -13,6 +13,7 @@ import pytest
 
 import retroloop.model as model_module
 from retroloop import (
+    DatasetConfig,
     InvalidInput,
     Molecule,
     NotSolved,
@@ -544,7 +545,7 @@ class TestSearchProperties:
             bb_depth=1,
         )
         world = generate_world(cfg, rng.randrange(2**32))
-        data = build_datasets(world, 15, 3, (0.8, 0.1, 0.1), rng.randrange(2**32))
+        data = build_datasets(world, DatasetConfig(15, 3), rng.randrange(2**32))
         clf = zero_classifier(world.template_ids, ROLE_BACKWARD)
         if data.reactions_train:
             samples = [
@@ -658,7 +659,7 @@ def golden_setup():
         WorldConfig(n_atoms=6, n_operators=3, n_decoys=5, bb_composites=6, bb_depth=1),
         seed=11,
     )
-    data = build_datasets(world, 40, 6, (0.8, 0.1, 0.1), seed=5)
+    data = build_datasets(world, DatasetConfig(40, 6), seed=5)
     rng = random.Random(17)
     dim = 256
     clf = zero_classifier(world.template_ids, ROLE_BACKWARD, dim)
@@ -857,7 +858,7 @@ class TestExpansionMatchesReference:
             ),
             seed=rng.randrange(2**32),
         )
-        data = build_datasets(world, 30, 5, (0.8, 0.1, 0.1), seed=rng.randrange(2**32))
+        data = build_datasets(world, DatasetConfig(30, 5), seed=rng.randrange(2**32))
         dim = 128
         weights = np.array(
             [[rng.uniform(-2.0, 2.0) for _ in range(dim)] for _ in world.template_ids]

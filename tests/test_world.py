@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from retroloop import (
+    DatasetConfig,
     InvalidConfig,
     InvalidInput,
     Molecule,
@@ -380,7 +381,7 @@ def worlds_and_products(draw):
         bb_depth=draw(st.integers(0, 2)),
     )
     world = generate_world(cfg, draw(st.integers(0, 2**16)))
-    data = build_datasets(world, 5, 3, (0.8, 0.1, 0.1), seed=draw(st.integers(0, 2**16)))
+    data = build_datasets(world, DatasetConfig(5, 3), seed=draw(st.integers(0, 2**16)))
     ops = OPERATOR_POOL + "/"  # "/" parses but no world has it
     randoms = draw(st.lists(terms(atoms=world.atoms, ops=ops, max_leaves=8), max_size=4))
     roots = [*world.building_blocks, *map(mol, world.atoms), *data.targets, *map(mol, randoms)]
@@ -535,7 +536,7 @@ class TestRoutes:
 
 class TestDatasets:
     def test_partition(self, small_world):
-        data = build_datasets(small_world, 100, 4, (0.8, 0.1, 0.1), seed=5)
+        data = build_datasets(small_world, DatasetConfig(100, 4), seed=5)
         pool = set()
         for split in (data.reactions_train, data.reactions_val, data.reactions_test):
             for rx in split:
@@ -545,15 +546,15 @@ class TestDatasets:
         assert total == len(pool)
 
     def test_single_stock_target(self, small_world):
-        data = build_datasets(small_world, 1, 0, (0.8, 0.1, 0.1), seed=5)
+        data = build_datasets(small_world, DatasetConfig(1, 0), seed=5)
         assert len(data.targets) == 1
         assert data.reactions_train == ()
         assert data.reactions_val == ()
         assert data.reactions_test == ()
 
     def test_determinism(self, small_world):
-        a = build_datasets(small_world, 40, 4, (0.8, 0.1, 0.1), seed=5)
-        b = build_datasets(small_world, 40, 4, (0.8, 0.1, 0.1), seed=5)
+        a = build_datasets(small_world, DatasetConfig(40, 4), seed=5)
+        b = build_datasets(small_world, DatasetConfig(40, 4), seed=5)
         assert a == b
 
     def test_ground_truth_routes_validate(self, small_data, small_world):
@@ -561,8 +562,8 @@ class TestDatasets:
             route = small_data.ground_truth_routes[target.text]
             assert not validate_route(small_world, route)
 
-    def test_bad_fractions_rejected(self, small_world):
+    def test_bad_fractions_rejected(self):
         with pytest.raises(InvalidConfig):
-            build_datasets(small_world, 5, 2, (0.5, 0.2, 0.2), seed=1)
+            DatasetConfig(5, 2, (0.5, 0.2, 0.2))
         with pytest.raises(InvalidConfig):
-            build_datasets(small_world, 0, 2, (0.8, 0.1, 0.1), seed=1)
+            DatasetConfig(0, 2)
