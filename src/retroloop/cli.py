@@ -22,7 +22,7 @@ import time
 from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 from functools import partial
 from pathlib import Path
-from typing import get_args, get_origin, get_type_hints
+from typing import Iterable, get_args, get_origin, get_type_hints
 
 from .errors import CheckpointError, EmptyDataset, InvalidConfig, UnknownTemplate
 from .evaluate import ESTIMATORS, evaluate_over_budgets, penalty_constants
@@ -512,15 +512,15 @@ def _summary_rows(summary: Path) -> list[tuple[tuple[str, int, int], list[float]
         ) from exc
 
 
-def aggregate_report(out: Path) -> list[dict]:
-    """Merge per-seed summaries into mean/stdev rows, one per estimator,
-    iteration and budget, so rows of different estimators never share a
-    mean, and write them to ``aggregated.csv``. Every summary is read before
-    anything is written. Returns the rows by column, statistics as floats.
-    A metric that is nan on some seed has a nan mean and std; one infinite
-    on some seed has its mean and a nan std."""
+def aggregate_report(out: Path, seeds: Iterable[int | str]) -> list[dict]:
+    """Merge the summaries of ``seeds`` under ``out`` into mean/stdev rows,
+    one per estimator, iteration and budget, so rows of different estimators
+    never share a mean, and write them to ``aggregated.csv``. Every summary
+    is read before anything is written. Returns the rows by column,
+    statistics as floats. A metric that is nan on some seed has a nan mean
+    and std; one infinite on some seed has its mean and a nan std."""
     grouped: dict[tuple[str, int, int], list[list[float]]] = {}
-    for summary in sorted(out.glob("seed_*/metrics/summary.csv")):
+    for summary in sorted(_seed_dir(out, seed) / "metrics" / "summary.csv" for seed in seeds):
         for key, values in _summary_rows(summary):
             grouped.setdefault(key, []).append(values)
 
@@ -736,9 +736,17 @@ def cmd_plan(args) -> int:
 
 def cmd_report(args) -> int:
     out = Path(args.run)
-    if not (out / "manifest.json").exists():
+    manifest = out / "manifest.json"
+    if not manifest.exists():
         raise MissingManifest(f"no manifest.json in {out}")
-    print_report(aggregate_report(out))
+    try:
+        doc = json.loads(manifest.read_text())
+    except (OSError, ValueError, RecursionError) as exc:
+        raise CorruptFile(f"cannot read {manifest}: {exc}") from exc
+    seeds = doc.get("seeds") if isinstance(doc, dict) else None
+    if not isinstance(seeds, dict):
+        raise CorruptFile(f"{manifest} has no seeds object")
+    print_report(aggregate_report(out, seeds))
     return 0
 
 
@@ -761,7 +769,7 @@ def cmd_run_all(args) -> int:
         results = [run_seed(cfg, seed, out) for seed in seeds]
     # Written last: a run that stops early leaves an earlier config.json as it was.
     (out / "config.json").write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-    rows = aggregate_report(out)
+    rows = aggregate_report(out, seeds)
     write_manifest(out, doc, dict(zip(seeds, results)), started)
     print_report(rows)
     return 0

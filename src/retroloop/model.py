@@ -14,6 +14,7 @@ log-likelihood, bit-reproducible for a fixed seed.
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 import math
@@ -39,7 +40,7 @@ from .world import Molecule, Reaction, World, parse_ast
 DEFAULT_DIM = 2048
 # The largest feature dim: the weights take 8 * templates * dim bytes.
 MAX_DIM = 2**16
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 ROLE_BACKWARD = "backward"
 ROLE_FORWARD = "forward"
@@ -651,42 +652,30 @@ def topk_exact_match(
 
 
 def save_checkpoint(model: TemplateClassifier, path: str | Path) -> None:
-    """Write the bytes of ``json.dumps(doc, sort_keys=True)`` plus a newline,
-    where ``doc["weights"]`` is the row-major list of all weights.
-
-    ``"weights"`` sorts last, so the file is the other keys' JSON, then the
-    weights written one matrix row at a time: no list or string of the whole
-    matrix is ever built.
-    """
-    head = json.dumps(
-        {
-            "version": CHECKPOINT_VERSION,
-            "role": model.role,
-            "dim": model.dim,
-            "template_index": list(model.template_index),
-            "bias": model.bias.tolist(),
-        },
-        sort_keys=True,
-    )
-    with Path(path).open("w") as fh:
-        fh.write(head[:-1] + ', "weights": [')
-        sep = ""
-        for row in model.weights:
-            if row.size:
-                fh.write(sep + json.dumps(row.tolist())[1:-1])
-                sep = ", "
-        fh.write("]}\n")
+    """Write ``json.dumps(doc, sort_keys=True)`` plus a newline, where
+    ``doc["weights"]`` (row-major) and ``doc["bias"]`` are the base64 text of
+    their little-endian float64 bytes, so every value keeps all its bits."""
+    doc = {
+        "version": CHECKPOINT_VERSION,
+        "role": model.role,
+        "dim": model.dim,
+        "template_index": list(model.template_index),
+        "weights": base64.b64encode(model.weights.astype("<f8").tobytes()).decode(),
+        "bias": base64.b64encode(model.bias.astype("<f8").tobytes()).decode(),
+    }
+    Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n")
 
 
-def _numbers(doc: dict, field: str, n: int, path: str | Path) -> np.ndarray:
-    values = doc[field]
-    numeric = isinstance(values, list) and set(map(type, values)) <= {float, int}
-    if not numeric or len(values) != n:
-        raise CheckpointError(f"checkpoint {path} field {field!r} is not a list of {n} numbers")
+def _block(doc: dict, field: str, n: int, path: str | Path) -> np.ndarray:
+    """The ``n`` float64 values of a checkpoint's base64 ``field``."""
     try:
-        return np.asarray(values, dtype=np.float64)
-    except OverflowError as exc:
-        raise CheckpointError(f"checkpoint {path} field {field!r}: {exc}") from exc
+        raw = base64.b64decode(doc[field], validate=True)
+    except (TypeError, ValueError) as exc:  # not a string, or not base64
+        raise CheckpointError(f"checkpoint {path} field {field!r} is not base64: {exc}") from exc
+    if len(raw) != 8 * n:
+        raise CheckpointError(f"checkpoint {path} field {field!r} is not {n} float64 values")
+    # A writable copy in native byte order: frombuffer's view is read-only.
+    return np.frombuffer(raw, dtype="<f8").astype(np.float64)
 
 
 def load_checkpoint(path: str | Path) -> TemplateClassifier:
@@ -713,8 +702,8 @@ def load_checkpoint(path: str | Path) -> TemplateClassifier:
         raise CheckpointError(f"checkpoint {path} field 'template_index' is not a list of strings")
     t = len(index)
     return TemplateClassifier(
-        weights=_numbers(doc, "weights", t * d, path).reshape(t, d),
-        bias=_numbers(doc, "bias", t, path),
+        weights=_block(doc, "weights", t * d, path).reshape(t, d),
+        bias=_block(doc, "bias", t, path),
         template_index=tuple(index),
         role=doc["role"],
     )

@@ -126,6 +126,28 @@ def test_traced_oracle_counts_what_it_settles(small_world, small_models, small_d
     assert t.counts["oracle.explored"] == len(t.oracle_cached) > 0
 
 
+def test_traced_pretrain_counts_its_checkpoint_writes(small_world, small_data, tmp_path):
+    # ``cli.save_checkpoint.*`` spans the ``save_checkpoint`` that cli calls
+    # by name and stats each file it writes, on ref_seed only.
+    from retroloop import cli
+    from retroloop.cli import ExperimentConfig, PretrainConfig
+    from retroloop.model import TrainConfig
+
+    tracer = load("tracer")
+    quick = TrainConfig(epochs=1)
+    cfg = ExperimentConfig(pretrain=PretrainConfig(quick, quick), dim=64)
+    t = tracer.Tracer()
+    t.install()
+    try:
+        cli.run_pretrain(cfg, 1, tmp_path, small_world, small_data)
+    finally:
+        t.uninstall()
+    metrics = t.metrics([], lambda start, end: end - start)
+    files = [tmp_path / "checkpoints" / name for name in ("backward.json", "forward.json")]
+    assert metrics["cli.save_checkpoint.calls"] == 2
+    assert metrics["cli.save_checkpoint.bytes"] == sum(f.stat().st_size for f in files) > 0
+
+
 @pytest.mark.parametrize("workload", ["ref_seed", "deep_plan", "oracle_plan"])
 def test_traced_benchmark_run_passes(workload):
     # One untraced and one traced repetition: the run exits 1 if either dies

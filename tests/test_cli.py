@@ -16,7 +16,7 @@ import pytest
 
 import retroloop
 import retroloop.cli as cli
-from retroloop import IterationReport, run_self_improvement, save_checkpoint
+from retroloop import IterationReport, load_checkpoint, run_self_improvement, save_checkpoint
 from retroloop.cli import (
     ExperimentConfig,
     build_pretrained,
@@ -705,6 +705,23 @@ class TestEvaluate:
         assert code == 5
         assert f"checkpoint {bad} " in capsys.readouterr().err
 
+    def test_version_1_checkpoint_exits_5(self, config_path, tmp_path, capsys):
+        # Version 1 held weights and bias as JSON lists of numbers.
+        out = tmp_path / "run"
+        main(["pretrain", "--config", config_path, "--out", str(out), "--seed", "1"])
+        old = out / "seed_1" / "checkpoints" / "backward.json"
+        model = load_checkpoint(old)
+        doc = json.loads(old.read_text())
+        doc.update(version=1, weights=model.weights.reshape(-1).tolist(), bias=model.bias.tolist())
+        old.write_text(json.dumps(doc, sort_keys=True) + "\n")
+        capsys.readouterr()
+        code = main(
+            ["evaluate", "--config", config_path, "--out", str(out), "--seed", "1",
+             "--checkpoint", str(old)]
+        )
+        assert code == 5
+        assert f"checkpoint {old} has unsupported version 1" in capsys.readouterr().err
+
     def test_missing_baseline_exits_4_before_any_read(self, config_path, tmp_path, capsys):
         out = tmp_path / "run"
         main(["pretrain", "--config", config_path, "--out", str(out), "--seed", "1"])
@@ -1115,6 +1132,37 @@ class TestReportAndRunAll:
         reports = json.loads((out / "manifest.json").read_text())["seeds"]["1"]["reports"]
         assert [Path(r).name for r in reports] == ["iteration_1.json"]
 
+    def test_aggregates_only_the_seeds_the_manifest_lists(self, config_path, tmp_path):
+        # seed_1/ is left from a run of another loop config; the second run
+        # and its report average seed 2 alone, at the iterations it ran.
+        out = tmp_path / "run"
+        doc = json.loads(json.dumps(TINY))
+        doc["loop"].update(iterations=1, epsilon=0)
+        other = write_config(tmp_path, doc, "other.json")
+        assert main(["run-all", "--config", config_path, "--out", str(out)]) == 0
+        assert main(["run-all", "--config", other, "--out", str(out), "--seed", "2"]) == 0
+        aggregated = out / "aggregated.csv"
+        with aggregated.open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert {(r["iteration"], r["n_seeds"]) for r in rows} == {("0", "1"), ("1", "1")}
+        written = aggregated.read_bytes()
+        assert main(["report", "--run", str(out)]) == 0
+        assert aggregated.read_bytes() == written
+        # A listed seed without its summary is a damaged run, not one seed fewer.
+        (out / "seed_2" / "metrics" / "summary.csv").unlink()
+        assert main(["report", "--run", str(out)]) == 5
+
+    @pytest.mark.parametrize(
+        "text", ["{]", "{}\n", '{"seeds": [1]}\n'], ids=["unreadable", "no-seeds", "seeds-list"]
+    )
+    def test_manifest_without_a_seeds_object_exits_5(self, tmp_path, capsys, text):
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "manifest.json").write_text(text)
+        assert main(["report", "--run", str(out)]) == 5
+        assert str(out / "manifest.json") in capsys.readouterr().err
+        assert not (out / "aggregated.csv").exists()
+
     def test_report_aggregates_with_stdev(self, config_path, tmp_path, capsys):
         out = tmp_path / "run"
         main(["run-all", "--config", config_path, "--out", str(out)])
@@ -1210,7 +1258,7 @@ class TestReportAndRunAll:
         # A reaction of probability 0 costs INF, and so may a seed's avg_cost.
         out = tmp_path / "run"
         out.mkdir()
-        (out / "manifest.json").write_text("{}\n")
+        (out / "manifest.json").write_text('{"seeds": {"1": {}, "2": {}}}\n')
         for seed, cost, top1 in ((1, "inf", "1.0"), (2, "4.0", "nan")):
             metrics_dir = out / f"seed_{seed}" / "metrics"
             metrics_dir.mkdir(parents=True)

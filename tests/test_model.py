@@ -1,6 +1,8 @@
+import base64
 import hashlib
 import json
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -993,14 +995,45 @@ class TestCheckpoints:
         path = tmp_path / "model.json"
         save_checkpoint(model, path)
         doc = {
-            "version": 1,
+            "version": 2,
             "role": model.role,
             "dim": dim,
             "template_index": list(model.template_index),
-            "weights": weights.reshape(-1).tolist(),
-            "bias": model.bias.tolist(),
+            "weights": base64.b64encode(weights.astype("<f8").tobytes()).decode(),
+            "bias": base64.b64encode(model.bias.astype("<f8").tobytes()).decode(),
         }
         assert path.read_text() == json.dumps(doc, sort_keys=True) + "\n"
+
+    def test_round_trip_keeps_every_bit(self, tmp_path):
+        # -0.0 and a quiet NaN whose payload is not numpy's default one.
+        values = np.array(
+            [0x8000_0000_0000_0000, 0x7FF8_0000_0000_0BAD, 0x3FF0_0000_0000_0001, 0xFFF8 << 48],
+            dtype=np.uint64,
+        ).view(np.float64)
+        model = zero_classifier(("split:+", "identity"), ROLE_BACKWARD, dim=2)
+        model = replace(model, weights=values.reshape(2, 2), bias=values[:2])
+        path = tmp_path / "model.json"
+        save_checkpoint(model, path)
+        loaded = load_checkpoint(path)
+        assert loaded.weights.tobytes() == model.weights.tobytes()
+        assert loaded.bias.tobytes() == model.bias.tobytes()
+
+    @pytest.mark.parametrize("field", ["weights", "bias"])
+    @pytest.mark.parametrize("damage", ["list", "not-base64", "one-float-short"])
+    def test_damaged_block_names_its_field(self, small_models, tmp_path, field, damage):
+        backward, _, _ = small_models
+        path = tmp_path / "model.json"
+        save_checkpoint(backward, path)
+        doc = json.loads(path.read_text())
+        raw = base64.b64decode(doc[field])
+        doc[field] = {
+            "list": np.frombuffer(raw, "<f8").tolist(),
+            "not-base64": "not base64!",
+            "one-float-short": base64.b64encode(raw[:-8]).decode(),
+        }[damage]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match=re.escape(f"checkpoint {path} field {field!r}")):
+            load_checkpoint(path)
 
     def test_unreadable_checkpoint(self, tmp_path):
         path = tmp_path / "bad.json"
