@@ -15,7 +15,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from retroloop import run_self_improvement
 from retroloop.cli import (
     build_pretrained,
     build_world_data,
@@ -23,6 +22,7 @@ from retroloop.cli import (
     load_config,
     seed_loop_config,
 )
+from retroloop.improve import run_self_improvement
 
 ROOT = Path(__file__).resolve().parent.parent
 

@@ -192,7 +192,7 @@ def parse_config(doc: dict, where: str = "config") -> ExperimentConfig:
     dataclass defaults."""
     if not isinstance(doc, dict):
         raise InvalidConfig(f"{where}: expected an object")
-    version = doc.get("version", CONFIG_VERSION)
+    version = _typed(int, doc.get("version", CONFIG_VERSION), None, f"{where}.version")
     if version != CONFIG_VERSION:
         raise InvalidConfig(f"{where}.version: unsupported version {version!r}")
     return _build(ExperimentConfig(), {k: v for k, v in doc.items() if k != "version"}, where)
@@ -356,7 +356,10 @@ def run_improve(
     reports_dir.mkdir(parents=True, exist_ok=True)
     ck_dir = seed_dir / "checkpoints"
     ck_dir.mkdir(parents=True, exist_ok=True)
-    # A new loop replaces every iteration file of an earlier one.
+    final_path = _checkpoint_paths(seed_dir)["final"]
+    # A new loop replaces every iteration file and the final model of an
+    # earlier one, so an interrupted loop leaves no earlier final model.
+    final_path.unlink(missing_ok=True)
     for stale in [*ck_dir.glob("backward_iter_*.json"), *reports_dir.glob("iteration_*.json")]:
         stale.unlink()
 
@@ -371,7 +374,7 @@ def run_improve(
     )
     # The final model is the last iteration's, whose file is already written.
     last = ck_dir / f"backward_iter_{reports[-1].iteration}.json"
-    shutil.copyfile(last, _checkpoint_paths(seed_dir)["final"])
+    shutil.copyfile(last, final_path)
     return final, reports
 
 

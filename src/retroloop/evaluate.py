@@ -18,10 +18,9 @@ from dataclasses import dataclass
 
 from .errors import CapExceeded, EmptyDataset, InvalidInput
 from .model import TemplateClassifier, check_world, product_proba, score_products
-from .planner import ValueEstimator, ZeroEstimator, plan, route_cost_under
+from .planner import INF, ValueEstimator, ZeroEstimator, plan, route_cost_under
 from .world import Dataset, Molecule, Route, World
 
-INF = math.inf
 # How many new molecules one OracleEstimator call may explore.
 ORACLE_CAP = 100_000
 

@@ -130,11 +130,6 @@ def parse_molecule(text: str) -> Molecule:
     return parse_ast(text) or Molecule(text, malformed=True)
 
 
-def mol(text: str) -> Molecule:
-    """Shorthand constructor used throughout the package and tests."""
-    return parse_molecule(text)
-
-
 def subterms(m: Molecule) -> Iterable[Molecule]:
     """All subterms of the well-formed ``m``, including itself."""
     stack = [m]

@@ -1,14 +1,9 @@
 import pytest
 
-from retroloop import (
-    DatasetConfig,
-    TrainConfig,
-    WorldConfig,
-    build_datasets,
-    generate_world,
-    penalty_constants,
-)
+from retroloop.evaluate import penalty_constants
 from retroloop.improve import pretrain_models
+from retroloop.model import TrainConfig
+from retroloop.world import DatasetConfig, WorldConfig, build_datasets, generate_world
 
 
 @pytest.fixture(scope="session")

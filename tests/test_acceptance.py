@@ -17,27 +17,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from retroloop import (
-    DatasetConfig,
-    TrainConfig,
-    WorldConfig,
-    ZeroEstimator,
-    brute_force_oracle,
-    build_datasets,
-    evaluate_over_budgets,
-    featurize_molecule,
-    generate_world,
-    mol,
-    parse_molecule,
-    penalty_constants,
-    plan,
-    route_cost_under,
-    run_self_improvement,
-    topk_exact_match,
-    train,
-    unfolded_route_cost,
-    zero_classifier,
-)
 from retroloop.cli import (
     build_pretrained,
     build_world_data,
@@ -46,9 +25,28 @@ from retroloop.cli import (
     main,
     seed_loop_config,
 )
-from retroloop.improve import pretrain_models
-from retroloop.model import ROLE_BACKWARD, nll_and_grad
-from retroloop.world import KIND_SPLIT, Template
+from retroloop.evaluate import brute_force_oracle, evaluate_over_budgets, penalty_constants
+from retroloop.improve import pretrain_models, run_self_improvement
+from retroloop.model import (
+    ROLE_BACKWARD,
+    TrainConfig,
+    featurize_molecule,
+    nll_and_grad,
+    topk_exact_match,
+    train,
+    zero_classifier,
+)
+from retroloop.planner import ZeroEstimator, plan, route_cost_under, unfolded_route_cost
+from retroloop.world import (
+    KIND_SPLIT,
+    DatasetConfig,
+    Template,
+    WorldConfig,
+    build_datasets,
+    generate_world,
+    parse_molecule,
+)
+from retroloop.world import parse_molecule as mol
 
 REFERENCE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "reference.json"
 

@@ -63,7 +63,8 @@ def test_traced_counters_see_backward_and_featurize(small_world, small_models):
     from dataclasses import replace
 
     from retroloop.model import likelihood, predict_topk
-    from retroloop.world import make_reaction, mol
+    from retroloop.world import make_reaction
+    from retroloop.world import parse_molecule as mol
 
     tracer = load("tracer")
     products = [mol("((a+b)*c)"), mol("(a*b)"), mol("a")]
@@ -92,7 +93,8 @@ def test_applications_read_the_product_not_the_parse_cache(small_world):
     # parsed product holds its own operands: expanding it must leave those
     # counters alone, while ``world.template_backward.calls`` still counts
     # one call per firing template.
-    from retroloop.world import mol, parse_ast
+    from retroloop.world import parse_ast
+    from retroloop.world import parse_molecule as mol
 
     tracer = load("tracer")
     products = [mol("((a+b)*c)"), mol("(a*b)"), mol("a")]

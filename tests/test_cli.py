@@ -16,7 +16,6 @@ import pytest
 
 import retroloop
 import retroloop.cli as cli
-from retroloop import IterationReport, load_checkpoint, run_self_improvement, save_checkpoint
 from retroloop.cli import (
     ExperimentConfig,
     build_pretrained,
@@ -27,6 +26,8 @@ from retroloop.cli import (
     seed_loop_config,
 )
 from retroloop.evaluate import ESTIMATORS, OracleEstimator
+from retroloop.improve import IterationReport, run_self_improvement
+from retroloop.model import load_checkpoint, save_checkpoint
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 REFERENCE_CONFIG = SCRIPTS.parent / "configs" / "reference.json"
@@ -240,11 +241,12 @@ class TestConfig:
             (("eval", "budgets"), [10.9, 25]),
             (("pretrain", "backward", "learning_rate"), True),
             (("loop", "epsilon"), "0.5"),
+            (("version",), True),
         ],
         ids=["dim-zero", "dim-negative", "dim-huge", "n_targets", "max_depth", "split-short",
              "split-sum", "leaf_prob", "split-nan", "pretrain-learning_rate-nan", "bc-learning_rate-inf",
              "epochs-float", "epochs-bool", "epochs-string", "seeds-float", "seeds-duplicate",
-             "budgets-float", "learning_rate-bool", "epsilon-string"],
+             "budgets-float", "learning_rate-bool", "epsilon-string", "version-bool"],
     )
     def test_bad_value_exits_2_before_any_write(self, tmp_path, capsys, path, value):
         # Checked with the config, not once the world or the models are built.
@@ -906,6 +908,27 @@ class TestPlan:
 
 
 class TestSingleHomes:
+    def test_the_package_binds_only_its_submodules(self):
+        # Every other name is imported from the module that defines it.
+        strays = [
+            name for name, value in vars(retroloop).items()
+            if not name.startswith("_") and sys.modules.get(f"retroloop.{name}") is not value
+        ]
+        assert strays == []
+
+    def test_importing_the_world_pins_blas_threads_without_numpy(self):
+        blas_vars = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        src = str(Path(retroloop.__file__).resolve().parent.parent)
+        env = {k: v for k, v in os.environ.items() if k not in blas_vars}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import os, sys, retroloop.world; "
+             f"print('numpy' in sys.modules, *(os.environ[v] for v in {blas_vars!r}))"],
+            env=env, check=True, capture_output=True, text=True,
+        )
+        assert done.stdout == "False 1 1 1\n"
+
     def test_both_estimator_flags_offer_the_table(self):
         sub = next(
             a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
@@ -1131,6 +1154,35 @@ class TestReportAndRunAll:
         assert tree_bytes(out / "seed_1") == tree_bytes(fresh / "seed_1")
         reports = json.loads((out / "manifest.json").read_text())["seeds"]["1"]["reports"]
         assert [Path(r).name for r in reports] == ["iteration_1.json"]
+
+    def test_interrupted_loop_leaves_no_earlier_final_model(
+        self, config_path, tmp_path, monkeypatch
+    ):
+        # A loop stopped after its first iteration keeps that iteration's
+        # files but not the earlier loop's final model, which evaluate would
+        # otherwise score as the new loop's last iteration.
+        out = tmp_path / "run"
+        args = ["--config", config_path, "--out", str(out), "--seed", "1"]
+        assert main(["run-all", *args]) == 0
+        checkpoints = out / "seed_1" / "checkpoints"
+        assert (checkpoints / "backward_final.json").exists()
+
+        class Interrupted(Exception):
+            pass
+
+        def interrupted(loop_cfg, world, data, pretrained, on_iteration):
+            def stop(model, report):
+                on_iteration(model, report)
+                raise Interrupted
+
+            return run_self_improvement(loop_cfg, world, data, pretrained, on_iteration=stop)
+
+        monkeypatch.setattr(cli, "run_self_improvement", interrupted)
+        with pytest.raises(Interrupted):
+            main(["self-improve", *args])
+        assert (checkpoints / "backward_iter_1.json").exists()
+        assert not (checkpoints / "backward_final.json").exists()
+        assert main(["evaluate", *args]) == 4
 
     def test_aggregates_only_the_seeds_the_manifest_lists(self, config_path, tmp_path):
         # seed_1/ is left from a run of another loop config; the second run

@@ -9,33 +9,38 @@ from hypothesis import strategies as st
 
 import retroloop.evaluate as evaluate_module
 import retroloop.model as model_module
-from retroloop import (
-    CapExceeded,
-    Dataset,
-    DatasetConfig,
-    EmptyDataset,
+from retroloop.errors import CapExceeded, EmptyDataset, InvalidInput, UnknownTemplate
+from retroloop.evaluate import (
     OracleEstimator,
-    Template,
-    TrainConfig,
-    UnknownTemplate,
-    World,
-    ZeroEstimator,
     brute_force_oracle,
-    build_datasets,
     evaluate_over_budgets,
-    featurize_molecule,
-    generate_world,
-    mol,
-    parse_molecule,
     penalty_constants,
-    plan,
+)
+from retroloop.model import (
+    ROLE_BACKWARD,
+    TrainConfig,
+    featurize_molecule,
+    predict_proba,
     predict_topk,
+    product_proba,
     train,
     zero_classifier,
 )
-from retroloop.errors import InvalidInput
-from retroloop.model import ROLE_BACKWARD, predict_proba, product_proba
-from retroloop.world import KIND_IDENTITY, KIND_SPLIT, WorldConfig, subterms
+from retroloop.planner import ZeroEstimator, plan
+from retroloop.world import (
+    KIND_IDENTITY,
+    KIND_SPLIT,
+    Dataset,
+    DatasetConfig,
+    Template,
+    World,
+    WorldConfig,
+    build_datasets,
+    generate_world,
+    parse_molecule,
+    subterms,
+)
+from retroloop.world import parse_molecule as mol
 
 
 def plus_identity_world():

@@ -3,38 +3,38 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from retroloop import (
-    EmptyCollection,
-    InvalidReaction,
+from retroloop import improve
+from retroloop.errors import EmptyCollection, InvalidReaction
+from retroloop.improve import (
     LoopConfig,
-    PlanResult,
-    Route,
-    Template,
-    TrainConfig,
-    World,
-    ZeroEstimator,
     augment,
     behavioral_clone,
     collect_reactions,
-    likelihood,
-    make_reaction,
-    mol,
-    plan,
+    pretrain_models,
     run_self_improvement,
-    train,
-    validate_route,
-    zero_classifier,
 )
-from retroloop import improve
-from retroloop.improve import pretrain_models
 from retroloop.model import (
     ROLE_BACKWARD,
     ROLE_FORWARD,
+    TrainConfig,
     featurize_molecule,
     featurize_reactant_set,
+    likelihood,
     predict_topk,
+    train,
+    zero_classifier,
 )
-from retroloop.world import KIND_CHOP, KIND_SPLIT
+from retroloop.planner import PlanResult, ZeroEstimator, plan
+from retroloop.world import (
+    KIND_CHOP,
+    KIND_SPLIT,
+    Route,
+    Template,
+    World,
+    make_reaction,
+    validate_route,
+)
+from retroloop.world import parse_molecule as mol
 
 
 @pytest.fixture(scope="module")

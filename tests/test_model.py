@@ -12,45 +12,48 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import retroloop.model as model_module
-from retroloop import (
-    DEFAULT_DIM,
+from retroloop.cli import build_world_data, load_config
+from retroloop.errors import (
+    CheckpointError,
     EmptyDataset,
     InvalidInput,
     InvalidReaction,
-    Molecule,
-    Template,
-    TrainConfig,
     UnknownTemplate,
-    World,
-    ZeroEstimator,
-    brute_force_oracle,
+)
+from retroloop.evaluate import brute_force_oracle
+from retroloop.model import (
+    DEFAULT_DIM,
+    ROLE_BACKWARD,
+    ROLE_FORWARD,
+    FeatureVector,
+    TrainConfig,
+    _feature_hash,
     featurize_molecule,
     featurize_reactant_set,
     likelihood,
     load_checkpoint,
-    make_reaction,
-    mol,
-    parse_molecule,
-    plan,
+    mean_nll,
+    nll_and_grad,
+    predict_proba,
     predict_topk,
     save_checkpoint,
     topk_exact_match,
     train,
     zero_classifier,
 )
-from retroloop.cli import build_world_data, load_config
-from retroloop.errors import CheckpointError
-from retroloop.model import (
-    ROLE_BACKWARD,
-    ROLE_FORWARD,
-    FeatureVector,
-    _feature_hash,
-    mean_nll,
-    nll_and_grad,
-    predict_proba,
-)
+from retroloop.planner import ZeroEstimator, plan
 from retroloop.seeding import derive_seed
-from retroloop.world import KIND_CHOP, KIND_SPLIT, subterms
+from retroloop.world import (
+    KIND_CHOP,
+    KIND_SPLIT,
+    Molecule,
+    Template,
+    World,
+    make_reaction,
+    parse_molecule,
+    subterms,
+)
+from retroloop.world import parse_molecule as mol
 
 
 def two_template_world(decoy_first=False):

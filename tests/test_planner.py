@@ -12,34 +12,16 @@ import numpy as np
 import pytest
 
 import retroloop.model as model_module
-from retroloop import (
-    DatasetConfig,
-    InvalidInput,
-    Molecule,
-    NotSolved,
-    Template,
+from retroloop.errors import InvalidInput, NotSolved
+from retroloop.evaluate import brute_force_oracle, penalty_constants
+from retroloop.model import (
+    ROLE_BACKWARD,
     TrainConfig,
-    World,
-    WorldConfig,
-    ZeroEstimator,
-    brute_force_oracle,
-    build_datasets,
-    extract_route,
     featurize_molecule,
-    generate_world,
     likelihood,
-    make_reaction,
-    mol,
-    parse_molecule,
-    penalty_constants,
-    plan,
-    route_cost_under,
     train,
-    unfolded_route_cost,
-    validate_route,
     zero_classifier,
 )
-from retroloop.model import ROLE_BACKWARD
 from retroloop.planner import (
     DEAD,
     EXPANDED,
@@ -49,8 +31,27 @@ from retroloop.planner import (
     MolNode,
     ReactionNode,
     SearchTree,
+    ZeroEstimator,
+    extract_route,
+    plan,
+    route_cost_under,
+    unfolded_route_cost,
 )
-from retroloop.world import KIND_IDENTITY, KIND_SPLIT
+from retroloop.world import (
+    KIND_IDENTITY,
+    KIND_SPLIT,
+    DatasetConfig,
+    Molecule,
+    Template,
+    World,
+    WorldConfig,
+    build_datasets,
+    generate_world,
+    make_reaction,
+    parse_molecule,
+    validate_route,
+)
+from retroloop.world import parse_molecule as mol
 
 
 def single_split_world():
@@ -462,14 +463,14 @@ class TestPlanStartScoring:
 class TestRouteCost:
     def test_empty_route_costs_nothing(self, small_models, small_world):
         backward, _, _ = small_models
-        from retroloop import Route
+        from retroloop.world import Route
 
         assert route_cost_under(Route(target=mol("a")), backward, small_world) == 0.0
 
     def test_probability_one_costs_nothing(self):
         world = single_split_world()
         clf = zero_classifier(world.template_ids, ROLE_BACKWARD)
-        from retroloop import Route
+        from retroloop.world import Route
 
         route = Route(
             target=mol("(a+b)"),
@@ -488,7 +489,7 @@ class TestRouteCost:
             building_blocks=(mol("a"), mol("b")),
         )
         clf = zero_classifier(world.template_ids, ROLE_BACKWARD)
-        from retroloop import Route
+        from retroloop.world import Route
 
         route = Route(
             target=mol("(a+b)"),
@@ -625,7 +626,7 @@ class TestSearchProperties:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_exhaustive_search_matches_oracle(self, seed):
-        from retroloop import brute_force_oracle
+        from retroloop.evaluate import brute_force_oracle
 
         world, data, clf = self._random_setup(seed)
         table = brute_force_oracle(world, clf, list(data.targets), cap=300)

@@ -4,25 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from retroloop import (
-    DatasetConfig,
-    InvalidConfig,
-    InvalidInput,
-    Molecule,
-    Route,
-    Template,
-    World,
-    WorldConfig,
-    build_datasets,
-    featurize_molecule,
-    generate_world,
-    make_reaction,
-    mol,
-    parse_molecule,
-    sample_ground_truth_route,
-    save_world,
-    validate_route,
-)
+from retroloop.errors import InvalidConfig, InvalidInput
+from retroloop.model import featurize_molecule
 from retroloop.world import (
     ATOM_CHARS,
     KIND_CHOP,
@@ -30,9 +13,23 @@ from retroloop.world import (
     KIND_SPLIT,
     OPERATOR_CHARS,
     OPERATOR_POOL,
+    DatasetConfig,
+    Molecule,
+    Route,
+    Template,
+    World,
+    WorldConfig,
+    build_datasets,
+    generate_world,
+    make_reaction,
     parse_ast,
+    parse_molecule,
+    sample_ground_truth_route,
+    save_world,
     subterms,
+    validate_route,
 )
+from retroloop.world import parse_molecule as mol
 
 
 def terms(atoms="abc", ops="+*", max_leaves=8):
