@@ -82,6 +82,9 @@ EXIT_CODES = (
     (MissingCheckpoint, 4),
     (CheckpointError, 5),
     (CorruptFile, 5),
+    (FileExistsError, 5),
+    (IsADirectoryError, 5),
+    (NotADirectoryError, 5),
     (MissingManifest, 6),
 )
 
@@ -488,11 +491,11 @@ def run_seed(cfg: ExperimentConfig, seed: int, out: Path) -> dict:
 # aggregation
 
 
-def _summary_rows(summary: Path) -> list[tuple[tuple[str, int, int], list[float]]]:
-    """The (estimator, iteration, budget) key and the metric values of each
-    row of one ``summary.csv``. A file that cannot be read as UTF-8 text in
-    the layout ``evaluate`` writes, with integer iterations and budgets and
-    numeric metrics, raises CorruptFile naming it."""
+def _summary_rows(summary: Path) -> dict[tuple[str, int, int], list[float]]:
+    """The metric values of each row of one ``summary.csv`` by its
+    (estimator, iteration, budget) key. A file that cannot be read as UTF-8
+    text in the layout ``evaluate`` writes, with integer iterations and
+    budgets, numeric metrics and no key twice, raises CorruptFile naming it."""
     metrics = SUMMARY_COLUMNS[4:]
     try:
         with summary.open(encoding="utf-8", newline="") as fh:
@@ -500,12 +503,17 @@ def _summary_rows(summary: Path) -> list[tuple[tuple[str, int, int], list[float]
             if reader.fieldnames != list(SUMMARY_COLUMNS):
                 columns = ",".join(SUMMARY_COLUMNS)
                 raise CorruptFile(f"{summary} does not have the columns {columns}")
-            rows = []
+            rows = {}
             for rec in reader:
                 if None in rec:  # DictReader's key for fields past the header's
                     raise CorruptFile(f"{summary} line {reader.line_num} has extra fields")
                 key = (rec["estimator"], int(rec["iteration"]), int(rec["budget"]))
-                rows.append((key, [float(rec[m]) for m in metrics]))
+                if key in rows:
+                    raise CorruptFile(
+                        f"{summary} line {reader.line_num} repeats estimator {key[0]}, "
+                        f"iteration {key[1]}, budget {key[2]}"
+                    )
+                rows[key] = [float(rec[m]) for m in metrics]
             return rows
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise CorruptFile(f"cannot read {summary}: {exc}") from exc
@@ -524,7 +532,7 @@ def aggregate_report(out: Path, seeds: Iterable[int | str]) -> list[dict]:
     and std; one infinite on some seed has its mean and a nan std."""
     grouped: dict[tuple[str, int, int], list[list[float]]] = {}
     for summary in sorted(_seed_dir(out, seed) / "metrics" / "summary.csv" for seed in seeds):
-        for key, values in _summary_rows(summary):
+        for key, values in _summary_rows(summary).items():
             grouped.setdefault(key, []).append(values)
 
     metrics = SUMMARY_COLUMNS[4:]
@@ -747,8 +755,8 @@ def cmd_report(args) -> int:
     except (OSError, ValueError, RecursionError) as exc:
         raise CorruptFile(f"cannot read {manifest}: {exc}") from exc
     seeds = doc.get("seeds") if isinstance(doc, dict) else None
-    if not isinstance(seeds, dict):
-        raise CorruptFile(f"{manifest} has no seeds object")
+    if not isinstance(seeds, dict) or not seeds:
+        raise CorruptFile(f"{manifest} has no seeds object that lists a seed")
     print_report(aggregate_report(out, seeds))
     return 0
 

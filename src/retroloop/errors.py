@@ -25,10 +25,6 @@ class EmptyDataset(RetroloopError, ValueError):
     """An operation that requires data received none."""
 
 
-class EmptyCollection(RetroloopError, ValueError):
-    """A reaction collection that must be non-empty is empty."""
-
-
 class NotSolved(RetroloopError, RuntimeError):
     """Route extraction was requested from a tree whose root is unsolved."""
 

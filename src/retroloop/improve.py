@@ -12,10 +12,11 @@ once and never change.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .errors import EmptyCollection, EmptyDataset, InvalidConfig, InvalidReaction
+from .errors import EmptyDataset, InvalidConfig, InvalidReaction
 from .model import (
     DEFAULT_DIM,
     ROLE_BACKWARD,
@@ -91,17 +92,11 @@ def behavioral_clone(
     reactions: Sequence[Reaction],
     cfg: TrainConfig,
 ) -> TemplateClassifier:
-    """Maximum-likelihood imitation of the multiset, weights per multiplicity."""
-    if not reactions:
-        raise EmptyCollection("nothing to clone from")
-    weighted: dict[tuple[str, str], list] = {}
-    for rx in reactions:
-        key = (rx.product.text, rx.template_id)
-        if key in weighted:
-            weighted[key][2] += 1.0
-        else:
-            weighted[key] = [featurize_molecule(rx.product, model.dim), rx.template_id, 1.0]
-    return train(model, [tuple(s) for s in weighted.values()], cfg)
+    """Maximum-likelihood imitation of the multiset: each distinct
+    (product, template) pair is one sample, weighted by its multiplicity."""
+    counts = Counter((rx.product, rx.template_id) for rx in reactions)
+    samples = [(featurize_molecule(p, model.dim), tid, float(n)) for (p, tid), n in counts.items()]
+    return train(model, samples, cfg)
 
 
 # ---------------------------------------------------------------------------

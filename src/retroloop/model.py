@@ -416,6 +416,8 @@ class _Rows(NamedTuple):
 
 
 def _as_rows(model: TemplateClassifier, data: Iterable) -> _Rows:
+    """The rows of ``(features, template_id[, weight])`` samples; a weight
+    defaults to 1."""
     indptr, indices, ys, ws = [0], [], [], []
     for sample in data:
         fv, tid = sample[0], sample[1]
@@ -438,27 +440,16 @@ def _as_rows(model: TemplateClassifier, data: Iterable) -> _Rows:
     )
 
 
-class _Epoch(NamedTuple):
-    """The samples of one permutation, in its order, gathered once: the
-    ``lengths[k]`` bits of the ``k``-th are ``bits[offsets[k]:offsets[k + 1]]``;
-    ``y`` and ``w`` are permuted alike."""
-
-    bits: np.ndarray
-    offsets: np.ndarray
-    lengths: np.ndarray
-    y: np.ndarray
-    w: np.ndarray
-
-
-def _gather(rows: _Rows, perm: np.ndarray) -> _Epoch:
+def _gather(rows: _Rows, perm: np.ndarray) -> _Rows:
+    """The samples of ``rows`` in the order ``perm``, gathered once."""
     starts = rows.indptr[perm]
     lengths = rows.indptr[perm + 1] - starts
-    offsets = np.zeros(len(perm) + 1, dtype=np.intp)
-    np.cumsum(lengths, out=offsets[1:])
+    indptr = np.zeros(len(perm) + 1, dtype=np.intp)
+    np.cumsum(lengths, out=indptr[1:])
     # The j-th gathered bit sits at its sample's start plus its rank there.
-    at = np.repeat(starts - offsets[:-1], lengths)
-    at += np.arange(offsets[-1])
-    return _Epoch(rows.indices[at], offsets, lengths, rows.y[perm], rows.w[perm])
+    at = np.repeat(starts - indptr[:-1], lengths)
+    at += np.arange(indptr[-1])
+    return _Rows(indptr, rows.indices[at], rows.y[perm], rows.w[perm])
 
 
 class _Batches:
@@ -485,18 +476,18 @@ class _Batches:
         self.pos[cols] = np.arange(len(cols))
         return cols, self.pos[bits]
 
-    def __call__(self, epoch: _Epoch, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    def __call__(self, rows: _Rows, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
         """The columns ``U`` active in the samples ``start:stop`` of
-        ``epoch``, and their 0/1 matrix over ``U``, valid until the next
+        ``rows``, and their 0/1 matrix over ``U``, valid until the next
         call; every other column of those samples is zero."""
         self.buf[self.ones] = 0.0
-        lo, hi = epoch.offsets[start], epoch.offsets[stop]
-        cols, col_of = self.columns(epoch.bits[lo:hi])
+        indptr = rows.indptr[start : stop + 1]
+        cols, col_of = self.columns(rows.indices[indptr[0] : indptr[-1]])
         size = (stop - start) * len(cols)
         if self.buf.size < size:
             self.buf = np.zeros(size, dtype=np.float64)
         # A bit of the batch's k-th sample is a one at k * |U| + its column.
-        self.ones = np.repeat(np.arange(stop - start), epoch.lengths[start:stop])
+        self.ones = np.repeat(np.arange(stop - start), indptr[1:] - indptr[:-1])
         self.ones *= len(cols)
         self.ones += col_of
         self.buf[self.ones] = 1.0
@@ -517,21 +508,15 @@ _LOGIT_ROWS = 128
 
 
 def _nll_grad(
-    active: np.ndarray,
-    bias: np.ndarray,
-    x: np.ndarray,
-    y: np.ndarray,
-    w: "np.ndarray | None",
-    with_logp: bool = False,
-) -> tuple["np.ndarray | None", np.ndarray, np.ndarray]:
+    active: np.ndarray, bias: np.ndarray, x: np.ndarray, y: np.ndarray, w: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(logp, grad_w, grad_b)``: each sample's log-probability of its
-    label if ``with_logp``, else None, and the gradient of the batch's total
-    weighted negative log-likelihood over the (T, U) active weights and the
-    bias. ``active`` holds the weights of the batch's U active columns, one
-    C-ordered row of T per column, and ``x`` the batch's (B, U) 0/1 matrix;
-    every other column adds nothing to the logits and gets a zero gradient.
-    ``w=None`` means unit weights, whose multiply would change no bit. The
-    softmax and its residual are computed in place in the logits array."""
+    label, and the gradient of the batch's total weighted negative
+    log-likelihood over the (T, U) active weights and the bias. ``active``
+    holds the weights of the batch's U active columns, one C-ordered row of
+    T per column, and ``x`` the batch's (B, U) 0/1 matrix; every other
+    column adds nothing to the logits and gets a zero gradient. The softmax
+    and its residual are computed in place in the logits array."""
     logits = np.empty((len(y), len(bias)))
     starts = range(0, max(len(y) - _LOGIT_ROWS, 0) + 1, _LOGIT_ROWS)
     for start, stop in zip(starts, [*starts[1:], len(y)]):
@@ -543,15 +528,13 @@ def _nll_grad(
     # logit minus either zero exponentiates to 1.0.
     logits -= np.maximum.reduce(np.ascontiguousarray(logits.T), axis=0)[:, None]
     labels = (np.arange(len(y)), y)
-    logp = logits[labels] if with_logp else None
+    logp = logits[labels]
     resid = np.exp(logits, out=logits)
     z = np.add.reduce(resid, axis=1, keepdims=True)
-    if logp is not None:
-        logp -= np.log(z[:, 0])
+    logp -= np.log(z[:, 0])
     resid /= z
     resid[labels] -= 1.0
-    if w is not None:
-        resid *= w[:, None]
+    resid *= w[:, None]
     return logp, resid.T @ x, np.add.reduce(resid, axis=0)
 
 
@@ -565,22 +548,18 @@ def nll_and_grad(
     ``train`` builds its batches.
     """
     rows = _as_rows(model, data)
-    n = len(rows.y)
-    epoch = _gather(rows, np.arange(n))
-    cols, xs = _Batches(model.dim)(epoch, 0, n)
-    logp, grad_u, grad_b = _nll_grad(
-        model.weights.T[cols], model.bias, xs, epoch.y, epoch.w, with_logp=True
-    )
+    cols, xs = _Batches(model.dim)(rows, 0, len(rows.y))
+    logp, grad_u, grad_b = _nll_grad(model.weights.T[cols], model.bias, xs, rows.y, rows.w)
     grad_w = np.zeros_like(model.weights)
     grad_w[:, cols] = grad_u
-    return float(-(epoch.w * logp).sum()), grad_w, grad_b
+    return float(-(rows.w * logp).sum()), grad_w, grad_b
 
 
 def mean_nll(model: TemplateClassifier, data: Iterable) -> float:
+    """``nll_and_grad``'s total over the samples' total weight."""
     samples = list(data)
     total, _, _ = nll_and_grad(model, samples)
-    weight = sum(float(s[2]) if len(s) > 2 else 1.0 for s in samples)
-    return total / weight
+    return total / float(_as_rows(model, samples).w.sum())
 
 
 def train(
@@ -598,7 +577,6 @@ def train(
     """
     rows = _as_rows(model, data)
     n = len(rows.y)
-    unit = bool((rows.w == 1.0).all())
     weights = model.weights.T.copy()
     bias = model.bias.copy()
     batches = _Batches(model.dim)
@@ -609,9 +587,7 @@ def train(
             stop = min(start + cfg.batch_size, n)
             cols, xs = batches(epoch, start, stop)
             active = weights[cols]
-            _, grad_w, grad_b = _nll_grad(
-                active, bias, xs, epoch.y[start:stop], None if unit else epoch.w[start:stop]
-            )
+            _, grad_w, grad_b = _nll_grad(active, bias, xs, epoch.y[start:stop], epoch.w[start:stop])
             scale = cfg.learning_rate / (stop - start)
             grad_w *= scale
             active -= grad_w.T

@@ -384,6 +384,46 @@ class TestDamagedFiles:
         path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
         self.assert_exits_5(config_path, out, path, capsys, command="run-all")
 
+    @pytest.mark.parametrize(
+        "command, name, kind",
+        [
+            *(
+                ("run-all", name, "file")
+                for name in (
+                    "seed_1", "seed_1/dataset", "seed_1/checkpoints", "seed_1/reports",
+                    "seed_1/metrics",
+                )
+            ),
+            *(("run-all", name, "dir") for name in ("config.json", "aggregated.csv", "manifest.json")),
+            ("report", "aggregated.csv", "dir"),
+        ],
+    )
+    def test_path_of_the_wrong_kind_exits_5(self, tmp_path, capsys, command, name, kind):
+        doc = json.loads(json.dumps(TINY))
+        doc["seeds"] = [1]
+        doc["dataset"]["n_targets"] = 20
+        config = write_config(tmp_path, doc)
+        out = tmp_path / "run"
+        path = out / name
+        path.parent.mkdir(parents=True)
+        if kind == "file":
+            path.write_text("")
+        else:
+            path.mkdir()
+        if command == "report":
+            (out / "manifest.json").write_text('{"seeds": {"1": {}}}\n')
+            (out / "seed_1" / "metrics").mkdir(parents=True)
+            row = [1, "retro0", 0, 25, "0.5", "3.0", "10.0", "4.0", "1.0", "1.0"]
+            with (out / "seed_1" / "metrics" / "summary.csv").open("w", newline="") as fh:
+                csv.writer(fh).writerows([cli.SUMMARY_COLUMNS, row])
+            argv = ["report", "--run", str(out)]
+        else:
+            argv = ["run-all", "--config", config, "--out", str(out)]
+        capsys.readouterr()
+        assert main(argv) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
+
 
 class TestPretrain:
     def test_backward_equals_reference_checkpoint(self, config_path, tmp_path, capsys):
@@ -1205,7 +1245,9 @@ class TestReportAndRunAll:
         assert main(["report", "--run", str(out)]) == 5
 
     @pytest.mark.parametrize(
-        "text", ["{]", "{}\n", '{"seeds": [1]}\n'], ids=["unreadable", "no-seeds", "seeds-list"]
+        "text",
+        ["{]", "{}\n", '{"seeds": [1]}\n', '{"seeds": {}}\n'],
+        ids=["unreadable", "no-seeds", "seeds-list", "empty-seeds"],
     )
     def test_manifest_without_a_seeds_object_exits_5(self, tmp_path, capsys, text):
         out = tmp_path / "run"
@@ -1305,6 +1347,20 @@ class TestReportAndRunAll:
             assert err.count("\n") == 1, what
         summary.write_bytes(good)
         assert main(["report", "--run", str(out)]) == 0
+
+    def test_repeated_summary_row_exits_5(self, config_path, tmp_path, capsys):
+        # A copied row is a damaged summary, not a second seed of its key.
+        out = tmp_path / "run"
+        assert main(["run-all", "--config", config_path, "--out", str(out), "--seed", "1"]) == 0
+        summary = out / "seed_1" / "metrics" / "summary.csv"
+        lines = summary.read_text().splitlines(keepends=True)
+        summary.write_text("".join(lines) + lines[1])
+        written = (out / "aggregated.csv").read_bytes()
+        capsys.readouterr()
+        assert main(["report", "--run", str(out)]) == 5
+        err = capsys.readouterr().err
+        assert f"{summary} line {len(lines) + 1} repeats" in err
+        assert (out / "aggregated.csv").read_bytes() == written
 
     def test_infinite_metric_has_its_mean_and_a_nan_std(self, tmp_path, capsys):
         # A reaction of probability 0 costs INF, and so may a seed's avg_cost.

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from retroloop import improve
-from retroloop.errors import EmptyCollection, InvalidReaction
+from retroloop.errors import EmptyDataset, InvalidReaction
 from retroloop.improve import (
     LoopConfig,
     augment,
@@ -189,7 +189,7 @@ class TestBehavioralClone:
 
     def test_empty_collection_rejected(self, small_world):
         model = zero_classifier(small_world.template_ids, ROLE_BACKWARD)
-        with pytest.raises(EmptyCollection):
+        with pytest.raises(EmptyDataset):
             behavioral_clone(model, (), TrainConfig())
 
 
