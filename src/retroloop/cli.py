@@ -494,8 +494,9 @@ def run_seed(cfg: ExperimentConfig, seed: int, out: Path) -> dict:
 def _summary_rows(summary: Path) -> dict[tuple[str, int, int], list[float]]:
     """The metric values of each row of one ``summary.csv`` by its
     (estimator, iteration, budget) key. A file that cannot be read as UTF-8
-    text in the layout ``evaluate`` writes, with integer iterations and
-    budgets, numeric metrics and no key twice, raises CorruptFile naming it."""
+    text in the layout ``evaluate`` writes, with at least one row, integer
+    iterations and budgets, numeric metrics and no key twice, raises
+    CorruptFile naming it."""
     metrics = SUMMARY_COLUMNS[4:]
     try:
         with summary.open(encoding="utf-8", newline="") as fh:
@@ -514,6 +515,8 @@ def _summary_rows(summary: Path) -> dict[tuple[str, int, int], list[float]]:
                         f"iteration {key[1]}, budget {key[2]}"
                     )
                 rows[key] = [float(rec[m]) for m in metrics]
+            if not rows:
+                raise CorruptFile(f"{summary} holds no rows")
             return rows
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise CorruptFile(f"cannot read {summary}: {exc}") from exc

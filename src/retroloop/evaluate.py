@@ -16,7 +16,7 @@ from collections import deque
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 
-from .errors import CapExceeded, EmptyDataset, InvalidInput
+from .errors import CapExceeded, EmptyDataset
 from .model import TemplateClassifier, check_world, product_proba, score_products
 from .planner import INF, ValueEstimator, ZeroEstimator, plan, route_cost_under
 from .world import Dataset, Molecule, Route, World
@@ -118,12 +118,10 @@ def evaluate_over_budgets(
     """
     if not targets:
         raise EmptyDataset("no targets to evaluate")
-    if not budgets or sorted(budgets) != list(budgets):
-        raise InvalidInput("budgets must be non-empty and ascending")
     max_len, max_cost = penalties
     outcomes = []  # (target, calls at success or None, route)
     for target in targets:
-        result = plan(target, model, estimator, budgets[-1], k_expand, world)
+        result = plan(target, model, estimator, max(budgets), k_expand, world)
         if result.success:
             outcomes.append((target, result.model_calls, result.route))
         else:

@@ -10,6 +10,11 @@ The model is multinomial logistic regression over hashed structural features.
 Weights start at zero, so an untrained model predicts the exact uniform
 distribution; training is seeded mini-batch gradient ascent on the weighted
 log-likelihood, bit-reproducible for a fixed seed.
+
+A dead end is never scored. A malformed molecule has no features
+(``featurize_molecule`` raises InvalidInput), and ``predict_topk`` returns no
+candidates, without featurizing, for a product no template fires on or a
+reactant set with a malformed member, which no template joins.
 """
 
 from __future__ import annotations
@@ -72,27 +77,22 @@ class FeatureVector:
 def featurize_molecule(m: Molecule, dim: int = DEFAULT_DIM) -> FeatureVector:
     """Hash all subterms of height <= 2 plus the root operator symbol.
 
-    Malformed molecules fall back to character 3-grams of their text.
-    Vectors are memoised by ``(text, malformed, dim)``, the bits of each
-    subterm by ``(text, dim)`` and the root-operator bit by ``(op, dim)``, so
-    a subterm or operator shared by many molecules is hashed once.
+    A malformed molecule is a dead end and has none: it raises InvalidInput.
+    Vectors and the bits of each subterm are memoised by ``(text, dim)`` and
+    the root-operator bit by ``(op, dim)``, so a subterm or operator shared
+    by many molecules is hashed once.
     """
-    return _featurize(m.text, m.malformed, dim)
+    if m.malformed:
+        raise InvalidInput(f"malformed molecule {m.text!r} has no features")
+    return _featurize(m.text, dim)
 
 
 @lru_cache(maxsize=1 << 16)
-def _featurize(text: str, malformed: bool, dim: int) -> FeatureVector:
-    ast = None if malformed else parse_ast(text)
-    if ast is None:
-        if len(text) < 3:
-            features = {"#" + text}
-        else:
-            features = {"#" + text[i : i + 3] for i in range(len(text) - 2)}
-        bits = {_feature_hash(f, dim) for f in features}
-    else:
-        bits = set(_subterm_bits(text, dim))
-        if ast.op is not None:
-            bits.add(_op_bit(ast.op, dim))
+def _featurize(text: str, dim: int) -> FeatureVector:
+    op = parse_ast(text).op  # type: ignore[union-attr]
+    bits = set(_subterm_bits(text, dim))
+    if op is not None:
+        bits.add(_op_bit(op, dim))
     return FeatureVector(dim=dim, indices=tuple(sorted(bits)))
 
 
@@ -158,9 +158,9 @@ class TemplateClassifier:
 
     @cached_property
     def _proba_memo(self) -> dict[str, np.ndarray]:
-        """Read-only ``predict_proba`` rows of well-formed products, by text
-        (see ``product_proba``). A new instance, from ``train``,
-        ``dataclasses.replace`` or ``load_checkpoint``, starts empty."""
+        """Read-only ``predict_proba`` rows of products, by text (see
+        ``product_proba``, which never scores a malformed one). A new instance,
+        from ``train``, ``dataclasses.replace`` or ``load_checkpoint``, starts empty."""
         return {}
 
 
@@ -262,19 +262,18 @@ def predict_proba(model: TemplateClassifier, fv: FeatureVector) -> np.ndarray:
 
 
 def product_proba(model: TemplateClassifier, product: Molecule) -> np.ndarray:
-    """``predict_proba`` of ``product``'s features, memoised per model.
+    """``predict_proba`` of the well-formed ``product``'s features, memoised
+    per model; a malformed product is a dead end and raises InvalidInput.
 
-    A backward model keeps the row of each well-formed product it scores,
-    read-only, in its memo, so planning, filtering, augmentation, route
-    costs and the oracle score a product once per model; ``score_products``
-    fills many entries at once. A malformed product, whose features differ
-    from those of the well-formed molecule of the same text, and every
-    product under a forward model, are scored afresh. Every memo entry is
-    one dict entry, written once, whose value equals what a later call
-    would compute, so concurrent callers may share a model.
+    The model keeps the row of each product it scores, read-only, in its
+    memo, so planning, filtering, augmentation, route costs and the oracle
+    score a product once per model; ``score_products`` fills many entries
+    at once. Every memo entry is one dict entry, written once, whose value
+    equals what a later call would compute, so concurrent callers may share
+    a model.
     """
-    if product.malformed or model.role != ROLE_BACKWARD:
-        return predict_proba(model, featurize_molecule(product, model.dim))
+    if product.malformed:
+        raise InvalidInput(f"malformed molecule {product.text!r} has no features")
     probs = model._proba_memo.get(product.text)
     if probs is None:
         score_products(model, [product])
@@ -284,15 +283,10 @@ def product_proba(model: TemplateClassifier, product: Molecule) -> np.ndarray:
 
 def score_products(model: TemplateClassifier, products: Iterable[Molecule]) -> None:
     """Memoise the ``product_proba`` rows of the well-formed ``products``
-    that a backward model's memo lacks, in one ``_proba_rows`` pass.
-
-    Each product is featurized through ``featurize_molecule``. A forward
-    model keeps no memo, so it scores nothing here.
-    """
-    if model.role != ROLE_BACKWARD:
-        return
+    that the model's memo lacks, in one ``_proba_rows`` pass; each is
+    featurized through ``featurize_molecule``."""
     memo = model._proba_memo
-    new = {p.text: p for p in products if not p.malformed and p.text not in memo}
+    new = {p.text: p for p in products if p.text not in memo}
     if not new:
         return
     rows = _proba_rows(model, [featurize_molecule(p, model.dim) for p in new.values()])
@@ -331,7 +325,9 @@ def predict_topk(
     otherwise the product is a dead end and the result empty. The score is
     read through the model's memo (``product_proba``). The applications
     come in template order, and one stable sort by descending probability
-    ranks them, which is the order a stable argsort gives.
+    ranks them, which is the order a stable argsort gives. A forward model
+    returns an empty result, unscored, for a reactant set with a malformed
+    member.
 
     Ranking is in plain Python floats, and each probability is reported as
     that float.
@@ -353,6 +349,8 @@ def predict_topk(
         return ranked
     if isinstance(inp, Molecule):
         raise InvalidInput("forward models take a reactant sequence")
+    if any(m.malformed for m in inp):
+        return []
     p = predict_proba(model, featurize_reactant_set(inp, model.dim)).tolist()
     results = []
     for i in sorted(range(model.n_templates), key=p.__getitem__, reverse=True):
@@ -365,18 +363,15 @@ def predict_topk(
 
 
 def likelihood(model: TemplateClassifier, reaction: Reaction, world: World) -> float:
-    """Probability of the reaction's template given its featurized input,
-    under a model made for ``world`` (``check_world``).
-
-    A backward model reads the product's score through its memo
-    (``product_proba``)."""
+    """Probability of the reaction's template given its product, under a
+    backward model made for ``world`` (``check_world``), read through the
+    model's memo (``product_proba``)."""
     check_world(model, world)
+    if model.role == ROLE_FORWARD:
+        raise InvalidInput("likelihood is defined for backward models")
     row = model._row_of.get(reaction.template_id)
     if row is None:
         raise UnknownTemplate(reaction.template_id)
-    if model.role == ROLE_FORWARD:
-        fv = featurize_reactant_set(reaction.reactants, model.dim)
-        return float(predict_proba(model, fv)[row])
     if not world.templates[row].yields(reaction.product, reaction.reactants):
         raise InvalidReaction(
             f"template {reaction.template_id} does not yield the stated "

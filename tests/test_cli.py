@@ -1362,6 +1362,22 @@ class TestReportAndRunAll:
         assert f"{summary} line {len(lines) + 1} repeats" in err
         assert (out / "aggregated.csv").read_bytes() == written
 
+    def test_header_only_summary_exits_5(self, tmp_path, capsys):
+        # A listed seed with no rows would leave its seeds' means short of it.
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "manifest.json").write_text('{"seeds": {"1": {}, "2": {}}}\n')
+        rows = {1: [[1, "retro0", 0, 25, "0.5", "3.0", "10.0", "4.0", "1.0", "1.0"]], 2: []}
+        for seed, seed_rows in rows.items():
+            metrics_dir = out / f"seed_{seed}" / "metrics"
+            metrics_dir.mkdir(parents=True)
+            with (metrics_dir / "summary.csv").open("w", newline="") as fh:
+                csv.writer(fh).writerows([cli.SUMMARY_COLUMNS, *seed_rows])
+        assert main(["report", "--run", str(out)]) == 5
+        err = capsys.readouterr().err
+        assert f"{out / 'seed_2' / 'metrics' / 'summary.csv'} holds no rows" in err
+        assert not (out / "aggregated.csv").exists()
+
     def test_infinite_metric_has_its_mean_and_a_nan_std(self, tmp_path, capsys):
         # A reaction of probability 0 costs INF, and so may a seed's avg_cost.
         out = tmp_path / "run"

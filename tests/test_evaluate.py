@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import retroloop.evaluate as evaluate_module
 import retroloop.model as model_module
-from retroloop.errors import CapExceeded, EmptyDataset, InvalidInput, UnknownTemplate
+from retroloop.errors import CapExceeded, EmptyDataset, UnknownTemplate
 from retroloop.evaluate import (
     OracleEstimator,
     brute_force_oracle,
@@ -398,10 +398,18 @@ class TestSuccessCurve:
         assert [m.budget for m in curve.values()] == [50, 500]
         assert all(0.0 <= m.success_rate <= 1.0 for m in curve.values())
 
-    def test_unsorted_budgets_rejected(self, small_world, small_models, small_data, small_penalties):
+    def test_budget_order_does_not_matter(self, small_world, small_models, small_data, small_penalties):
+        # Ascending budgets are a rule of EvalConfig; the curve itself reads
+        # every budget off the runs at the largest.
         backward, reference, _ = small_models
-        with pytest.raises(InvalidInput):
+        curves = [
             evaluate_over_budgets(
-                backward, ZeroEstimator(), small_data.targets[:3], [50, 10],
+                backward, ZeroEstimator(), small_data.targets[:10], budgets,
                 reference, small_penalties, small_world,
             )
+            for budgets in ([50, 2], [2, 50])
+        ]
+        assert list(curves[0]) == [50, 2]
+        for budget in (2, 50):
+            assert curves[0][budget] == curves[1][budget]
+        assert curves[0][2].success_rate < curves[0][50].success_rate

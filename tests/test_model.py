@@ -27,7 +27,6 @@ from retroloop.model import (
     ROLE_FORWARD,
     FeatureVector,
     TrainConfig,
-    _feature_hash,
     featurize_molecule,
     featurize_reactant_set,
     likelihood,
@@ -72,17 +71,10 @@ def two_template_world(decoy_first=False):
 
 def direct_features(m, dim):
     """Reference featurizer: hash every subterm of height <= 2 and the root
-    operator, or the character 3-grams of a malformed text."""
-    if m.malformed:
-        text = m.text
-        if len(text) < 3:
-            features = {"#" + text}
-        else:
-            features = {"#" + text[i : i + 3] for i in range(len(text) - 2)}
-    else:
-        features = {s.text for s in subterms(m) if s.height <= 2}
-        if m.op is not None:
-            features.add("op:" + m.op)
+    operator of the well-formed ``m``."""
+    features = {s.text for s in subterms(m) if s.height <= 2}
+    if m.op is not None:
+        features.add("op:" + m.op)
     digests = (hashlib.blake2b(f.encode(), digest_size=8).digest() for f in features)
     return tuple(sorted({int.from_bytes(d, "little") % dim for d in digests}))
 
@@ -110,7 +102,11 @@ class TestFeaturization:
     @settings(max_examples=300, deadline=None)
     def test_composed_features_equal_direct_definition(self, dim, text, flagged):
         m = Molecule(text, malformed=True) if flagged else parse_molecule(text)
-        assert featurize_molecule(m, dim) == FeatureVector(dim, direct_features(m, dim))
+        if m.malformed:
+            with pytest.raises(InvalidInput):
+                featurize_molecule(m, dim)
+        else:
+            assert featurize_molecule(m, dim) == FeatureVector(dim, direct_features(m, dim))
 
     def test_atom_sets_a_bit(self):
         assert len(featurize_molecule(mol("a")).indices) >= 1
@@ -135,9 +131,9 @@ class TestFeaturization:
         assert fv.toarray().shape == (64,)
         assert all(0 <= i < 64 for i in fv.indices)
 
-    def test_malformed_uses_trigram_fallback(self):
-        fv = featurize_molecule(parse_molecule("(a+b"))
-        assert len(fv.indices) >= 1
+    def test_malformed_has_no_features(self):
+        with pytest.raises(InvalidInput):
+            featurize_molecule(parse_molecule("(a+b"))
 
     def test_root_operator_distinguishes(self):
         assert featurize_molecule(mol("(a+b)")) != featurize_molecule(mol("(a*b)"))
@@ -156,13 +152,17 @@ class TestFeaturization:
 
     @pytest.mark.parametrize("text, flagged_first", [("(x+y)", False), ("(y*x)", True)])
     def test_memo_keeps_malformed_flag_apart(self, text, flagged_first):
+        # A flagged text is refused whether or not its well-formed twin is
+        # memoised, and the refusal leaves the twin's vector as it was.
         well, flagged = parse_molecule(text), Molecule(text, malformed=True)
-        first, second = (flagged, well) if flagged_first else (well, flagged)
-        vectors = {m.malformed: featurize_molecule(m) for m in (first, second)}
-        grams = {_feature_hash("#" + text[i : i + 3], DEFAULT_DIM) for i in range(len(text) - 2)}
-        assert vectors[True].indices == tuple(sorted(grams))
-        assert vectors[False] != vectors[True]
-        assert vectors[False] == featurize_molecule(mol(text))
+        expected = FeatureVector(DEFAULT_DIM, direct_features(well, DEFAULT_DIM))
+        for m in (flagged, well) if flagged_first else (well, flagged):
+            if m.malformed:
+                with pytest.raises(InvalidInput):
+                    featurize_molecule(m)
+            else:
+                assert featurize_molecule(m) == expected
+        assert featurize_molecule(well) == expected
 
     def test_empty_reactant_set_rejected(self):
         with pytest.raises(InvalidInput):
@@ -246,7 +246,12 @@ class TestPrediction:
 
 def unfiltered_topk(model, inp, k, world):
     """Reference top-k: tries every template in probability order, ties by
-    template index, with no index of which templates can fire."""
+    template index, with no index of which templates can fire. An input with
+    a malformed member has no features, and no template fires on it or joins
+    it."""
+    members = inp if model.role == ROLE_FORWARD else (inp,)
+    if any(m.malformed for m in members):
+        return []
     if model.role == ROLE_FORWARD:
         fv = featurize_reactant_set(inp, model.dim)
     else:
@@ -389,6 +394,17 @@ class TestDeadEndsAreNotScored:
         for product in (parse_molecule("(a+"), Molecule("(a+b)", malformed=True), mol("(a*b)")):
             assert predict_topk(model, product, 3, world) == []
 
+    def test_malformed_reactant_means_no_featurization(self, monkeypatch):
+        world = two_template_world()
+        model = zero_classifier(world.template_ids, ROLE_FORWARD)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a reactant set no template joins was featurized")
+
+        monkeypatch.setattr(model_module, "featurize_molecule", refuse)
+        for reactants in ((parse_molecule("(a"),), (mol("a"), parse_molecule("(a"))):
+            assert predict_topk(model, reactants, 3, world) == []
+
     def test_missing_template_still_raises(self):
         world = two_template_world()
         ghost = zero_classifier(world.template_ids + ("ghost",), ROLE_BACKWARD)
@@ -422,6 +438,11 @@ class TestLikelihood:
         rx = make_reaction(mol("(a+b)"), (mol("a"), mol("b")), "split:%")
         with pytest.raises(UnknownTemplate):
             likelihood(clf, rx, small_world)
+
+    def test_forward_model_rejected(self, small_models, small_world):
+        rx = make_reaction(mol("(a+b)"), (mol("a"), mol("b")), "split:+")
+        with pytest.raises(InvalidInput):
+            likelihood(small_models[2], rx, small_world)
 
     def test_mismatched_reaction(self, small_world):
         clf = zero_classifier(small_world.template_ids, ROLE_BACKWARD)
@@ -494,19 +515,14 @@ class TestProbabilityMemo:
     def test_flagged_text_is_not_served_the_well_formed_row(self, small_models):
         model = classifier_like(small_models[0])
         well, flagged = mol("((a+b)*c)"), Molecule("((a+b)*c)", malformed=True)
-        for first, second in ((well, flagged), (flagged, well)):
-            for m in (first, second):
-                expected = predict_proba(model, featurize_molecule(m))
-                assert np.array_equal(model_module.product_proba(model, m), expected)
-        assert not np.array_equal(
-            model_module.product_proba(model, well), model_module.product_proba(model, flagged)
-        )
+        with pytest.raises(InvalidInput):
+            model_module.product_proba(model, flagged)
+        assert model._proba_memo == {}
+        expected = predict_proba(model, featurize_molecule(well))
+        assert np.array_equal(model_module.product_proba(model, well), expected)
+        with pytest.raises(InvalidInput):
+            model_module.product_proba(model, flagged)
         assert list(model._proba_memo) == [well.text]
-
-    def test_forward_models_keep_no_memo(self, small_models):
-        forward = classifier_like(small_models[2])
-        model_module.product_proba(forward, mol("(a+b)"))
-        assert forward._proba_memo == {}
 
 
 def random_model_and_samples(world, data, dim=256):
