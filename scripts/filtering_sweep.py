@@ -15,14 +15,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from retroloop.cli import (
-    build_pretrained,
-    build_world_data,
-    evaluate_seed,
-    load_config,
-    seed_loop_config,
-)
-from retroloop.improve import run_self_improvement
+from retroloop.cli import build_world_data, evaluate_seed, load_config
+from retroloop.improve import pretrain_models, run_self_improvement
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -38,19 +32,19 @@ def main(argv=None) -> int:
 
     cfg, _doc = load_config(args.config)
     budget = cfg.eval.budgets[-1]
+    loop_cfg = replace(cfg.loop, iterations=1, augmentation=False)
     prepared = []
     for seed in args.seeds:
         world, data = build_world_data(cfg, seed)
-        pretrained = build_pretrained(cfg, seed, world, data)
-        loop_cfg = replace(seed_loop_config(cfg, seed), iterations=1, augmentation=False)
-        prepared.append((world, data, pretrained, loop_cfg))
+        pretrained = pretrain_models(world, data, cfg.pretrain, cfg.dim, seed)
+        prepared.append((seed, world, data, pretrained))
 
     print(f"{'eps':>5} {'top1':>16} {'top10':>16} {'succ@N':>16} {'kept':>8}")
     for eps in args.thresholds:
         top1s, top10s, succs, kept = [], [], [], []
-        for world, data, pretrained, loop_cfg in prepared:
+        for seed, world, data, pretrained in prepared:
             model, reports = run_self_improvement(
-                replace(loop_cfg, epsilon=eps), world, data, pretrained
+                replace(loop_cfg, epsilon=eps), world, data, pretrained, seed
             )
             by_budget, top1, top10 = evaluate_seed(cfg, world, data, pretrained[1], {0: model})[0]
             top1s.append(top1)

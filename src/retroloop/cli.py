@@ -26,14 +26,13 @@ from typing import Iterable, get_args, get_origin, get_type_hints
 
 from .errors import CheckpointError, EmptyDataset, InvalidConfig, UnknownTemplate
 from .evaluate import ESTIMATORS, evaluate_over_budgets, penalty_constants
-from .improve import LoopConfig, pretrain_models, run_self_improvement
+from .improve import LoopConfig, PretrainConfig, pretrain_models, run_self_improvement
 from .model import (
     DEFAULT_DIM,
     MAX_DIM,
     ROLE_BACKWARD,
     ROLE_FORWARD,
     TemplateClassifier,
-    TrainConfig,
     check_world,
     load_checkpoint,
     save_checkpoint,
@@ -106,12 +105,6 @@ class EvalConfig:
 
 
 @dataclass(frozen=True)
-class PretrainConfig:
-    backward: TrainConfig = TrainConfig()
-    forward: TrainConfig = TrainConfig(learning_rate=0.001, epochs=100)
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     seeds: tuple[int, ...] = (0,)
     world: WorldConfig = WorldConfig()
@@ -168,9 +161,7 @@ def _typed(hint, value, default, where: str):
 def _build(default, section, where: str):
     """``default`` with the keys of the JSON object ``section`` replaced.
 
-    Every key must name a field other than ``seed``: the per-seed builders
-    derive every seed from the experiment seed. The dataclass checks the
-    result.
+    Every key must name a field; the dataclass checks the result.
     """
     if not isinstance(section, dict):
         raise InvalidConfig(f"{where}: expected an object")
@@ -178,8 +169,6 @@ def _build(default, section, where: str):
     names = {f.name for f in fields(default)}
     values = {}
     for key, value in section.items():
-        if key == "seed":
-            raise InvalidConfig(f"{where}.seed: derived from the experiment seed, not settable")
         if key not in names:
             raise InvalidConfig(f"{where}.{key}: unknown key")
         values[key] = _typed(hints[key], value, getattr(default, key), f"{where}.{key}")
@@ -230,25 +219,6 @@ def build_world_data(cfg: ExperimentConfig, seed: int) -> tuple[World, Dataset]:
     """The world and dataset of one seed, in memory."""
     world = generate_world(cfg.world, derive_seed(seed, "world"))
     return world, build_datasets(world, cfg.dataset, derive_seed(seed, "dataset"))
-
-
-def build_pretrained(
-    cfg: ExperimentConfig, seed: int, world: World, data: Dataset
-) -> tuple[TemplateClassifier, TemplateClassifier, TemplateClassifier]:
-    """The pretrained (backward, reference, forward) models of one seed."""
-    return pretrain_models(
-        world,
-        data,
-        replace(cfg.pretrain.backward, seed=derive_seed(seed, "pretrain-backward")),
-        replace(cfg.pretrain.forward, seed=derive_seed(seed, "pretrain-forward")),
-        dim=cfg.dim,
-    )
-
-
-def seed_loop_config(cfg: ExperimentConfig, seed: int) -> LoopConfig:
-    """The self-improvement loop settings of one seed."""
-    bc = replace(cfg.loop.bc, seed=derive_seed(seed, "bc"))
-    return replace(cfg.loop, seed=derive_seed(seed, "loop"), bc=bc)
 
 
 def evaluate_seed(
@@ -315,7 +285,7 @@ def _checkpoint_paths(seed_dir: Path) -> dict[str, Path]:
 def run_pretrain(
     cfg: ExperimentConfig, seed: int, seed_dir: Path, world: World, data: Dataset
 ) -> tuple[TemplateClassifier, TemplateClassifier, TemplateClassifier]:
-    backward, reference, forward = build_pretrained(cfg, seed, world, data)
+    backward, reference, forward = pretrain_models(world, data, cfg.pretrain, cfg.dim, seed)
     paths = _checkpoint_paths(seed_dir)
     paths["backward"].parent.mkdir(parents=True, exist_ok=True)
     # The reference is the pretrained backward model: both read backward.json.
@@ -373,7 +343,7 @@ def run_improve(
         )
 
     final, reports = run_self_improvement(
-        seed_loop_config(cfg, seed), world, data, pretrained, on_iteration=persist
+        cfg.loop, world, data, pretrained, seed, on_iteration=persist
     )
     # The final model is the last iteration's, whose file is already written.
     last = ck_dir / f"backward_iter_{reports[-1].iteration}.json"
@@ -585,7 +555,14 @@ def write_manifest(out: Path, doc: dict, seed_artifacts: dict[int, dict], starte
 
 
 def _seeds_for(args, cfg: ExperimentConfig) -> tuple[int, ...]:
-    return (args.seed,) if getattr(args, "seed", None) is not None else cfg.seeds
+    """Every ``--seed`` given, in order, or else the config's seeds; the
+    given seeds must pass the config's own ``seeds`` rule."""
+    if args.seed is None:
+        return cfg.seeds
+    try:
+        return replace(cfg, seeds=tuple(args.seed)).seeds
+    except InvalidConfig as exc:
+        raise InvalidConfig(f"--seed: {exc}") from exc
 
 
 def _seed_worlds(args, needs=lambda paths: (), cfg=None):
@@ -656,10 +633,11 @@ def cmd_evaluate(args) -> int:
         )
     except InvalidConfig as exc:
         raise InvalidConfig(f"--budget: {exc}") from exc
-    if args.checkpoint and args.seed is None and len(cfg.seeds) > 1:
-        seeds = ", ".join(map(str, cfg.seeds))
+    seeds = _seeds_for(args, cfg)
+    if args.checkpoint and len(seeds) > 1:
         raise InvalidConfig(
-            f"--checkpoint: a checkpoint is one seed's model; give --seed (seeds {seeds})"
+            "--checkpoint: a checkpoint is one seed's model; give one --seed "
+            f"(seeds {', '.join(map(str, seeds))})"
         )
     # Each checkpoint by its iteration; None is the default backward_final.json.
     checkpoints: dict[int, str | None] = {}
@@ -701,6 +679,8 @@ def cmd_plan(args) -> int:
         raise InvalidConfig(f"--target: nested too deeply to parse: {exc}") from exc
     if args.budget < 0:
         raise InvalidConfig(f"--budget: must be non-negative, got {args.budget}")
+    if args.seed is not None and len(args.seed) > 1:
+        raise InvalidConfig(f"--seed: plan plans one seed, got {len(args.seed)}")
     if args.trace and not Path(args.trace).parent.is_dir():
         raise InvalidConfig(f"--trace: no directory {Path(args.trace).parent}")
 
@@ -768,10 +748,10 @@ def cmd_run_all(args) -> int:
     if args.workers < 1:
         raise InvalidConfig(f"--workers: must be at least 1, got {args.workers}")
     cfg, doc = load_config(args.config)
+    seeds = _seeds_for(args, cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     started = time.time()
-    seeds = _seeds_for(args, cfg)
     # A forked pool starts all its workers at once: one per seed at most.
     workers = min(args.workers, len(seeds))
     if workers > 1:
@@ -796,7 +776,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", required=True)
         p.add_argument("--out", required=True)
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", type=int, action="append", default=None)
 
     p = sub.add_parser("gen-world", help="generate world and dataset files")
     common(p)

@@ -106,7 +106,8 @@ def evaluate_over_budgets(
     ref: TemplateClassifier,
     penalties: tuple[int, float],
     world: World,
-    k_expand: int = 10,
+    *,
+    k_expand: int,
 ) -> dict[int, PlanningMetrics]:
     """Metrics per budget, from one run per target at the largest budget.
 

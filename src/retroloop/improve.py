@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import EmptyDataset, InvalidConfig, InvalidReaction
 from .model import (
-    DEFAULT_DIM,
     ROLE_BACKWARD,
     ROLE_FORWARD,
     TemplateClassifier,
@@ -91,12 +90,13 @@ def behavioral_clone(
     model: TemplateClassifier,
     reactions: Sequence[Reaction],
     cfg: TrainConfig,
+    seed: int,
 ) -> TemplateClassifier:
     """Maximum-likelihood imitation of the multiset: each distinct
     (product, template) pair is one sample, weighted by its multiplicity."""
     counts = Counter((rx.product, rx.template_id) for rx in reactions)
     samples = [(featurize_molecule(p, model.dim), tid, float(n)) for (p, tid), n in counts.items()]
-    return train(model, samples, cfg)
+    return train(model, samples, cfg, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +112,6 @@ class LoopConfig:
     epsilon_aug: float = 0.8
     k_expand: int = 10
     bc: TrainConfig = TrainConfig()
-    seed: int = 0
     augmentation: bool = True
 
     def __post_init__(self) -> None:
@@ -145,14 +144,17 @@ class IterationReport:
     top10: float
 
 
+@dataclass(frozen=True)
+class PretrainConfig:
+    backward: TrainConfig = TrainConfig()
+    forward: TrainConfig = TrainConfig(learning_rate=0.001, epochs=100)
+
+
 def pretrain_models(
-    world: World,
-    data: Dataset,
-    backward_cfg: TrainConfig,
-    forward_cfg: TrainConfig,
-    dim: int = DEFAULT_DIM,
+    world: World, data: Dataset, cfg: PretrainConfig, dim: int, seed: int
 ) -> tuple[TemplateClassifier, TemplateClassifier, TemplateClassifier]:
-    """Supervised pretraining on the reaction dataset.
+    """Supervised pretraining on the reaction dataset, each model with its
+    own child of the experiment ``seed``.
 
     Returns (backward, reference, forward). The reference is the pretrained
     backward model itself, so the loop's backward model starts from it.
@@ -170,12 +172,14 @@ def pretrain_models(
     backward = train(
         zero_classifier(world.template_ids, ROLE_BACKWARD, dim),
         backward_samples,
-        backward_cfg,
+        cfg.backward,
+        derive_seed(seed, "pretrain-backward"),
     )
     forward = train(
         zero_classifier(world.template_ids, ROLE_FORWARD, dim),
         forward_samples,
-        forward_cfg,
+        cfg.forward,
+        derive_seed(seed, "pretrain-forward"),
     )
     return backward, backward, forward
 
@@ -185,22 +189,26 @@ def run_self_improvement(
     world: World,
     data: Dataset,
     pretrained: tuple[TemplateClassifier, TemplateClassifier, TemplateClassifier],
+    seed: int,
     on_iteration=None,
 ) -> tuple[TemplateClassifier, list[IterationReport]]:
     """Run the full loop from the pretrained (backward, reference, forward) models.
 
-    Returns the final backward model and one report per iteration.
-    ``on_iteration(model, report)`` is invoked after each iteration, e.g. to
-    persist intermediate checkpoints.
+    Iteration i samples its targets and clones with children of the
+    experiment ``seed``'s ``loop`` and ``bc`` seeds. Returns the final
+    backward model and one report per iteration. ``on_iteration(model,
+    report)`` is invoked after each iteration, e.g. to persist intermediate
+    checkpoints.
     """
     backward, reference, forward = pretrained
 
     estimator = ZeroEstimator()
     targets = list(data.targets)
     reports: list[IterationReport] = []
+    loop_seed, bc_seed = derive_seed(seed, "loop"), derive_seed(seed, "bc")
 
     for i in range(1, cfg.iterations + 1):
-        rng = random.Random(derive_seed(cfg.seed, f"targets-{i}"))
+        rng = random.Random(derive_seed(loop_seed, f"targets-{i}"))
         sampled = rng.sample(targets, min(cfg.targets_per_iteration, len(targets)))
         routes: list[Route] = []
         for target in sampled:
@@ -221,8 +229,7 @@ def run_self_improvement(
 
         union = collected + augmented
         if union:
-            bc_cfg = replace(cfg.bc, seed=derive_seed(cfg.bc.seed, f"bc-{i}"))
-            backward = behavioral_clone(backward, union, bc_cfg)
+            backward = behavioral_clone(backward, union, cfg.bc, derive_seed(bc_seed, f"bc-{i}"))
 
         top1, top10 = topk_exact_match(backward, data.reactions_test, (1, 10), world)
 

@@ -389,7 +389,6 @@ class TrainConfig:
     learning_rate: float = 0.01
     epochs: int = 20
     batch_size: int = 1024
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not 0.0 < self.learning_rate < math.inf:
@@ -558,7 +557,7 @@ def mean_nll(model: TemplateClassifier, data: Iterable) -> float:
 
 
 def train(
-    model: TemplateClassifier, data: Iterable, cfg: TrainConfig
+    model: TemplateClassifier, data: Iterable, cfg: TrainConfig, seed: int
 ) -> TemplateClassifier:
     """Seeded mini-batch gradient ascent on the weighted log-likelihood.
 
@@ -567,7 +566,7 @@ def train(
     batch activates; the rest have a zero gradient. The weights being
     trained are held as a (D, T) copy, so a batch's active columns are
     contiguous rows to gather and write back. Returns a new classifier; the
-    input model is untouched. Identical (model, data, cfg) produce
+    input model is untouched. Identical (model, data, cfg, seed) produce
     bit-identical weights.
     """
     rows = _as_rows(model, data)
@@ -575,7 +574,7 @@ def train(
     weights = model.weights.T.copy()
     bias = model.bias.copy()
     batches = _Batches(model.dim)
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     for _ in range(cfg.epochs):
         epoch = _gather(rows, rng.permutation(n))
         for start in range(0, n, cfg.batch_size):

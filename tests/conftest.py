@@ -1,8 +1,8 @@
 import pytest
 
 from retroloop.evaluate import penalty_constants
-from retroloop.improve import pretrain_models
-from retroloop.model import TrainConfig
+from retroloop.improve import PretrainConfig, pretrain_models
+from retroloop.model import DEFAULT_DIM, TrainConfig
 from retroloop.world import DatasetConfig, WorldConfig, build_datasets, generate_world
 
 
@@ -22,12 +22,8 @@ def small_data(small_world):
 @pytest.fixture(scope="session")
 def small_models(small_world, small_data):
     """(backward, reference, forward) trained enough to be strongly non-uniform."""
-    return pretrain_models(
-        small_world,
-        small_data,
-        TrainConfig(learning_rate=0.2, epochs=12, batch_size=64, seed=1),
-        TrainConfig(learning_rate=0.2, epochs=12, batch_size=64, seed=2),
-    )
+    cfg = TrainConfig(learning_rate=0.2, epochs=12, batch_size=64)
+    return pretrain_models(small_world, small_data, PretrainConfig(cfg, cfg), DEFAULT_DIM, 1)
 
 
 @pytest.fixture(scope="session")

@@ -17,17 +17,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from retroloop.cli import (
-    build_pretrained,
-    build_world_data,
-    evaluate_seed,
-    load_config,
-    main,
-    seed_loop_config,
-)
+from retroloop.cli import build_world_data, evaluate_seed, load_config, main
 from retroloop.evaluate import brute_force_oracle, evaluate_over_budgets, penalty_constants
-from retroloop.improve import pretrain_models, run_self_improvement
+from retroloop.improve import PretrainConfig, pretrain_models, run_self_improvement
 from retroloop.model import (
+    DEFAULT_DIM,
     ROLE_BACKWARD,
     TrainConfig,
     featurize_molecule,
@@ -70,10 +64,9 @@ def reference_runs():
     budget = cfg.eval.budgets[-1]
     for seed in cfg.seeds:
         world, data = build_world_data(cfg, seed)
-        pretrained = build_pretrained(cfg, seed, world, data)
+        pretrained = pretrain_models(world, data, cfg.pretrain, cfg.dim, seed)
         backward, reference, forward = pretrained
-        loop_cfg = seed_loop_config(cfg, seed)
-        final, reports = run_self_improvement(loop_cfg, world, data, pretrained=pretrained)
+        final, reports = run_self_improvement(cfg.loop, world, data, pretrained, seed)
         evaluated = evaluate_seed(cfg, world, data, reference, {"base": backward, "post": final})
         runs.append(
             {
@@ -81,7 +74,6 @@ def reference_runs():
                 "world": world,
                 "data": data,
                 "pretrained": pretrained,
-                "loop_cfg": loop_cfg,
                 "base": evaluated["base"][0][budget],
                 "post": evaluated["post"][0][budget],
                 "reports": reports,
@@ -115,9 +107,7 @@ class TestOracleOptimality:
                         (featurize_molecule(rx.product, 512), rx.template_id)
                         for rx in data.reactions_train
                     ]
-                    ref = train(
-                        ref, samples, TrainConfig(learning_rate=0.15, epochs=4, seed=w)
-                    )
+                    ref = train(ref, samples, TrainConfig(learning_rate=0.15, epochs=4), w)
                 table = brute_force_oracle(world, ref, list(data.targets), cap=200)
                 assert table.explored <= 200
                 for target in data.targets:
@@ -247,14 +237,13 @@ class TestSelfImprovementTrend:
 class TestFilteringAblation:
     def test_disabling_the_filter_does_not_win(self, reference_runs):
         with criterion("filtering-ablation"):
+            loop = reference_runs["config"].loop
             acc = {0.0: [], 0.8: []}
             for run in reference_runs["runs"]:
                 for eps in (0.0, 0.8):
-                    ablated = replace(
-                        run["loop_cfg"], iterations=1, epsilon=eps, augmentation=False
-                    )
+                    ablated = replace(loop, iterations=1, epsilon=eps, augmentation=False)
                     model, _ = run_self_improvement(
-                        ablated, run["world"], run["data"], pretrained=run["pretrained"]
+                        ablated, run["world"], run["data"], run["pretrained"], run["seed"]
                     )
                     (top1,) = topk_exact_match(
                         model, run["data"].reactions_test, (1,), run["world"]
@@ -274,9 +263,9 @@ class TestAugmentationAblation:
             for run in reference_runs["runs"]:
                 arms = {}
                 for aug in (True, False):
-                    ablated = replace(run["loop_cfg"], iterations=1, augmentation=aug)
+                    ablated = replace(cfg.loop, iterations=1, augmentation=aug)
                     arms[aug], _ = run_self_improvement(
-                        ablated, run["world"], run["data"], pretrained=run["pretrained"]
+                        ablated, run["world"], run["data"], run["pretrained"], run["seed"]
                     )
                 evaluated = evaluate_seed(
                     cfg, run["world"], run["data"], run["pretrained"][1], arms
@@ -297,11 +286,9 @@ class TestFailureAccounting:
                 seed=17,
             )
             data = build_datasets(world, DatasetConfig(30, 3), seed=18)
+            quick = TrainConfig(learning_rate=0.2, epochs=8, batch_size=64)
             backward, reference, _ = pretrain_models(
-                world,
-                data,
-                TrainConfig(learning_rate=0.2, epochs=8, batch_size=64, seed=1),
-                TrainConfig(learning_rate=0.2, epochs=8, batch_size=64, seed=2),
+                world, data, PretrainConfig(quick, quick), DEFAULT_DIM, 1
             )
             max_len = max(
                 len(r.reactions) for r in data.ground_truth_routes.values()
@@ -320,6 +307,7 @@ class TestFailureAccounting:
                 reference,
                 penalty_constants(data, reference, world),
                 world,
+                k_expand=10,
             )[budget]
             assert metrics.success_rate == 0.0
             for row in metrics.rows:
@@ -356,9 +344,7 @@ class TestBudgetHonestyAndMonotonicity:
                         (featurize_molecule(rx.product, 512), rx.template_id)
                         for rx in data.reactions_train
                     ]
-                    model = train(
-                        model, samples, TrainConfig(learning_rate=0.1, epochs=3, seed=w)
-                    )
+                    model = train(model, samples, TrainConfig(learning_rate=0.1, epochs=3), w)
                 for target in data.targets:
                     budget = rng.randint(0, 40)
                     result = plan(target, model, ZeroEstimator(), budget, 10, world)
@@ -366,7 +352,7 @@ class TestBudgetHonestyAndMonotonicity:
                     checked_plans += 1
                 curve = evaluate_over_budgets(
                     model, ZeroEstimator(), data.targets, [0, 5, 15, 40, 100], model,
-                    penalty_constants(data, model, world), world,
+                    penalty_constants(data, model, world), world, k_expand=10,
                 )
                 rates = [metrics.success_rate for metrics in curve.values()]
                 assert rates == sorted(rates), rates
@@ -374,6 +360,11 @@ class TestBudgetHonestyAndMonotonicity:
 
 
 class TestDeterminism:
+    """Artifacts are byte-identical on one host: one numpy build, one
+    OpenBLAS kernel and one set of numpy SIMD targets. Across kernels,
+    checkpoint bytes differ; outcomes, call counts and route lengths stay
+    equal, and costs move by at most 7.1e-15."""
+
     def test_run_all_twice_is_byte_identical(self, tmp_path):
         with criterion("determinism"):
             doc = {

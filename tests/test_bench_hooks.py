@@ -132,7 +132,8 @@ def test_traced_pretrain_counts_its_checkpoint_writes(small_world, small_data, t
     # ``cli.save_checkpoint.*`` spans the ``save_checkpoint`` that cli calls
     # by name and stats each file it writes, on ref_seed only.
     from retroloop import cli
-    from retroloop.cli import ExperimentConfig, PretrainConfig
+    from retroloop.cli import ExperimentConfig
+    from retroloop.improve import PretrainConfig
     from retroloop.model import TrainConfig
 
     tracer = load("tracer")

@@ -8,7 +8,7 @@ import runpy
 import shutil
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -16,17 +16,9 @@ import pytest
 
 import retroloop
 import retroloop.cli as cli
-from retroloop.cli import (
-    ExperimentConfig,
-    build_pretrained,
-    build_world_data,
-    load_config,
-    main,
-    parse_config,
-    seed_loop_config,
-)
+from retroloop.cli import ExperimentConfig, build_world_data, load_config, main, parse_config
 from retroloop.evaluate import ESTIMATORS, OracleEstimator
-from retroloop.improve import IterationReport, run_self_improvement
+from retroloop.improve import IterationReport, pretrain_models, run_self_improvement
 from retroloop.model import load_checkpoint, save_checkpoint
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -170,6 +162,12 @@ class TestGenWorld:
 class TestConfig:
     def test_defaults_live_on_the_dataclasses(self):
         assert parse_config({}) == ExperimentConfig()
+
+    @pytest.mark.parametrize("source", ["defaults", "reference"])
+    def test_the_config_tree_is_the_file_schema(self, source):
+        # Every field of the tree is a key a file can set, with its value.
+        cfg = ExperimentConfig() if source == "defaults" else load_config(REFERENCE_CONFIG)[0]
+        assert parse_config(json.loads(json.dumps(asdict(cfg)))) == cfg
 
     @pytest.mark.parametrize(
         "key, value",
@@ -1102,11 +1100,16 @@ class TestArguments:
              "--checkpoint"),
             (["run-all", "--workers", "0"], "--workers"),
             (["run-all", "--workers", "-3"], "--workers"),
+            (["run-all", "--seed", "1"], "--seed"),
+            (["gen-world", "--seed", "1"], "--seed"),
+            (["plan", "--target", "a", "--seed", "2"], "--seed"),
+            (["evaluate", "--checkpoint", "backward.json", "--seed", "2"], "--checkpoint"),
         ],
         ids=["evaluate-negative", "evaluate-zero", "evaluate-repeated", "plan-negative",
              "plan-empty-target", "plan-deep-target", "plan-trace-no-dir",
              "evaluate-two-iteration-0", "evaluate-two-final", "run-all-workers-zero",
-             "run-all-workers-negative"],
+             "run-all-workers-negative", "run-all-repeated-seed", "gen-world-repeated-seed",
+             "plan-two-seeds", "evaluate-checkpoint-two-seeds"],
     )
     def test_invalid_argument_exits_2_before_any_read(
         self, config_path, tmp_path, capsys, command, option
@@ -1143,6 +1146,16 @@ class TestArguments:
 class TestReportAndRunAll:
     def test_report_without_manifest_exits_6(self, tmp_path):
         assert main(["report", "--run", str(tmp_path / "empty")]) == 6
+
+    def test_run_all_runs_every_seed_given(self, tmp_path):
+        doc = json.loads(json.dumps(TINY))
+        doc["seeds"] = [1, 2, 3]
+        path = write_config(tmp_path, doc)
+        out = tmp_path / "run"
+        args = ["--config", path, "--out", str(out), "--seed", "1", "--seed", "2"]
+        assert main(["run-all", *args]) == 0
+        assert sorted(p.name for p in out.glob("seed_*")) == ["seed_1", "seed_2"]
+        assert list(json.loads((out / "manifest.json").read_text())["seeds"]) == ["1", "2"]
 
     def test_run_all_products_and_determinism(self, config_path, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -1210,12 +1223,12 @@ class TestReportAndRunAll:
         class Interrupted(Exception):
             pass
 
-        def interrupted(loop_cfg, world, data, pretrained, on_iteration):
+        def interrupted(loop_cfg, world, data, pretrained, seed, on_iteration):
             def stop(model, report):
                 on_iteration(model, report)
                 raise Interrupted
 
-            return run_self_improvement(loop_cfg, world, data, pretrained, on_iteration=stop)
+            return run_self_improvement(loop_cfg, world, data, pretrained, seed, on_iteration=stop)
 
         monkeypatch.setattr(cli, "run_self_improvement", interrupted)
         with pytest.raises(Interrupted):
@@ -1463,8 +1476,8 @@ class TestBuilders:
             assert main([command, "--config", config_path, "--out", str(out), "--seed", "1"]) == 0
         cfg, _doc = load_config(config_path)
         world, data = build_world_data(cfg, 1)
-        pretrained = build_pretrained(cfg, 1, world, data)
-        final, _reports = run_self_improvement(seed_loop_config(cfg, 1), world, data, pretrained)
+        pretrained = pretrain_models(world, data, cfg.pretrain, cfg.dim, 1)
+        final, _reports = run_self_improvement(cfg.loop, world, data, pretrained, 1)
         ck = out / "seed_1" / "checkpoints"
         for model, name in ((pretrained[0], "backward.json"), (final, "backward_final.json")):
             save_checkpoint(model, tmp_path / name)
@@ -1477,8 +1490,8 @@ class TestBuilders:
         cfg, _doc = load_config(config_path)
         assert len(cfg.eval.budgets) > 1
         world, data = build_world_data(cfg, 1)
-        pretrained = build_pretrained(cfg, 1, world, data)
-        final, _reports = run_self_improvement(seed_loop_config(cfg, 1), world, data, pretrained)
+        pretrained = pretrain_models(world, data, cfg.pretrain, cfg.dim, 1)
+        final, _reports = run_self_improvement(cfg.loop, world, data, pretrained, 1)
         models = {0: pretrained[0], cfg.loop.iterations: final}
         evaluated = cli.evaluate_seed(cfg, world, data, pretrained[1], models)
         expected = [
@@ -1499,7 +1512,7 @@ class TestBuilders:
 
         cfg, _doc = load_config(config_path)
         world, data = build_world_data(cfg, 1)
-        pretrained = build_pretrained(cfg, 1, world, data)
+        pretrained = pretrain_models(world, data, cfg.pretrain, cfg.dim, 1)
         saved = []
 
         def counting(model, path):

@@ -109,7 +109,8 @@ class TestEvaluatePlanning:
         backward, reference, _ = small_models
         targets = [mol(a) for a in small_world.atoms]
         metrics = evaluate_over_budgets(
-            backward, ZeroEstimator(), targets, [50], reference, small_penalties, small_world
+            backward, ZeroEstimator(), targets, [50], reference, small_penalties, small_world,
+            k_expand=10,
         )[50]
         assert metrics.success_rate == 1.0
         assert metrics.avg_length == 0.0
@@ -125,7 +126,8 @@ class TestEvaluatePlanning:
         max_cost = max_len * math.log(2.0)
         unsynth = [mol("(a*b)"), parse_molecule("(a+")]
         metrics = evaluate_over_budgets(
-            clf, ZeroEstimator(), unsynth, [50], clf, penalty_constants(data, clf, world), world
+            clf, ZeroEstimator(), unsynth, [50], clf, penalty_constants(data, clf, world), world,
+            k_expand=10,
         )[50]
         assert metrics.success_rate == 0.0
         for row in metrics.rows:
@@ -138,7 +140,8 @@ class TestEvaluatePlanning:
         backward, reference, _ = small_models
         targets = list(small_data.targets[:10]) + [mol("(a?b)")]
         metrics = evaluate_over_budgets(
-            backward, ZeroEstimator(), targets, [40], reference, small_penalties, small_world
+            backward, ZeroEstimator(), targets, [40], reference, small_penalties, small_world,
+            k_expand=10,
         )[40]
         assert len(metrics.rows) == len(targets)
         wins = sum(1 for r in metrics.rows if r.outcome == "success")
@@ -152,11 +155,11 @@ class TestEvaluatePlanning:
         backward, reference, _ = small_models
         a = evaluate_over_budgets(
             backward, ZeroEstimator(), small_data.targets[:15], [30], reference, small_penalties,
-            small_world,
+            small_world, k_expand=10,
         )
         b = evaluate_over_budgets(
             backward, ZeroEstimator(), small_data.targets[:15], [30], reference, small_penalties,
-            small_world,
+            small_world, k_expand=10,
         )
         assert a == b
 
@@ -164,18 +167,21 @@ class TestEvaluatePlanning:
         backward, reference, _ = small_models
         with pytest.raises(EmptyDataset):
             evaluate_over_budgets(
-                backward, ZeroEstimator(), [], [10], reference, small_penalties, small_world
+                backward, ZeroEstimator(), [], [10], reference, small_penalties, small_world,
+                k_expand=10,
             )
 
     def test_multi_budget_consistency(self, small_world, small_models, small_data, small_penalties):
         backward, reference, _ = small_models
         targets = small_data.targets[:15]
         multi = evaluate_over_budgets(
-            backward, ZeroEstimator(), targets, [10, 40], reference, small_penalties, small_world
+            backward, ZeroEstimator(), targets, [10, 40], reference, small_penalties, small_world,
+            k_expand=10,
         )
         for budget in (10, 40):
             single = evaluate_over_budgets(
-                backward, ZeroEstimator(), targets, [budget], reference, small_penalties, small_world
+                backward, ZeroEstimator(), targets, [budget], reference, small_penalties, small_world,
+                k_expand=10,
             )
             assert multi[budget] == single[budget]
 
@@ -206,7 +212,7 @@ class TestOracle:
                 (featurize_molecule(rx.product), rx.template_id)
                 for rx in data.reactions_train
             ]
-            clf = train(clf, samples, TrainConfig(learning_rate=0.2, epochs=5, seed=seed))
+            clf = train(clf, samples, TrainConfig(learning_rate=0.2, epochs=5), seed)
         table = brute_force_oracle(world, clf, list(data.targets), cap=400)
         assert table.explored <= 400
         for target in data.targets:
@@ -374,7 +380,8 @@ class TestSuccessCurve:
         backward, reference, _ = small_models
         targets = [t for t in small_data.targets if not small_world.is_building_block(t)]
         curve = evaluate_over_budgets(
-            backward, ZeroEstimator(), targets[:5], [0], reference, small_penalties, small_world
+            backward, ZeroEstimator(), targets[:5], [0], reference, small_penalties, small_world,
+            k_expand=10,
         )
         assert list(curve) == [0]
         assert curve[0].success_rate == 0.0
@@ -383,7 +390,7 @@ class TestSuccessCurve:
         backward, reference, _ = small_models
         curve = evaluate_over_budgets(
             backward, ZeroEstimator(), small_data.targets[:20], [0, 5, 10, 25, 50],
-            reference, small_penalties, small_world,
+            reference, small_penalties, small_world, k_expand=10,
         )
         rates = [m.success_rate for m in curve.values()]
         assert rates == sorted(rates)
@@ -392,7 +399,7 @@ class TestSuccessCurve:
         backward, reference, _ = small_models
         curve = evaluate_over_budgets(
             backward, ZeroEstimator(), small_data.targets[:5], [50, 500],
-            reference, small_penalties, small_world,
+            reference, small_penalties, small_world, k_expand=10,
         )
         assert list(curve) == [50, 500]
         assert [m.budget for m in curve.values()] == [50, 500]
@@ -405,7 +412,7 @@ class TestSuccessCurve:
         curves = [
             evaluate_over_budgets(
                 backward, ZeroEstimator(), small_data.targets[:10], budgets,
-                reference, small_penalties, small_world,
+                reference, small_penalties, small_world, k_expand=10,
             )
             for budgets in ([50, 2], [2, 50])
         ]

@@ -7,6 +7,7 @@ from retroloop import improve
 from retroloop.errors import EmptyDataset, InvalidReaction
 from retroloop.improve import (
     LoopConfig,
+    PretrainConfig,
     augment,
     behavioral_clone,
     collect_reactions,
@@ -14,6 +15,7 @@ from retroloop.improve import (
     run_self_improvement,
 )
 from retroloop.model import (
+    DEFAULT_DIM,
     ROLE_BACKWARD,
     ROLE_FORWARD,
     TrainConfig,
@@ -100,12 +102,12 @@ class TestAugment:
         samples_f = [
             (featurize_reactant_set(rx.reactants), rx.template_id) for rx in table
         ]
-        cfg = TrainConfig(learning_rate=0.5, epochs=50, seed=0)
+        cfg = TrainConfig(learning_rate=0.5, epochs=50)
         reference = train(
-            zero_classifier(world.template_ids, ROLE_BACKWARD), samples_b, cfg
+            zero_classifier(world.template_ids, ROLE_BACKWARD), samples_b, cfg, 0
         )
         forward = train(
-            zero_classifier(world.template_ids, ROLE_FORWARD), samples_f, cfg
+            zero_classifier(world.template_ids, ROLE_FORWARD), samples_f, cfg, 0
         )
         augmented = augment(table, forward, reference, 0.8, world)
         assert len(augmented) == len(table)
@@ -166,17 +168,15 @@ class TestBehavioralClone:
     def test_single_reaction_to_confidence(self, small_world):
         rx = make_reaction(mol("(a+b)"), (mol("a"), mol("b")), "split:+")
         model = zero_classifier(small_world.template_ids, ROLE_BACKWARD)
-        cloned = behavioral_clone(
-            model, (rx,), TrainConfig(learning_rate=0.1, epochs=500, seed=0)
-        )
+        cloned = behavioral_clone(model, (rx,), TrainConfig(learning_rate=0.1, epochs=500), 0)
         assert likelihood(cloned, rx, small_world) > 0.99
 
     def test_multiset_weighting_matches_repeats(self, small_world):
         rx1 = make_reaction(mol("(a+b)"), (mol("a"), mol("b")), "split:+")
         rx2 = make_reaction(mol("(c*d)"), (mol("c"), mol("d")), "split:*")
         model = zero_classifier(small_world.template_ids, ROLE_BACKWARD)
-        cfg = TrainConfig(learning_rate=0.05, epochs=3, batch_size=16, seed=4)
-        doubled = behavioral_clone(model, (rx1, rx1, rx2), cfg)
+        cfg = TrainConfig(learning_rate=0.05, epochs=3, batch_size=16)
+        doubled = behavioral_clone(model, (rx1, rx1, rx2), cfg, 4)
         weighted = train(
             model,
             [
@@ -184,13 +184,14 @@ class TestBehavioralClone:
                 (featurize_molecule(rx2.product), rx2.template_id, 1.0),
             ],
             cfg,
+            4,
         )
         assert np.array_equal(doubled.weights, weighted.weights)
 
     def test_empty_collection_rejected(self, small_world):
         model = zero_classifier(small_world.template_ids, ROLE_BACKWARD)
         with pytest.raises(EmptyDataset):
-            behavioral_clone(model, (), TrainConfig())
+            behavioral_clone(model, (), TrainConfig(), 0)
 
 
 class TestLoop:
@@ -200,15 +201,32 @@ class TestLoop:
         assert cfg.epsilon == 0.8
         assert cfg.epsilon_aug == 0.8
 
-    def test_zero_budget_leaves_model_unchanged(self, small_world, small_data, small_models):
-        cfg = LoopConfig(iterations=2, targets_per_iteration=5, budget=0, seed=3)
+    def test_zero_budget_leaves_model_unchanged(
+        self, small_world, small_data, small_models, monkeypatch
+    ):
+        planned = []
+
+        def recording(target, *args, **kwargs):
+            result = plan(target, *args, **kwargs)
+            planned.append((target, result))
+            return result
+
+        monkeypatch.setattr(improve, "plan", recording)
+        cfg = LoopConfig(iterations=2, targets_per_iteration=5, budget=0)
         backward, reference, forward = small_models
         final, reports = run_self_improvement(
-            cfg, small_world, small_data, pretrained=small_models
+            cfg, small_world, small_data, pretrained=small_models, seed=3
         )
         assert np.array_equal(final.weights, backward.weights)
+        # Budget 0 expands nothing, so only a target already in stock is
+        # solved, by a route without reactions. small_data holds one such
+        # target, (a+d), which ground truth should never have drawn.
+        assert len(planned) == 10
+        for target, result in planned:
+            assert result.model_calls == 0
+            assert result.success == small_world.is_building_block(target)
+        assert sum(r.routes_succeeded for r in reports) == sum(r.success for _, r in planned)
         for report in reports:
-            assert report.routes_succeeded == 0
             assert report.reactions_harvested == 0
             assert report.kept_after_filter == 0
 
@@ -221,10 +239,9 @@ class TestLoop:
             targets_per_iteration=15,
             budget=40,
             epsilon=0.1,
-            bc=TrainConfig(learning_rate=0.05, epochs=3, seed=1),
-            seed=5,
+            bc=TrainConfig(learning_rate=0.05, epochs=3),
         )
-        run_self_improvement(cfg, small_world, small_data, pretrained=small_models)
+        run_self_improvement(cfg, small_world, small_data, pretrained=small_models, seed=5)
         assert np.array_equal(reference.weights, ref_w)
         assert np.array_equal(forward.weights, fwd_w)
 
@@ -234,11 +251,10 @@ class TestLoop:
             targets_per_iteration=20,
             budget=40,
             epsilon=0.3,
-            bc=TrainConfig(learning_rate=0.05, epochs=3, seed=1),
-            seed=8,
+            bc=TrainConfig(learning_rate=0.05, epochs=3),
         )
         final, reports = run_self_improvement(
-            cfg, small_world, small_data, pretrained=small_models
+            cfg, small_world, small_data, pretrained=small_models, seed=8
         )
         assert len(reports) == cfg.iterations
         for report in reports:
@@ -264,11 +280,10 @@ class TestLoop:
             targets_per_iteration=20,
             budget=40,
             epsilon=0.8,  # high enough that the filter drops some reactions
-            bc=TrainConfig(learning_rate=0.05, epochs=3, seed=1),
-            seed=8,
+            bc=TrainConfig(learning_rate=0.05, epochs=3),
         )
         _, reports = run_self_improvement(
-            cfg, small_world, small_data, pretrained=small_models
+            cfg, small_world, small_data, pretrained=small_models, seed=8
         )
         [report] = reports
         [(routes, kept)] = harvests
@@ -295,9 +310,9 @@ class TestLoop:
             return PlanResult("success", Route(target=target, reactions=(rx,)), 1)
 
         monkeypatch.setattr(improve, "plan", wrong_plan)
-        cfg = LoopConfig(iterations=1, targets_per_iteration=3, budget=10, seed=8)
+        cfg = LoopConfig(iterations=1, targets_per_iteration=3, budget=10)
         with pytest.raises(InvalidReaction) as info:
-            run_self_improvement(cfg, small_world, small_data, pretrained=small_models)
+            run_self_improvement(cfg, small_world, small_data, pretrained=small_models, seed=8)
         [target] = planned
         assert str(info.value) == (
             f"route for {target.text}: template identity does not map {target.text} "
@@ -310,14 +325,13 @@ class TestLoop:
             targets_per_iteration=15,
             budget=40,
             epsilon=0.3,
-            bc=TrainConfig(learning_rate=0.05, epochs=3, seed=1),
-            seed=13,
+            bc=TrainConfig(learning_rate=0.05, epochs=3),
         )
         a, reports_a = run_self_improvement(
-            cfg, small_world, small_data, pretrained=small_models
+            cfg, small_world, small_data, pretrained=small_models, seed=13
         )
         b, reports_b = run_self_improvement(
-            cfg, small_world, small_data, pretrained=small_models
+            cfg, small_world, small_data, pretrained=small_models, seed=13
         )
         assert np.array_equal(a.weights, b.weights)
         assert reports_a == reports_b
@@ -325,11 +339,9 @@ class TestLoop:
 
 class TestPretrainModels:
     def test_backward_initialized_to_reference(self, small_world, small_data):
+        quick = TrainConfig(learning_rate=0.1, epochs=3)
         backward, reference, forward = pretrain_models(
-            small_world,
-            small_data,
-            TrainConfig(learning_rate=0.1, epochs=3, seed=1),
-            TrainConfig(learning_rate=0.1, epochs=3, seed=2),
+            small_world, small_data, PretrainConfig(quick, quick), DEFAULT_DIM, 1
         )
         assert np.array_equal(backward.weights, reference.weights)
         assert np.array_equal(backward.bias, reference.bias)

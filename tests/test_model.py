@@ -231,7 +231,7 @@ class TestPrediction:
         clf = zero_classifier(small_world.template_ids, ROLE_BACKWARD)
         rx = make_reaction(mol("(a+b)"), (mol("a"), mol("b")), "split:+")
         sample = [(featurize_molecule(rx.product), rx.template_id)]
-        trained = train(clf, sample, TrainConfig(learning_rate=0.1, epochs=200, seed=0))
+        trained = train(clf, sample, TrainConfig(learning_rate=0.1, epochs=200), 0)
         preds = predict_topk(trained, rx.product, 1, small_world)
         tid, _probability, outcome = preds[0]
         assert tid == "split:+"
@@ -430,7 +430,7 @@ class TestLikelihood:
         clf = zero_classifier(small_world.template_ids, ROLE_BACKWARD)
         rx = make_reaction(mol("(a+b)"), (mol("a"), mol("b")), "split:+")
         sample = [(featurize_molecule(rx.product), rx.template_id)]
-        trained = train(clf, sample, TrainConfig(learning_rate=0.1, epochs=500, seed=0))
+        trained = train(clf, sample, TrainConfig(learning_rate=0.1, epochs=500), 0)
         assert likelihood(trained, rx, small_world) > 0.99
 
     def test_unknown_template(self, small_world):
@@ -494,7 +494,7 @@ class TestProbabilityMemo:
         sample = [(featurize_molecule(product), "split:*")]
         save_checkpoint(model, tmp_path / "model.json")
         others = (
-            train(model, sample, TrainConfig(learning_rate=0.5, epochs=5, seed=0)),
+            train(model, sample, TrainConfig(learning_rate=0.5, epochs=5), 0),
             replace(model, bias=model.bias + np.arange(model.n_templates)),
             load_checkpoint(tmp_path / "model.json"),
         )
@@ -630,10 +630,10 @@ def dense_nll_grad(weights, bias, x, y, w):
     return logp, resid.T @ x, resid.sum(axis=0)
 
 
-def dense_train(model, samples, cfg):
+def dense_train(model, samples, cfg, seed):
     x, y, w = dense_arrays(model, samples)
     weights, bias = model.weights.copy(), model.bias.copy()
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     for _ in range(cfg.epochs):
         perm = rng.permutation(len(y))
         for start in range(0, len(y), cfg.batch_size):
@@ -655,7 +655,7 @@ class TestTraining:
         clf = zero_classifier(small_world.template_ids, ROLE_BACKWARD)
         samples = self._samples(small_world, small_data)
         before = mean_nll(clf, samples)
-        trained = train(clf, samples, TrainConfig(learning_rate=1e-3, epochs=20, seed=0))
+        trained = train(clf, samples, TrainConfig(learning_rate=1e-3, epochs=20), 0)
         assert mean_nll(trained, samples) < before
 
     def test_gradient_matches_finite_differences(self, small_world, small_data):
@@ -701,7 +701,7 @@ class TestTraining:
             for rx in small_data.reactions_train
         ]
         n, lr = len(samples), 0.05
-        stepped = train(clf, samples, TrainConfig(learning_rate=lr, epochs=1, batch_size=n))
+        stepped = train(clf, samples, TrainConfig(learning_rate=lr, epochs=1, batch_size=n), 0)
         _, grad_w, grad_b = nll_and_grad(clf, samples)
         np.testing.assert_allclose(stepped.weights, clf.weights - lr / n * grad_w, rtol=1e-12)
         np.testing.assert_allclose(stepped.bias, clf.bias - lr / n * grad_b, rtol=1e-12)
@@ -710,9 +710,9 @@ class TestTraining:
     def test_sparse_training_matches_dense_reference(self, small_world, small_data, batch_size):
         clf, samples = random_model_and_samples(small_world, small_data)
         assert len(samples) % 7 and len(samples) < 1000
-        cfg = TrainConfig(learning_rate=0.05, epochs=3, batch_size=batch_size, seed=4)
-        trained = train(clf, samples, cfg)
-        weights, bias = dense_train(clf, samples, cfg)
+        cfg = TrainConfig(learning_rate=0.05, epochs=3, batch_size=batch_size)
+        trained = train(clf, samples, cfg, 4)
+        weights, bias = dense_train(clf, samples, cfg, 4)
         np.testing.assert_allclose(trained.weights, weights, rtol=1e-12)
         np.testing.assert_allclose(trained.bias, bias, rtol=1e-12)
 
@@ -728,7 +728,7 @@ class TestTraining:
     def test_sample_without_features_trains(self, small_world):
         clf = zero_classifier(small_world.template_ids, ROLE_BACKWARD, dim=64)
         empty = FeatureVector(dim=64, indices=())
-        trained = train(clf, [(empty, "split:+")], TrainConfig(learning_rate=0.5, epochs=2))
+        trained = train(clf, [(empty, "split:+")], TrainConfig(learning_rate=0.5, epochs=2), 0)
         assert not trained.weights.any()
         assert np.argmax(trained.bias) == clf._row_of["split:+"]
 
@@ -737,7 +737,7 @@ class TestTraining:
         active = sorted({i for fv, *_ in samples for i in fv.indices})
         inactive = np.setdiff1d(np.arange(clf.dim), active)
         assert len(inactive)
-        trained = train(clf, samples, TrainConfig(learning_rate=0.05, epochs=3, batch_size=16))
+        trained = train(clf, samples, TrainConfig(learning_rate=0.05, epochs=3, batch_size=16), 0)
         assert np.array_equal(trained.weights[:, inactive], clf.weights[:, inactive])
         assert not np.array_equal(trained.weights[:, active], clf.weights[:, active])
 
@@ -746,32 +746,32 @@ class TestTraining:
         clf = zero_classifier(small_world.template_ids, ROLE_BACKWARD, dim=256)
         sample = (featurize_molecule(mol("((a+b)*c)"), fv_dim), "split:+")
         with pytest.raises(InvalidInput):
-            train(clf, [sample], TrainConfig())
+            train(clf, [sample], TrainConfig(), 0)
         with pytest.raises(InvalidInput):
             nll_and_grad(clf, [sample])
 
     def test_empty_data_rejected(self, small_world):
         clf = zero_classifier(small_world.template_ids, ROLE_BACKWARD)
         with pytest.raises(EmptyDataset):
-            train(clf, [], TrainConfig())
+            train(clf, [], TrainConfig(), 0)
 
     def test_unknown_template_rejected(self, small_world):
         clf = zero_classifier(small_world.template_ids, ROLE_BACKWARD)
         with pytest.raises(UnknownTemplate):
-            train(clf, [(featurize_molecule(mol("a")), "nope")], TrainConfig())
+            train(clf, [(featurize_molecule(mol("a")), "nope")], TrainConfig(), 0)
 
     def test_training_is_bit_deterministic(self, small_world, small_data):
         clf = zero_classifier(small_world.template_ids, ROLE_BACKWARD)
         samples = self._samples(small_world, small_data)
-        cfg = TrainConfig(learning_rate=0.05, epochs=5, batch_size=32, seed=9)
-        a = train(clf, samples, cfg)
-        b = train(clf, samples, cfg)
+        cfg = TrainConfig(learning_rate=0.05, epochs=5, batch_size=32)
+        a = train(clf, samples, cfg, 9)
+        b = train(clf, samples, cfg, 9)
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.bias, b.bias)
 
     def test_input_model_untouched(self, small_world, small_data):
         clf = zero_classifier(small_world.template_ids, ROLE_BACKWARD)
-        train(clf, self._samples(small_world, small_data), TrainConfig(epochs=1))
+        train(clf, self._samples(small_world, small_data), TrainConfig(epochs=1), 0)
         assert not clf.weights.any()
         assert not clf.bias.any()
 
@@ -818,11 +818,11 @@ def unique_batch(rows, idx):
     return cols, xs
 
 
-def unique_train(model, samples, cfg):
+def unique_train(model, samples, cfg, seed):
     rows = model_module._as_rows(model, samples)
     n = len(rows.y)
     weights, bias = model.weights.copy(), model.bias.copy()
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     for _ in range(cfg.epochs):
         perm = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
@@ -856,9 +856,9 @@ class TestPerEpochGather:
     def test_train_equals_per_batch_reference(self, small_world, small_data, dim, batch_size):
         clf, samples = random_model_and_samples(small_world, small_data, dim)
         assert len(samples) % 7 and len(samples) < 1000
-        cfg = TrainConfig(learning_rate=0.05, epochs=3, batch_size=batch_size, seed=4)
-        trained = train(clf, samples, cfg)
-        weights, bias = unique_train(clf, samples, cfg)
+        cfg = TrainConfig(learning_rate=0.05, epochs=3, batch_size=batch_size)
+        trained = train(clf, samples, cfg, 4)
+        weights, bias = unique_train(clf, samples, cfg, 4)
         assert np.array_equal(trained.weights, weights)
         assert np.array_equal(trained.bias, bias)
 
@@ -929,8 +929,8 @@ class TestReferenceScaleTraining:
             cfg.pretrain.forward,
             epochs=2,
             batch_size=batch_size or cfg.pretrain.forward.batch_size,
-            seed=derive_seed(1, "pretrain-forward"),
         )
+        seed = derive_seed(1, "pretrain-forward")
         rng = np.random.default_rng(5)
         t = len(world.template_ids)
         clf = classifier_like(
@@ -939,8 +939,8 @@ class TestReferenceScaleTraining:
             bias=rng.normal(size=t) * 0.5,
         )
         weights, bias = clf.weights.copy(), clf.bias.copy()
-        trained = train(clf, samples, train_cfg)
-        ref_weights, ref_bias = unique_train(clf, samples, train_cfg)
+        trained = train(clf, samples, train_cfg, seed)
+        ref_weights, ref_bias = unique_train(clf, samples, train_cfg, seed)
         assert np.array_equal(trained.weights, ref_weights)
         assert np.array_equal(trained.bias, ref_bias)
         # The input model's arrays are neither changed nor shared.
@@ -962,7 +962,7 @@ class TestExactMatch:
             (featurize_molecule(rx.product), rx.template_id)
             for rx in small_data.reactions_train
         ]
-        trained = train(clf, samples, TrainConfig(learning_rate=0.3, epochs=40, seed=1))
+        trained = train(clf, samples, TrainConfig(learning_rate=0.3, epochs=40), 1)
         k = len(small_world.templates)
         assert topk_exact_match(trained, small_data.reactions_train, (k,), small_world) == (1.0,)
 

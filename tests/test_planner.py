@@ -553,7 +553,7 @@ class TestSearchProperties:
                 (featurize_molecule(rx.product), rx.template_id)
                 for rx in data.reactions_train
             ]
-            clf = train(clf, samples, TrainConfig(learning_rate=0.1, epochs=4, seed=seed))
+            clf = train(clf, samples, TrainConfig(learning_rate=0.1, epochs=4), seed)
         return world, data, clf
 
     @pytest.mark.parametrize("seed", range(8))
