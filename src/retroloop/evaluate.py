@@ -212,19 +212,21 @@ def brute_force_oracle(
         apps = []
         for tid, reactants in world.applications(m):
             dead = False
+            texts = ()
             for r in reactants:
-                dead = dead or r.malformed
-                if r.text not in costs and r.text not in known:
+                text = r.text
+                if text not in costs and text not in known:
                     if len(costs) >= cap:
                         raise CapExceeded(
                             f"oracle exploration exceeded cap of {cap} molecules"
                         )
                     _found(r, stock, costs, queue)
-            if dead:
-                continue
-            # Reactants come sorted by text, so their distinct texts do too.
-            texts = tuple(dict.fromkeys([r.text for r in reactants]))
-            if m.text not in texts:  # identity's is the one cycle
+                if r.malformed:
+                    dead = True
+                elif not texts or texts[-1] != text:  # sorted: a repeat is adjacent
+                    texts += (text,)
+            # Identity's application, the one cycle, hands back m itself.
+            if not dead and reactants[0] is not m:
                 apps.append((row_of[tid], texts))
         if apps:
             live.append((m, apps))
@@ -233,14 +235,18 @@ def brute_force_oracle(
     live.sort(key=lambda entry: entry[0].height)
     for m, apps in live:
         probs = product_proba(ref, m).tolist()
-        costs[m.text] = min(
-            (
-                (INF if probs[row] <= 0.0 else -math.log(probs[row]))
-                + sum(costs[t] if t in costs else known[t] for t in texts)
-                for row, texts in apps
-            ),
-            default=INF,
-        )
+        best = None
+        for row, texts in apps:
+            # The reactants' values, added from int 0 as sum() adds them.
+            total = 0
+            for t in texts:
+                cost = costs.get(t)
+                total += known[t] if cost is None else cost
+            p = probs[row]
+            cost = (INF if p <= 0.0 else -math.log(p)) + total
+            if best is None or cost < best:  # the first least, as min() takes it
+                best = cost
+        costs[m.text] = best  # type: ignore[assignment]  # apps is never empty
     return OracleTable(costs=costs, explored=len(costs))
 
 

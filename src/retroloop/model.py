@@ -23,7 +23,7 @@ import base64
 import hashlib
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from itertools import chain
 from operator import itemgetter
@@ -137,12 +137,41 @@ def featurize_reactant_set(
 @dataclass(frozen=True, eq=False)
 class TemplateClassifier:
     """Weights and bias are never changed in place: ``train`` returns a new
-    classifier, so what a model has memoised stays true of it."""
+    classifier, so what a model has memoised stays true of it.
+
+    A model stores its weights once, as ``weight_rows``: a C-ordered
+    (D + 1, T) float64 array whose row ``i`` holds every template's weight
+    of feature bit ``i``, and whose last row, the padding row, is all -0.0.
+    ``weights`` is the (T, D) view of its first D rows. Given weights that
+    are already that view of such an array, as ``train``, ``zero_classifier``
+    and ``dataclasses.replace`` give them, are kept as they are; any others
+    are copied into a new one.
+    """
 
     weights: np.ndarray  # (T, D)
     bias: np.ndarray  # (T,)
     template_index: tuple[str, ...]
     role: str
+    weight_rows: np.ndarray = field(init=False, repr=False)  # (D + 1, T)
+
+    def __post_init__(self) -> None:
+        weights = self.weights
+        t, dim = weights.shape
+        rows = weights.base
+        if not (
+            isinstance(rows, np.ndarray)
+            and rows.dtype == np.float64
+            and rows.shape == (dim + 1, t)
+            and rows.flags.c_contiguous
+            and weights.ctypes.data == rows.ctypes.data
+            and weights.strides == rows[:dim].T.strides
+            and not rows[dim].any()
+            and np.signbit(rows[dim]).all()
+        ):
+            rows = _padded_rows(dim, t)
+            rows[:dim] = weights.T
+        object.__setattr__(self, "weight_rows", rows)
+        object.__setattr__(self, "weights", rows[:dim].T)
 
     @property
     def n_templates(self) -> int:
@@ -164,6 +193,13 @@ class TemplateClassifier:
         return {}
 
 
+def _padded_rows(dim: int, t: int) -> np.ndarray:
+    """A (dim + 1, t) array of zero weight rows, the last of them -0.0."""
+    rows = np.zeros((dim + 1, t))
+    rows[dim] = -0.0
+    return rows
+
+
 def zero_classifier(
     template_ids: Sequence[str], role: str, dim: int = DEFAULT_DIM
 ) -> TemplateClassifier:
@@ -174,7 +210,7 @@ def zero_classifier(
     if t < 1:
         raise InvalidInput("need at least one template")
     return TemplateClassifier(
-        weights=np.zeros((t, dim), dtype=np.float64),
+        weights=_padded_rows(dim, t)[:dim].T,
         bias=np.zeros(t, dtype=np.float64),
         template_index=tuple(template_ids),
         role=role,
@@ -193,14 +229,15 @@ def _logits(
     on-bits in ascending order, then the bias, however many rows are
     scored together. Rows are taken widest first and cut into buckets: a
     bucket starts at its widest row and ends before the first row with at
-    most half as many bits. A bucket gathers ``weights.T[idx]``, shape
-    (rows, width, templates), and reduces it over the middle, bit, axis,
-    with the padding of any shorter rows masked out by ``where=``. Over
-    that axis ``np.add.reduce`` adds one on-bit at a time to every
-    template; a reduction over the contiguous axis would be pairwise, and
-    every memoised probability would move. It starts from -0.0, which
-    leaves every sum as it is, the sign of a zero included; a row with no
-    bits is its bias.
+    most half as many bits. A bucket's (rows, width) index holds each row's
+    on-bits, padded with the index of the -0.0 padding row of
+    ``weight_rows``. Its transpose gathers (``np.take``) the (width, rows,
+    templates) weights, which ``np.add.reduce`` reduces over the first, bit,
+    axis: it adds one on-bit at a time to every logit of the bucket, where
+    a reduction over the contiguous axis would be pairwise and move every
+    memoised probability. It starts from -0.0, and adding -0.0 leaves every
+    float as it is, the sign of a zero, infinities and NaNs included, so the
+    padding adds nothing and a row with no bits is its bias.
     """
     dim = model.dim
     for fv in fvs:
@@ -211,48 +248,42 @@ def _logits(
     n = len(indices)
     order = sorted(range(n), key=lengths.__getitem__, reverse=True)
     logits = np.empty((n, model.n_templates))
-    weights_t = model.weights.T
+    weight_rows = model.weight_rows
+    pad = (dim,) * (lengths[order[0]] if n else 0)
     start = 0
     while start < n:
         width = lengths[order[start]]
         stop = start + 1
         while stop < n and 2 * lengths[order[stop]] > width:
             stop += 1
-        rows = order[start:stop]
-        count = sum([lengths[i] for i in rows])
-        bits = np.fromiter(chain.from_iterable([indices[i] for i in rows]), np.intp, count)
-        if count == width * len(rows):  # no padding
-            idx, on = bits.reshape(len(rows), width), True
-        else:
-            on = np.arange(width) < np.array([lengths[i] for i in rows])[:, None]
-            idx = np.zeros(on.shape, dtype=np.intp)
-            idx[on] = bits
-            on = on[:, :, None]
-        np.add.reduce(weights_t[idx], axis=1, where=on, initial=-0.0, out=logits[start:stop])
+        padded = []
+        for i in order[start:stop]:
+            padded += (indices[i], pad[lengths[i] : width])
+        idx = np.fromiter(chain.from_iterable(padded), np.intp, width * (stop - start))
+        bits = np.take(weight_rows, idx.reshape(stop - start, width).T, axis=0)
+        np.add.reduce(bits, axis=0, initial=-0.0, out=logits[start:stop])
         start = stop
     logits += model.bias
     return order, logits
 
 
 def _proba_rows(model: TemplateClassifier, fvs: Sequence[FeatureVector]) -> list[np.ndarray]:
-    """``predict_proba`` of each of ``fvs``, from one ``_logits`` pass.
+    """``predict_proba`` of each of ``fvs``, from one ``_logits`` pass, as
+    read-only views of one batch array, which a memo may keep.
 
     The softmax runs on all rows at once, with the float operations of a
     one-row softmax: the row maximum and the subtraction are exact,
     ``np.exp`` works element by element, and each row's sum is numpy's
-    pairwise sum over that contiguous row, as it is for a lone row. Each
-    row is then copied into an array of its own, which the memo may keep
-    without keeping the rest of the batch.
+    pairwise sum over that contiguous row, as it is for a lone row.
     """
-    # Allocated before the batch's temporaries, so that kept rows do not
-    # sit above the freed gathers.
-    rows = [np.empty(model.n_templates) for _ in fvs]
     order, z = _logits(model, fvs)
     z -= np.maximum.reduce(z, axis=1, keepdims=True)
     np.exp(z, out=z)
     z /= np.add.reduce(z, axis=1, keepdims=True)
+    z.flags.writeable = False
+    rows = [z] * len(order)  # placeholders, each replaced by its row
     for i, row in zip(order, z):
-        rows[i][:] = row
+        rows[i] = row
     return rows
 
 
@@ -290,9 +321,7 @@ def score_products(model: TemplateClassifier, products: Iterable[Molecule]) -> N
     if not new:
         return
     rows = _proba_rows(model, [featurize_molecule(p, model.dim) for p in new.values()])
-    for text, row in zip(new, rows):
-        row.flags.writeable = False
-        memo[text] = row
+    memo.update(zip(new, rows))
 
 
 def check_world(model: TemplateClassifier, world: World) -> None:
@@ -541,7 +570,11 @@ def nll_and_grad(
     gradient contribution exactly. All samples form one batch, built as
     ``train`` builds its batches.
     """
-    rows = _as_rows(model, data)
+    return _nll_and_grad(model, _as_rows(model, data))
+
+
+def _nll_and_grad(model: TemplateClassifier, rows: _Rows) -> tuple[float, np.ndarray, np.ndarray]:
+    """``nll_and_grad`` of the samples ``rows``."""
     cols, xs = _Batches(model.dim)(rows, 0, len(rows.y))
     logp, grad_u, grad_b = _nll_grad(model.weights.T[cols], model.bias, xs, rows.y, rows.w)
     grad_w = np.zeros_like(model.weights)
@@ -551,9 +584,9 @@ def nll_and_grad(
 
 def mean_nll(model: TemplateClassifier, data: Iterable) -> float:
     """``nll_and_grad``'s total over the samples' total weight."""
-    samples = list(data)
-    total, _, _ = nll_and_grad(model, samples)
-    return total / float(_as_rows(model, samples).w.sum())
+    rows = _as_rows(model, data)
+    total, _, _ = _nll_and_grad(model, rows)
+    return total / float(rows.w.sum())
 
 
 def train(
@@ -564,14 +597,16 @@ def train(
     Each epoch gathers the CSR rows of its permutation once, and each batch
     is a slice of that gather. A step touches only the weight columns its
     batch activates; the rest have a zero gradient. The weights being
-    trained are held as a (D, T) copy, so a batch's active columns are
-    contiguous rows to gather and write back. Returns a new classifier; the
-    input model is untouched. Identical (model, data, cfg, seed) produce
+    trained are the first D rows of a copy of the model's weight rows, so a
+    batch's active columns are contiguous rows to gather and write back,
+    and the new classifier keeps that copy as its own. Returns a new
+    classifier; the input model is untouched. Identical (model, data, cfg, seed) produce
     bit-identical weights.
     """
     rows = _as_rows(model, data)
     n = len(rows.y)
-    weights = model.weights.T.copy()
+    weight_rows = model.weight_rows.copy()
+    weights = weight_rows[: model.dim]
     bias = model.bias.copy()
     batches = _Batches(model.dim)
     rng = np.random.default_rng(seed)
@@ -589,7 +624,7 @@ def train(
             grad_b *= scale
             bias -= grad_b
         del epoch  # so that two epochs are never held at once
-    return replace(model, weights=np.ascontiguousarray(weights.T), bias=bias)
+    return replace(model, weights=weights.T, bias=bias)
 
 
 def topk_exact_match(
@@ -636,16 +671,16 @@ def save_checkpoint(model: TemplateClassifier, path: str | Path) -> None:
     Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n")
 
 
-def _block(doc: dict, field: str, n: int, path: str | Path) -> np.ndarray:
-    """The ``n`` float64 values of a checkpoint's base64 ``field``."""
+def _block(doc: dict, name: str, n: int, path: str | Path) -> np.ndarray:
+    """The ``n`` float64 values of a checkpoint's base64 field ``name``, as a
+    read-only little-endian view of the decoded bytes."""
     try:
-        raw = base64.b64decode(doc[field], validate=True)
+        raw = base64.b64decode(doc[name], validate=True)
     except (TypeError, ValueError) as exc:  # not a string, or not base64
-        raise CheckpointError(f"checkpoint {path} field {field!r} is not base64: {exc}") from exc
+        raise CheckpointError(f"checkpoint {path} field {name!r} is not base64: {exc}") from exc
     if len(raw) != 8 * n:
-        raise CheckpointError(f"checkpoint {path} field {field!r} is not {n} float64 values")
-    # A writable copy in native byte order: frombuffer's view is read-only.
-    return np.frombuffer(raw, dtype="<f8").astype(np.float64)
+        raise CheckpointError(f"checkpoint {path} field {name!r} is not {n} float64 values")
+    return np.frombuffer(raw, dtype="<f8")
 
 
 def load_checkpoint(path: str | Path) -> TemplateClassifier:
@@ -658,9 +693,9 @@ def load_checkpoint(path: str | Path) -> TemplateClassifier:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise CheckpointError(f"checkpoint {path} is not a JSON object")
-    for field in ("version", "role", "dim", "template_index", "weights", "bias"):
-        if field not in doc:
-            raise CheckpointError(f"checkpoint {path} missing field {field!r}")
+    for name in ("version", "role", "dim", "template_index", "weights", "bias"):
+        if name not in doc:
+            raise CheckpointError(f"checkpoint {path} missing field {name!r}")
     if type(doc["version"]) is not int or doc["version"] != CHECKPOINT_VERSION:
         raise CheckpointError(f"checkpoint {path} has unsupported version {doc['version']!r}")
     if doc["role"] not in ROLES:
@@ -673,7 +708,7 @@ def load_checkpoint(path: str | Path) -> TemplateClassifier:
     t = len(index)
     return TemplateClassifier(
         weights=_block(doc, "weights", t * d, path).reshape(t, d),
-        bias=_block(doc, "bias", t, path),
+        bias=_block(doc, "bias", t, path).astype(np.float64),
         template_index=tuple(index),
         role=doc["role"],
     )

@@ -7,8 +7,8 @@ route, where a partial route prices open molecules with a cost-to-go
 estimator. With an estimator that never overestimates (the zero estimator in
 particular) the first completed route is also the cheapest one in the tree.
 Reactions only go down in term height (``world.Template``), so the one cycle
-is identity's, and a prediction whose reactants include its product is
-skipped.
+is identity's, whose application hands back the product object itself, and
+that prediction is skipped.
 
 Selection is incremental, in the style of Retro* (Chen et al., ICML 2020): a
 reaction knows its g (the reaction costs from the root down to its
@@ -62,7 +62,7 @@ from typing import NamedTuple, Protocol
 
 from .errors import InvalidInput, NotSolved
 from .model import TemplateClassifier, likelihood, predict_topk, score_products
-from .world import Molecule, Reaction, Route, World, make_reaction
+from .world import Molecule, Reaction, Route, World
 
 OPEN = "open"
 EXPANDED = "expanded"
@@ -206,8 +206,8 @@ class SearchTree:
         if row in self.expanded or self.mol_best[row] is None:
             raise InvalidInput("only open molecules can be expanded")
         self.call_count += 1
-        preds = predict_topk(self.model, self.mol_molecule[row], self.k_expand, self.world)
-        product_text = self.mol_molecule[row].text
+        product = self.mol_molecule[row]
+        preds = predict_topk(self.model, product, self.k_expand, self.world)
         stock = self.world.stock
         evaluate = self.estimator.evaluate
         add_molecule, add_parent = self.mol_molecule.append, self.mol_parent.append
@@ -222,43 +222,41 @@ class SearchTree:
         first = rxn = len(self.rxn_cost)
         child = len(self.mol_molecule)
         for template_id, probability, reactants in preds:
-            # reactants: a sorted tuple. Only a reactant equal to the
-            # product cycles (world.Template).
+            # reactants: a sorted tuple. Only identity's application, the
+            # one cycle, hands back the product itself (world.Template).
+            if reactants[0] is product:
+                continue
+            cost = INF if probability <= 0.0 else -math.log(probability)
+            g = g_row + cost
+            start = child
+            # The children's values, added in row order from int 0 as
+            # sum() adds them.
+            total = 0
+            previous = None
             for r in reactants:
-                if r.text == product_text:
-                    break
-            else:
-                cost = INF if probability <= 0.0 else -math.log(probability)
-                g = g_row + cost
-                start = child
-                # The children's values, added in row order from int 0 as
-                # sum() adds them.
-                total = 0
-                previous = None
-                for r in reactants:
-                    text = r.text
-                    if text == previous:  # sorted, so a repeated reactant is adjacent
-                        continue
-                    previous = text
-                    add_molecule(r)
-                    add_parent(rxn)
-                    if not r.malformed and text in stock:
-                        value = 0.0
-                        add_best(None)
-                    else:
-                        value = float(evaluate(r))
-                        add_best((g + value, child))
-                    add_value(value)
-                    total += value
-                    child += 1
-                add_template(template_id)
-                add_cost(cost)
-                add_g(g)
-                add_rxn_parent(row)
-                add_rxn_first(start)
-                add_rxn_end(child)
-                add_rxn_value(cost + total)
-                rxn += 1
+                text = r.text
+                if text == previous:  # sorted, so a repeated reactant is adjacent
+                    continue
+                previous = text
+                add_molecule(r)
+                add_parent(rxn)
+                if not r.malformed and text in stock:
+                    value = 0.0
+                    add_best(None)
+                else:
+                    value = float(evaluate(r))
+                    add_best((g + value, child))
+                add_value(value)
+                total += value
+                child += 1
+            add_template(template_id)
+            add_cost(cost)
+            add_g(g)
+            add_rxn_parent(row)
+            add_rxn_first(start)
+            add_rxn_end(child)
+            add_rxn_value(cost + total)
+            rxn += 1
         self.expanded[row] = (first, rxn)
         self._update(row)
         return len(preds)
@@ -390,7 +388,9 @@ def extract_route(tree: SearchTree) -> Route:
     target = tree.mol_molecule[0]
     if tree.mol_value[0] == INF or tree.mol_best[0] is not None:
         raise NotSolved(f"no solved route for {target.text}")
-    expanded, rxn_values = tree.expanded, tree.rxn_value
+    expanded, molecules = tree.expanded, tree.mol_molecule
+    rxn_values, rxn_template = tree.rxn_value, tree.rxn_template
+    rxn_first, rxn_end = tree.rxn_first, tree.rxn_end
     # A product and a template determine the reactants, so a reaction met
     # again under another row is derived once.
     templates = tree.world.template_by_id
@@ -398,16 +398,22 @@ def extract_route(tree: SearchTree) -> Route:
     stack = [0]
     while stack:  # pre-order, children left to right
         row = stack.pop()
-        if row not in expanded:  # a building block
+        span = expanded.get(row)
+        if span is None:  # a building block
             continue
-        first, end = expanded[row]
+        first, end = span
         options = rxn_values[first:end]
         r = first + options.index(min(options))
-        product, tid = tree.mol_molecule[row], tree.rxn_template[r]
-        if (product.text, tid) not in reactions:
+        product, tid = molecules[row], rxn_template[r]
+        key = (product.text, tid)
+        if key not in reactions:
             reactants = templates[tid].backward(product)
-            reactions[product.text, tid] = make_reaction(product, reactants, tid)  # type: ignore[arg-type]
-        stack.extend(range(tree.rxn_end[r] - 1, tree.rxn_first[r] - 1, -1))
+            # At most two: one comparison sorts them by text, as
+            # World.applications sorts them.
+            if len(reactants) == 2 and reactants[1].text < reactants[0].text:  # type: ignore
+                reactants = (reactants[1], reactants[0])  # type: ignore[index]
+            reactions[key] = Reaction(product, reactants, tid)  # type: ignore[arg-type]
+        stack.extend(range(rxn_end[r] - 1, rxn_first[r] - 1, -1))
     return Route(target=target, reactions=tuple(reactions.values()))
 
 

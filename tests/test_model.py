@@ -512,6 +512,16 @@ class TestProbabilityMemo:
         with pytest.raises(ValueError):
             row[0] = 1.0
 
+    def test_memo_rows_are_read_only_views_of_their_batch(self, small_world, small_models):
+        model = classifier_like(small_models[0])
+        products = [mol("((a+b)*c)"), mol("(a+b)"), mol("((a*b)+(c*d))")]
+        model_module.score_products(model, products)
+        rows = [model._proba_memo[p.text] for p in products]
+        assert len({id(row.base) for row in rows}) == 1
+        for p, row in zip(products, rows):
+            assert not row.flags.writeable and not row.base.flags.writeable
+            assert np.array_equal(row, predict_proba(model, featurize_molecule(p)))
+
     def test_flagged_text_is_not_served_the_well_formed_row(self, small_models):
         model = classifier_like(small_models[0])
         well, flagged = mol("((a+b)*c)"), Molecule("((a+b)*c)", malformed=True)
@@ -523,6 +533,51 @@ class TestProbabilityMemo:
         with pytest.raises(InvalidInput):
             model_module.product_proba(model, flagged)
         assert list(model._proba_memo) == [well.text]
+
+
+class TestWeightStorage:
+    """A model keeps its weights once: ``weights`` is a view of its
+    (D + 1, T) weight rows, whose last row is all -0.0."""
+
+    @staticmethod
+    def _check(model):
+        rows = model.weight_rows
+        assert rows.shape == (model.dim + 1, model.n_templates) and rows.flags.c_contiguous
+        assert np.shares_memory(model.weights, rows)
+        assert np.array_equal(rows[: model.dim].T, model.weights)
+        pad = rows[model.dim]
+        assert not pad.any() and np.signbit(pad).all()
+
+    def test_every_made_model_stores_its_weights_once(self, small_world, small_data, tmp_path):
+        clf, samples = random_model_and_samples(small_world, small_data)
+        zero = zero_classifier(small_world.template_ids, ROLE_BACKWARD, clf.dim)
+        trained = train(clf, samples, TrainConfig(learning_rate=0.05, epochs=2), 0)
+        save_checkpoint(trained, tmp_path / "model.json")
+        loaded = load_checkpoint(tmp_path / "model.json")
+        shifted = replace(trained, bias=trained.bias + 1.0)
+        for model in (clf, zero, trained, loaded, shifted):
+            self._check(model)
+        assert np.array_equal(loaded.weights, trained.weights)
+        # Training copies the input's rows and keeps the copy as its own;
+        # a model made from another's weights keeps the other's rows.
+        assert not np.shares_memory(trained.weight_rows, clf.weight_rows)
+        assert shifted.weight_rows is trained.weight_rows
+
+    def test_other_weights_are_copied(self, small_world):
+        t = len(small_world.template_ids)
+        weights = np.arange(t * 8, dtype=np.float64).reshape(t, 8)
+        zero = zero_classifier(small_world.template_ids, ROLE_BACKWARD, 8)
+        # A plain array, a Fortran-ordered one, rows with a +0.0 last row,
+        # and rows of another shape.
+        plus_zero_rows = np.zeros((9, t))
+        others = (
+            weights, np.asfortranarray(weights), plus_zero_rows[:8].T, zero.weight_rows[:7].T
+        )
+        for given_weights in others:
+            model = classifier_like(zero, weights=given_weights)
+            self._check(model)
+            assert not np.shares_memory(model.weights, given_weights)
+            assert np.array_equal(model.weights, given_weights)
 
 
 def random_model_and_samples(world, data, dim=256):
@@ -657,6 +712,18 @@ class TestTraining:
         before = mean_nll(clf, samples)
         trained = train(clf, samples, TrainConfig(learning_rate=1e-3, epochs=20), 0)
         assert mean_nll(trained, samples) < before
+
+    def test_mean_nll_builds_its_rows_once(self, small_world, small_data, monkeypatch):
+        clf, samples = random_model_and_samples(small_world, small_data)
+        total, _, _ = nll_and_grad(clf, samples)
+        weight = sum(s[2] if len(s) > 2 else 1.0 for s in samples)
+        built = []
+        as_rows = model_module._as_rows
+        monkeypatch.setattr(
+            model_module, "_as_rows", lambda model, data: built.append(1) or as_rows(model, data)
+        )
+        assert mean_nll(clf, iter(samples)) == total / weight
+        assert built == [1]
 
     def test_gradient_matches_finite_differences(self, small_world, small_data):
         rng = np.random.default_rng(0)
@@ -947,7 +1014,7 @@ class TestReferenceScaleTraining:
         assert np.array_equal(clf.weights, weights) and np.array_equal(clf.bias, bias)
         assert not np.shares_memory(trained.weights, clf.weights)
         assert not np.shares_memory(trained.bias, clf.bias)
-        assert trained.weights.flags.c_contiguous
+        assert trained.weight_rows.flags.c_contiguous
 
 
 class TestExactMatch:

@@ -6,12 +6,14 @@ import random
 from dataclasses import replace
 from itertools import repeat
 from operator import is_
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 import retroloop.model as model_module
+from retroloop.cli import build_world_data, load_config
 from retroloop.errors import InvalidInput, NotSolved
 from retroloop.evaluate import brute_force_oracle, penalty_constants
 from retroloop.model import (
@@ -52,6 +54,9 @@ from retroloop.world import (
     validate_route,
 )
 from retroloop.world import parse_molecule as mol
+
+
+REFERENCE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "reference.json"
 
 
 def single_split_world():
@@ -450,6 +455,40 @@ class TestPlanStartScoring:
                 assert not parse_molecule(text).malformed
                 assert text not in small_world.stock
                 assert text in target.text
+
+    def test_one_scoring_pass_per_reference_plan(self, monkeypatch):
+        # On the reference config, a plan's whole scoring is the one
+        # pre-scoring pass: a cold memo takes exactly one ``_proba_rows``
+        # call, made before the search, whose expansions take none; a warm
+        # memo takes none at all.
+        cfg, _doc = load_config(REFERENCE_CONFIG)
+        world, data = build_world_data(cfg, 1)
+        samples = [
+            (featurize_molecule(rx.product, cfg.dim), rx.template_id)
+            for rx in data.reactions_train
+        ]
+        zero = zero_classifier(world.template_ids, ROLE_BACKWARD, cfg.dim)
+        trained = train(zero, samples, cfg.pretrain.backward, 1)
+        calls = []
+        kernel = model_module._proba_rows
+
+        def counting_kernel(model, fvs):
+            calls.append(len(fvs))
+            return kernel(model, fvs)
+
+        monkeypatch.setattr(model_module, "_proba_rows", counting_kernel)
+        targets = sorted(data.targets, key=lambda t: (-len(t.text), t.text))[:5]
+        for target in targets:
+            model = replace(trained)  # an empty memo
+            cold = plan(target, model, ZeroEstimator(), 50, cfg.eval.k_expand, world)
+            assert cold.model_calls > 1
+            assert calls == [len(model._proba_memo)]
+            calls.clear()
+            warm = plan(target, model, ZeroEstimator(), 50, cfg.eval.k_expand, world)
+            assert calls == []
+            assert (warm.outcome, warm.model_calls, warm.route) == (
+                cold.outcome, cold.model_calls, cold.route
+            )
 
     def test_plans_without_expansions_score_nothing(self, small_world, small_models, small_data):
         block = small_world.building_blocks[-1]
