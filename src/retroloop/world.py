@@ -4,12 +4,17 @@ Molecules are fully parenthesized binary infix terms over a finite atom
 alphabet, e.g. ``((a+b)*c)``. The literal string is the canonical form: two
 molecules are equal iff their texts are byte-identical. One object is one
 term: a well-formed ``Molecule`` is its own parse tree, holding its root
-operator and its operands, and the parser's cache shares each subterm
-between the terms that contain it. Templates are
-bidirectional rewrite rules; the backward direction splits a product into
-reactants, the forward direction joins reactants into a product. Decoy
-templates are applicable to well-formed molecules but produce at least one
-malformed fragment, so they can never appear in a completed route.
+operator and its operands. Composites come from one unbounded term table:
+``compose(left, op, right)`` returns the table's molecule of
+``(left op right)``, built on first use, and the parser builds its composites
+through ``compose`` and looks a text up in the table before scanning it. So
+one text is one object, each subterm is shared between the terms that
+contain it, and generation and forward templates build terms without
+parsing. Templates are bidirectional rewrite rules; the backward direction
+splits a product into reactants, the forward direction joins reactants into
+a product. Decoy templates are applicable to well-formed molecules but
+produce at least one malformed fragment, so they can never appear in a
+completed route.
 """
 
 from __future__ import annotations
@@ -50,11 +55,11 @@ class Molecule:
     ``malformed`` marks strings that do not parse. Equality, hashing and
     ``repr`` read only ``text`` and ``malformed``. A well-formed molecule is
     its own parse-tree node: ``op`` is its root operator (None for an atom),
-    ``left`` and ``right`` are its operands, the parser's shared molecules,
-    and ``height`` is 0 for an atom. Only the parser builds composites: a
-    molecule built by hand as well-formed must be an atom. Backward
-    applications hand out the operands and ``fragment()`` instead of
-    building new molecules.
+    ``left`` and ``right`` are its operands, shared molecules, and
+    ``height`` is 0 for an atom. Only ``compose`` builds composites, each one
+    the term table's, and the parser goes through it: a molecule built by
+    hand as well-formed must be an atom. Backward applications hand out the
+    operands and ``fragment()`` instead of building new molecules.
     """
 
     text: str
@@ -68,7 +73,7 @@ class Molecule:
     def __post_init__(self) -> None:
         atom = self.text and ATOM_CHARS.issuperset(self.text)
         if not (self.malformed or self.op is not None or atom):
-            raise InvalidInput(f"well-formed molecule {self.text!r} must be parsed, not built")
+            raise InvalidInput(f"well-formed molecule {self.text!r} must be composed, not built")
 
     def fragment(self) -> Molecule:
         """The malformed ``"(" + text``: prepending "(" to a balanced term
@@ -78,18 +83,49 @@ class Molecule:
         return self._fragment  # type: ignore[return-value]
 
 
+# Every well-formed term built so far, by text: the atoms the parser made
+# and the composites ``compose`` made. It is never evicted; neither is the
+# parse cache in any run so far: planning 40 height-10 targets of one
+# reference seed holds 14,485 terms, against the cache's limit of 262,144.
+_TERMS: dict[str, Molecule] = {}
+
+
+def compose(left: Molecule, op: str, right: Molecule) -> Molecule:
+    """The term table's molecule of ``(left op right)``, built on first use.
+
+    The operands are well-formed and ``op`` is an operator character; the
+    result holds them as its operands if it is new.
+    """
+    if left.malformed or right.malformed or op not in OPERATOR_CHARS:
+        raise InvalidInput(f"cannot compose {left.text!r} {op!r} {right.text!r}")
+    text = "(" + left.text + op + right.text + ")"
+    term = _TERMS.get(text)
+    if term is None:
+        term = _TERMS[text] = Molecule(
+            text, op=op, left=left, right=right, height=1 + max(left.height, right.height)
+        )
+    return term
+
+
 @lru_cache(maxsize=1 << 18)
 def parse_ast(text: str) -> Molecule | None:
     """Full parse of ``text``; None if it is not a well-formed term.
 
-    A composite ``(A o B)`` is split at its top-level operator and both
-    operands are parsed through this cached function, so cached trees share
-    their subtrees and parsing a product caches its reactants too.
+    A text the term table holds is its molecule there. Otherwise a composite
+    ``(A o B)`` is split at its top-level operator, both operands are parsed
+    through this cached function, and ``compose`` joins them, so parsed trees
+    share their subtrees with every term that holds them.
     """
+    term = _TERMS.get(text)
+    if term is not None:
+        return term
     if not text:
         return None
     if text[0] != "(":
-        return Molecule(text) if ATOM_CHARS.issuperset(text) else None
+        if not ATOM_CHARS.issuperset(text):
+            return None
+        term = _TERMS[text] = Molecule(text)
+        return term
     if text[-1] != ")":
         return None
     # The left operand ends at the paren closing its opening one, or, for an
@@ -114,13 +150,7 @@ def parse_ast(text: str) -> Molecule | None:
     right = parse_ast(text[j + 1 : n]) if left is not None else None
     if right is None:
         return None
-    return Molecule(
-        text,
-        op=text[j],
-        left=left,
-        right=right,
-        height=1 + max(left.height, right.height),
-    )
+    return compose(left, text[j], right)
 
 
 def parse_molecule(text: str) -> Molecule:
@@ -221,7 +251,7 @@ class Template:
             a, b = reactants
             if a.malformed or b.malformed:
                 return None
-            return parse_molecule("(" + a.text + str(self.op) + b.text + ")")
+            return compose(a, self.op, b)  # type: ignore[arg-type]
         if self.kind == KIND_IDENTITY:
             if len(reactants) != 1 or reactants[0].malformed:
                 return None
@@ -438,27 +468,23 @@ def _atom_names(n: int) -> list[str]:
 def _random_term(
     rng: random.Random,
     depth: int,
-    leaves: Sequence[str],
+    leaves: Sequence[Molecule],
     operators: Sequence[str],
     compose_root: bool,
+    composites: list[Molecule],
     leaf_prob: float = LEAF_PROB,
-    reactions: "dict[tuple, Reaction] | None" = None,
-) -> str:
-    """A random term over ``leaves`` of height at most ``depth``. If given,
-    ``reactions`` gets each composite's split reaction, by ``Reaction.key``;
-    that draws nothing more from ``rng``."""
+) -> Molecule:
+    """A random term over ``leaves`` of height at most ``depth``, built with
+    ``compose``. Each composite it generates is appended to ``composites``, in
+    post-order: operands before the terms that hold them."""
     if depth <= 0 or (not compose_root and rng.random() < leaf_prob):
         return rng.choice(leaves)
     op = rng.choice(operators)
-    left = _random_term(rng, depth - 1, leaves, operators, False, leaf_prob, reactions)
-    right = _random_term(rng, depth - 1, leaves, operators, False, leaf_prob, reactions)
-    text = "(" + left + op + right + ")"
-    if reactions is not None:
-        rx = make_reaction(
-            parse_molecule(text), (parse_molecule(left), parse_molecule(right)), f"split:{op}"
-        )
-        reactions.setdefault(rx.key, rx)
-    return text
+    left = _random_term(rng, depth - 1, leaves, operators, False, composites, leaf_prob)
+    right = _random_term(rng, depth - 1, leaves, operators, False, composites, leaf_prob)
+    term = compose(left, op, right)
+    composites.append(term)
+    return term
 
 
 def generate_world(config: WorldConfig, seed: int) -> World:
@@ -485,13 +511,13 @@ def generate_world(config: WorldConfig, seed: int) -> World:
     rng = random.Random(seed)
     stock: dict[str, Molecule] = {a: parse_molecule(a) for a in atoms}
     if config.bb_depth >= 1:
+        leaves = tuple(stock.values())
         attempts = 0
         wanted = len(atoms) + config.bb_composites
         while len(stock) < wanted and attempts < 50 * max(1, config.bb_composites):
             attempts += 1
-            text = _random_term(rng, config.bb_depth, atoms, operators, True)
-            if text not in stock:
-                stock[text] = parse_molecule(text)
+            term = _random_term(rng, config.bb_depth, leaves, operators, True, [])
+            stock.setdefault(term.text, term)
 
     return World(
         atoms=atoms,
@@ -514,19 +540,29 @@ def sample_ground_truth_route(
     Only split templates are used, so every generated route validates. Leaves
     are drawn from the full stock, composites included, which makes routes of
     different lengths to the same target possible. ``leaf_prob`` shapes the
-    depth distribution: lower values grow bushier targets.
+    depth distribution: lower values grow bushier targets. The route is read
+    off the composites ``_random_term`` records: each one's split, in the
+    order they were first generated.
     """
     rng = random.Random(seed)
-    stock_texts = [m.text for m in world.building_blocks]
     if max_depth == 0:
-        target = parse_molecule(rng.choice(stock_texts))
+        target = rng.choice(world.building_blocks)
         return target, Route(target=target, reactions=())
 
-    reactions: dict[tuple, Reaction] = {}
+    composites: list[Molecule] = []
     depth = rng.randint(1, max_depth)
-    text = _random_term(rng, depth, stock_texts, world.operators, True, leaf_prob, reactions)
-    target = parse_molecule(text)
-    return target, Route(target=target, reactions=tuple(reactions.values()))
+    target = _random_term(
+        rng, depth, world.building_blocks, world.operators, True, composites, leaf_prob
+    )
+    # A split's product text determines its reaction, so the first
+    # occurrence of each composite gives the route's reactions in order.
+    reactions = []
+    for m in dict.fromkeys(composites):
+        # One comparison sorts the reactants by text; a tie keeps their order.
+        left, right = m.left, m.right
+        pair = (right, left) if right.text < left.text else (left, right)  # type: ignore
+        reactions.append(Reaction(m, pair, f"split:{m.op}"))
+    return target, Route(target=target, reactions=tuple(reactions))
 
 
 @dataclass(frozen=True)
@@ -601,6 +637,11 @@ def save_world(world: World) -> str:
     return json.dumps(doc, indent=1, sort_keys=True) + "\n"
 
 
+# ``json.dumps(rec, sort_keys=True)`` builds an encoder per call; one shared
+# encoder writes the same bytes.
+_RECORD_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 def _reaction_record(rx: Reaction) -> dict:
     return {
         "product": rx.product.text,
@@ -627,4 +668,4 @@ def save_dataset(dataset: Dataset, name: str) -> str:
         )
     else:
         records = (_reaction_record(rx) for rx in getattr(dataset, name))
-    return "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in records)
+    return "".join(_RECORD_ENCODER.encode(rec) + "\n" for rec in records)

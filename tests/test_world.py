@@ -1,13 +1,18 @@
+import hashlib
+import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from retroloop.cli import build_world_data, load_config
 from retroloop.errors import InvalidConfig, InvalidInput
 from retroloop.model import featurize_molecule
 from retroloop.world import (
     ATOM_CHARS,
+    DATASET_FILES,
     KIND_CHOP,
     KIND_IDENTITY,
     KIND_SPLIT,
@@ -20,11 +25,13 @@ from retroloop.world import (
     World,
     WorldConfig,
     build_datasets,
+    compose,
     generate_world,
     make_reaction,
     parse_ast,
     parse_molecule,
     sample_ground_truth_route,
+    save_dataset,
     save_world,
     subterms,
     validate_route,
@@ -163,6 +170,64 @@ class TestParsing:
         ast = parse_ast("((a+b)*c)")
         assert ast.left is parse_ast("(a+b)")
         assert ast.right is parse_ast("c")
+
+
+_FRESH = itertools.count()
+
+
+def fresh_atoms(text):
+    """``text`` with each atom renamed to one no earlier call made, so neither
+    the parse cache nor the term table has seen any of its terms."""
+    n = next(_FRESH)
+    return "".join(f"{c}t{n}" if c in ATOM_CHARS else c for c in text)
+
+
+class TestTermTable:
+    @given(terms(), st.sampled_from("+*/"), terms(), st.booleans())
+    def test_compose_and_parse_give_one_object(self, left, op, right, compose_first):
+        left, right = fresh_atoms(left), fresh_atoms(right)
+        text = f"({left}{op}{right})"
+        if compose_first:
+            term = compose(parse_ast(left), op, parse_ast(right))
+            assert parse_ast(text) is term
+        else:
+            term = parse_ast(text)
+            assert compose(parse_ast(left), op, parse_ast(right)) is term
+        assert parse_molecule(text) is term
+        assert (term.text, term.op, term.left, term.right) == (text, op, mol(left), mol(right))
+        assert term.left is parse_ast(left) and term.right is parse_ast(right)
+        assert term.height == 1 + max(term.left.height, term.right.height)
+        assert shape(term) == reference_parse(text)
+
+    def test_a_cleared_parse_cache_keeps_one_object_per_text(self):
+        term = compose(mol("u9"), "+", compose(mol("v9"), "*", mol("w9")))
+        parse_ast.cache_clear()
+        assert parse_ast("(u9+(v9*w9))") is term
+        assert parse_ast("(v9*w9)") is term.right and parse_ast("u9") is term.left
+
+    @pytest.mark.parametrize(
+        "left, op, right",
+        [("a", "x", "b"), ("a", "++", "b"), ("(a+", "+", "b"), ("a", "+", "(a+")],
+    )
+    def test_malformed_operands_and_non_operators_are_rejected(self, left, op, right):
+        with pytest.raises(InvalidInput):
+            compose(mol(left), op, mol(right))
+
+    @given(terms(), st.sampled_from("+*"), terms())
+    def test_split_forward_gives_the_table_term(self, left, op, right):
+        left, right = fresh_atoms(left), fresh_atoms(right)
+        split = Template(id=f"split:{op}", kind=KIND_SPLIT, op=op)
+        product = split.forward((mol(left), mol(right)))
+        assert product.text == f"({left}{op}{right})"
+        assert product is parse_ast(product.text)
+
+    def test_generation_parses_nothing(self, small_world):
+        before = parse_ast.cache_info()
+        build_datasets(small_world, DatasetConfig(60, 6), seed=3)
+        for seed in range(20):
+            sample_ground_truth_route(small_world, seed % 5, seed, leaf_prob=0.1)
+        after = parse_ast.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
 
 
 class TestTemplates:
@@ -564,3 +629,41 @@ class TestDatasets:
             DatasetConfig(5, 2, (0.5, 0.2, 0.2))
         with pytest.raises(InvalidConfig):
             DatasetConfig(0, 2)
+
+
+class TestGoldenGeneration:
+    """The bytes of ``world.json`` and of every dataset file that
+    ``cli.build_world_data`` makes for ``configs/reference.json``. Generation
+    may get faster but must not change them; ROADMAP item 1, which stops
+    ground truth from splitting composites that are building blocks, updates
+    these digests on purpose."""
+
+    DIGESTS = {
+        1: {
+            "world": "ee4ff8465df9e744",
+            "targets": "624c7db17a203367",
+            "reactions_train": "83e3fca0d87b32a7",
+            "reactions_val": "0e794ab84d453629",
+            "reactions_test": "b9832cea8ba9fb20",
+            "routes": "8902f9f5f5b36a9c",
+        },
+        2: {
+            "world": "1e5048c6f9ee80a9",
+            "targets": "2952513d1dc61f0c",
+            "reactions_train": "8c9bd67dd09a2ce6",
+            "reactions_val": "e1bcade1f3d8a6c5",
+            "reactions_test": "a117dce878ea471b",
+            "routes": "cd96061691df2ae7",
+        },
+    }
+
+    @pytest.mark.parametrize("seed", sorted(DIGESTS))
+    def test_reference_world_and_dataset_bytes(self, seed):
+        cfg, _doc = load_config(Path(__file__).resolve().parent.parent / "configs/reference.json")
+        world, data = build_world_data(cfg, seed)
+        texts = {"world": save_world(world)}
+        texts.update((name, save_dataset(data, name)) for name in DATASET_FILES)
+        digests = {
+            name: hashlib.sha256(text.encode()).hexdigest()[:16] for name, text in texts.items()
+        }
+        assert digests == self.DIGESTS[seed]
